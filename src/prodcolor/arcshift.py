@@ -102,7 +102,8 @@ def coloring_down(d: Digraph, shift_coloring: Coloring) -> SetColoring:
         out = [shift_coloring.colors[index.index_of((v, y))] for y in d.out_neighbors(v)]
         sets.append(frozenset(out))
     result = SetColoring(tuple(sets), shift_coloring.k, None)
-    assert is_proper_set_coloring(underline(d), result)
+    if not is_proper_set_coloring(underline(d), result):
+        raise RuntimeError("down-transform produced an improper set-coloring of underline(D)")
     return result
 
 
@@ -127,7 +128,8 @@ def coloring_up(d: Digraph, set_coloring: SetColoring) -> Coloring:
             raise ValueError(f"arc ({x}, {y}) has an empty set difference")
         colors.append(min(diff))
     result = Coloring(tuple(colors), set_coloring.k)
-    assert is_proper_coloring(underline(shifted), result)
+    if not is_proper_coloring(underline(shifted), result):
+        raise RuntimeError("up-transform produced an improper coloring of underline(shift(D))")
     return result
 
 
@@ -179,7 +181,8 @@ def uniform_set_coloring(d: Digraph) -> SetColoring:
     s = -(-k // 2)
     subsets = list(combinations(range(k), s))[:chi_d]
     base = k_colorable(underline(d), chi_d)
-    assert base is not None
+    if base is None:
+        raise RuntimeError(f"no {chi_d}-coloring found for a digraph with chi {chi_d}")
     sets = tuple(frozenset(subsets[c]) for c in base.colors)
     return SetColoring(sets, k, s)
 
@@ -187,8 +190,8 @@ def uniform_set_coloring(d: Digraph) -> SetColoring:
 def lemma_rel_transforms_check(d: Digraph) -> bool:
     """Exercise both transforms on D with solver-found inputs; True iff both verify.
 
-    Properness of each output is asserted inside the transforms; this wrapper
-    additionally confirms the down-transform uses at most 2^k distinct sets.
+    Each output is checked for properness here, and the down-transform must
+    also use at most 2^k distinct sets.
     """
     shifted, _ = arc_shift(d)
     ug = underline(shifted)
@@ -197,7 +200,7 @@ def lemma_rel_transforms_check(d: Digraph) -> bool:
 
     if shifted.n:
         down = coloring_down(d, k_colorable(ug, chi_shift))
-        if len(set(down.sets)) > 2**chi_shift:
+        if not is_proper_set_coloring(underline(d), down) or len(set(down.sets)) > 2**chi_shift:
             return False
     up = coloring_up(d, uniform_set_coloring(d))
     return is_proper_coloring(underline(shifted), up)
@@ -221,7 +224,8 @@ def schelp_triples() -> tuple[tuple[int, int, int], ...]:
     for e1, e2 in a2.arcs:
         i, j = a1.arc_at(e1)
         j2, k = a1.arc_at(e2)
-        assert j == j2
+        if j != j2:
+            raise RuntimeError(f"shift arcs ({i}, {j}) and ({j2}, {k}) are not consecutive")
         triples.append((i, j, k))
     return tuple(triples)
 

@@ -214,7 +214,7 @@ def _cmd_exp(args) -> int:
         return 0
     if args.action == "verify-mu-clique":
         g = _load_graph(args.input)
-        report = exponential.verify_mu_clique(g, args.vertex, args.q, jobs=args.jobs)
+        report = exponential.verify_mu_clique(g, args.vertex, args.q)
         if args.format == "obj":
             _emit_obj(
                 {
@@ -317,7 +317,7 @@ def _cmd_verify(args) -> int:
         max_exp_vertices=args.max_exp_vertices,
         max_exp_pairs=args.max_exp_pairs,
     )
-    reports = harness.run_suite(args.suite, cfg, jobs=args.jobs)
+    reports = harness.run_suite(args.suite, cfg)
     if args.format == "obj":
         sys.stdout.write(harness.serialize_reports(reports, mask_timing=args.mask_timing))
     else:
@@ -383,7 +383,6 @@ def _build_parser() -> _Parser:
     p.add_argument("-q", type=int, default=1, help="blow-up factor")
     p.add_argument("-t", type=int, default=None)
     p.add_argument("-b", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--max-exp-vertices", type=int,
                    default=exponential.DEFAULT_MAX_EXP_VERTICES)
     p.add_argument("--max-exp-pairs", type=int,
@@ -407,7 +406,6 @@ def _build_parser() -> _Parser:
                    help="the literal word 'suite' (optional)")
     p.add_argument("suite", nargs="?", default="all")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--mask-timing", action="store_true", dest="mask_timing")
     p.add_argument("--max-lp-vertices", type=int,
                    default=fractional.DEFAULT_MAX_LP_VERTICES)

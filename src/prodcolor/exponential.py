@@ -319,17 +319,19 @@ class MuCliqueReport:
     violations: tuple[tuple[int, int, tuple[tuple[int, int], tuple[int, int]], int], ...]
 
 
-def verify_mu_clique(g: Graph, v: int, q: int, jobs: int = 1) -> MuCliqueReport:
+def verify_mu_clique(g: Graph, v: int, q: int, *, jobs: int = 1) -> MuCliqueReport:
     """Check that all mu_t for t in the secondary block are pairwise adjacent.
 
     On a base of girth >= 6 this must pass; on smaller girth the report
     carries, per violating pair, a witnessing blow-up edge on which the two
-    maps share a value. Pairs are checked in lexicographic order; with
-    jobs > 1 the checks run on a thread pool, with the report assembled in
-    the same order either way.
+    maps share a value. Pairs are checked in lexicographic order.
+
+    ``jobs`` accepts only 1. It remains so that callers still passing
+    ``jobs=1`` (benchmarks/workloads.py) keep working; any other value raises
+    ValueError.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1, got {jobs}")
     mus = {t: shitov_mu(g, v, q, t) for t in secondary_block(q)}
     blown = blowup(g, q)
     pair_list = list(combinations(sorted(mus), 2))
@@ -349,13 +351,7 @@ def verify_mu_clique(g: Graph, v: int, q: int, jobs: int = 1) -> MuCliqueReport:
                     )
         raise AssertionError("non-adjacent pair must have a witnessing edge")
 
-    if jobs == 1:
-        results = [check(p) for p in pair_list]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(check, pair_list))
+    results = [check(p) for p in pair_list]
     violations = tuple(r for r in results if r is not None)
     return MuCliqueReport(not violations, len(pair_list), violations)
 

@@ -198,14 +198,22 @@ CATALOG = {
 }
 
 
+_FAMILIES = {"k": complete_graph, "c": cycle}
+
+
 def named(identifier: str) -> Graph:
-    """A catalog graph with fixed, documented vertex numbering."""
-    try:
-        builder = CATALOG[identifier]
-    except KeyError:
-        known = ", ".join(sorted(CATALOG))
-        raise ValueError(f"unknown catalog graph {identifier!r} (known: {known})") from None
-    return builder()
+    """A catalog graph with fixed, documented vertex numbering.
+
+    Besides the CATALOG entries, ``k<n>`` is complete_graph(n) and ``c<n>``
+    is cycle(n), with n in canonical ASCII decimal (no sign, no leading zero).
+    """
+    if identifier in CATALOG:
+        return CATALOG[identifier]()
+    family, digits = _FAMILIES.get(identifier[:1]), identifier[1:]
+    if family and digits.isascii() and digits.isdigit() and str(int(digits)) == digits:
+        return family(int(digits))
+    known = ", ".join(sorted(CATALOG))
+    raise ValueError(f"unknown catalog graph {identifier!r} (known: {known}, k<n>, c<n>)")
 
 
 # ---------------------------------------------------------------------------

@@ -37,15 +37,10 @@ class SuiteConfig:
 
     seed: int = 7
     hedetniemi_pairs: int = 50
-    hedetniemi_max_n: int = 8
-    edge_probability: float = 0.5
     digraph_pairs: int = 100
-    digraph_pairs_max_n: int = 5
     bound_chain_pairs: int = 50
     lemma_rel_exhaustive_n: int = 4
     lemma_rel_random: int = 100
-    lemma_rel_random_max_n: int = 6
-    arc_probability: float = 0.4
     es_bases: tuple[str, ...] = ("k4", "k5", "w5")
     mu_clique_qs: tuple[int, ...] = (1, 2, 3)
     frac_catalog: tuple[str, ...] = ("k3", "k4", "c5", "c7", "petersen")
@@ -107,28 +102,18 @@ def serialize_reports(reports: list[ClaimReport], mask_timing: bool = False) -> 
 
 
 # ---------------------------------------------------------------------------
-# small deterministic instance builders
+# instances
 
-_SMALL = {
-    "k2": lambda: graphs.complete_graph(2),
-    "k3": lambda: graphs.complete_graph(3),
-    "k4": lambda: graphs.complete_graph(4),
-    "k5": lambda: graphs.complete_graph(5),
-    "c5": lambda: graphs.cycle(5),
-    "c7": lambda: graphs.cycle(7),
-    "w5": lambda: graphs.named("w5"),
-    "petersen": lambda: graphs.named("petersen"),
-    "heawood": lambda: graphs.named("heawood"),
-    "grotzsch": lambda: graphs.named("grotzsch"),
-}
+# tests/test_acceptance.py builds its instances through this name
+small_graph = graphs.named
 
-
-def small_graph(name: str) -> Graph:
-    try:
-        return _SMALL[name]()
-    except KeyError:
-        known = ", ".join(sorted(_SMALL))
-        raise ValueError(f"unknown instance graph {name!r} (known: {known})") from None
+# the seeded random instances draw their vertex count uniformly up to these
+# maxima, and keep each edge or arc independently with these probabilities
+HEDETNIEMI_MAX_N = 8
+EDGE_PROBABILITY = 0.5
+DIGRAPH_PAIRS_MAX_N = 5
+LEMMA_REL_RANDOM_MAX_N = 6
+ARC_PROBABILITY = 0.4
 
 
 def random_graph(rng: random.Random, n_min: int, n_max: int, p: float) -> Graph:
@@ -152,8 +137,8 @@ def _digraph_pairs(cfg: SuiteConfig) -> list[tuple[Digraph, Digraph]]:
     rng = cfg.rng("digraph-pairs")
     return [
         (
-            random_digraph(rng, 1, cfg.digraph_pairs_max_n, cfg.arc_probability),
-            random_digraph(rng, 1, cfg.digraph_pairs_max_n, cfg.arc_probability),
+            random_digraph(rng, 1, DIGRAPH_PAIRS_MAX_N, ARC_PROBABILITY),
+            random_digraph(rng, 1, DIGRAPH_PAIRS_MAX_N, ARC_PROBABILITY),
         )
         for _ in range(cfg.digraph_pairs)
     ]
@@ -233,71 +218,60 @@ def thm_main_kneser_check(d: int, c: int, max_vertices: int = 100) -> KneserChec
 
 
 # ---------------------------------------------------------------------------
-# claim runners
+# claim runners: each returns (params, ok, witness)
+
+
+def _case_table(params: dict, cases, check: Callable[..., dict]) -> tuple[dict, bool, Any]:
+    """Run check(*case) per case; the claim passes iff every instance's "ok" holds."""
+    instances = [check(*case) for case in cases]
+    return params, all(i["ok"] for i in instances), instances
 
 
 def _claim_clm_clique(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
-    instances = []
-    ok = True
-    for q in cfg.mu_clique_qs:
-        report = exponential.verify_mu_clique(small_graph("heawood"), 0, q)
-        instances.append(
-            {
-                "graph": "heawood",
-                "q": q,
-                "negative_control": False,
-                "pairs": report.pairs_checked,
-                "violations": list(report.violations),
-                "ok": report.passed,
-            }
-        )
-        ok &= report.passed
-    for name in ("c5", "k4"):
-        report = exponential.verify_mu_clique(small_graph(name), 0, 1)
-        instances.append(
-            {
-                "graph": name,
-                "q": 1,
-                "negative_control": True,
-                "pairs": report.pairs_checked,
-                "violations": list(report.violations),
-                "ok": not report.passed and bool(report.violations),
-            }
-        )
-        ok &= not report.passed and bool(report.violations)
-    return {"center": 0}, ok, instances
+    def case(name: str, q: int, negative_control: bool) -> dict:
+        report = exponential.verify_mu_clique(graphs.named(name), 0, q)
+        return {
+            "graph": name,
+            "q": q,
+            "negative_control": negative_control,
+            "pairs": report.pairs_checked,
+            "violations": list(report.violations),
+            # a negative control is ok when it fails with a witness
+            "ok": bool(report.violations) == negative_control,
+        }
+
+    cases = [("heawood", q, False) for q in cfg.mu_clique_qs]
+    cases += [("c5", 1, True), ("k4", 1, True)]
+    return _case_table({"center": 0}, cases, case)
+
+
+def _clm_ad_case(q: int) -> dict:
+    heawood = graphs.named("heawood")
+    t, b = 2 * q, 2 * q + 1
+    mu = exponential.shitov_mu(heawood, 0, q, t)
+    theta = exponential.shitov_theta(heawood, 0, q, b=b, t=t)
+    adjacent = exponential.exp_adjacent(theta, mu)
+    shared = theta.exp.image & mu.exp.image
+    return {
+        "q": q,
+        "b": b,
+        "t": t,
+        "adjacent": adjacent,
+        "image_intersection": sorted(shared),
+        "ok": adjacent and shared == frozenset({t}),
+    }
 
 
 def _claim_clm_ad(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
-    instances = []
-    ok = True
-    for q in (1, 2):
-        heawood = small_graph("heawood")
-        t, b = 2 * q, 2 * q + 1
-        mu = exponential.shitov_mu(heawood, 0, q, t)
-        theta = exponential.shitov_theta(heawood, 0, q, b=b, t=t)
-        adjacent = exponential.exp_adjacent(theta, mu)
-        shared = theta.exp.image & mu.exp.image
-        good = adjacent and shared == frozenset({t})
-        instances.append(
-            {
-                "q": q,
-                "b": b,
-                "t": t,
-                "adjacent": adjacent,
-                "image_intersection": sorted(shared),
-                "ok": good,
-            }
-        )
-        ok &= good
-    return {"graph": "heawood", "center": 0}, ok, instances
+    return _case_table({"graph": "heawood", "center": 0}, [(1,), (2,)], _clm_ad_case)
 
 
 def _claim_ob_image(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
-    ctx = exponential.ExpContext(small_graph("k4"), 3)
+    ctx = exponential.ExpContext(graphs.named("k4"), 3)
     expo = exponential.materialize_exponential(ctx, cfg.max_exp_vertices, cfg.max_exp_pairs)
     raw = solvers.k_colorable(expo, 3)
-    assert raw is not None
+    if raw is None:
+        raise RuntimeError("K_3^K4 has no proper 3-coloring, but its chi is 3")
     coloring = exponential.normalize_on_constants(ctx, raw)
     positive = exponential.observation_image_check(ctx, coloring)
 
@@ -330,54 +304,38 @@ def _claim_ob_image(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
 
 
 def _claim_es_k3(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
-    instances = []
-    ok = True
-    for name in cfg.es_bases:
-        report = es_exponential_check(
-            small_graph(name), cfg.max_exp_vertices, cfg.max_exp_pairs
-        )
-        instances.append(
-            {
-                "base": name,
-                "vertices": report.vertices,
-                "chi": report.chi,
-                "ok": report.passed,
-            }
-        )
-        ok &= report.passed
-    return {"bases": list(cfg.es_bases)}, ok, instances
+    def case(name: str) -> dict:
+        report = es_exponential_check(graphs.named(name), cfg.max_exp_vertices, cfg.max_exp_pairs)
+        return {"base": name, "vertices": report.vertices, "chi": report.chi, "ok": report.passed}
+
+    cases = [(name,) for name in cfg.es_bases]
+    return _case_table({"bases": list(cfg.es_bases)}, cases, case)
 
 
 def _claim_univ_prop(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
-    cases = [("k2", "k3", 2), ("c5", "c5", 3)]
-    instances = []
-    ok = True
-    for gname, hname, c in cases:
-        good = exponential.universal_property_check(
-            small_graph(gname), small_graph(hname), c,
-            cfg.max_exp_vertices, cfg.max_exp_pairs,
+    def case(gname: str, hname: str, c: int) -> dict:
+        ok = exponential.universal_property_check(
+            graphs.named(gname), graphs.named(hname), c, cfg.max_exp_vertices, cfg.max_exp_pairs
         )
-        instances.append({"g": gname, "h": hname, "c": c, "ok": good})
-        ok &= good
-    return {"cases": len(cases)}, ok, instances
+        return {"g": gname, "h": hname, "c": c, "ok": ok}
+
+    cases = [("k2", "k3", 2), ("c5", "c5", 3)]
+    return _case_table({"cases": len(cases)}, cases, case)
+
+
+def _kneser_lovasz_case(d: int, c: int) -> dict:
+    report = thm_main_kneser_check(d, c)
+    return {
+        "m": report.m,
+        "k": report.k,
+        "expected": report.expected,
+        "actual": report.actual,
+        "ok": report.passed,
+    }
 
 
 def _claim_kneser_lovasz(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
-    instances = []
-    ok = True
-    for d, c in ((2, 2), (3, 2), (2, 3)):
-        report = thm_main_kneser_check(d, c)
-        instances.append(
-            {
-                "m": report.m,
-                "k": report.k,
-                "expected": report.expected,
-                "actual": report.actual,
-                "ok": report.passed,
-            }
-        )
-        ok &= report.passed
-    return {"cases": 3}, ok, instances
+    return _case_table({"cases": 3}, [(2, 2), (3, 2), (2, 3)], _kneser_lovasz_case)
 
 
 def _claim_hedetniemi_min4(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
@@ -389,8 +347,8 @@ def _claim_hedetniemi_min4(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
         attempts += 1
         if attempts > 100 * cfg.hedetniemi_pairs:
             raise RuntimeError("could not draw enough pairs with min chi <= 4")
-        g = random_graph(rng, 2, cfg.hedetniemi_max_n, cfg.edge_probability)
-        h = random_graph(rng, 2, cfg.hedetniemi_max_n, cfg.edge_probability)
+        g = random_graph(rng, 2, HEDETNIEMI_MAX_N, EDGE_PROBABILITY)
+        h = random_graph(rng, 2, HEDETNIEMI_MAX_N, EDGE_PROBABILITY)
         expected = min(solvers.chromatic_number(g), solvers.chromatic_number(h))
         if expected > 4:
             continue
@@ -411,7 +369,18 @@ def _claim_hedetniemi_min4(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
         "instances": instances,
         "failures": failures,
     }
-    return {"pairs": cfg.hedetniemi_pairs, "max_n": cfg.hedetniemi_max_n}, ok, witness
+    return {"pairs": cfg.hedetniemi_pairs, "max_n": HEDETNIEMI_MAX_N}, ok, witness
+
+
+def _multiplicativity_case(qname: str, gname: str, hname: str, expect_vacuous: bool) -> dict:
+    report = multiplicativity_check(graphs.named(qname), graphs.named(gname), graphs.named(hname))
+    return {
+        "q": qname,
+        "g": gname,
+        "h": hname,
+        "vacuous": report.vacuous,
+        "ok": report.passed and report.vacuous == expect_vacuous,
+    }
 
 
 def _claim_multiplicativity(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
@@ -420,24 +389,7 @@ def _claim_multiplicativity(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
         ("c5", "k3", "k3", False),
         ("k3", "k2", "k2", True),  # K2 -> K3 exists, so the implication is vacuous
     ]
-    instances = []
-    ok = True
-    for qname, gname, hname, expect_vacuous in cases:
-        report = multiplicativity_check(
-            small_graph(qname), small_graph(gname), small_graph(hname)
-        )
-        good = report.passed and report.vacuous == expect_vacuous
-        instances.append(
-            {
-                "q": qname,
-                "g": gname,
-                "h": hname,
-                "vacuous": report.vacuous,
-                "ok": good,
-            }
-        )
-        ok &= good
-    return {"cases": len(cases)}, ok, instances
+    return _case_table({"cases": len(cases)}, cases, _multiplicativity_case)
 
 
 def _claim_schelp(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
@@ -469,23 +421,22 @@ def _all_digraphs_up_to(n_max: int):
 
 def _claim_lem_rel(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
     failures = []
+
+    def check(d: Digraph) -> list[int]:
+        report = arcshift.lemma_rel_bounds_check(d)
+        if not (report.passed and arcshift.lemma_rel_transforms_check(d)):
+            failures.append({"n": d.n, "arcs": sorted(d.arcs)})
+        return [d.n, len(d.arcs), report.chi_d, report.chi_shift, report.lower, report.upper]
+
     exhaustive = 0
     for d in _all_digraphs_up_to(cfg.lemma_rel_exhaustive_n):
+        check(d)
         exhaustive += 1
-        report = arcshift.lemma_rel_bounds_check(d)
-        if not (report.passed and arcshift.lemma_rel_transforms_check(d)):
-            failures.append({"n": d.n, "arcs": sorted(d.arcs)})
     rng = cfg.rng("lem-rel")
-    instances = []
-    for _ in range(cfg.lemma_rel_random):
-        d = random_digraph(rng, 1, cfg.lemma_rel_random_max_n, cfg.arc_probability)
-        report = arcshift.lemma_rel_bounds_check(d)
-        instances.append(
-            [d.n, len(d.arcs), report.chi_d, report.chi_shift, report.lower, report.upper]
-        )
-        if not (report.passed and arcshift.lemma_rel_transforms_check(d)):
-            failures.append({"n": d.n, "arcs": sorted(d.arcs)})
-    ok = not failures
+    instances = [
+        check(random_digraph(rng, 1, LEMMA_REL_RANDOM_MAX_N, ARC_PROBABILITY))
+        for _ in range(cfg.lemma_rel_random)
+    ]
     witness = {
         "exhaustive_instances": exhaustive,
         "random_instances": instances,
@@ -494,37 +445,25 @@ def _claim_lem_rel(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
     params = {
         "exhaustive_n": cfg.lemma_rel_exhaustive_n,
         "random": cfg.lemma_rel_random,
-        "random_max_n": cfg.lemma_rel_random_max_n,
+        "random_max_n": LEMMA_REL_RANDOM_MAX_N,
     }
-    return params, ok, witness
+    return params, not failures, witness
 
 
-def _claim_functoriality(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
+def _digraph_pair_claim(
+    cfg: SuiteConfig, check: Callable[[Digraph, Digraph], bool]
+) -> tuple[dict, bool, Any]:
+    """Run a label-equality check over the seeded digraph pairs."""
     failures = []
     instances = []
     pairs = _digraph_pairs(cfg)
     for i, (d1, d2) in enumerate(pairs):
-        good = arcshift.functoriality_check(d1, d2)
+        good = check(d1, d2)
         instances.append([d1.n, len(d1.arcs), d2.n, len(d2.arcs), good])
         if not good:
             failures.append({"pair": i, "n1": d1.n, "n2": d2.n})
-    ok = not failures
     witness = {"pairs_checked": len(pairs), "instances": instances, "failures": failures}
-    return {"pairs": cfg.digraph_pairs, "max_n": cfg.digraph_pairs_max_n}, ok, witness
-
-
-def _claim_underline_decomp(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
-    failures = []
-    instances = []
-    pairs = _digraph_pairs(cfg)
-    for i, (d1, d2) in enumerate(pairs):
-        good = arcshift.underline_decomposition_check(d1, d2)
-        instances.append([d1.n, len(d1.arcs), d2.n, len(d2.arcs), good])
-        if not good:
-            failures.append({"pair": i, "n1": d1.n, "n2": d2.n})
-    ok = not failures
-    witness = {"pairs_checked": len(pairs), "instances": instances, "failures": failures}
-    return {"pairs": cfg.digraph_pairs, "max_n": cfg.digraph_pairs_max_n}, ok, witness
+    return {"pairs": cfg.digraph_pairs, "max_n": DIGRAPH_PAIRS_MAX_N}, not failures, witness
 
 
 def _claim_bound_chain(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
@@ -532,8 +471,8 @@ def _claim_bound_chain(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
     failures = []
     instances = []
     for i in range(cfg.bound_chain_pairs):
-        d1 = random_digraph(rng, 1, cfg.digraph_pairs_max_n, cfg.arc_probability)
-        d2 = random_digraph(rng, 1, cfg.digraph_pairs_max_n, cfg.arc_probability)
+        d1 = random_digraph(rng, 1, DIGRAPH_PAIRS_MAX_N, ARC_PROBABILITY)
+        d2 = random_digraph(rng, 1, DIGRAPH_PAIRS_MAX_N, ARC_PROBABILITY)
         report = arcshift.bound_chain_instance(d1, d2)
         instances.append(
             [
@@ -558,15 +497,13 @@ def _claim_bound_chain(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
         "instances": instances,
         "failures": failures,
     }
-    return {"pairs": cfg.bound_chain_pairs, "max_n": cfg.digraph_pairs_max_n}, ok, witness
+    return {"pairs": cfg.bound_chain_pairs, "max_n": DIGRAPH_PAIRS_MAX_N}, ok, witness
 
 
 def _claim_frac_hedetniemi(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
     singles = {}
     for name in cfg.frac_catalog:
-        value, _ = fractional.fractional_chromatic(
-            small_graph(name), cfg.max_lp_vertices
-        )
+        value, _ = fractional.fractional_chromatic(graphs.named(name), cfg.max_lp_vertices)
         singles[name] = value
     checked = []
     skipped = []
@@ -574,7 +511,7 @@ def _claim_frac_hedetniemi(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
     names = sorted(cfg.frac_catalog)
     for i, gname in enumerate(names):
         for hname in names[i:]:
-            g, h = small_graph(gname), small_graph(hname)
+            g, h = graphs.named(gname), graphs.named(hname)
             if g.n * h.n > cfg.max_lp_vertices:
                 skipped.append([gname, hname, g.n * h.n])
                 continue
@@ -602,19 +539,6 @@ def _claim_frac_hedetniemi(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
     return {"catalog": list(names), "cap": cfg.max_lp_vertices}, ok, witness
 
 
-def _out_of_scope(claim_id: str, note: str) -> Callable[[SuiteConfig], ClaimReport]:
-    def run(cfg: SuiteConfig) -> ClaimReport:
-        return ClaimReport(claim_id, {"note": note}, None, OUT_OF_SCOPE, None, 0.0)
-
-    return run
-
-
-_OOS_NOTE = (
-    "hypotheses need blow-up factor q >= 2^(p-1)*p^2 with p in the hundreds; "
-    "instance checks cover the desk-scale constructions instead"
-)
-
-# claim id -> runner returning (params, ok, witness)
 _CLAIMS: dict[str, Callable[[SuiteConfig], tuple[dict, bool, Any]]] = {
     "clm-clique": _claim_clm_clique,
     "clm-ad": _claim_clm_ad,
@@ -626,11 +550,18 @@ _CLAIMS: dict[str, Callable[[SuiteConfig], tuple[dict, bool, Any]]] = {
     "multiplicativity": _claim_multiplicativity,
     "schelp": _claim_schelp,
     "lem-rel": _claim_lem_rel,
-    "functoriality": _claim_functoriality,
-    "underline-decomp": _claim_underline_decomp,
+    "functoriality": lambda cfg: _digraph_pair_claim(cfg, arcshift.functoriality_check),
+    "underline-decomp": lambda cfg: _digraph_pair_claim(
+        cfg, arcshift.underline_decomposition_check
+    ),
     "bound-chain": _claim_bound_chain,
     "frac-hedetniemi": _claim_frac_hedetniemi,
 }
+
+_OOS_NOTE = (
+    "hypotheses need blow-up factor q >= 2^(p-1)*p^2 with p in the hundreds; "
+    "instance checks cover the desk-scale constructions instead"
+)
 
 SUITES: dict[str, tuple[str, ...]] = {
     "shitov": ("clm-ad", "clm-clique", "ob-image"),
@@ -641,15 +572,17 @@ SUITES: dict[str, tuple[str, ...]] = {
 }
 
 
-def run_suite(name: str, cfg: SuiteConfig | None = None, jobs: int = 1) -> list[ClaimReport]:
+def run_suite(name: str, cfg: SuiteConfig | None = None, *, jobs: int = 1) -> list[ClaimReport]:
     """Run a named suite; "all" runs every claim plus the out-of-scope registrations.
 
-    Claims are pure functions of the config, so with jobs > 1 they may run on
-    a thread pool; the report list is sorted by claim id either way.
+    Claims run one after another; the report list is sorted by claim id.
+    ``jobs`` accepts only 1. It remains so that callers still passing
+    ``jobs=1`` (benchmarks/workloads.py) keep working; any other value raises
+    ValueError.
     """
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1, got {jobs}")
     cfg = cfg or SuiteConfig()
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if name == "all":
         claim_ids = sorted(_CLAIMS)
     else:
@@ -658,24 +591,18 @@ def run_suite(name: str, cfg: SuiteConfig | None = None, jobs: int = 1) -> list[
         except KeyError:
             known = ", ".join(sorted(SUITES) + ["all"])
             raise ValueError(f"unknown suite {name!r} (known: {known})") from None
-
-    def run_one(claim_id: str) -> ClaimReport:
+    reports = []
+    for claim_id in claim_ids:
         start = time.perf_counter()
         params, ok, witness = _CLAIMS[claim_id](cfg)
         elapsed = time.perf_counter() - start
-        return ClaimReport(
-            claim_id, params, ok, "pass" if ok else "fail", witness, elapsed
+        reports.append(
+            ClaimReport(claim_id, params, ok, "pass" if ok else "fail", witness, elapsed)
         )
-
-    if jobs == 1:
-        reports = [run_one(cid) for cid in claim_ids]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(run_one, claim_ids))
     if name == "all":
-        reports.append(_out_of_scope("thm-main", _OOS_NOTE)(cfg))
-        reports.append(_out_of_scope("thm-shitov", _OOS_NOTE)(cfg))
+        reports += [
+            ClaimReport(cid, {"note": _OOS_NOTE}, None, OUT_OF_SCOPE, None, 0.0)
+            for cid in ("thm-main", "thm-shitov")
+        ]
     reports.sort(key=lambda r: r.claim_id)
     return reports

@@ -32,6 +32,8 @@ from prodcolor.graphs import (
     underline,
 )
 from prodcolor.harness import (
+    ARC_PROBABILITY,
+    EDGE_PROBABILITY,
     SuiteConfig,
     _all_digraphs_up_to,
     _digraph_pairs,
@@ -136,7 +138,7 @@ def test_criterion_06_lemma_rel():
     ok &= count == 1 + 4 + 64 + 4096
     rng = cfg.rng("acceptance-lem-rel")
     for _ in range(100):
-        d = random_digraph(rng, 1, 6, cfg.arc_probability)
+        d = random_digraph(rng, 1, 6, ARC_PROBABILITY)
         ok &= lemma_rel_bounds_check(d).passed
         ok &= lemma_rel_transforms_check(d)
     crit.finish(ok)
@@ -166,8 +168,8 @@ def test_criterion_09_bound_chain():
     rng = cfg.rng("bound-chain")
     ok = True
     for _ in range(50):
-        d1 = random_digraph(rng, 1, 5, cfg.arc_probability)
-        d2 = random_digraph(rng, 1, 5, cfg.arc_probability)
+        d1 = random_digraph(rng, 1, 5, ARC_PROBABILITY)
+        d2 = random_digraph(rng, 1, 5, ARC_PROBABILITY)
         ok &= bound_chain_instance(d1, d2).passed
     crit.finish(ok)
 
@@ -200,8 +202,8 @@ def test_criterion_11_hedetniemi_min4():
     ok = True
     checked = 0
     while checked < 50:
-        g = random_graph(rng, 2, 8, cfg.edge_probability)
-        h = random_graph(rng, 2, 8, cfg.edge_probability)
+        g = random_graph(rng, 2, 8, EDGE_PROBABILITY)
+        h = random_graph(rng, 2, 8, EDGE_PROBABILITY)
         expected = min(chromatic_number(g), chromatic_number(h))
         if expected > 4:
             continue

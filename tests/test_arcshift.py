@@ -170,6 +170,43 @@ def test_lemma_rel_random():
         assert lemma_rel_transforms_check(d)
 
 
+_BROKEN_DOWN_TRANSFORM = """
+import sys
+from prodcolor import arcshift
+from prodcolor.graphs import Digraph
+
+if not sys.flags.optimize:
+    sys.exit("needs python -O")
+# with no out-neighbors every vertex gets the empty set: an improper set coloring
+Digraph.out_neighbors = lambda self, v: []
+d = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
+try:
+    print(arcshift.lemma_rel_transforms_check(d))
+except RuntimeError as exc:
+    print("raised", exc)
+"""
+
+
+def test_lemma_rel_transforms_check_survives_python_O():
+    # python -O strips assert statements; the properness checks must not be asserts
+    import os
+    import subprocess
+    import sys
+
+    import prodcolor
+
+    src = os.path.dirname(os.path.dirname(prodcolor.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_DOWN_TRANSFORM],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(("False", "raised")), proc.stdout
+
+
 def test_uniform_set_coloring_shape():
     d = complete_digraph(4)
     sc = uniform_set_coloring(d)

@@ -22,6 +22,9 @@ def test_gen_named(capsys):
     code, out, _ = run(capsys, "gen", "named", "heawood")
     assert code == 0
     assert parse_graph(out) == named("heawood")
+    _, k4_named, _ = run(capsys, "gen", "named", "k4")
+    _, k4_complete, _ = run(capsys, "gen", "complete", "4")
+    assert k4_named == k4_complete
 
 
 def test_gen_kneser_pipe_invariant_chi(capsys, monkeypatch):
@@ -222,7 +225,7 @@ def test_verify_deterministic_output(capsys):
 def test_verify_claim_failure_exit_code(capsys, monkeypatch):
     from prodcolor.harness import ClaimReport
 
-    def fake_run(name, cfg, jobs=1):
+    def fake_run(name, cfg):
         return [ClaimReport("fake", {}, False, "fail", None, 0.0)]
 
     monkeypatch.setattr(cli.harness, "run_suite", fake_run)
@@ -238,6 +241,8 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1
     code, _, err = run(capsys, "exp", "adjacent")
     assert code == 1 and "--f" in err
+    code, _, err = run(capsys, "verify", "--jobs", "2")
+    assert code == 1 and "--jobs" in err
 
 
 def test_parse_error_exit_1(capsys, monkeypatch):

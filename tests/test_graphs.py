@@ -165,9 +165,30 @@ def test_named_grotzsch():
     assert chromatic_number(g) == 4
 
 
-def test_named_unknown():
-    with pytest.raises(ValueError, match="unknown catalog graph"):
-        named("nope")
+# identifier -> the graph it names, or a pattern of the ValueError it raises
+_NAMED_CASES = {
+    "k1": complete_graph(1),
+    "k4": complete_graph(4),
+    "c3": cycle(3),
+    "c7": cycle(7),
+    "nope": "unknown catalog graph 'nope' .*k<n>, c<n>",
+    "k0": "complete_graph needs n >= 1",
+    "c2": "cycle needs n >= 3",
+    "k04": "unknown catalog graph",
+    "kx": "unknown catalog graph",
+    "k": "unknown catalog graph",
+    "c\u0663": "unknown catalog graph",  # ARABIC-INDIC DIGIT THREE
+}
+
+
+@pytest.mark.parametrize("identifier", list(_NAMED_CASES))
+def test_named_identifiers(identifier):
+    expected = _NAMED_CASES[identifier]
+    if isinstance(expected, Graph):
+        assert named(identifier) == expected
+    else:
+        with pytest.raises(ValueError, match=expected):
+            named(identifier)
 
 
 # ---------------------------------------------------------------------------
