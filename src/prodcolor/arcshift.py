@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import comb
+from typing import Callable
 
 from .graphs import Digraph, Graph, complete_digraph, digraph_product, pair_index, reverse, underline
-from .solvers import Coloring, chromatic_number, is_proper_coloring
+from .solvers import Coloring, chromatic_number, is_proper_coloring, k_colorable
 
 
 @dataclass(frozen=True)
@@ -87,6 +88,21 @@ def arc_shift(d: Digraph) -> tuple[Digraph, ArcIndex]:
     return Digraph.from_arcs(len(index), arcs), index
 
 
+@dataclass(frozen=True)
+class _ShiftLevel:
+    """A digraph, the arc indexing of its shift, and both underline graphs."""
+
+    d: Digraph
+    index: ArcIndex
+    under_d: Graph
+    under_shift: Graph
+
+
+def _shift_level(d: Digraph) -> _ShiftLevel:
+    shifted, index = arc_shift(d)
+    return _ShiftLevel(d, index, underline(d), underline(shifted))
+
+
 def coloring_down(d: Digraph, shift_coloring: Coloring) -> SetColoring:
     """Proper set-coloring of D from a proper coloring of shift(D).
 
@@ -94,15 +110,19 @@ def coloring_down(d: Digraph, shift_coloring: Coloring) -> SetColoring:
     any arc (x, y) the input color of that arc lies in psi(x) - psi(y), so
     adjacent vertices of underline(D) always receive distinct sets.
     """
-    shifted, index = arc_shift(d)
-    if not is_proper_coloring(underline(shifted), shift_coloring):
+    return _coloring_down(_shift_level(d), shift_coloring)
+
+
+def _coloring_down(level: _ShiftLevel, shift_coloring: Coloring) -> SetColoring:
+    if not is_proper_coloring(level.under_shift, shift_coloring):
         raise ValueError("input is not a proper coloring of underline(shift(D))")
+    d, index = level.d, level.index
     sets = []
     for v in range(d.n):
         out = [shift_coloring.colors[index.index_of((v, y))] for y in d.out_neighbors(v)]
         sets.append(frozenset(out))
     result = SetColoring(tuple(sets), shift_coloring.k, None)
-    if not is_proper_set_coloring(underline(d), result):
+    if not is_proper_set_coloring(level.under_d, result):
         raise RuntimeError("down-transform produced an improper set-coloring of underline(D)")
     return result
 
@@ -114,21 +134,24 @@ def coloring_up(d: Digraph, set_coloring: SetColoring) -> Coloring:
     equal-size sets have nonempty differences. Consecutive arcs (x, y), (y, z)
     then get phi(x, y) in psi(y) and phi(y, z) outside psi(y).
     """
+    return _coloring_up(_shift_level(d), set_coloring)
+
+
+def _coloring_up(level: _ShiftLevel, set_coloring: SetColoring) -> Coloring:
     if set_coloring.size is None:
         sizes = {len(s) for s in set_coloring.sets}
         if len(sizes) > 1:
             raise ValueError(f"set sizes must all be equal, got sizes {sorted(sizes)}")
-    if not is_proper_set_coloring(underline(d), set_coloring):
+    if not is_proper_set_coloring(level.under_d, set_coloring):
         raise ValueError("input is not a proper set-coloring of underline(D)")
-    shifted, index = arc_shift(d)
     colors = []
-    for x, y in index.arcs:
+    for x, y in level.index.arcs:
         diff = set_coloring.sets[y] - set_coloring.sets[x]
         if not diff:
             raise ValueError(f"arc ({x}, {y}) has an empty set difference")
         colors.append(min(diff))
     result = Coloring(tuple(colors), set_coloring.k)
-    if not is_proper_coloring(underline(shifted), result):
+    if not is_proper_coloring(level.under_shift, result):
         raise RuntimeError("up-transform produced an improper coloring of underline(shift(D))")
     return result
 
@@ -158,14 +181,36 @@ def _min_k_central(chi: int) -> int:
     return k
 
 
-def lemma_rel_bounds_check(d: Digraph) -> LemmaRelReport:
-    """Check min{k: 2^k >= chi(D)} <= chi(shift(D)) <= min{k: C(k, ceil(k/2)) >= chi(D)}."""
-    chi_d = chromatic_number(underline(d))
-    shifted, _ = arc_shift(d)
-    chi_shift = chromatic_number(underline(shifted))
+def _lemma_rel(d: Digraph) -> tuple[LemmaRelReport, Callable[[], bool]]:
+    """The bounds report on D, and the transforms check as a deferred call.
+
+    Both share one shift of D, one chromatic number per underline graph and
+    one optimal coloring of underline(D).
+    """
+    level = _shift_level(d)
+    chi_d = chromatic_number(level.under_d)
+    chi_shift = chromatic_number(level.under_shift)
     lower = _min_k_power(chi_d)
     upper = _min_k_central(chi_d)
-    return LemmaRelReport(chi_d, chi_shift, lower, upper, lower <= chi_shift <= upper)
+    report = LemmaRelReport(chi_d, chi_shift, lower, upper, lower <= chi_shift <= upper)
+
+    def transforms_hold() -> bool:
+        if level.under_shift.n:
+            down = _coloring_down(level, k_colorable(level.under_shift, chi_shift))
+            if (
+                not is_proper_set_coloring(level.under_d, down)
+                or len(set(down.sets)) > 2**chi_shift
+            ):
+                return False
+        up = _coloring_up(level, _uniform_set_coloring(level.under_d, chi_d))
+        return is_proper_coloring(level.under_shift, up)
+
+    return report, transforms_hold
+
+
+def lemma_rel_bounds_check(d: Digraph) -> LemmaRelReport:
+    """Check min{k: 2^k >= chi(D)} <= chi(shift(D)) <= min{k: C(k, ceil(k/2)) >= chi(D)}."""
+    return _lemma_rel(d)[0]
 
 
 def uniform_set_coloring(d: Digraph) -> SetColoring:
@@ -174,13 +219,15 @@ def uniform_set_coloring(d: Digraph) -> SetColoring:
     Uses k = min{k: C(k, ceil(k/2)) >= chi(D)} and assigns the i-th color
     class the i-th ceil(k/2)-subset of {0..k-1} in lexicographic order.
     """
-    from .solvers import k_colorable
+    ug = underline(d)
+    return _uniform_set_coloring(ug, chromatic_number(ug))
 
-    chi_d = chromatic_number(underline(d))
+
+def _uniform_set_coloring(ug: Graph, chi_d: int) -> SetColoring:
     k = _min_k_central(chi_d)
     s = -(-k // 2)
     subsets = list(combinations(range(k), s))[:chi_d]
-    base = k_colorable(underline(d), chi_d)
+    base = k_colorable(ug, chi_d)
     if base is None:
         raise RuntimeError(f"no {chi_d}-coloring found for a digraph with chi {chi_d}")
     sets = tuple(frozenset(subsets[c]) for c in base.colors)
@@ -193,17 +240,7 @@ def lemma_rel_transforms_check(d: Digraph) -> bool:
     Each output is checked for properness here, and the down-transform must
     also use at most 2^k distinct sets.
     """
-    shifted, _ = arc_shift(d)
-    ug = underline(shifted)
-    chi_shift = chromatic_number(ug)
-    from .solvers import k_colorable
-
-    if shifted.n:
-        down = coloring_down(d, k_colorable(ug, chi_shift))
-        if not is_proper_set_coloring(underline(d), down) or len(set(down.sets)) > 2**chi_shift:
-            return False
-    up = coloring_up(d, uniform_set_coloring(d))
-    return is_proper_coloring(underline(shifted), up)
+    return _lemma_rel(d)[1]()
 
 
 # ---------------------------------------------------------------------------

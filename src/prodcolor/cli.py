@@ -179,7 +179,7 @@ def _cmd_exp(args) -> int:
         g = _load_graph(args.input)
         ctx = exponential.ExpContext(g, args.c)
         expo = exponential.materialize_exponential(
-            ctx, args.max_exp_vertices, args.max_exp_pairs
+            ctx, args.max_exp_vertices, args.max_exp_edges
         )
         _emit_graph(expo, args)
         return 0
@@ -315,7 +315,7 @@ def _cmd_verify(args) -> int:
         seed=args.seed,
         max_lp_vertices=args.max_lp_vertices,
         max_exp_vertices=args.max_exp_vertices,
-        max_exp_pairs=args.max_exp_pairs,
+        max_exp_edges=args.max_exp_edges,
     )
     reports = harness.run_suite(args.suite, cfg)
     if args.format == "obj":
@@ -385,8 +385,8 @@ def _build_parser() -> _Parser:
     p.add_argument("-b", type=int, default=None)
     p.add_argument("--max-exp-vertices", type=int,
                    default=exponential.DEFAULT_MAX_EXP_VERTICES)
-    p.add_argument("--max-exp-pairs", type=int,
-                   default=exponential.DEFAULT_MAX_EXP_PAIRS)
+    p.add_argument("--max-exp-edges", type=int,
+                   default=exponential.DEFAULT_MAX_EXP_EDGES)
     common(p)
     p.set_defaults(func=_cmd_exp)
 
@@ -411,8 +411,8 @@ def _build_parser() -> _Parser:
                    default=fractional.DEFAULT_MAX_LP_VERTICES)
     p.add_argument("--max-exp-vertices", type=int,
                    default=exponential.DEFAULT_MAX_EXP_VERTICES)
-    p.add_argument("--max-exp-pairs", type=int,
-                   default=exponential.DEFAULT_MAX_EXP_PAIRS)
+    p.add_argument("--max-exp-edges", type=int,
+                   default=exponential.DEFAULT_MAX_EXP_EDGES)
     common(p)
     p.set_defaults(func=_cmd_verify)
 

@@ -6,9 +6,11 @@ predicate at f = g decides whether the map carries a loop, which happens
 exactly when the map is a proper coloring of a loopless base.
 
 Materialization enumerates all c^|V| maps: map index t assigns vertex v the
-base-c digit (t // c**v) % c, least-significant digit first. Hard size caps
-make the astronomically large instances fail loudly instead of running
-forever.
+base-c digit (t // c**v) % c, least-significant digit first. Each map's
+neighbourhood is enumerated directly, so the work follows the number of
+edges rather than the number of map pairs. Hard caps on the map and edge
+counts make the astronomically large instances fail loudly instead of
+running forever.
 
 The blow-up machinery hosts the two special map families used to analyze
 K_c^{G[K_q]} with palette c = 4q+2: the radial maps mu_t (value i, q+i, or t
@@ -20,17 +22,16 @@ Palette bookkeeping is 0-based: the "first block" is {0..2q-1} and the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
-
-import numpy as np
+from operator import and_, mul, or_
 
 from .errors import CapExceeded
 from .graphs import Graph, blowup, distances
 from .solvers import Coloring, is_proper_coloring
 
 DEFAULT_MAX_EXP_VERTICES = 200_000
-DEFAULT_MAX_EXP_PAIRS = 25_000_000
+DEFAULT_MAX_EXP_EDGES = 25_000_000
 
 
 class NormalizationError(ValueError):
@@ -151,42 +152,87 @@ def constant_map(ctx: ExpContext, i: int) -> ExpMap:
     return ExpMap(ctx, (i,) * ctx.base.n)
 
 
+def _neighbour_columns(ctx: ExpContext) -> tuple[list[list[int]], list[int], list[int]]:
+    """Per base vertex b, the palette mask each map leaves free for a neighbour at b.
+
+    A map g is adjacent to f iff g(b) lies outside f(N(b)) at every base
+    vertex b, where N(b) holds the vertices a with (a, b) a directed check
+    (b itself when b carries a loop). Besides the masks, this returns each
+    map's neighbour count with itself included (the product of the free-set
+    sizes) and the maps that are their own neighbours. The work is column by
+    column, O(n_maps * checks), and nothing of size n_maps^2 is allocated.
+    """
+    nb, c, n_maps = ctx.base.n, ctx.c, ctx.num_maps
+    full = (1 << c) - 1
+    # bit of f(v) for every map f, in map-index order: digit v cycles with period c^(v+1)
+    bits = [
+        [1 << d for d in range(c) for _ in range(c**v)] * c ** (nb - v - 1)
+        for v in range(nb)
+    ]
+    into: list[list[int]] = [[] for _ in range(nb)]
+    for a, b in ctx.directed_checks:
+        into[b].append(a)
+    zero = [0] * n_maps
+    taken = [
+        reduce(lambda acc, a: list(map(or_, acc, bits[a])), into[b], zero)
+        for b in range(nb)
+    ]
+    free = [[full ^ m for m in col] for col in taken]
+    sizes = reduce(
+        lambda acc, col: list(map(mul, acc, [m.bit_count() for m in col])), free, [1] * n_maps
+    )
+    clash = reduce(
+        lambda acc, b: list(map(or_, acc, map(and_, taken[b], bits[b]))), range(nb), zero
+    )
+    loops = [t for t, x in enumerate(clash) if not x]
+    return free, sizes, loops
+
+
 def materialize_exponential(
     ctx: ExpContext,
     max_vertices: int = DEFAULT_MAX_EXP_VERTICES,
-    max_pairs: int = DEFAULT_MAX_EXP_PAIRS,
+    max_edges: int = DEFAULT_MAX_EXP_EDGES,
 ) -> Graph:
     """The exponential graph as a concrete Graph, within hard size caps.
 
     Vertex t is the map whose value at base vertex v is digit v of t in base
     c. Loops mark the maps adjacent to themselves (proper colorings of a
     loopless base).
+
+    The construction is output-sensitive: the neighbours of a map f are the
+    maps g with g(b) outside f(N(b)) at every base vertex b, so each
+    neighbourhood is the product of the free digits at each b, read off as
+    indices sum(g(b) * c**b). The edge count, half of the sum over maps of
+    the product of free-set sizes less the loops, is exact and is checked
+    against max_edges before any edge is built; the vertex cap is checked
+    first. Time and memory are O(n_maps * checks + edges).
     """
     n_maps = ctx.num_maps
     if n_maps > max_vertices:
         raise CapExceeded(
             f"{n_maps} maps exceed the max_vertices cap of {max_vertices}"
         )
-    pairs = n_maps * (n_maps + 1) // 2
-    if pairs > max_pairs:
+    free, sizes, loops = _neighbour_columns(ctx)
+    n_edges = (sum(sizes) - len(loops)) // 2
+    if n_edges > max_edges:
         raise CapExceeded(
-            f"{pairs} map pairs exceed the max_pairs cap of {max_pairs}"
+            f"{n_edges} edges exceed the max_edges cap of {max_edges}"
         )
-    nb = ctx.base.n
     c = ctx.c
-    t = np.arange(n_maps)
-    dtype = np.int16 if c <= 2**15 - 1 else np.int64
-    digits = np.empty((n_maps, nb), dtype=dtype)
-    for v in range(nb):
-        digits[:, v] = (t // c**v) % c
-    conflict = np.zeros((n_maps, n_maps), dtype=bool)
-    for a, b in ctx.directed_checks:
-        conflict |= np.equal.outer(digits[:, a], digits[:, b])
-    adjacency = ~conflict
-    loops = frozenset(int(v) for v in np.nonzero(adjacency.diagonal())[0])
-    fs, gs = np.nonzero(np.triu(adjacency, 1))
-    edges = frozenset(zip(fs.tolist(), gs.tolist()))
-    return Graph(n_maps, edges, loops)
+    # per base vertex, the index offsets g(b) * c**b of each free mask
+    offset_cols = []
+    for b, col in enumerate(free):
+        offsets = {m: tuple(d * c**b for d in range(c) if m >> d & 1) for m in set(col)}
+        offset_cols.append(list(map(offsets.__getitem__, col)))
+    edges = []
+    for t, offs in enumerate(zip(*offset_cols)):
+        if not sizes[t]:
+            continue
+        near = [0]
+        for o in offs:
+            near = [s + x for s in near for x in o]
+        edges.extend([(t, u) for u in near if u > t])
+    return Graph(n_maps, frozenset(edges), frozenset(loops))
 
 
 def universal_property_check(
@@ -194,7 +240,7 @@ def universal_property_check(
     h: Graph,
     c: int,
     max_vertices: int = DEFAULT_MAX_EXP_VERTICES,
-    max_pairs: int = DEFAULT_MAX_EXP_PAIRS,
+    max_edges: int = DEFAULT_MAX_EXP_EDGES,
 ) -> bool:
     """Verify the exponential graph's defining property on concrete instances.
 
@@ -212,7 +258,7 @@ def universal_property_check(
     if coloring is None:
         raise ValueError(f"product is not {c}-colorable; precondition fails")
     ctx = ExpContext(g, c)
-    expo = materialize_exponential(ctx, max_vertices, max_pairs)
+    expo = materialize_exponential(ctx, max_vertices, max_edges)
 
     # h -> K_c^g via u -> f_u
     maps = []
@@ -360,7 +406,6 @@ def observation_image_check(
     ctx: ExpContext,
     coloring: Coloring,
     max_vertices: int = DEFAULT_MAX_EXP_VERTICES,
-    max_pairs: int = DEFAULT_MAX_EXP_PAIRS,
 ) -> bool:
     """Does every map's color lie in the map's image?
 
@@ -376,8 +421,6 @@ def observation_image_check(
     n_maps = ctx.num_maps
     if n_maps > max_vertices:
         raise CapExceeded(f"{n_maps} maps exceed the max_vertices cap of {max_vertices}")
-    if n_maps * (n_maps + 1) // 2 > max_pairs:
-        raise CapExceeded(f"map pair count exceeds the max_pairs cap of {max_pairs}")
     if len(coloring.colors) != n_maps:
         raise NormalizationError(
             f"coloring covers {len(coloring.colors)} maps, graph has {n_maps}"

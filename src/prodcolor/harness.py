@@ -46,7 +46,7 @@ class SuiteConfig:
     frac_catalog: tuple[str, ...] = ("k3", "k4", "c5", "c7", "petersen")
     max_lp_vertices: int = fractional.DEFAULT_MAX_LP_VERTICES
     max_exp_vertices: int = exponential.DEFAULT_MAX_EXP_VERTICES
-    max_exp_pairs: int = exponential.DEFAULT_MAX_EXP_PAIRS
+    max_exp_edges: int = exponential.DEFAULT_MAX_EXP_EDGES
 
     def rng(self, label: str) -> random.Random:
         return random.Random(f"{self.seed}:{label}")
@@ -181,13 +181,13 @@ class EsExponentialReport:
 def es_exponential_check(
     g: Graph,
     max_vertices: int = exponential.DEFAULT_MAX_EXP_VERTICES,
-    max_pairs: int = exponential.DEFAULT_MAX_EXP_PAIRS,
+    max_edges: int = exponential.DEFAULT_MAX_EXP_EDGES,
 ) -> EsExponentialReport:
     base_chi = solvers.chromatic_number(g)
     if base_chi < 4:
         raise ValueError(f"base must have chi >= 4, got {base_chi}")
     ctx = exponential.ExpContext(g, 3)
-    expo = exponential.materialize_exponential(ctx, max_vertices, max_pairs)
+    expo = exponential.materialize_exponential(ctx, max_vertices, max_edges)
     chi = solvers.chromatic_number(expo)
     return EsExponentialReport(base_chi, expo.n, chi, chi == 3)
 
@@ -268,7 +268,7 @@ def _claim_clm_ad(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
 
 def _claim_ob_image(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
     ctx = exponential.ExpContext(graphs.named("k4"), 3)
-    expo = exponential.materialize_exponential(ctx, cfg.max_exp_vertices, cfg.max_exp_pairs)
+    expo = exponential.materialize_exponential(ctx, cfg.max_exp_vertices, cfg.max_exp_edges)
     raw = solvers.k_colorable(expo, 3)
     if raw is None:
         raise RuntimeError("K_3^K4 has no proper 3-coloring, but its chi is 3")
@@ -305,7 +305,7 @@ def _claim_ob_image(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
 
 def _claim_es_k3(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
     def case(name: str) -> dict:
-        report = es_exponential_check(graphs.named(name), cfg.max_exp_vertices, cfg.max_exp_pairs)
+        report = es_exponential_check(graphs.named(name), cfg.max_exp_vertices, cfg.max_exp_edges)
         return {"base": name, "vertices": report.vertices, "chi": report.chi, "ok": report.passed}
 
     cases = [(name,) for name in cfg.es_bases]
@@ -315,7 +315,7 @@ def _claim_es_k3(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
 def _claim_univ_prop(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
     def case(gname: str, hname: str, c: int) -> dict:
         ok = exponential.universal_property_check(
-            graphs.named(gname), graphs.named(hname), c, cfg.max_exp_vertices, cfg.max_exp_pairs
+            graphs.named(gname), graphs.named(hname), c, cfg.max_exp_vertices, cfg.max_exp_edges
         )
         return {"g": gname, "h": hname, "c": c, "ok": ok}
 
@@ -423,8 +423,8 @@ def _claim_lem_rel(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
     failures = []
 
     def check(d: Digraph) -> list[int]:
-        report = arcshift.lemma_rel_bounds_check(d)
-        if not (report.passed and arcshift.lemma_rel_transforms_check(d)):
+        report, transforms_hold = arcshift._lemma_rel(d)
+        if not (report.passed and transforms_hold()):
             failures.append({"n": d.n, "arcs": sorted(d.arcs)})
         return [d.n, len(d.arcs), report.chi_d, report.chi_shift, report.lower, report.upper]
 

@@ -178,18 +178,68 @@ def k_colorable(g: Graph, k: int) -> Coloring | None:
     return None
 
 
+def _core_components(g: Graph, adjacency: list[list[int]], k: int) -> list[Graph]:
+    """The connected components of the k-core of g, each relabeled in vertex order.
+
+    Vertices of degree below k are peeled off until none is left; g itself
+    stands for a core that is all of g and connected.
+    """
+    degree = [len(nbrs) for nbrs in adjacency]
+    alive = [d >= k for d in degree]
+    peel = [v for v in range(g.n) if not alive[v]]
+    while peel:
+        for u in adjacency[peel.pop()]:
+            if alive[u]:
+                degree[u] -= 1
+                if degree[u] < k:
+                    alive[u] = False
+                    peel.append(u)
+    parts = []
+    for root in range(g.n):
+        if not alive[root]:
+            continue
+        alive[root] = False
+        component = [root]
+        for v in component:  # grows while it is scanned: breadth-first search
+            for u in adjacency[v]:
+                if alive[u]:
+                    alive[u] = False
+                    component.append(u)
+        if len(component) == g.n:
+            return [g]
+        component.sort()
+        index = {v: i for i, v in enumerate(component)}
+        edges = frozenset(
+            (index[v], index[u]) for v in component for u in adjacency[v] if v < u and u in index
+        )
+        parts.append(Graph(len(component), edges))
+    return parts
+
+
 def chromatic_number(g: Graph) -> int:
-    """Exact chromatic number by iterative deepening from the greedy-clique bound."""
+    """Exact chromatic number by iterative deepening over k-cores.
+
+    g is k-colorable iff its k-core is: a vertex of degree below k takes a
+    color its neighbours leave free, so the peeled vertices are colored last,
+    in reverse peeling order. For each k the search therefore runs
+    k_colorable on each connected component of the k-core only (Matula-Beck
+    1983). k starts at the largest greedy clique found in the components of
+    the 2-core, and the first k at which every component is k-colorable is
+    the answer.
+    """
     _require_loopless(g, "chromatic number")
     if g.n == 0:
         return 0
     if not g.edges:
         return 1
-    lb = max(2, len(greedy_clique(g)))
-    for k in range(lb, g.n + 1):
-        if k_colorable(g, k) is not None:
-            return k
-    raise AssertionError("unreachable: every loopless graph is n-colorable")
+    adjacency: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    k = max([2] + [len(greedy_clique(part)) for part in _core_components(g, adjacency, 2)])
+    while not all(k_colorable(part, k) is not None for part in _core_components(g, adjacency, k)):
+        k += 1
+    return k
 
 
 def independence_number(g: Graph) -> int:

@@ -243,6 +243,8 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1 and "--f" in err
     code, _, err = run(capsys, "verify", "--jobs", "2")
     assert code == 1 and "--jobs" in err
+    code, _, err = run(capsys, "verify", "--max-exp-pairs", "5")
+    assert code == 1 and "--max-exp-pairs" in err
 
 
 def test_parse_error_exit_1(capsys, monkeypatch):
@@ -257,6 +259,17 @@ def test_cap_exceeded_exit_2(capsys, monkeypatch, tmp_path):
     code, _, err = run(capsys, "exp", "materialize", str(hw), "-c", "3")
     assert code == 2
     assert "cap" in err
+
+
+def test_edge_cap_exit_2(capsys, monkeypatch):
+    # K_3^{W5} has 729 maps, within the vertex cap, and 372 edges
+    w5 = serialize_graph(named("w5"))
+    code, _, err = run(
+        capsys, "exp", "materialize", "-c", "3", "--max-exp-edges", "10",
+        stdin=w5, monkeypatch=monkeypatch,
+    )
+    assert code == 2
+    assert "372 edges exceed the max_edges cap of 10" in err
 
 
 def test_unknown_suite_exit_1(capsys):

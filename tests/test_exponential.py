@@ -185,11 +185,45 @@ def test_materialize_matches_pairwise_predicate():
                     assert expo.has_edge(a, b) == expected
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_materialize_matches_brute_over_all_pairs(data):
+    # isolated vertices, loops and c = 1 included
+    n = data.draw(st.integers(1, 4))
+    pairs = list(combinations(range(n), 2))
+    emask = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    loops = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
+    base = Graph.from_edges(n, [e for e, k in zip(pairs, emask) if k], loops)
+    ctx = ExpContext(base, data.draw(st.integers(1, 3)))
+    expo = materialize_exponential(ctx)
+    values = [m.values for m in _all_maps(ctx)]
+    assert expo.n == len(values)
+    assert expo.loops == {t for t, f in enumerate(values) if brute_exp_adjacent(base, f, f)}
+    assert expo.edges == {
+        (s, t)
+        for s, t in combinations(range(len(values)), 2)
+        if brute_exp_adjacent(base, values[s], values[t])
+    }
+
+
 def test_materialize_caps():
     with pytest.raises(CapExceeded, match="max_vertices"):
         materialize_exponential(ExpContext(cycle(5), 3), max_vertices=100)
-    with pytest.raises(CapExceeded, match="max_pairs"):
-        materialize_exponential(ExpContext(cycle(5), 3), max_pairs=100)
+    # K_3^{C5} has 498 edges: the exact count is taken before any edge is built
+    with pytest.raises(CapExceeded, match="498 edges exceed the max_edges cap of 100"):
+        materialize_exponential(ExpContext(cycle(5), 3), max_edges=100)
+    for name, c in (("k4", 3), ("k5", 3), ("w5", 3), ("k7", 3), ("c8", 3), ("w5", 4)):
+        ctx = ExpContext(named(name), c)
+        n_edges = len(materialize_exponential(ctx).edges)
+        assert materialize_exponential(ctx, max_edges=n_edges).edges
+        with pytest.raises(CapExceeded, match=f"^{n_edges} edges exceed"):
+            materialize_exponential(ctx, max_edges=n_edges - 1)
+
+
+def test_materialize_petersen_within_default_caps():
+    # 3^10 maps: far beyond any n_maps x n_maps matrix, but only 21,069 edges
+    expo = materialize_exponential(ExpContext(named("petersen"), 3))
+    assert (expo.n, len(expo.edges), len(expo.loops)) == (59_049, 21_069, 120)
 
 
 def test_index_round_trip():

@@ -5,7 +5,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prodcolor.graphs import (
@@ -161,6 +161,46 @@ def test_chromatic_conventions():
 @given(small_graphs(7))
 def test_chromatic_matches_brute(g):
     assert chromatic_number(g) == brute_chromatic(g)
+
+
+@st.composite
+def _peelable_graphs(draw):
+    """Up to 9 vertices: several small components, pendant paths, isolated vertices."""
+    edges: list[tuple[int, int]] = []
+    n = 0
+    for _ in range(draw(st.integers(1, 3))):
+        size = draw(st.integers(1, min(4, 9 - n)))
+        block = list(combinations(range(n, n + size), 2))
+        mask = draw(st.lists(st.booleans(), min_size=len(block), max_size=len(block)))
+        edges += [e for e, keep in zip(block, mask) if keep]
+        tip = n + draw(st.integers(0, size - 1))
+        n += size
+        for _ in range(draw(st.integers(0, 2))):
+            if n == 9:
+                break
+            edges.append((tip, n))
+            tip, n = n, n + 1
+        if n >= 8:
+            break
+    n += draw(st.integers(0, 9 - n))
+    perm = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_peelable_graphs())
+# a 4-cycle, a triangle with a pendant vertex and an isolated vertex: both
+# cycles survive in the 2-core, and the 3-chromatic one is not the first
+@example(Graph.from_edges(9, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (4, 6), (6, 7)]))
+def test_chromatic_matches_brute_across_cores_and_components(g):
+    assert chromatic_number(g) == brute_chromatic(g)
+
+
+def test_chromatic_exponential_k3_over_k7():
+    # El-Zahar-Sauer: chi(K_3^G) = 3 once chi(G) >= 4; most of the 2,187 maps peel away
+    from prodcolor.exponential import ExpContext, materialize_exponential
+
+    assert chromatic_number(materialize_exponential(ExpContext(complete_graph(7), 3))) == 3
 
 
 def test_chromatic_at_least_n_over_alpha():
