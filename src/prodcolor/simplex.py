@@ -1,26 +1,28 @@
 """Exact rational simplex for covering LPs.
 
 Solves  min sum_j x_j  subject to  sum_{j : i in cols[j]} x_j >= 1 for every
-row i, x >= 0  -- entirely in Fraction arithmetic (no floating point).
+row i, x >= 0  -- entirely in integer arithmetic (no floating point).
 
-Revised simplex on the basis inverse. Entering column: most negative reduced
-cost with lowest-index tie-break ("dantzig", the default) or Bland's
-lowest-index rule ("bland"). Leaving row: lexicographic ratio test, which is
-deterministic and prevents cycling under either entering rule. Reduced-cost
-pricing is done in scaled integer arithmetic (one lcm per iteration) so that
-the column scan is cheap even with thousands of columns.
+Revised simplex on the basis inverse, kept fraction-free (Edmonds 1967;
+Bareiss 1968): the basis inverse and the basic values are Python ints over one
+positive common denominator ``den = |det B|``, so ``binv`` is the adjugate of B
+up to sign. Each pivot is a Gauss-Jordan step whose divisions by the old
+denominator are exact. Duals come out as ``den * y``, so reduced costs are
+priced as ``den * r_j`` by one integer column scan, and the ratio tests compare
+by cross-multiplication. Results become Fractions only at the end.
+
+Entering column: most negative reduced cost with lowest-index tie-break
+("dantzig", the default) or Bland's lowest-index rule ("bland"). Leaving row:
+lexicographic ratio test, which is deterministic and prevents cycling under
+either entering rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-
-import numpy as np
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 _ITERATION_GUARD = 500_000
 
@@ -39,8 +41,10 @@ class _State:
     def __init__(self, m: int, ns: int):
         self.m = m
         self.ns = ns
-        self.binv = [[ONE if i == j else ZERO for j in range(m)] for i in range(m)]
-        self.xb = [ONE] * m
+        # B^-1 = binv / den and x_B = xb / den, all ints, den = |det B| > 0
+        self.den = 1
+        self.binv = [[int(i == j) for j in range(m)] for i in range(m)]
+        self.xb = [1] * m
         # variable ids: 0..ns-1 columns, ns..ns+m-1 surplus, ns+m.. artificial
         self.basis = list(range(ns + m, ns + 2 * m))
 
@@ -63,87 +67,64 @@ def solve_covering_lp(num_rows: int, columns: list[tuple[int, ...]], rule: str =
         raise ValueError(f"rows {missing} are covered by no column; LP infeasible")
 
     st = _State(m, ns)
-    flat = np.array([i for col in columns for i in col], dtype=np.int64)
-    offsets = np.array(
-        [0] + list(np.cumsum([len(c) for c in columns])[:-1]), dtype=np.int64
-    ) if ns else np.zeros(0, dtype=np.int64)
-    maxcol = max((len(c) for c in columns), default=1)
+    it1 = _iterate(st, columns, phase1=True, rule=rule)
+    # At a phase-1 optimum the surplus columns force y >= 0 and the zero
+    # objective forces sum(y) = y.b = 0, so y = c_B B^-1 = 0 and no artificial
+    # (cost 1) can still be basic: phase 2 starts from a basis of real columns.
+    if any(b >= ns + m for b in st.basis):
+        raise RuntimeError("phase 1 ended with an artificial in the basis; simplex invariant broken")
+    it2 = _iterate(st, columns, phase1=False, rule=rule)
 
-    it1 = _iterate(st, columns, flat, offsets, maxcol, phase1=True, rule=rule)
-    if any(st.basis[r] >= ns + m and st.xb[r] != 0 for r in range(m)):
-        raise RuntimeError("phase 1 ended with a nonzero artificial; LP infeasible")
-    _drive_out_artificials(st, columns)
-    it2 = _iterate(st, columns, flat, offsets, maxcol, phase1=False, rule=rule)
-
-    dual = _dual_prices(st, phase1=False)
-    primal = {st.basis[r]: st.xb[r] for r in range(m) if st.basis[r] < ns and st.xb[r] != 0}
+    den = st.den
+    dual = tuple(Fraction(v, den) for v in _dual_prices(st, phase1=False))
+    primal = {
+        st.basis[r]: Fraction(st.xb[r], den)
+        for r in range(m)
+        if st.basis[r] < ns and st.xb[r] != 0
+    }
     value = sum(primal.values(), ZERO)
     if value != sum(dual, ZERO):
         raise RuntimeError("primal/dual value mismatch; simplex invariant broken")
-    return CoverLpSolution(value, primal, tuple(dual), it1 + it2)
+    return CoverLpSolution(value, primal, dual, it1 + it2)
 
 
-def _entering_column(st: _State, columns, enter: int) -> list[Fraction]:
-    a = [ZERO] * st.m
-    if enter < st.ns:
-        for i in columns[enter]:
-            a[i] = ONE
-    elif enter < st.ns + st.m:
-        a[enter - st.ns] = -ONE
-    else:
-        a[enter - st.ns - st.m] = ONE
-    return a
+def _transformed_column(st: _State, columns, enter: int) -> list[int]:
+    """den * B^-1 a for the constraint column a of variable `enter`."""
+    ns, m = st.ns, st.m
+    if enter < ns:
+        col = columns[enter]
+        return [sum(map(row.__getitem__, col)) for row in st.binv]
+    if enter < ns + m:
+        return [-row[enter - ns] for row in st.binv]
+    return [row[enter - ns - m] for row in st.binv]
 
 
-def _eliminate(st: _State, d: list[Fraction], leave: int, enter: int) -> None:
-    piv = d[leave]
-    brow = st.binv[leave]
-    if piv != 1:
-        brow = st.binv[leave] = [v / piv for v in brow]
-        st.xb[leave] /= piv
-    xl = st.xb[leave]
+def _eliminate(st: _State, d: list[int], leave: int, enter: int) -> None:
+    """Fraction-free Gauss-Jordan step on the positive pivot d[leave], the new den.
+
+    The divisions by the old den are exact because every new entry is a
+    cofactor of the new (integer) basis.
+    """
+    piv, den = d[leave], st.den
+    brow, xl = st.binv[leave], st.xb[leave]
     for r in range(st.m):
-        if r != leave and d[r]:
-            f = d[r]
-            row = st.binv[r]
-            st.binv[r] = [v - f * w for v, w in zip(row, brow)]
-            st.xb[r] -= f * xl
+        if r == leave:
+            continue
+        f = d[r]
+        if f:
+            st.binv[r] = [(piv * v - f * w) // den for v, w in zip(st.binv[r], brow)]
+            st.xb[r] = (piv * st.xb[r] - f * xl) // den
+        elif piv != den:
+            st.binv[r] = [piv * v // den for v in st.binv[r]]
+            st.xb[r] = piv * st.xb[r] // den
+    st.den = piv
     st.basis[leave] = enter
 
 
-def _drive_out_artificials(st: _State, columns) -> None:
-    """Pivot zero-valued artificials out of the phase-1 basis where possible.
-
-    A row whose artificial cannot be pivoted out has zero transformed entries
-    in every original column, so no phase-2 pivot can ever touch it; leaving
-    it basic at zero is then harmless.
-    """
+def _dual_prices(st: _State, phase1: bool) -> list[int]:
+    """den * y, where y = c_B B^-1 with c = 1 on artificials (phase 1) or on columns (phase 2)."""
     m, ns = st.m, st.ns
-    for r in range(m):
-        if st.basis[r] < ns + m:
-            continue
-        basic = set(st.basis)
-        brow = st.binv[r]
-        for j in range(ns + m):
-            if j in basic:
-                continue
-            entry = (
-                sum((brow[i] for i in columns[j]), ZERO) if j < ns else -brow[j - ns]
-            )
-            if entry != 0:
-                a = _entering_column(st, columns, j)
-                d = [
-                    sum(st.binv[rr][i] * a[i] for i in range(m) if a[i])
-                    for rr in range(m)
-                ]
-                _eliminate(st, d, r, j)
-                break
-
-
-def _dual_prices(st: _State, phase1: bool) -> list[Fraction]:
-    # y = c_B B^-1 with c = 1 on artificials (phase 1) or on columns (phase 2)
-    m, ns = st.m, st.ns
-    y = [ZERO] * m
+    p = [0] * m
     for r in range(m):
         b = st.basis[r]
         is_costed = (b >= ns + m) if phase1 else (b < ns)
@@ -151,11 +132,11 @@ def _dual_prices(st: _State, phase1: bool) -> list[Fraction]:
             row = st.binv[r]
             for i in range(m):
                 if row[i]:
-                    y[i] += row[i]
-    return y
+                    p[i] += row[i]
+    return p
 
 
-def _iterate(st, columns, flat, offsets, maxcol, phase1: bool, rule: str) -> int:
+def _iterate(st, columns, phase1: bool, rule: str) -> int:
     # Long degenerate stalls are normal here (covering LPs over symmetric
     # graphs), and the lexicographic test usually resolves them. Should a
     # stall outlast the threshold, switch to full Bland pivoting, whose
@@ -169,13 +150,8 @@ def _iterate(st, columns, flat, offsets, maxcol, phase1: bool, rule: str) -> int
         iterations += 1
         if iterations > _ITERATION_GUARD:
             raise RuntimeError("simplex iteration guard tripped")
-        y = _dual_prices(st, phase1)
-        q = 1
-        for f in y:
-            q = lcm(q, f.denominator)
-        p = [int(f * q) for f in y]
         effective = "bland" if fallback else rule
-        enter = _price(st, columns, flat, offsets, maxcol, p, q, phase1, effective)
+        enter = _price(st, columns, _dual_prices(st, phase1), phase1, effective)
         if enter < 0:
             return iterations
         degenerate = _pivot(st, columns, enter, effective)
@@ -187,35 +163,23 @@ def _iterate(st, columns, flat, offsets, maxcol, phase1: bool, rule: str) -> int
             fallback = rule == "bland"
 
 
-def _price(st, columns, flat, offsets, maxcol, p, q, phase1, rule) -> int:
+def _price(st, columns, p, phase1, rule) -> int:
     """Entering variable index, or -1 at optimality.
 
-    Works on integer-scaled reduced costs z_j = q * r_j: the sign and the
-    ordering are unaffected by the common positive scale q.
+    Works on integer-scaled reduced costs z_j = q * r_j with q = den: the sign
+    and the ordering are unaffected by the common positive scale q.
     """
-    m, ns = st.m, st.ns
+    m, ns, q = st.m, st.ns, st.den
     candidates: list[tuple[int, int]] = []  # (z_j, variable id)
     struct_cost = 0 if phase1 else q
-    if ns:
-        pmax = max((abs(v) for v in p), default=0)
-        if pmax * maxcol + q < 2**62:
-            sums = np.add.reduceat(np.array(p, dtype=np.int64)[flat], offsets)
-            z = struct_cost - sums
-            j = int(np.argmin(z))
-            if z[j] < 0:
-                if rule == "bland":
-                    j = int(np.nonzero(z < 0)[0][0])
-                candidates.append((int(z[j]), j))
-        else:
-            best, bj = 0, -1
-            for j, col in enumerate(columns):
-                zj = struct_cost - sum(p[i] for i in col)
-                if zj < best:
-                    best, bj = zj, j
-                    if rule == "bland":
-                        break
-            if bj >= 0:
-                candidates.append((best, bj))
+    price = p.__getitem__
+    z = [struct_cost - sum(map(price, col)) for col in columns]
+    if rule == "bland":
+        j = next((j for j, zj in enumerate(z) if zj < 0), -1)
+    else:
+        j = z.index(min(z))
+    if j >= 0 and z[j] < 0:
+        candidates.append((z[j], j))
     for i in range(m):  # surplus columns: A = -e_i, cost 0
         if p[i] < 0:
             candidates.append((p[i], ns + i))
@@ -226,8 +190,8 @@ def _price(st, columns, flat, offsets, maxcol, p, q, phase1, rule) -> int:
     if not candidates:
         return -1
     if rule == "bland":
-        return min(candidates, key=lambda t: t[1])[1]
-    return min(candidates, key=lambda t: (t[0], t[1]))[1]
+        return min(j for _, j in candidates)
+    return min(candidates)[1]
 
 
 def _pivot(st, columns, enter: int, rule: str = "dantzig") -> bool:
@@ -236,31 +200,29 @@ def _pivot(st, columns, enter: int, rule: str = "dantzig") -> bool:
     Ties break lexicographically, or by smallest basic-variable index when
     running under Bland's rule.
     """
-    m = st.m
-    a = _entering_column(st, columns, enter)
-    d = [
-        sum(st.binv[r][i] * a[i] for i in range(m) if a[i]) for r in range(m)
-    ]
+    d = _transformed_column(st, columns, enter)
+    xb = st.xb
     leave = -1
-    if rule == "bland":
-        best = None
-        for r in range(m):
-            if d[r] > 0:
-                ratio = st.xb[r] / d[r]
-                if best is None or ratio < best or (ratio == best and st.basis[r] < st.basis[leave]):
-                    best, leave = ratio, r
-    else:
-        for r in range(m):
-            if d[r] > 0 and (leave < 0 or _lex_less(st, d, r, leave)):
+    for r in range(st.m):
+        if d[r] <= 0:
+            continue
+        if leave < 0:
+            leave = r
+        elif rule == "bland":
+            # xb[r] / d[r] against xb[leave] / d[leave]; both d are positive
+            a, b = xb[r] * d[leave], xb[leave] * d[r]
+            if a < b or (a == b and st.basis[r] < st.basis[leave]):
                 leave = r
+        elif _lex_less(st, d, r, leave):
+            leave = r
     if leave < 0:
         raise RuntimeError("LP unbounded; covering LPs cannot be unbounded")
-    degenerate = st.xb[leave] == 0
+    degenerate = xb[leave] == 0
     _eliminate(st, d, leave, enter)
     return degenerate
 
 
-def _lex_less(st, d: list[Fraction], r: int, s: int) -> bool:
+def _lex_less(st, d: list[int], r: int, s: int) -> bool:
     """Is row r lexicographically smaller than row s in the ratio test?"""
     a, b = st.xb[r] * d[s], st.xb[s] * d[r]
     if a != b:

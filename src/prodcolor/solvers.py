@@ -246,16 +246,26 @@ def independence_number(g: Graph) -> int:
     """Exact size of a largest independent set (branch and bound)."""
     _require_loopless(g, "independence number")
     n = g.n
-    if n == 0:
-        return 0
     masks = g.neighbor_masks
+    # isolated vertices belong to every maximum independent set: count them
+    # and search only the other vertices
+    isolated = masks.count(0)
+    rest = 0
+    for v, mk in enumerate(masks):
+        if mk:
+            rest |= 1 << v
 
     # greedy start: repeatedly take the lowest-degree remaining vertex
     best = 0
-    pool = (1 << n) - 1
+    pool = rest
     while pool:
-        cand = [v for v in range(n) if pool >> v & 1]
-        v = min(cand, key=lambda u: ((masks[u] & pool).bit_count(), u))
+        m, v, vd = pool, -1, n
+        while m:
+            u = (m & -m).bit_length() - 1
+            m &= m - 1
+            d = (masks[u] & pool).bit_count()
+            if d < vd:
+                v, vd = u, d
         best += 1
         pool &= ~(masks[v] | (1 << v))
 
@@ -298,8 +308,8 @@ def independence_number(g: Graph) -> int:
         expand(p & ~(1 << v), size)
 
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 3 * n + 1000))
-    expand((1 << n) - 1, 0)
-    return best_found
+    expand(rest, 0)
+    return isolated + best_found
 
 
 def girth(g: Graph) -> int | float:

@@ -320,3 +320,23 @@ def test_file_after_flags(capsys, tmp_path):
     assert code == 0 and json.loads(out)["passed"] is True
     code, _, err = run(capsys, "exp", "materialize", "--bogus-flag", str(k4))
     assert code == 1 and "bogus" in err
+
+
+def test_import_loads_no_numpy():
+    # the package has no runtime dependencies; a cold import must not pull numpy in
+    import os
+    import subprocess
+    import sys
+
+    import prodcolor
+
+    src = os.path.dirname(os.path.dirname(prodcolor.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import prodcolor, sys; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prodcolor.errors import CapExceeded
@@ -81,12 +81,45 @@ def test_simplex_unknown_rule():
 
 
 def test_simplex_degenerate_instances():
-    # one column covering several rows strands zero-valued artificials in the
-    # phase-1 basis; the post-phase cleanup must keep phase 2 sound
+    # one column covering several rows leaves several basic variables at zero
+    # after phase 1; phase 2 must still end at the optimum
     sol = solve_covering_lp(4, [(0, 1, 2, 3)])
     assert sol.value == 1 and sum(sol.dual) == 1
     sol = solve_covering_lp(3, [(0, 1, 2), (0, 1, 2), (0, 1)])
     assert sol.value == 1
+
+
+@st.composite
+def _covering_lps(draw):
+    """Up to 8 rows and 14 nonempty columns, every row covered by some column."""
+    m = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 14))
+    owner = draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m))
+    cols = []
+    for j in range(k):
+        extra = draw(st.sets(st.integers(0, m - 1), min_size=0 if j in owner else 1))
+        cols.append(tuple(sorted(extra | {i for i in range(m) if owner[i] == j})))
+    return m, cols
+
+
+@settings(max_examples=200, deadline=None)
+@given(_covering_lps(), st.sampled_from(["dantzig", "bland"]))
+# found by the search against a pivot that left the rows off the pivot column
+# at the old denominator
+@example((6, [(0, 1, 2, 4, 5), (0,), (0,), (0,), (0,), (3, 4), (0, 1, 2, 3)]), "bland")
+def test_simplex_certificate_on_random_lps(lp, rule):
+    # checked with no simplex code: primal covers, dual is feasible, values agree
+    m, cols = lp
+    sol = solve_covering_lp(m, cols, rule=rule)
+    cover = [Fraction(0)] * m
+    for j, w in sol.primal.items():
+        assert w > 0
+        for i in cols[j]:
+            cover[i] += w
+    assert all(c >= 1 for c in cover)
+    assert len(sol.dual) == m and all(y >= 0 for y in sol.dual)
+    assert all(sum(sol.dual[i] for i in c) <= 1 for c in cols)
+    assert sol.value == sum(sol.primal.values()) == sum(sol.dual)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ import math
 import random
 from itertools import combinations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -388,13 +387,28 @@ def test_distances_heawood_eccentricity():
     for v in range(14):
         dist = distances(hw, v)
         assert max(dist) == 3
-    # independent oracle via adjacency powers: (A+I)^3 positive, (A+I)^2 not
-    a = np.zeros((14, 14), dtype=np.int64)
+    # independent oracle via boolean powers of A+I, one bitmask row per vertex:
+    # (A+I)^3 reaches every pair, (A+I)^2 does not
+    step = [1 << u for u in range(14)]
     for u, v in hw.edges:
-        a[u, v] = a[v, u] = 1
-    reach2 = np.linalg.matrix_power(a + np.eye(14, dtype=np.int64), 2)
-    reach3 = np.linalg.matrix_power(a + np.eye(14, dtype=np.int64), 3)
-    assert (reach3 > 0).all() and not (reach2 > 0).all()
+        step[u] |= 1 << v
+        step[v] |= 1 << u
+
+    def times_step(rows):
+        out = []
+        for row in rows:
+            acc = 0
+            for w in range(14):
+                if row >> w & 1:
+                    acc |= step[w]
+            out.append(acc)
+        return out
+
+    reach2 = times_step(step)
+    reach3 = times_step(reach2)
+    everything = (1 << 14) - 1
+    assert all(r == everything for r in reach3)
+    assert not all(r == everything for r in reach2)
 
 
 def test_distances_unreachable_and_errors():

@@ -227,10 +227,16 @@ def test_independence_known():
     assert independence_number(Graph(0)) == 0
 
 
-@settings(max_examples=25, deadline=None)
-@given(small_graphs(7))
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(small_graphs(7), _peelable_graphs()))
 def test_independence_matches_brute(g):
     assert independence_number(g) == brute_independence(g)
+
+
+def test_independence_isolated_vertices_at_scale():
+    # isolated vertices are counted, not searched; a quadratic start took seconds here
+    assert independence_number(Graph(5000)) == 5000
+    assert independence_number(Graph.from_edges(3002, [(0, 1)])) == 3001
 
 
 # ---------------------------------------------------------------------------
