@@ -4,13 +4,17 @@ All solvers are deterministic pure functions of their (immutable) inputs:
 fixed branching orders, no randomness. They are sized for desk-scale
 instances (hundreds of vertices), not for competitive benchmarks.
 
+One homomorphism search serves k_colorable (maps into K_k) and
+find_homomorphism. Every search runs on an explicit stack, so no input is
+too deep for it and no process-wide state, such as the recursion limit, is
+touched.
+
 Coloring-type invariants are undefined on graphs with loops and reject them.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .graphs import Graph
@@ -73,12 +77,110 @@ def greedy_clique(g: Graph) -> list[int]:
     return clique
 
 
+def _hom_search(nbrs: tuple[int, ...], values: list[int], domains: list[int]) -> list[int] | None:
+    """A map v -> image[v] in domains[v] sending each edge uv to values c, d
+    with d in values[c], or None if there is none.
+
+    nbrs are the source's neighbour masks; values[c] holds c's neighbours in
+    the target, plus c itself when c has a loop. Depth-first on an explicit
+    stack: the vertex with the fewest values left goes first (then higher
+    degree, then lower index: DSATUR order), its values are tried lowest first,
+    each choice narrows its neighbours' domains (forward checking), and
+    vertices left with one value are placed first in, first out.
+
+    Symmetry breaking comes from the target: values x and w are twins when
+    (values[x] ^ values[w]) & ~(bit x | bit w) == 0 and both or neither has a
+    loop. Swapping two twins is an automorphism of the target and twinship is
+    an equivalence, so a branch tries the used values and only the lowest
+    unused value of each twin class. This is complete only if every initial
+    domain that is not a single value is a union of whole twin classes;
+    single values are placed before the first branch.
+    """
+    if not all(domains):
+        return None
+    # twins share their open (nonadjacent twins) or closed (adjacent twins) neighbourhood
+    groups: dict[tuple[int, int], int] = {}
+    for w, vw in enumerate(values):
+        bit, loop = 1 << w, vw >> w & 1
+        for key in ((vw & ~bit, loop), (vw | bit, loop)):
+            groups[key] = groups.get(key, 0) | bit
+    twin_classes = [m for m in groups.values() if m & (m - 1)]
+    untwinned = (1 << len(values)) - 1 - sum(twin_classes)
+    negdeg = [-m.bit_count() for m in nbrs]
+    image = [-1] * len(nbrs)
+    dom = list(domains)
+    left = set(range(len(nbrs)))
+    trail: list[tuple[int, int]] = []  # (u, its domain before) or (v, -1) for a placement
+    used = 0
+
+    def settle(queue: list[int]) -> bool:
+        # place each queued vertex on its one value; the queue grows as domains collapse
+        nonlocal used
+        for v in queue:
+            bit = dom[v]
+            c = bit.bit_length() - 1
+            image[v] = c
+            left.discard(v)
+            trail.append((v, -1))
+            used |= bit
+            allow = values[c]
+            m = nbrs[v]
+            while m:
+                low = m & -m
+                m ^= low
+                u = low.bit_length() - 1
+                if image[u] == -1:
+                    d = dom[u]
+                    nd = d & allow
+                    if nd != d:
+                        if not nd:
+                            return False
+                        trail.append((u, d))
+                        dom[u] = nd
+                        if nd & (nd - 1) == 0:
+                            queue.append(u)
+        return True
+
+    if not settle([v for v, d in enumerate(dom) if d & (d - 1) == 0]):
+        return None
+    stack: list[list[int]] = []  # [vertex, values left to try, trail length, used]
+    while left:
+        v = min(left, key=lambda u: (dom[u].bit_count(), negdeg[u], u))
+        allow = untwinned | used
+        for m in twin_classes:
+            m &= ~used
+            allow |= m & -m
+        stack.append([v, dom[v] & allow, len(trail), used])
+        while stack:  # try the top frame's next value; an exhausted frame is popped
+            frame = stack[-1]
+            v, cand, mark, used = frame
+            while len(trail) > mark:
+                u, d = trail.pop()
+                if d < 0:
+                    image[u] = -1
+                    left.add(u)
+                else:
+                    dom[u] = d
+            if not cand:
+                stack.pop()
+                continue
+            bit = cand & -cand
+            frame[1] = cand ^ bit
+            trail.append((v, dom[v]))
+            dom[v] = bit
+            if settle([v]):
+                break
+        else:
+            return None
+    return image
+
+
 def k_colorable(g: Graph, k: int) -> Coloring | None:
     """A proper k-coloring of g if one exists, else None.
 
-    Backtracking search: most-saturated vertex first, lowest color first,
-    greedy-clique pre-coloring as seed and lower bound, forward checking with
-    unit propagation, and fresh colors introduced in canonical order. The
+    A homomorphism search into K_k: the greedy clique's vertices are fixed to
+    colors 0, 1, ... (and give a lower bound), and since all colors of K_k are
+    twins, a branch opens at most one new color, the next unused one. The
     returned witness is a deterministic function of the input.
     """
     _require_loopless(g, "k-colorability")
@@ -89,101 +191,27 @@ def k_colorable(g: Graph, k: int) -> Coloring | None:
         return Coloring((), k)
     if k == 0:
         return None
-    masks = g.neighbor_masks
     clique = greedy_clique(g)
     if len(clique) > k:
         return None
-
     full = (1 << k) - 1
-    colors = [-1] * n
-    avail = [full] * n
-    uncolored = set(range(n))
-    state = {"max_used": -1}
-
-    def assign(v: int, c: int, trail: list, forced: list[int]) -> bool:
-        colors[v] = c
-        uncolored.discard(v)
-        trail.append((-1, v, state["max_used"]))
-        if c > state["max_used"]:
-            state["max_used"] = c
-        bit = 1 << c
-        m = masks[v]
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            if colors[u] == -1 and avail[u] & bit:
-                avail[u] ^= bit
-                trail.append((u, bit, 0))
-                a = avail[u]
-                if a == 0:
-                    return False
-                if a & (a - 1) == 0:
-                    forced.append(u)
-        return True
-
-    def undo(trail: list) -> None:
-        while trail:
-            tag, a, b = trail.pop()
-            if tag == -1:
-                colors[a] = -1
-                uncolored.add(a)
-                state["max_used"] = b
-            else:
-                avail[tag] |= a
-
-    def propagate(trail: list, forced: list[int]) -> bool:
-        # assign vertices whose domain collapsed to a single color
-        while forced:
-            u = forced.pop(0)
-            if colors[u] != -1:
-                continue
-            c = avail[u].bit_length() - 1
-            if not assign(u, c, trail, forced):
-                return False
-        return True
-
-    def solve() -> bool:
-        if not uncolored:
-            return True
-        v = min(
-            uncolored,
-            key=lambda u: (avail[u].bit_count(), -masks[u].bit_count(), u),
-        )
-        cap = min(k - 1, state["max_used"] + 1)
-        a = avail[v] & ((1 << (cap + 1)) - 1)
-        while a:
-            bit = a & -a
-            a ^= bit
-            trail: list = []
-            forced: list[int] = []
-            if (
-                assign(v, bit.bit_length() - 1, trail, forced)
-                and propagate(trail, forced)
-                and solve()
-            ):
-                return True
-            undo(trail)
-        return False
-
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 3 * n + 1000))
-    trail0: list = []
-    forced0: list[int] = []
-    for i, v in enumerate(clique[:k]):
-        if not assign(v, i, trail0, forced0):
-            return None
-    if not propagate(trail0, forced0):
-        return None
-    if solve():
-        return Coloring(tuple(colors), k)
-    return None
+    domains = [full] * n
+    for i, v in enumerate(clique):
+        domains[v] = 1 << i
+    colors = _hom_search(g.neighbor_masks, [full ^ (1 << c) for c in range(k)], domains)
+    return None if colors is None else Coloring(tuple(colors), k)
 
 
-def _core_components(g: Graph, adjacency: list[list[int]], k: int) -> list[Graph]:
+def _core_components(g: Graph, k: int) -> list[Graph]:
     """The connected components of the k-core of g, each relabeled in vertex order.
 
     Vertices of degree below k are peeled off until none is left; g itself
     stands for a core that is all of g and connected.
     """
+    adjacency: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
     degree = [len(nbrs) for nbrs in adjacency]
     alive = [d >= k for d in degree]
     peel = [v for v in range(g.n) if not alive[v]]
@@ -232,34 +260,32 @@ def chromatic_number(g: Graph) -> int:
         return 0
     if not g.edges:
         return 1
-    adjacency: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    k = max([2] + [len(greedy_clique(part)) for part in _core_components(g, adjacency, 2)])
-    while not all(k_colorable(part, k) is not None for part in _core_components(g, adjacency, k)):
+    k = max([2] + [len(greedy_clique(part)) for part in _core_components(g, 2)])
+    while not all(k_colorable(part, k) is not None for part in _core_components(g, k)):
         k += 1
     return k
 
 
 def independence_number(g: Graph) -> int:
-    """Exact size of a largest independent set (branch and bound)."""
-    _require_loopless(g, "independence number")
-    n = g.n
-    masks = g.neighbor_masks
-    # isolated vertices belong to every maximum independent set: count them
-    # and search only the other vertices
-    isolated = masks.count(0)
-    rest = 0
-    for v, mk in enumerate(masks):
-        if mk:
-            rest |= 1 << v
+    """Exact size of a largest independent set.
 
+    alpha adds up over components, and isolated vertices belong to every
+    maximum independent set: they are counted, and each component of the
+    1-core is searched on its own by branch and bound.
+    """
+    _require_loopless(g, "independence number")
+    parts = _core_components(g, 1)
+    return g.n - sum(part.n for part in parts) + sum(map(_independence_search, parts))
+
+
+def _independence_search(g: Graph) -> int:
+    """alpha(g) by branch and bound from a greedy start, on an explicit stack."""
+    masks = g.neighbor_masks
     # greedy start: repeatedly take the lowest-degree remaining vertex
     best = 0
-    pool = rest
+    pool = (1 << g.n) - 1
     while pool:
-        m, v, vd = pool, -1, n
+        m, v, vd = pool, -1, g.n
         while m:
             u = (m & -m).bit_length() - 1
             m &= m - 1
@@ -284,19 +310,18 @@ def independence_number(g: Graph) -> int:
                 cliques_masks.append(1 << v)
         return len(cliques_masks)
 
-    best_found = best
-
-    def expand(p: int, size: int) -> None:
-        nonlocal best_found
+    stack = [((1 << g.n) - 1, 0)]  # (candidates, size of the set taken so far)
+    while stack:
+        p, size = stack.pop()
         cnt = p.bit_count()
-        if size + cnt <= best_found:
-            return
+        if size + cnt <= best:
+            continue
         if cnt == 0:
-            best_found = size
-            return
-        if size + clique_cover_bound(p) <= best_found:
-            return
-        # branch on the highest-degree candidate
+            best = size
+            continue
+        if size + clique_cover_bound(p) <= best:
+            continue
+        # branch on the highest-degree candidate: "take v" is popped first
         m, v, bd = p, -1, -1
         while m:
             u = (m & -m).bit_length() - 1
@@ -304,12 +329,9 @@ def independence_number(g: Graph) -> int:
             d = (masks[u] & p).bit_count()
             if d > bd:
                 v, bd = u, d
-        expand(p & ~(masks[v] | (1 << v)), size + 1)
-        expand(p & ~(1 << v), size)
-
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 3 * n + 1000))
-    expand(rest, 0)
-    return isolated + best_found
+        stack.append((p & ~(1 << v), size))
+        stack.append((p & ~(masks[v] | (1 << v)), size + 1))
+    return best
 
 
 def girth(g: Graph) -> int | float:
@@ -342,41 +364,19 @@ def girth(g: Graph) -> int | float:
 def find_homomorphism(g: Graph, h: Graph) -> HomMap | None:
     """A homomorphism g -> h if one exists, else None.
 
-    Backtracking over vertices of g in degree-descending order; targets tried
-    in index order. Loops of h are valid targets, and a loop of g must land on
-    a loop of h.
+    The homomorphism search with h's neighbourhoods as values: loops of h are
+    valid targets, and a loop of g must land on a loop of h. The returned
+    witness is a deterministic function of the input.
     """
-    n = g.n
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    mapping = [-1] * n
-
-    def ok(v: int, w: int) -> bool:
-        if v in g.loops and w not in h.loops:
-            return False
-        for u in g.neighbors(v):
-            if mapping[u] != -1 and not h.adjacent_or_loop(w, mapping[u]):
-                return False
-        return True
-
-    def solve(i: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        for w in range(h.n):
-            if ok(v, w):
-                mapping[v] = w
-                if solve(i + 1):
-                    return True
-                mapping[v] = -1
-        return False
-
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 3 * n + 1000))
-    if solve(0):
-        return HomMap(tuple(mapping))
-    return None
+    values = list(h.neighbor_masks)
+    loopmask = 0
+    for w in h.loops:
+        values[w] |= 1 << w
+        loopmask |= 1 << w
+    full = (1 << h.n) - 1
+    domains = [loopmask if v in g.loops else full for v in range(g.n)]
+    mapping = _hom_search(g.neighbor_masks, values, domains)
+    return None if mapping is None else HomMap(tuple(mapping))
 
 
 def is_homomorphism(g: Graph, h: Graph, hom: HomMap) -> bool:
@@ -399,7 +399,7 @@ def compose(first: HomMap, then: HomMap) -> HomMap:
 def maximal_independent_sets(g: Graph) -> list[tuple[int, ...]]:
     """All maximal independent sets, each sorted, in lexicographic order.
 
-    Bron-Kerbosch with pivoting on the complement adjacency.
+    Bron-Kerbosch with pivoting on the complement adjacency, on an explicit stack.
     """
     _require_loopless(g, "independent set enumeration")
     n = g.n
@@ -409,11 +409,12 @@ def maximal_independent_sets(g: Graph) -> list[tuple[int, ...]]:
     fullmask = (1 << n) - 1
     compat = [fullmask & ~masks[v] & ~(1 << v) for v in range(n)]
     out: list[int] = []
-
-    def bk(r: int, p: int, x: int) -> None:
+    stack = [(0, fullmask, 0)]  # (set, candidates, excluded)
+    while stack:
+        r, p, x = stack.pop()
         if p == 0 and x == 0:
             out.append(r)
-            return
+            continue
         pux = p | x
         pivot, bestdeg = -1, -1
         m = pux
@@ -423,17 +424,14 @@ def maximal_independent_sets(g: Graph) -> list[tuple[int, ...]]:
             d = (p & compat[u]).bit_count()
             if d > bestdeg:
                 pivot, bestdeg = u, d
+        # the children in reverse, so the lowest is popped first; each child
+        # moves the branch vertices below it from the candidates to the excluded
         m = p & ~compat[pivot]
         while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
+            v = m.bit_length() - 1
             bit = 1 << v
-            bk(r | bit, p & compat[v], x & compat[v])
-            p &= ~bit
-            x |= bit
-
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 3 * n + 1000))
-    bk(0, fullmask, 0)
+            m ^= bit
+            stack.append((r | bit, p & ~m & compat[v], (x | m) & compat[v]))
     sets = [tuple(v for v in range(n) if s >> v & 1) for s in out]
     sets.sort()
     return sets

@@ -48,13 +48,16 @@ def _random_graph(rng, n_max=7, p=0.5):
     return Graph.from_edges(n, edges)
 
 
-def small_graphs(max_n=6):
+def small_graphs(max_n=6, loops=False):
     @st.composite
     def build(draw):
         n = draw(st.integers(min_value=1, max_value=max_n))
         pairs = list(combinations(range(n), 2))
         mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-        return Graph.from_edges(n, [e for e, keep in zip(pairs, mask) if keep])
+        looped = draw(st.lists(st.booleans(), min_size=n, max_size=n)) if loops else []
+        return Graph.from_edges(
+            n, [e for e, keep in zip(pairs, mask) if keep], [v for v, on in enumerate(looped) if on]
+        )
 
     return build()
 
@@ -237,6 +240,9 @@ def test_independence_isolated_vertices_at_scale():
     # isolated vertices are counted, not searched; a quadratic start took seconds here
     assert independence_number(Graph(5000)) == 5000
     assert independence_number(Graph.from_edges(3002, [(0, 1)])) == 3001
+    # components are searched one at a time; one greedy over the whole matching took seconds
+    matching = Graph.from_edges(4000, [(v, v + 1) for v in range(0, 4000, 2)])
+    assert independence_number(matching) == 2000
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +292,28 @@ def test_hom_loops_as_targets():
     assert find_homomorphism(add_loops(Graph(1)), complete_graph(2)) is None
 
 
-@settings(max_examples=20, deadline=None)
-@given(small_graphs(4), small_graphs(4))
+@settings(max_examples=60, deadline=None)
+@given(small_graphs(5, loops=True), small_graphs(4, loops=True))
+# the looped target vertex 1 and the unlooped 0 have the same neighbours but
+# are not twins: a twin rule that ignored loops would try only 0 and miss 1 -> 1
+@example(complete_graph(2), Graph.from_edges(2, [], [1]))
 def test_hom_matches_brute(g, h):
-    assert (find_homomorphism(g, h) is not None) == brute_homomorphism_exists(g, h)
+    hom = find_homomorphism(g, h)
+    assert (hom is not None) == brute_homomorphism_exists(g, h)
+    if hom is not None:
+        assert is_homomorphism(g, h, hom)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_hom_c5_petersen_to_c5_relabelled(seed):
+    # C5 x Petersen -> C5 by projection; the witness found may differ per labelling
+    rng = random.Random(seed)
+    g, h = tensor_product(cycle(5), named("petersen")), cycle(5)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    g = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    hom = find_homomorphism(g, h)
+    assert hom is not None and is_homomorphism(g, h, hom)
 
 
 def test_hom_composition():
@@ -325,3 +349,34 @@ def test_mis_petersen_count():
 @given(small_graphs(7))
 def test_mis_matches_brute(g):
     assert maximal_independent_sets(g) == brute_maximal_independent_sets(g)
+
+
+def test_searches_leave_the_recursion_limit_alone():
+    # every search runs on an explicit stack, so deep inputs need no raised limit
+    import os
+    import subprocess
+    import sys
+
+    import prodcolor
+
+    src = os.path.dirname(os.path.dirname(prodcolor.__file__))
+    script = (
+        "import sys\n"
+        "from prodcolor import *\n"
+        "sys.setrecursionlimit(200)\n"
+        "path = Graph.from_edges(400, [(v, v + 1) for v in range(399)])\n"
+        "print(k_colorable(Graph(400), 2) is not None,\n"
+        "      find_homomorphism(Graph(400), complete_graph(2)) is not None,\n"
+        "      len(maximal_independent_sets(Graph(400))),\n"
+        "      independence_number(path),\n"
+        "      sys.getrecursionlimit())\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True", "1", "200", "200"]
