@@ -1,10 +1,21 @@
 """Exact fractional chromatic number via the independent-set covering LP.
 
 chi_f(G) is the optimum of: minimize total weight over maximal independent
-sets such that every vertex is covered with weight >= 1. The solver runs in
-exact rational arithmetic and certifies optimality with a matching dual
-solution (a fractional clique of the same value), so the returned value is
-exact, never a float approximation.
+sets such that every vertex is covered with weight >= 1. The sets are not
+listed up front but generated (Mehrotra-Trick 1996). The restricted master
+LP starts from the color classes of an optimal coloring, each extended to a
+maximal set. Each round prices the master's integer duals den * y with one
+exact maximum-weight independent-set search: a set whose duals sum to more
+than den would lower the objective, so the heaviest set, extended to a
+maximal one, is appended and the simplex continues from its current basis.
+Generation stops when the search proves that no independent set weighs
+more than den.
+
+The value is exact and certified without trusting the pivoting path
+(Held-Cook-Sewell 2012, here in integer arithmetic): the primal witness
+covers every vertex, the duals are nonnegative, the last search is the proof
+that they form a feasible fractional clique, and both sides have the LP's
+value.
 """
 
 from __future__ import annotations
@@ -14,8 +25,8 @@ from fractions import Fraction
 
 from .errors import CapExceeded
 from .graphs import Graph
-from .simplex import solve_covering_lp
-from .solvers import maximal_independent_sets
+from .simplex import add_covering_columns, open_covering_lp
+from .solvers import chromatic_number, k_colorable, max_weight_independent_set
 
 DEFAULT_MAX_LP_VERTICES = 30
 
@@ -50,13 +61,22 @@ class FractionalColoring:
         return all(c >= 1 for c in cover)
 
 
+def _maximal(masks: tuple[int, ...], chosen: int) -> tuple[int, ...]:
+    """The independent set `chosen` (a bitmask) extended by every vertex that fits, lowest first."""
+    for v, m in enumerate(masks):
+        if not m & chosen:
+            chosen |= 1 << v
+    return tuple(v for v in range(len(masks)) if chosen >> v & 1)
+
+
 def fractional_chromatic(
     g: Graph, max_vertices: int = DEFAULT_MAX_LP_VERTICES
 ) -> tuple[Fraction, FractionalColoring]:
     """Exact chi_f(G) with an optimal witness fractional coloring.
 
-    Optimality is certified internally: the LP's dual solution is a feasible
-    fractional clique of equal value, and both sides are re-checked here.
+    Optimality is certified here: the witness covers g, and the LP's dual
+    solution is a fractional clique of equal value whose feasibility the last
+    pricing search proved.
     """
     if g.loops:
         raise ValueError("fractional chromatic number is undefined on graphs with loops")
@@ -67,23 +87,32 @@ def fractional_chromatic(
     if g.n == 0:
         return Fraction(0), FractionalColoring((), ())
 
-    sets = maximal_independent_sets(g)
-    solution = solve_covering_lp(g.n, sets)
+    masks = g.neighbor_masks
+    coloring = k_colorable(g, chromatic_number(g))
+    classes = [0] * coloring.k
+    for v, c in enumerate(coloring.colors):
+        classes[c] |= 1 << v
+    lp = open_covering_lp(g.n, [_maximal(masks, s) for s in classes])
+    while True:
+        prices = lp.prices()
+        if min(prices) < 0:
+            raise RuntimeError("negative dual price; certificate invalid")
+        weight, heaviest = max_weight_independent_set(g, prices)
+        if weight <= lp.den:  # every independent set has dual sum <= 1
+            break
+        add_covering_columns(lp, [_maximal(masks, sum(1 << v for v in heaviest))])
+    solution = lp.solution()
 
     witness = FractionalColoring(
-        tuple(frozenset(sets[j]) for j in sorted(solution.primal)),
+        tuple(frozenset(lp.columns[j]) for j in sorted(solution.primal)),
         tuple(solution.primal[j] for j in sorted(solution.primal)),
     )
     # primal feasibility, dual feasibility, and equal values together certify
     # optimality without trusting the pivoting path
     if not witness.covers(g):
         raise RuntimeError("simplex returned an infeasible fractional coloring")
-    dual = solution.dual
-    if any(y < 0 for y in dual):
-        raise RuntimeError("negative dual price; certificate invalid")
-    for s in sets:
-        if sum((dual[v] for v in s), Fraction(0)) > 1:
-            raise RuntimeError("dual violates an independent-set constraint")
-    if witness.value != sum(dual, Fraction(0)) or witness.value != solution.value:
+    if solution.dual != tuple(Fraction(p, lp.den) for p in prices):
+        raise RuntimeError("the returned duals are not the ones the last search priced")
+    if witness.value != sum(solution.dual, Fraction(0)) or witness.value != solution.value:
         raise RuntimeError("primal and dual values differ; certificate invalid")
     return solution.value, witness

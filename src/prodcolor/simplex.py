@@ -11,6 +11,14 @@ denominator are exact. Duals come out as ``den * y``, so reduced costs are
 priced as ``den * r_j`` by one integer column scan, and the ratio tests compare
 by cross-multiplication. Results become Fractions only at the end.
 
+Column generation: ``open_covering_lp`` solves the LP over the columns known
+so far and returns the ``CoverLp`` with its basis; ``add_covering_columns``
+appends columns, which enter nonbasic at zero, so the basis stays feasible
+and phase 2 continues from it (a warm start, phase 1 is not rerun). Between
+the two a caller prices new columns on the integer duals ``den * y``: a
+column is worth adding iff its duals sum to more than ``den``.
+``solve_covering_lp`` is the one-shot form of the same path.
+
 Entering column: most negative reduced cost with lowest-index tie-break
 ("dantzig", the default) or Bland's lowest-index rule ("bland"). Leaving row:
 lexicographic ratio test, which is deterministic and prevents cycling under
@@ -37,26 +45,55 @@ class CoverLpSolution:
     iterations: int
 
 
-class _State:
-    def __init__(self, m: int, ns: int):
+class CoverLp:
+    """A covering LP held at its optimum, with the basis kept for added columns.
+
+    ``columns`` are the columns so far, ``den`` the common denominator and
+    ``prices()`` the optimal duals as integers ``den * y``.
+    """
+
+    def __init__(self, m: int, columns: list[tuple[int, ...]], rule: str):
         self.m = m
-        self.ns = ns
+        self.columns = columns
+        self.ns = len(columns)
+        self.rule = rule
+        self.iterations = 0
         # B^-1 = binv / den and x_B = xb / den, all ints, den = |det B| > 0
         self.den = 1
         self.binv = [[int(i == j) for j in range(m)] for i in range(m)]
         self.xb = [1] * m
         # variable ids: 0..ns-1 columns, ns..ns+m-1 surplus, ns+m.. artificial
-        self.basis = list(range(ns + m, ns + 2 * m))
+        self.basis = list(range(self.ns + m, self.ns + 2 * m))
+
+    def prices(self) -> list[int]:
+        """The optimal duals scaled by den: den * y, nonnegative integers."""
+        return _dual_prices(self, phase1=False)
+
+    def solution(self) -> CoverLpSolution:
+        den = self.den
+        dual = tuple(Fraction(v, den) for v in self.prices())
+        primal = {
+            b: Fraction(x, den) for b, x in zip(self.basis, self.xb) if b < self.ns and x != 0
+        }
+        value = sum(primal.values(), ZERO)
+        if value != sum(dual, ZERO):
+            raise RuntimeError("primal/dual value mismatch; simplex invariant broken")
+        return CoverLpSolution(value, primal, dual, self.iterations)
 
 
 def solve_covering_lp(num_rows: int, columns: list[tuple[int, ...]], rule: str = "dantzig") -> CoverLpSolution:
     """Exact optimum of the unit-cost covering LP over the given columns."""
+    return open_covering_lp(num_rows, columns, rule).solution()
+
+
+def open_covering_lp(num_rows: int, columns: list[tuple[int, ...]], rule: str = "dantzig") -> CoverLp:
+    """The covering LP over the given columns, solved to optimality by both phases."""
     if rule not in ("dantzig", "bland"):
         raise ValueError(f"unknown pivot rule {rule!r}")
     m = num_rows
-    ns = len(columns)
+    lp = CoverLp(m, list(columns), rule)
     if m == 0:
-        return CoverLpSolution(ZERO, {}, (), 0)
+        return lp
     covered = set()
     for j, col in enumerate(columns):
         if not col:
@@ -66,40 +103,44 @@ def solve_covering_lp(num_rows: int, columns: list[tuple[int, ...]], rule: str =
         missing = sorted(set(range(m)) - covered)
         raise ValueError(f"rows {missing} are covered by no column; LP infeasible")
 
-    st = _State(m, ns)
-    it1 = _iterate(st, columns, phase1=True, rule=rule)
+    lp.iterations = _iterate(lp, phase1=True)
     # At a phase-1 optimum the surplus columns force y >= 0 and the zero
     # objective forces sum(y) = y.b = 0, so y = c_B B^-1 = 0 and no artificial
     # (cost 1) can still be basic: phase 2 starts from a basis of real columns.
-    if any(b >= ns + m for b in st.basis):
+    if any(b >= lp.ns + m for b in lp.basis):
         raise RuntimeError("phase 1 ended with an artificial in the basis; simplex invariant broken")
-    it2 = _iterate(st, columns, phase1=False, rule=rule)
-
-    den = st.den
-    dual = tuple(Fraction(v, den) for v in _dual_prices(st, phase1=False))
-    primal = {
-        st.basis[r]: Fraction(st.xb[r], den)
-        for r in range(m)
-        if st.basis[r] < ns and st.xb[r] != 0
-    }
-    value = sum(primal.values(), ZERO)
-    if value != sum(dual, ZERO):
-        raise RuntimeError("primal/dual value mismatch; simplex invariant broken")
-    return CoverLpSolution(value, primal, dual, it1 + it2)
+    lp.iterations += _iterate(lp, phase1=False)
+    return lp
 
 
-def _transformed_column(st: _State, columns, enter: int) -> list[int]:
+def add_covering_columns(lp: CoverLp, columns: list[tuple[int, ...]]) -> None:
+    """Append columns to an optimal covering LP and re-optimize from its basis.
+
+    The new columns enter nonbasic at zero, so the basis stays primal feasible
+    and phase 2 continues from it; phase 1 is not run again.
+    """
+    for col in columns:
+        if not col or not all(0 <= i < lp.m for i in col):
+            raise ValueError(f"column {col!r} is empty or names a row outside 0..{lp.m - 1}")
+    k, ns = len(columns), lp.ns
+    lp.basis = [b + k if b >= ns else b for b in lp.basis]  # slack ids move up
+    lp.columns += columns
+    lp.ns += k
+    lp.iterations += _iterate(lp, phase1=False)
+
+
+def _transformed_column(st: CoverLp, enter: int) -> list[int]:
     """den * B^-1 a for the constraint column a of variable `enter`."""
     ns, m = st.ns, st.m
     if enter < ns:
-        col = columns[enter]
+        col = st.columns[enter]
         return [sum(map(row.__getitem__, col)) for row in st.binv]
     if enter < ns + m:
         return [-row[enter - ns] for row in st.binv]
     return [row[enter - ns - m] for row in st.binv]
 
 
-def _eliminate(st: _State, d: list[int], leave: int, enter: int) -> None:
+def _eliminate(st: CoverLp, d: list[int], leave: int, enter: int) -> None:
     """Fraction-free Gauss-Jordan step on the positive pivot d[leave], the new den.
 
     The divisions by the old den are exact because every new entry is a
@@ -121,22 +162,18 @@ def _eliminate(st: _State, d: list[int], leave: int, enter: int) -> None:
     st.basis[leave] = enter
 
 
-def _dual_prices(st: _State, phase1: bool) -> list[int]:
+def _dual_prices(st: CoverLp, phase1: bool) -> list[int]:
     """den * y, where y = c_B B^-1 with c = 1 on artificials (phase 1) or on columns (phase 2)."""
     m, ns = st.m, st.ns
-    p = [0] * m
-    for r in range(m):
-        b = st.basis[r]
-        is_costed = (b >= ns + m) if phase1 else (b < ns)
-        if is_costed:
-            row = st.binv[r]
-            for i in range(m):
-                if row[i]:
-                    p[i] += row[i]
-    return p
+    costed = [
+        row
+        for b, row in zip(st.basis, st.binv)
+        if ((b >= ns + m) if phase1 else (b < ns))
+    ]
+    return [sum(column) for column in zip(*costed)] if costed else [0] * m
 
 
-def _iterate(st, columns, phase1: bool, rule: str) -> int:
+def _iterate(st: CoverLp, phase1: bool) -> int:
     # Long degenerate stalls are normal here (covering LPs over symmetric
     # graphs), and the lexicographic test usually resolves them. Should a
     # stall outlast the threshold, switch to full Bland pivoting, whose
@@ -146,15 +183,16 @@ def _iterate(st, columns, phase1: bool, rule: str) -> int:
     stalled = 0
     fallback = False
     iterations = 0
+    rule = st.rule
     while True:
         iterations += 1
         if iterations > _ITERATION_GUARD:
             raise RuntimeError("simplex iteration guard tripped")
         effective = "bland" if fallback else rule
-        enter = _price(st, columns, _dual_prices(st, phase1), phase1, effective)
+        enter = _price(st, _dual_prices(st, phase1), phase1, effective)
         if enter < 0:
             return iterations
-        degenerate = _pivot(st, columns, enter, effective)
+        degenerate = _pivot(st, enter, effective)
         if degenerate:
             stalled += 1
             fallback = fallback or rule == "bland" or stalled > stall_threshold
@@ -163,7 +201,7 @@ def _iterate(st, columns, phase1: bool, rule: str) -> int:
             fallback = rule == "bland"
 
 
-def _price(st, columns, p, phase1, rule) -> int:
+def _price(st: CoverLp, p: list[int], phase1: bool, rule: str) -> int:
     """Entering variable index, or -1 at optimality.
 
     Works on integer-scaled reduced costs z_j = q * r_j with q = den: the sign
@@ -173,7 +211,7 @@ def _price(st, columns, p, phase1, rule) -> int:
     candidates: list[tuple[int, int]] = []  # (z_j, variable id)
     struct_cost = 0 if phase1 else q
     price = p.__getitem__
-    z = [struct_cost - sum(map(price, col)) for col in columns]
+    z = [struct_cost - sum(map(price, col)) for col in st.columns]
     if rule == "bland":
         j = next((j for j, zj in enumerate(z) if zj < 0), -1)
     else:
@@ -194,13 +232,13 @@ def _price(st, columns, p, phase1, rule) -> int:
     return min(candidates)[1]
 
 
-def _pivot(st, columns, enter: int, rule: str = "dantzig") -> bool:
+def _pivot(st: CoverLp, enter: int, rule: str) -> bool:
     """Ratio test and basis update; returns True when the step is degenerate.
 
     Ties break lexicographically, or by smallest basic-variable index when
     running under Bland's rule.
     """
-    d = _transformed_column(st, columns, enter)
+    d = _transformed_column(st, enter)
     xb = st.xb
     leave = -1
     for r in range(st.m):
@@ -222,7 +260,7 @@ def _pivot(st, columns, enter: int, rule: str = "dantzig") -> bool:
     return degenerate
 
 
-def _lex_less(st, d: list[int], r: int, s: int) -> bool:
+def _lex_less(st: CoverLp, d: list[int], r: int, s: int) -> bool:
     """Is row r lexicographically smaller than row s in the ratio test?"""
     a, b = st.xb[r] * d[s], st.xb[s] * d[r]
     if a != b:

@@ -5,15 +5,18 @@ fixed branching orders, no randomness. They are sized for desk-scale
 instances (hundreds of vertices), not for competitive benchmarks.
 
 One homomorphism search serves k_colorable (maps into K_k) and
-find_homomorphism. Every search runs on an explicit stack, so no input is
-too deep for it and no process-wide state, such as the recursion limit, is
-touched.
+find_homomorphism, and one weighted independent-set branch and bound serves
+independence_number (unit weights) and the pricing of the fractional
+chromatic LP (the dual prices as weights). Every search runs on an explicit
+stack, so no input is too deep for it and no process-wide state, such as the
+recursion limit, is touched.
 
 Coloring-type invariants are undefined on graphs with loops and reject them.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -202,16 +205,13 @@ def k_colorable(g: Graph, k: int) -> Coloring | None:
     return None if colors is None else Coloring(tuple(colors), k)
 
 
-def _core_components(g: Graph, k: int) -> list[Graph]:
+def _core_components(g: Graph, adjacency: list[list[int]], k: int) -> list[Graph]:
     """The connected components of the k-core of g, each relabeled in vertex order.
 
-    Vertices of degree below k are peeled off until none is left; g itself
-    stands for a core that is all of g and connected.
+    adjacency holds g's neighbour lists. Vertices of degree below k are peeled
+    off until none is left; g itself stands for a core that is all of g and
+    connected.
     """
-    adjacency: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
     degree = [len(nbrs) for nbrs in adjacency]
     alive = [d >= k for d in degree]
     peel = [v for v in range(g.n) if not alive[v]]
@@ -253,73 +253,167 @@ def chromatic_number(g: Graph) -> int:
     k_colorable on each connected component of the k-core only (Matula-Beck
     1983). k starts at the largest greedy clique found in the components of
     the 2-core, and the first k at which every component is k-colorable is
-    the answer.
+    the answer. Every core is peeled from one set of adjacency lists.
     """
     _require_loopless(g, "chromatic number")
     if g.n == 0:
         return 0
     if not g.edges:
         return 1
-    k = max([2] + [len(greedy_clique(part)) for part in _core_components(g, 2)])
-    while not all(k_colorable(part, k) is not None for part in _core_components(g, k)):
+    adjacency: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    k = max([2] + [len(greedy_clique(part)) for part in _core_components(g, adjacency, 2)])
+    while not all(k_colorable(part, k) is not None for part in _core_components(g, adjacency, k)):
         k += 1
     return k
 
 
 def independence_number(g: Graph) -> int:
-    """Exact size of a largest independent set.
-
-    alpha adds up over components, and isolated vertices belong to every
-    maximum independent set: they are counted, and each component of the
-    1-core is searched on its own by branch and bound.
-    """
+    """Exact size of a largest independent set: the heaviest one under unit weights."""
     _require_loopless(g, "independence number")
-    parts = _core_components(g, 1)
-    return g.n - sum(part.n for part in parts) + sum(map(_independence_search, parts))
+    return _heaviest_independent_set(g, [1] * g.n)[0]
 
 
-def _independence_search(g: Graph) -> int:
-    """alpha(g) by branch and bound from a greedy start, on an explicit stack."""
+def max_weight_independent_set(g: Graph, weights: list[int]) -> tuple[int, tuple[int, ...]]:
+    """A heaviest independent set of g under nonnegative integer vertex weights.
+
+    Returns the weight and the set's vertices in increasing order; vertices
+    of weight 0 are left out. The returned set is a deterministic function of
+    the input.
+    """
+    _require_loopless(g, "maximum-weight independent set")
+    if len(weights) != g.n:
+        raise ValueError(f"{len(weights)} weights given for {g.n} vertices")
+    if any(w < 0 for w in weights):
+        raise ValueError("weights must be nonnegative")
+    return _heaviest_independent_set(g, weights)
+
+
+def _heaviest_independent_set(g: Graph, weights: list[int]) -> tuple[int, tuple[int, ...]]:
+    """The one independent-set search behind alpha and LP pricing.
+
+    Vertices of weight 0 never enter the pool. The maximum adds up over the connected components of the graph the
+    positive vertices induce: a component of one vertex is taken, and every
+    other one is searched on its own by branch and bound, with its vertices
+    relabeled by decreasing weight (ties: lower vertex first).
+    """
     masks = g.neighbor_masks
-    # greedy start: repeatedly take the lowest-degree remaining vertex
-    best = 0
-    pool = (1 << g.n) - 1
+    pool = sum(1 << v for v, w in enumerate(weights) if w)
+    total = 0
+    chosen: list[int] = []
     while pool:
-        m, v, vd = pool, -1, g.n
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            d = (masks[u] & pool).bit_count()
-            if d < vd:
-                v, vd = u, d
-        best += 1
-        pool &= ~(masks[v] | (1 << v))
+        comp = frontier = pool & -pool
+        while frontier:  # breadth-first search on masks
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                reach |= masks[low.bit_length() - 1]
+            frontier = reach & pool & ~comp
+            comp |= frontier
+        pool &= ~comp
+        verts = list(_bits(comp))
+        if len(verts) == 1:
+            total += weights[verts[0]]
+            chosen += verts
+            continue
+        verts.sort(key=lambda v: -weights[v])  # stable: ties keep the lower vertex first
+        index = {v: i for i, v in enumerate(verts)}
+        local = [sum(1 << index[u] for u in _bits(masks[v] & comp)) for v in verts]
+        weight, taken = _independence_search(local, [weights[v] for v in verts])
+        total += weight
+        chosen += (verts[i] for i in _bits(taken))
+    return total, tuple(sorted(chosen))
 
-    def clique_cover_bound(p: int) -> int:
-        # independent sets meet each clique at most once
-        cliques_masks: list[int] = []
-        m = p
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            for i, cm in enumerate(cliques_masks):
-                if cm & ~masks[v] == 0:
-                    cliques_masks[i] = cm | (1 << v)
-                    break
-            else:
-                cliques_masks.append(1 << v)
-        return len(cliques_masks)
 
-    stack = [((1 << g.n) - 1, 0)]  # (candidates, size of the set taken so far)
+def _bits(m: int):
+    """The indices of the set bits of m, lowest first."""
+    while m:
+        low = m & -m
+        m ^= low
+        yield low.bit_length() - 1
+
+
+def _greedy_independent_set(masks: list[int], weights: list[int]) -> tuple[int, int]:
+    """(weight, bitmask) of a maximal independent set taken greedily.
+
+    The vertex taken next has the fewest remaining neighbours, ties going to
+    the lowest index; it leaves with its neighbours. Vertices sit in heaps
+    bucketed by remaining degree, and each degree drop pushes one entry, so
+    the greedy is near-linear in the number of edges.
+    """
+    adjacency = [list(_bits(m)) for m in masks]
+    degree = [len(nbrs) for nbrs in adjacency]
+    buckets: list[list[int]] = [[] for _ in range(max(degree, default=0) + 1)]
+    for v, d in enumerate(degree):
+        buckets[d].append(v)  # ascending, hence already a heap
+    alive = [True] * len(masks)
+    left = len(masks)
+    low = weight = taken = 0
+    while left:
+        bucket = buckets[low]
+        while bucket and not (alive[bucket[0]] and degree[bucket[0]] == low):
+            heapq.heappop(bucket)  # a vertex gone, or one that moved to a lower bucket
+        if not bucket:
+            low += 1
+            continue
+        v = heapq.heappop(bucket)
+        weight += weights[v]
+        taken |= 1 << v
+        alive[v] = False
+        left -= 1
+        for u in adjacency[v]:
+            if alive[u]:
+                alive[u] = False
+                left -= 1
+                for x in adjacency[u]:
+                    if alive[x]:
+                        d = degree[x] = degree[x] - 1
+                        heapq.heappush(buckets[d], x)
+                        low = min(low, d)
+    return weight, taken
+
+
+def _independence_search(masks: list[int], weights: list[int]) -> tuple[int, int]:
+    """(weight, bitmask) of a heaviest independent set, by branch and bound.
+
+    The vertices are indexed by nonincreasing positive weight. Depth-first on
+    an explicit stack from the greedy start; a node is pruned when its bound,
+    the weight taken plus the heaviest weight of each class of a greedy
+    clique cover of the candidates, does not beat the best set found. Unit
+    weights make that bound the number of cliques.
+    """
+    best, best_set = _greedy_independent_set(masks, weights)
+    stack = [((1 << len(masks)) - 1, 0, 0)]  # (candidates, weight taken, set taken)
     while stack:
-        p, size = stack.pop()
-        cnt = p.bit_count()
-        if size + cnt <= best:
+        p, weight, taken = stack.pop()
+        if not p:
+            if weight > best:
+                best, best_set = weight, taken
             continue
-        if cnt == 0:
-            best = size
+        # no candidate is heavier than the lowest-indexed one
+        if weight + p.bit_count() * weights[(p & -p).bit_length() - 1] <= best:
             continue
-        if size + clique_cover_bound(p) <= best:
+        # independent sets meet each clique at most once: cover the candidates
+        # by greedy cliques, each grown from the lowest candidate left by
+        # adding the lowest one adjacent to all of it, so its first vertex is
+        # its heaviest. That is first-fit in index order, at one mask step per
+        # vertex; the node is kept as soon as the bound passes best.
+        bound = weight
+        q = p
+        while q and bound <= best:
+            low = q & -q
+            q ^= low
+            v = low.bit_length() - 1
+            bound += weights[v]
+            common = q & masks[v]
+            while common:
+                low = common & -common
+                q ^= low
+                common &= masks[low.bit_length() - 1]
+        if bound <= best:
             continue
         # branch on the highest-degree candidate: "take v" is popped first
         m, v, bd = p, -1, -1
@@ -329,9 +423,10 @@ def _independence_search(g: Graph) -> int:
             d = (masks[u] & p).bit_count()
             if d > bd:
                 v, bd = u, d
-        stack.append((p & ~(1 << v), size))
-        stack.append((p & ~(masks[v] | (1 << v)), size + 1))
-    return best
+        bit = 1 << v
+        stack.append((p & ~bit, weight, taken))
+        stack.append((p & ~(masks[v] | bit), weight + weights[v], taken | bit))
+    return best, best_set
 
 
 def girth(g: Graph) -> int | float:
@@ -408,12 +503,12 @@ def maximal_independent_sets(g: Graph) -> list[tuple[int, ...]]:
     masks = g.neighbor_masks
     fullmask = (1 << n) - 1
     compat = [fullmask & ~masks[v] & ~(1 << v) for v in range(n)]
-    out: list[int] = []
+    sets: list[tuple[int, ...]] = []
     stack = [(0, fullmask, 0)]  # (set, candidates, excluded)
     while stack:
         r, p, x = stack.pop()
         if p == 0 and x == 0:
-            out.append(r)
+            sets.append(tuple(_bits(r)))
             continue
         pux = p | x
         pivot, bestdeg = -1, -1
@@ -432,6 +527,5 @@ def maximal_independent_sets(g: Graph) -> list[tuple[int, ...]]:
             bit = 1 << v
             m ^= bit
             stack.append((r | bit, p & ~m & compat[v], (x | m) & compat[v]))
-    sets = [tuple(v for v in range(n) if s >> v & 1) for s in out]
     sets.sort()
     return sets

@@ -51,6 +51,17 @@ def brute_independence(g: Graph) -> int:
     return 0
 
 
+def brute_max_weight_independent_set(g: Graph, weights: list[int]) -> int:
+    """The largest total weight over every independent vertex subset."""
+    assert not g.loops
+    best = 0
+    for size in range(1, g.n + 1):
+        for sub in combinations(range(g.n), size):
+            if all(not g.has_edge(u, v) for u, v in combinations(sub, 2)):
+                best = max(best, sum(weights[v] for v in sub))
+    return best
+
+
 def brute_has_cycle_of_length(g: Graph, length: int) -> bool:
     """Any simple cycle of exactly this length, by checking vertex tuples."""
     assert length >= 3

@@ -19,8 +19,11 @@ from prodcolor.graphs import (
     named,
     tensor_product,
 )
-from prodcolor.simplex import solve_covering_lp
+from prodcolor.harness import SuiteConfig, run_suite
+from prodcolor.simplex import add_covering_columns, open_covering_lp, solve_covering_lp
 from prodcolor.solvers import chromatic_number, independence_number
+
+from oracles import brute_maximal_independent_sets
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +125,56 @@ def test_simplex_certificate_on_random_lps(lp, rule):
     assert sol.value == sum(sol.primal.values()) == sum(sol.dual)
 
 
+@settings(max_examples=100, deadline=None)
+@given(_covering_lps(), st.data())
+def test_added_columns_continue_from_the_basis(lp, data):
+    # the first columns that cover every row form the master; the rest arrive
+    # in batches, and the warm-started optimum is the one-shot optimum
+    m, cols = lp
+    first = next(k for k in range(1, len(cols) + 1) if set().union(*cols[:k]) == set(range(m)))
+    master = open_covering_lp(m, cols[:first])
+    rest = cols[first:]
+    while rest:
+        k = data.draw(st.integers(1, len(rest)))
+        add_covering_columns(master, rest[:k])
+        rest = rest[k:]
+    assert master.columns == cols
+    warm, cold = master.solution(), solve_covering_lp(m, cols)
+    assert warm.value == cold.value
+    cover = [Fraction(0)] * m
+    for j, w in warm.primal.items():
+        for i in cols[j]:
+            cover[i] += w
+    assert all(c >= 1 for c in cover)
+    assert all(y >= 0 for y in warm.dual) and all(sum(warm.dual[i] for i in c) <= 1 for c in cols)
+    assert warm.value == sum(warm.primal.values()) == sum(warm.dual)
+    scaled = master.prices()
+    assert warm.dual == tuple(Fraction(v, master.den) for v in scaled)
+
+
+def test_added_columns_that_price_out_keep_the_basis():
+    # weight 1 on (0, 1) and on (1, 2) is optimal and over-covers row 1, so a
+    # surplus is basic; (0,) and (2,) have reduced cost 0, so one pricing pass
+    # confirms the optimum without a pivot
+    master = open_covering_lp(3, [(0, 1), (1, 2)])
+    before = master.solution()
+    add_covering_columns(master, [(0,), (2,)])
+    after = master.solution()
+    assert after.primal == before.primal == {0: 1, 1: 1}
+    assert after.dual == before.dual
+    assert after.iterations == before.iterations + 1
+
+
+def test_added_columns_are_checked():
+    master = open_covering_lp(2, [(0, 1)])
+    with pytest.raises(ValueError, match="empty"):
+        add_covering_columns(master, [()])
+    with pytest.raises(ValueError, match="outside"):
+        add_covering_columns(master, [(0, 2)])
+    add_covering_columns(master, [(0,)])
+    assert master.solution().value == 1
+
+
 # ---------------------------------------------------------------------------
 # fractional chromatic values
 
@@ -159,6 +212,26 @@ def test_chi_f_kneser_larger():
     # chi_f(K(m,k)) = m/k; these need the cap raised
     assert fractional_chromatic(kneser(7, 3), max_vertices=60)[0] == Fraction(7, 3)
     assert fractional_chromatic(kneser(8, 3), max_vertices=60)[0] == Fraction(8, 3)
+
+
+def test_chi_f_petersen_squared_beyond_the_default_cap():
+    # 100 vertices; listing every maximal independent set first never finished
+    p = named("petersen")
+    value, witness = fractional_chromatic(tensor_product(p, p), max_vertices=100)
+    assert value == Fraction(5, 2) and witness.value == value
+    assert witness.covers(tensor_product(p, p))
+
+
+def test_frac_hedetniemi_at_a_raised_cap():
+    # at cap 50 the claim also checks c5xc7, c7xc7, k4xpetersen and c5xpetersen
+    (report,) = run_suite("fractional", SuiteConfig(max_lp_vertices=50))
+    assert report.passed
+    checked = report.witness["checked"]
+    for pair in (["c5", "c7"], ["c7", "c7"], ["k4", "petersen"], ["c5", "petersen"]):
+        assert pair in checked
+    assert [s[:2] for s in report.witness["skipped"]] == [["c7", "petersen"], ["petersen", "petersen"]]
+    (default,) = run_suite("fractional", SuiteConfig())
+    assert len(default.witness["skipped"]) == 6
 
 
 def test_chi_f_edgeless_and_empty():
@@ -209,3 +282,16 @@ def test_chi_f_random_sandwich(data):
     value, witness = fractional_chromatic(g)
     assert witness.covers(g)
     assert Fraction(g.n, independence_number(g)) <= value <= chromatic_number(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_chi_f_matches_the_lp_over_every_maximal_set(data):
+    # column generation reaches the optimum of the LP over all maximal sets
+    n = data.draw(st.integers(1, 8))
+    pairs = list(combinations(range(n), 2))
+    mask = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph.from_edges(n, [e for e, keep in zip(pairs, mask) if keep])
+    value, witness = fractional_chromatic(g)
+    assert value == solve_covering_lp(n, brute_maximal_independent_sets(g)).value
+    assert witness.covers(g) and witness.value == value

@@ -29,6 +29,7 @@ from prodcolor.solvers import (
     is_homomorphism,
     is_proper_coloring,
     k_colorable,
+    max_weight_independent_set,
     maximal_independent_sets,
 )
 
@@ -38,6 +39,7 @@ from oracles import (
     brute_homomorphism_exists,
     brute_independence,
     brute_k_colorable,
+    brute_max_weight_independent_set,
     brute_maximal_independent_sets,
 )
 
@@ -243,6 +245,48 @@ def test_independence_isolated_vertices_at_scale():
     # components are searched one at a time; one greedy over the whole matching took seconds
     matching = Graph.from_edges(4000, [(v, v + 1) for v in range(0, 4000, 2)])
     assert independence_number(matching) == 2000
+    # one connected component: the greedy start and the clique-cover bound
+    # must stay near-linear (the path took seconds with a rescanning greedy)
+    path = Graph.from_edges(4000, [(v, v + 1) for v in range(3999)])
+    assert independence_number(path) == 2000
+
+
+@st.composite
+def _weighted_graphs(draw):
+    """Up to 9 vertices (edgeless ones included) with integer weights 0..20."""
+    g = draw(st.one_of(small_graphs(9), st.integers(0, 9).map(Graph)))
+    weights = draw(st.lists(st.integers(0, 20), min_size=g.n, max_size=g.n))
+    return g, weights
+
+
+@settings(max_examples=150, deadline=None)
+@given(_weighted_graphs())
+@example((cycle(5), [0, 0, 0, 0, 0]))
+@example((Graph(4), [3, 0, 20, 1]))
+@example((complete_graph(4), [5, 5, 0, 5]))
+def test_max_weight_independent_set_matches_brute(gw):
+    g, weights = gw
+    weight, chosen = max_weight_independent_set(g, weights)
+    assert weight == brute_max_weight_independent_set(g, weights)
+    assert list(chosen) == sorted(set(chosen))
+    assert all(not g.has_edge(u, v) for u, v in combinations(chosen, 2))
+    assert sum(weights[v] for v in chosen) == weight
+    assert all(weights[v] > 0 for v in chosen)  # weight-0 vertices are left out
+
+
+def test_max_weight_independent_set_unit_weights_and_errors():
+    g = named("petersen")
+    assert max_weight_independent_set(g, [1] * g.n)[0] == independence_number(g) == 4
+    # one heavy vertex beats any set of its neighbours' light ones
+    star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    assert max_weight_independent_set(star, [4, 1, 1, 1]) == (4, (0,))
+    assert max_weight_independent_set(star, [2, 1, 1, 1]) == (3, (1, 2, 3))
+    with pytest.raises(ValueError, match="nonnegative"):
+        max_weight_independent_set(star, [1, -1, 1, 1])
+    with pytest.raises(ValueError, match="weights given"):
+        max_weight_independent_set(star, [1, 1])
+    with pytest.raises(ValueError):
+        max_weight_independent_set(add_loops(star), [1] * 4)
 
 
 # ---------------------------------------------------------------------------
