@@ -104,9 +104,6 @@ def serialize_reports(reports: list[ClaimReport], mask_timing: bool = False) -> 
 # ---------------------------------------------------------------------------
 # instances
 
-# tests/test_acceptance.py builds its instances through this name
-small_graph = graphs.named
-
 # the seeded random instances draw their vertex count uniformly up to these
 # maxima, and keep each edge or arc independently with these probabilities
 HEDETNIEMI_MAX_N = 8

@@ -19,10 +19,15 @@ the two a caller prices new columns on the integer duals ``den * y``: a
 column is worth adding iff its duals sum to more than ``den``.
 ``solve_covering_lp`` is the one-shot form of the same path.
 
-Entering column: most negative reduced cost with lowest-index tie-break
-("dantzig", the default) or Bland's lowest-index rule ("bland"). Leaving row:
-lexicographic ratio test, which is deterministic and prevents cycling under
-either entering rule.
+One pivot rule: the entering variable has the most negative reduced cost,
+lowest id on ties (Dantzig pricing); the leaving row wins the lexicographic
+ratio test (Dantzig-Orden-Wolfe 1955), which also ends every degenerate
+stall. The first basis is the artificials, B = I and x_B = 1, so every row of
+[x_B | B^-1] is lexicographically positive; each lexicographic pivot keeps
+them so, and phase 2 and ``add_covering_columns`` continue from the same
+basis. Within a phase, the row [c_B x_B | c_B B^-1] (value and duals) then
+strictly decreases lexicographically at every pivot, so no basis repeats,
+whatever the entering rule.
 """
 
 from __future__ import annotations
@@ -52,11 +57,10 @@ class CoverLp:
     ``prices()`` the optimal duals as integers ``den * y``.
     """
 
-    def __init__(self, m: int, columns: list[tuple[int, ...]], rule: str):
+    def __init__(self, m: int, columns: list[tuple[int, ...]]):
         self.m = m
         self.columns = columns
         self.ns = len(columns)
-        self.rule = rule
         self.iterations = 0
         # B^-1 = binv / den and x_B = xb / den, all ints, den = |det B| > 0
         self.den = 1
@@ -81,24 +85,19 @@ class CoverLp:
         return CoverLpSolution(value, primal, dual, self.iterations)
 
 
-def solve_covering_lp(num_rows: int, columns: list[tuple[int, ...]], rule: str = "dantzig") -> CoverLpSolution:
+def solve_covering_lp(num_rows: int, columns: list[tuple[int, ...]]) -> CoverLpSolution:
     """Exact optimum of the unit-cost covering LP over the given columns."""
-    return open_covering_lp(num_rows, columns, rule).solution()
+    return open_covering_lp(num_rows, columns).solution()
 
 
-def open_covering_lp(num_rows: int, columns: list[tuple[int, ...]], rule: str = "dantzig") -> CoverLp:
+def open_covering_lp(num_rows: int, columns: list[tuple[int, ...]]) -> CoverLp:
     """The covering LP over the given columns, solved to optimality by both phases."""
-    if rule not in ("dantzig", "bland"):
-        raise ValueError(f"unknown pivot rule {rule!r}")
     m = num_rows
-    lp = CoverLp(m, list(columns), rule)
+    lp = CoverLp(m, list(columns))
+    _check_columns(m, lp.columns)
     if m == 0:
         return lp
-    covered = set()
-    for j, col in enumerate(columns):
-        if not col:
-            raise ValueError(f"column {j} is empty")
-        covered.update(col)
+    covered = set().union(*lp.columns)
     if covered != set(range(m)):
         missing = sorted(set(range(m)) - covered)
         raise ValueError(f"rows {missing} are covered by no column; LP infeasible")
@@ -119,14 +118,19 @@ def add_covering_columns(lp: CoverLp, columns: list[tuple[int, ...]]) -> None:
     The new columns enter nonbasic at zero, so the basis stays primal feasible
     and phase 2 continues from it; phase 1 is not run again.
     """
-    for col in columns:
-        if not col or not all(0 <= i < lp.m for i in col):
-            raise ValueError(f"column {col!r} is empty or names a row outside 0..{lp.m - 1}")
+    _check_columns(lp.m, columns)
     k, ns = len(columns), lp.ns
     lp.basis = [b + k if b >= ns else b for b in lp.basis]  # slack ids move up
     lp.columns += columns
     lp.ns += k
     lp.iterations += _iterate(lp, phase1=False)
+
+
+def _check_columns(m: int, columns: list[tuple[int, ...]]) -> None:
+    """Each column must be a nonempty set of distinct rows in 0..m-1."""
+    for j, col in enumerate(columns):
+        if not col or len(set(col)) != len(col) or not all(0 <= i < m for i in col):
+            raise ValueError(f"column {j} {col!r} is empty, repeats a row or names a row outside 0..{m - 1}")
 
 
 def _transformed_column(st: CoverLp, enter: int) -> list[int]:
@@ -174,34 +178,18 @@ def _dual_prices(st: CoverLp, phase1: bool) -> list[int]:
 
 
 def _iterate(st: CoverLp, phase1: bool) -> int:
-    # Long degenerate stalls are normal here (covering LPs over symmetric
-    # graphs), and the lexicographic test usually resolves them. Should a
-    # stall outlast the threshold, switch to full Bland pivoting, whose
-    # termination guarantee needs no basis invariant, until the objective
-    # strictly moves again.
-    stall_threshold = max(1000, 40 * st.m)
-    stalled = 0
-    fallback = False
     iterations = 0
-    rule = st.rule
     while True:
         iterations += 1
         if iterations > _ITERATION_GUARD:
             raise RuntimeError("simplex iteration guard tripped")
-        effective = "bland" if fallback else rule
-        enter = _price(st, _dual_prices(st, phase1), phase1, effective)
+        enter = _price(st, _dual_prices(st, phase1), phase1)
         if enter < 0:
             return iterations
-        degenerate = _pivot(st, enter, effective)
-        if degenerate:
-            stalled += 1
-            fallback = fallback or rule == "bland" or stalled > stall_threshold
-        else:
-            stalled = 0
-            fallback = rule == "bland"
+        _pivot(st, enter)
 
 
-def _price(st: CoverLp, p: list[int], phase1: bool, rule: str) -> int:
+def _price(st: CoverLp, p: list[int], phase1: bool) -> int:
     """Entering variable index, or -1 at optimality.
 
     Works on integer-scaled reduced costs z_j = q * r_j with q = den: the sign
@@ -212,11 +200,8 @@ def _price(st: CoverLp, p: list[int], phase1: bool, rule: str) -> int:
     struct_cost = 0 if phase1 else q
     price = p.__getitem__
     z = [struct_cost - sum(map(price, col)) for col in st.columns]
-    if rule == "bland":
-        j = next((j for j, zj in enumerate(z) if zj < 0), -1)
-    else:
-        j = z.index(min(z))
-    if j >= 0 and z[j] < 0:
+    j = z.index(min(z))
+    if z[j] < 0:
         candidates.append((z[j], j))
     for i in range(m):  # surplus columns: A = -e_i, cost 0
         if p[i] < 0:
@@ -225,39 +210,19 @@ def _price(st: CoverLp, p: list[int], phase1: bool, rule: str) -> int:
         for i in range(m):  # artificial columns: A = e_i, cost 1
             if q - p[i] < 0:
                 candidates.append((q - p[i], ns + m + i))
-    if not candidates:
-        return -1
-    if rule == "bland":
-        return min(j for _, j in candidates)
-    return min(candidates)[1]
+    return min(candidates)[1] if candidates else -1
 
 
-def _pivot(st: CoverLp, enter: int, rule: str) -> bool:
-    """Ratio test and basis update; returns True when the step is degenerate.
-
-    Ties break lexicographically, or by smallest basic-variable index when
-    running under Bland's rule.
-    """
+def _pivot(st: CoverLp, enter: int) -> None:
+    """Lexicographic ratio test and basis update."""
     d = _transformed_column(st, enter)
-    xb = st.xb
     leave = -1
     for r in range(st.m):
-        if d[r] <= 0:
-            continue
-        if leave < 0:
-            leave = r
-        elif rule == "bland":
-            # xb[r] / d[r] against xb[leave] / d[leave]; both d are positive
-            a, b = xb[r] * d[leave], xb[leave] * d[r]
-            if a < b or (a == b and st.basis[r] < st.basis[leave]):
-                leave = r
-        elif _lex_less(st, d, r, leave):
+        if d[r] > 0 and (leave < 0 or _lex_less(st, d, r, leave)):
             leave = r
     if leave < 0:
         raise RuntimeError("LP unbounded; covering LPs cannot be unbounded")
-    degenerate = xb[leave] == 0
     _eliminate(st, d, leave, enter)
-    return degenerate
 
 
 def _lex_less(st: CoverLp, d: list[int], r: int, s: int) -> bool:

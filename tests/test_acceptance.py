@@ -42,7 +42,6 @@ from prodcolor.harness import (
     random_graph,
     run_suite,
     serialize_reports,
-    small_graph,
 )
 from prodcolor.solvers import (
     chromatic_number,
@@ -84,7 +83,7 @@ def test_criterion_02_el_zahar_sauer():
     ok = True
     for name, expected_vertices in (("k4", 81), ("k5", 243), ("w5", 729)):
         t0 = time.perf_counter()
-        report = es_exponential_check(small_graph(name))
+        report = es_exponential_check(named(name))
         ok &= report.passed and report.vertices == expected_vertices and report.chi == 3
         ok &= time.perf_counter() - t0 < 10 * 60
     crit.finish(ok)
@@ -177,13 +176,13 @@ def test_criterion_09_bound_chain():
 def test_criterion_10_fractional_hedetniemi():
     crit = _Criterion(10, "frac-hedetniemi", budget_seconds=10 * 60)
     catalog = ["k3", "k4", "c5", "c7", "petersen"]
-    singles = {name: fractional_chromatic(small_graph(name))[0] for name in catalog}
+    singles = {name: fractional_chromatic(named(name))[0] for name in catalog}
     ok = singles["c5"] == Fraction(5, 2)
     ok &= singles["petersen"] == Fraction(5, 2)
     skipped = []
     for i, gname in enumerate(catalog):
         for hname in catalog[i:]:
-            g, h = small_graph(gname), small_graph(hname)
+            g, h = named(gname), named(hname)
             if g.n * h.n > 30:
                 skipped.append((gname, hname))
                 continue
@@ -216,7 +215,7 @@ def test_criterion_12_blowup_identities():
     crit = _Criterion(12, "blowup-identities", budget_seconds=5 * 60)
     ok = chromatic_number(blowup(cycle(5), 2)) == 5
     for name in ("c5", "petersen", "heawood"):
-        g = small_graph(name)
+        g = named(name)
         alpha = independence_number(g)
         for q in (2, 3):
             ok &= independence_number(blowup(g, q)) == alpha

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -59,28 +58,13 @@ def test_simplex_empty():
 def test_simplex_rejects_uncoverable_rows():
     with pytest.raises(ValueError, match="covered by no column"):
         solve_covering_lp(2, [(0,)])
-    with pytest.raises(ValueError, match="empty"):
+    with pytest.raises(ValueError, match=r"column 1 \(\) is empty"):
         solve_covering_lp(1, [(0,), ()])
-
-
-def test_simplex_bland_agrees_with_dantzig():
-    rng = random.Random(17)
-    for _ in range(15):
-        m = rng.randint(1, 6)
-        cols = []
-        for _ in range(rng.randint(1, 10)):
-            size = rng.randint(1, m)
-            cols.append(tuple(sorted(rng.sample(range(m), size))))
-        for i in range(m):  # make every row coverable
-            cols.append((i,))
-        a = solve_covering_lp(m, cols, rule="dantzig")
-        b = solve_covering_lp(m, cols, rule="bland")
-        assert a.value == b.value
-
-
-def test_simplex_unknown_rule():
-    with pytest.raises(ValueError):
-        solve_covering_lp(1, [(0,)], rule="steepest")
+    # a repeated row is not set membership: (0, 0) would count row 0 twice
+    with pytest.raises(ValueError, match=r"column 0 \(0, 0\) .*repeats a row"):
+        solve_covering_lp(1, [(0, 0)])
+    with pytest.raises(ValueError, match=r"column 0 \(0, 1, 5\) .*outside 0\.\.1"):
+        solve_covering_lp(2, [(0, 1, 5)])
 
 
 def test_simplex_degenerate_instances():
@@ -106,14 +90,14 @@ def _covering_lps(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_covering_lps(), st.sampled_from(["dantzig", "bland"]))
+@given(_covering_lps())
 # found by the search against a pivot that left the rows off the pivot column
-# at the old denominator
-@example((6, [(0, 1, 2, 4, 5), (0,), (0,), (0,), (0,), (3, 4), (0, 1, 2, 3)]), "bland")
-def test_simplex_certificate_on_random_lps(lp, rule):
+# at the old denominator: that pivot returns value 0 and an empty cover here
+@example((5, [(1, 2, 3, 4), (0, 1, 2, 3), (0, 4)]))
+def test_simplex_certificate_on_random_lps(lp):
     # checked with no simplex code: primal covers, dual is feasible, values agree
     m, cols = lp
-    sol = solve_covering_lp(m, cols, rule=rule)
+    sol = solve_covering_lp(m, cols)
     cover = [Fraction(0)] * m
     for j, w in sol.primal.items():
         assert w > 0
@@ -125,19 +109,26 @@ def test_simplex_certificate_on_random_lps(lp, rule):
     assert sol.value == sum(sol.primal.values()) == sum(sol.dual)
 
 
-@settings(max_examples=100, deadline=None)
-@given(_covering_lps(), st.data())
-def test_added_columns_continue_from_the_basis(lp, data):
-    # the first columns that cover every row form the master; the rest arrive
-    # in batches, and the warm-started optimum is the one-shot optimum
-    m, cols = lp
+def _warm_starts(m, cols, data):
+    """The LP opened on the first columns that cover every row, then with the
+    rest added in drawn batches; yields the LP after each step."""
     first = next(k for k in range(1, len(cols) + 1) if set().union(*cols[:k]) == set(range(m)))
     master = open_covering_lp(m, cols[:first])
+    yield master
     rest = cols[first:]
     while rest:
         k = data.draw(st.integers(1, len(rest)))
         add_covering_columns(master, rest[:k])
         rest = rest[k:]
+        yield master
+
+
+@settings(max_examples=100, deadline=None)
+@given(_covering_lps(), st.data())
+def test_added_columns_continue_from_the_basis(lp, data):
+    # the warm-started optimum is the one-shot optimum
+    m, cols = lp
+    *_, master = _warm_starts(m, cols, data)
     assert master.columns == cols
     warm, cold = master.solution(), solve_covering_lp(m, cols)
     assert warm.value == cold.value
@@ -150,6 +141,19 @@ def test_added_columns_continue_from_the_basis(lp, data):
     assert warm.value == sum(warm.primal.values()) == sum(warm.dual)
     scaled = master.prices()
     assert warm.dual == tuple(Fraction(v, master.den) for v in scaled)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_covering_lps(), st.data())
+def test_basis_rows_stay_lexicographically_positive(lp, data):
+    # the termination argument of the simplex: every row of [x_B | B^-1] is
+    # lexicographically positive at the first (artificial) basis, and each
+    # lexicographic pivot keeps it so, also across added columns
+    m, cols = lp
+    for master in _warm_starts(m, cols, data):
+        assert master.den > 0
+        for x, row in zip(master.xb, master.binv):
+            assert next(v for v in [x, *row] if v) > 0
 
 
 def test_added_columns_that_price_out_keep_the_basis():
@@ -171,6 +175,8 @@ def test_added_columns_are_checked():
         add_covering_columns(master, [()])
     with pytest.raises(ValueError, match="outside"):
         add_covering_columns(master, [(0, 2)])
+    with pytest.raises(ValueError, match=r"column 1 \(0, 0\) .*repeats a row"):
+        add_covering_columns(master, [(1,), (0, 0)])
     add_covering_columns(master, [(0,)])
     assert master.solution().value == 1
 
