@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations, permutations, product
 
-from prodcolor.graphs import Graph
+from prodcolor.graphs import Digraph, Graph
 
 
 def brute_k_colorable(g: Graph, k: int) -> bool:
@@ -117,3 +117,19 @@ def brute_maximal_independent_sets(g: Graph) -> list[tuple[int, ...]]:
         if not any(s < t for t in independent):
             out.append(tuple(sorted(s)))
     return sorted(out)
+
+
+def all_labelled_digraphs(n_max: int):
+    """Every labelled loopless digraph on 1..n_max vertices, one per arc mask."""
+    for n in range(1, n_max + 1):
+        possible = [(x, y) for x in range(n) for y in range(n) if x != y]
+        for mask in range(1 << len(possible)):
+            arcs = [possible[i] for i in range(len(possible)) if mask >> i & 1]
+            yield Digraph.from_arcs(n, arcs)
+
+
+def brute_canonical_digraph(d: Digraph) -> tuple[tuple[int, int], ...]:
+    """The least sorted arc tuple over all n! relabellings of d."""
+    return min(
+        tuple(sorted((p[x], p[y]) for x, y in d.arcs)) for p in permutations(range(d.n))
+    )

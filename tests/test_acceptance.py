@@ -35,7 +35,6 @@ from prodcolor.harness import (
     ARC_PROBABILITY,
     EDGE_PROBABILITY,
     SuiteConfig,
-    _all_digraphs_up_to,
     _digraph_pairs,
     es_exponential_check,
     random_digraph,
@@ -49,6 +48,8 @@ from prodcolor.solvers import (
     is_proper_coloring,
     k_colorable,
 )
+
+from oracles import all_labelled_digraphs
 
 
 class _Criterion:
@@ -130,7 +131,7 @@ def test_criterion_06_lemma_rel():
     cfg = SuiteConfig()
     ok = True
     count = 0
-    for d in _all_digraphs_up_to(4):
+    for d in all_labelled_digraphs(4):
         count += 1
         ok &= lemma_rel_bounds_check(d).passed
         ok &= lemma_rel_transforms_check(d)

@@ -1,21 +1,34 @@
 from __future__ import annotations
 
 import json
+import random
+from collections import Counter
 
 import pytest
 
-from prodcolor.graphs import complete_graph, cycle
+from prodcolor import arcshift
+from prodcolor.arcshift import lemma_rel_bounds_check, lemma_rel_transforms_check
+from prodcolor.errors import CapExceeded
+from prodcolor.graphs import Digraph, complete_graph, cycle
 from prodcolor.harness import (
+    ARC_PROBABILITY,
+    LEMMA_REL_RANDOM_MAX_N,
     SUITES,
     SuiteConfig,
     _CLAIMS,
+    _claim_lem_rel,
+    _digraph_classes_up_to,
     es_exponential_check,
     multiplicativity_check,
+    random_digraph,
     report_to_obj,
     run_suite,
     serialize_reports,
     thm_main_kneser_check,
 )
+from prodcolor.solvers import Coloring
+
+from oracles import all_labelled_digraphs, brute_canonical_digraph
 
 
 LIGHT = SuiteConfig(
@@ -130,3 +143,50 @@ def test_thm_main_kneser_cap():
 
     with pytest.raises(CapExceeded, match="solver cap"):
         thm_main_kneser_check(5, 3)  # C(15, 3) = 455 vertices
+
+
+def test_digraph_classes_match_brute_canonical_forms():
+    classes = _digraph_classes_up_to(4)
+    assert Counter(d.n for d, _ in classes) == {1: 1, 2: 3, 3: 16, 4: 218}
+    forms = [(d.n, brute_canonical_digraph(d)) for d, _ in classes]
+    assert len(set(forms)) == len(forms)
+    orbits = Counter((d.n, brute_canonical_digraph(d)) for d in all_labelled_digraphs(4))
+    assert set(forms) == set(orbits)
+    assert all(orbit == orbits[form] for (_, orbit), form in zip(classes, forms))
+    assert sum(orbits.values()) == 1 + 4 + 64 + 4096
+
+
+def test_digraph_classes_refuse_six_vertices():
+    with pytest.raises(CapExceeded, match="lemma_rel_exhaustive_n=6"):
+        _claim_lem_rel(SuiteConfig(lemma_rel_exhaustive_n=6))
+
+
+def test_lemma_rel_is_invariant_under_relabelling():
+    rng = random.Random(59)
+    for _ in range(30):
+        d = random_digraph(rng, 1, LEMMA_REL_RANDOM_MAX_N, ARC_PROBABILITY)
+        report = lemma_rel_bounds_check(d)
+        for _ in range(3):
+            p = list(range(d.n))
+            rng.shuffle(p)
+            relabelled = Digraph.from_arcs(d.n, [(p[x], p[y]) for x, y in d.arcs])
+            assert lemma_rel_bounds_check(relabelled) == report
+            assert lemma_rel_transforms_check(relabelled)
+
+
+def test_lem_rel_witness_counts_classes_and_labelled_digraphs():
+    params, ok, witness = _claim_lem_rel(LIGHT)
+    assert ok and params["exhaustive_n"] == 2
+    assert witness["exhaustive_classes"] == 4
+    assert witness["labelled_covered"] == 5
+
+
+def test_lem_rel_fails_on_a_broken_up_transform(monkeypatch):
+    def improper(level, set_coloring):
+        return Coloring((0,) * len(level.index.arcs), 1)
+
+    monkeypatch.setattr(arcshift, "_coloring_up", improper)
+    _, ok, witness = _claim_lem_rel(LIGHT)
+    assert not ok and witness["failures"]
+    representatives = [{"n": d.n, "arcs": sorted(d.arcs)} for d, _ in _digraph_classes_up_to(2)]
+    assert any(f in representatives for f in witness["failures"])
