@@ -340,3 +340,111 @@ def test_import_loads_no_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# exact --format obj bytes: one JSON line per command, keys sorted
+
+C5_OBJ = '{"edges": [[0, 1], [0, 4], [1, 2], [2, 3], [3, 4]], "loops": [], "n": 5}'
+
+
+def _files(tmp_path) -> dict[str, str]:
+    texts = {
+        "c5": serialize_graph(named("c5")),
+        "k3d": "3 6\n0 -> 1\n0 -> 2\n1 -> 0\n1 -> 2\n2 -> 0\n2 -> 1\n",
+        "dx": "4 5\n0 -> 1\n1 -> 2\n2 -> 0\n2 -> 3\n3 -> 2\n",
+        "col": '{"k": 3, "colors": [1, 2, 0, 2, 0, 1]}',
+        "sets": '{"k": 3, "size": 1, "sets": [[0], [1], [2]]}',
+    }
+    paths = {}
+    for name, text in texts.items():
+        path = tmp_path / name
+        path.write_text(text)
+        paths[name] = str(path)
+    return paths
+
+
+def test_gen_obj_bytes_with_loops(capsys, tmp_path):
+    f = _files(tmp_path)
+    code, out, _ = run(capsys, "gen", "loops", f["c5"], "--format", "obj")
+    assert code == 0
+    assert out == (
+        '{"edges": [[0, 1], [0, 4], [1, 2], [2, 3], [3, 4]], "loops": [0, 1, 2, 3, 4], "n": 5}\n'
+    )
+    code, out, _ = run(capsys, "gen", "cycle", "5", "--format", "obj")
+    assert code == 0 and out == C5_OBJ + "\n"
+
+
+def test_dgen_obj_bytes(capsys, tmp_path):
+    f = _files(tmp_path)
+    code, out, _ = run(capsys, "dgen", "complete", "3", "--format", "obj")
+    assert code == 0
+    assert out == '{"arcs": [[0, 1], [0, 2], [1, 0], [1, 2], [2, 0], [2, 1]], "n": 3}\n'
+    code, out, _ = run(capsys, "dgen", "parse", f["dx"], "--format", "obj")
+    assert code == 0
+    assert out == '{"arcs": [[0, 1], [1, 2], [2, 0], [2, 3], [3, 2]], "n": 4}\n'
+
+
+def test_shift_obj_bytes(capsys, tmp_path):
+    f = _files(tmp_path)
+    code, out, _ = run(capsys, "shift", "build", f["k3d"], "--format", "obj")
+    assert code == 0
+    assert out == (
+        '{"arc_index": [[0, 1], [0, 2], [1, 0], [1, 2], [2, 0], [2, 1]], '
+        '"shift": {"arcs": [[0, 2], [0, 3], [1, 4], [1, 5], [2, 0], [2, 1], '
+        '[3, 4], [3, 5], [4, 0], [4, 1], [5, 2], [5, 3]], "n": 6}}\n'
+    )
+    code, out, _ = run(capsys, "shift", "down", f["k3d"], "--coloring", f["col"],
+                       "--format", "obj")
+    assert code == 0
+    assert out == '{"k": 3, "sets": [[1, 2], [0, 2], [0, 1]], "size": null}\n'
+    code, out, _ = run(capsys, "shift", "up", f["k3d"], "--set-coloring", f["sets"],
+                       "--format", "obj")
+    assert code == 0
+    assert out == '{"colors": [1, 2, 0, 2, 0, 1], "k": 3}\n'
+    code, out, _ = run(capsys, "shift", "bounds", f["dx"], "--format", "obj")
+    assert code == 0
+    assert out == '{"chi_d": 3, "chi_shift": 3, "lower": 2, "passed": true, "upper": 3}\n'
+    code, out, _ = run(capsys, "shift", "chain", f["k3d"], f["dx"], "--format", "obj")
+    assert code == 0
+    assert out == (
+        '{"chi_product": 3, "chi_product_reversed": 3, '
+        '"chi_underline_product": 3, "passed": true}\n'
+    )
+
+
+def test_exp_mu_theta_obj_bytes(capsys, tmp_path):
+    f = _files(tmp_path)
+    code, out, _ = run(capsys, "exp", "mu", f["c5"], "-q", "2", "-t", "5", "--format", "obj")
+    assert code == 0
+    assert out == (
+        '{"base": ' + C5_OBJ + ', "c": 10, "q": 2, "simple": false, '
+        '"values": [0, 1, 2, 3, 0, 1, 0, 1, 2, 3]}\n'
+    )
+    code, out, _ = run(capsys, "exp", "theta", f["c5"], "-q", "1", "--format", "obj")
+    assert code == 0
+    assert out == (
+        '{"base": ' + C5_OBJ + ', "c": 6, "q": 1, "simple": true, "values": [2, 2, 3, 3, 2]}\n'
+    )
+
+
+def test_exp_verify_mu_clique_obj_bytes(capsys, tmp_path):
+    # C5 has girth 5, so every pair of mu maps shares a value on some edge
+    f = _files(tmp_path)
+    code, out, _ = run(capsys, "exp", "verify-mu-clique", f["c5"], "-q", "1",
+                       "--format", "obj")
+    assert code == 0
+    pairs = [(2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)]
+    violations = ", ".join(f"[{t}, {tp}, [[2, 0], [3, 0]], 0]" for t, tp in pairs)
+    assert out == f'{{"pairs_checked": 6, "passed": false, "violations": [{violations}]}}\n'
+
+
+def test_masked_suite_bytes_are_pinned(capsys):
+    # the reproducibility contract: the same hash is checked under python -O in CI
+    import hashlib
+
+    code, out, _ = run(capsys, "verify", "suite", "all", "--format", "obj", "--mask-timing")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4796a5b1559a0df4e5c06a036683f377a7429d6a6fb1665656eecc3d15cc3ccb"
+    )
