@@ -51,9 +51,13 @@ def _load_digraph(path: str) -> graphs.Digraph:
     return serialize.parse_digraph(text)
 
 
+def _emit_obj(value) -> None:
+    print(json.dumps(serialize.to_obj(value), sort_keys=True))
+
+
 def _emit_graph(g: graphs.Graph, args) -> None:
     if args.format == "obj":
-        print(json.dumps(serialize.graph_to_obj(g), sort_keys=True))
+        _emit_obj(g)
     elif args.format == "dot":
         sys.stdout.write(serialize.graph_to_dot(g, args.one_based))
     else:
@@ -62,15 +66,11 @@ def _emit_graph(g: graphs.Graph, args) -> None:
 
 def _emit_digraph(d: graphs.Digraph, args) -> None:
     if args.format == "obj":
-        print(json.dumps(serialize.digraph_to_obj(d), sort_keys=True))
+        _emit_obj(d)
     elif args.format == "dot":
         sys.stdout.write(serialize.digraph_to_dot(d, args.one_based))
     else:
         sys.stdout.write(serialize.serialize_digraph(d, args.one_based))
-
-
-def _emit_obj(obj) -> None:
-    print(json.dumps(obj, sort_keys=True))
 
 
 # ---------------------------------------------------------------------------
@@ -136,12 +136,7 @@ def _cmd_invariant(args) -> int:
     elif args.which == "chif":
         value, witness = fractional.fractional_chromatic(g, args.max_lp_vertices)
         if args.format == "obj":
-            _emit_obj(
-                {
-                    "value": [value.numerator, value.denominator],
-                    "coloring": serialize.fractional_coloring_to_obj(witness),
-                }
-            )
+            _emit_obj({"value": value, "coloring": witness})
         else:
             print(value)
     elif args.which == "alpha":
@@ -200,13 +195,7 @@ def _cmd_exp(args) -> int:
             m = exponential.shitov_theta(g, args.vertex, args.q, b=args.b, t=args.t)
         if args.format == "obj":
             _emit_obj(
-                {
-                    "base": serialize.graph_to_obj(g),
-                    "q": args.q,
-                    "c": m.ctx.c,
-                    "values": list(m.exp.values),
-                    "simple": m.simple,
-                }
+                {"base": g, "q": args.q, "c": m.ctx.c, "values": m.exp.values, "simple": m.simple}
             )
         else:
             off = 1 if args.one_based else 0
@@ -216,13 +205,7 @@ def _cmd_exp(args) -> int:
         g = _load_graph(args.input)
         report = exponential.verify_mu_clique(g, args.vertex, args.q)
         if args.format == "obj":
-            _emit_obj(
-                {
-                    "passed": report.passed,
-                    "pairs_checked": report.pairs_checked,
-                    "violations": harness._jsonable(report.violations),
-                }
-            )
+            _emit_obj(report)
         else:
             print(f"pass: {str(report.passed).lower()} ({report.pairs_checked} pairs)")
             for t, tp, edge, value in report.violations:
@@ -240,12 +223,7 @@ def _cmd_shift(args) -> int:
         d = _load_digraph(args.input)
         shifted, index = arcshift.arc_shift(d)
         if args.format == "obj":
-            _emit_obj(
-                {
-                    "shift": serialize.digraph_to_obj(shifted),
-                    "arc_index": [list(a) for a in index.arcs],
-                }
-            )
+            _emit_obj({"shift": shifted, "arc_index": index.arcs})
         else:
             _emit_digraph(shifted, args)
         return 0
@@ -254,7 +232,7 @@ def _cmd_shift(args) -> int:
             raise _UsageError("shift down needs --coloring FILE")
         d = _load_digraph(args.input)
         sc = arcshift.coloring_down(d, _load_coloring(args.coloring))
-        _emit_obj(serialize.set_coloring_to_obj(sc))
+        _emit_obj(sc)
         return 0
     if args.action == "up":
         if args.set_coloring is None:
@@ -262,7 +240,7 @@ def _cmd_shift(args) -> int:
         d = _load_digraph(args.input)
         sc = serialize.set_coloring_from_obj(json.loads(_read_text(args.set_coloring)))
         coloring = arcshift.coloring_up(d, sc)
-        _emit_obj(serialize.coloring_to_obj(coloring))
+        _emit_obj(coloring)
         return 0
     if args.action == "schelp":
         coloring = arcshift.schelp_coloring()
@@ -283,29 +261,12 @@ def _cmd_shift(args) -> int:
         return 0
     if args.action == "bounds":
         d = _load_digraph(args.input)
-        report = arcshift.lemma_rel_bounds_check(d)
-        _emit_obj(
-            {
-                "chi_d": report.chi_d,
-                "chi_shift": report.chi_shift,
-                "lower": report.lower,
-                "upper": report.upper,
-                "passed": report.passed,
-            }
-        )
+        _emit_obj(arcshift.lemma_rel_bounds_check(d))
         return 0
     if args.action == "chain":
         d1 = _load_digraph(args.d1)
         d2 = _load_digraph(args.d2)
-        report = arcshift.bound_chain_instance(d1, d2)
-        _emit_obj(
-            {
-                "chi_product": report.chi_product,
-                "chi_product_reversed": report.chi_product_reversed,
-                "chi_underline_product": report.chi_underline_product,
-                "passed": report.passed,
-            }
-        )
+        _emit_obj(arcshift.bound_chain_instance(d1, d2))
         return 0
     raise _UsageError(f"unknown shift action {args.action!r}")
 

@@ -379,34 +379,22 @@ def verify_mu_clique(g: Graph, v: int, q: int, *, jobs: int = 1) -> MuCliqueRepo
     if jobs != 1:
         raise ValueError(f"jobs must be 1, got {jobs}")
     mus = {t: shitov_mu(g, v, q, t) for t in secondary_block(q)}
-    blown = blowup(g, q)
-    pair_list = list(combinations(sorted(mus), 2))
-
-    def check(pair: tuple[int, int]):
-        t, tp = pair
-        if exp_adjacent(mus[t], mus[tp]):
-            return None
-        for x, y in blown.sorted_edges:
-            for a, bb in ((x, y), (y, x)):
-                if mus[t].exp.values[a] == mus[tp].exp.values[bb]:
-                    return (
-                        t,
-                        tp,
-                        ((a // q, a % q), (bb // q, bb % q)),
-                        mus[t].exp.values[a],
-                    )
-        raise AssertionError("non-adjacent pair must have a witnessing edge")
-
-    results = [check(p) for p in pair_list]
-    violations = tuple(r for r in results if r is not None)
-    return MuCliqueReport(not violations, len(pair_list), violations)
+    # all mu_t share one exponential graph, whose checks list each blow-up
+    # edge as (x, y) and then (y, x); a blow-up has no loops, so a pair is
+    # adjacent iff no check (a, b) has f(a) == g(b)
+    checks = mus[2 * q].ctx.directed_checks
+    pairs = list(combinations(mus, 2))
+    violations = []
+    for t, tp in pairs:
+        f, fp = mus[t].exp.values, mus[tp].exp.values
+        witness = next(((a, b) for a, b in checks if f[a] == fp[b]), None)
+        if witness is not None:
+            a, b = witness
+            violations.append((t, tp, ((a // q, a % q), (b // q, b % q)), f[a]))
+    return MuCliqueReport(not violations, len(pairs), tuple(violations))
 
 
-def observation_image_check(
-    ctx: ExpContext,
-    coloring: Coloring,
-    max_vertices: int = DEFAULT_MAX_EXP_VERTICES,
-) -> bool:
+def observation_image_check(ctx: ExpContext, coloring: Coloring) -> bool:
     """Does every map's color lie in the map's image?
 
     The caller supplies a proper coloring of the materialized exponential
@@ -419,8 +407,6 @@ def observation_image_check(
     unreachable.
     """
     n_maps = ctx.num_maps
-    if n_maps > max_vertices:
-        raise CapExceeded(f"{n_maps} maps exceed the max_vertices cap of {max_vertices}")
     if len(coloring.colors) != n_maps:
         raise NormalizationError(
             f"coloring covers {len(coloring.colors)} maps, graph has {n_maps}"

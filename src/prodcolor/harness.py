@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import permutations
 from typing import Any, Callable
@@ -30,21 +30,14 @@ from typing import Any, Callable
 from . import arcshift, exponential, fractional, graphs, solvers
 from .errors import CapExceeded
 from .graphs import Digraph, Graph
+from .serialize import to_obj
 
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Seed, instance caps, and sample counts for the verification suites."""
+    """Seed and instance caps for the verification suites."""
 
     seed: int = 7
-    hedetniemi_pairs: int = 50
-    digraph_pairs: int = 100
-    bound_chain_pairs: int = 50
-    lemma_rel_exhaustive_n: int = 4
-    lemma_rel_random: int = 100
-    es_bases: tuple[str, ...] = ("k4", "k5", "w5")
-    mu_clique_qs: tuple[int, ...] = (1, 2, 3)
-    frac_catalog: tuple[str, ...] = ("k3", "k4", "c5", "c7", "petersen")
     max_lp_vertices: int = fractional.DEFAULT_MAX_LP_VERTICES
     max_exp_vertices: int = exponential.DEFAULT_MAX_EXP_VERTICES
     max_exp_edges: int = exponential.DEFAULT_MAX_EXP_EDGES
@@ -68,38 +61,10 @@ class ClaimReport:
 OUT_OF_SCOPE = "out-of-scope: scale"
 
 
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, Fraction):
-        return [value.numerator, value.denominator]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted(_jsonable(v) for v in value)
-    if isinstance(value, float) and value != value:  # NaN guard
-        return None
-    return value
-
-
-def report_to_obj(report: ClaimReport, mask_timing: bool = False) -> dict[str, Any]:
-    obj = {
-        "claim_id": report.claim_id,
-        "params": _jsonable(report.params),
-        "passed": report.passed,
-        "status": report.status,
-        "witness": _jsonable(report.witness),
-        "elapsed": 0.0 if mask_timing else report.elapsed,
-    }
-    return obj
-
-
 def serialize_reports(reports: list[ClaimReport], mask_timing: bool = False) -> str:
-    return json.dumps(
-        [report_to_obj(r, mask_timing) for r in reports],
-        sort_keys=True,
-        indent=2,
-    ) + "\n"
+    if mask_timing:
+        reports = [replace(r, elapsed=0.0) for r in reports]
+    return json.dumps(to_obj(reports), sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +77,20 @@ EDGE_PROBABILITY = 0.5
 DIGRAPH_PAIRS_MAX_N = 5
 LEMMA_REL_RANDOM_MAX_N = 6
 ARC_PROBABILITY = 0.4
+
+# how many seeded random instances each claim draws
+HEDETNIEMI_PAIRS = 50
+DIGRAPH_PAIRS = 100
+BOUND_CHAIN_PAIRS = 50
+LEMMA_REL_RANDOM = 100
+
+# the fixed instances: lem-rel covers every digraph up to this many vertices,
+# es-k3 and clm-clique take these bases and blow-up factors, and
+# frac-hedetniemi pairs up this catalog
+LEMMA_REL_EXHAUSTIVE_N = 4
+ES_BASES = ("k4", "k5", "w5")
+MU_CLIQUE_QS = (1, 2, 3)
+FRAC_CATALOG = ("k3", "k4", "c5", "c7", "petersen")
 
 
 def random_graph(rng: random.Random, n_min: int, n_max: int, p: float) -> Graph:
@@ -138,7 +117,7 @@ def _digraph_pairs(cfg: SuiteConfig) -> list[tuple[Digraph, Digraph]]:
             random_digraph(rng, 1, DIGRAPH_PAIRS_MAX_N, ARC_PROBABILITY),
             random_digraph(rng, 1, DIGRAPH_PAIRS_MAX_N, ARC_PROBABILITY),
         )
-        for _ in range(cfg.digraph_pairs)
+        for _ in range(DIGRAPH_PAIRS)
     ]
 
 
@@ -238,7 +217,7 @@ def _claim_clm_clique(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
             "ok": bool(report.violations) == negative_control,
         }
 
-    cases = [("heawood", q, False) for q in cfg.mu_clique_qs]
+    cases = [("heawood", q, False) for q in MU_CLIQUE_QS]
     cases += [("c5", 1, True), ("k4", 1, True)]
     return _case_table({"center": 0}, cases, case)
 
@@ -306,8 +285,8 @@ def _claim_es_k3(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
         report = es_exponential_check(graphs.named(name), cfg.max_exp_vertices, cfg.max_exp_edges)
         return {"base": name, "vertices": report.vertices, "chi": report.chi, "ok": report.passed}
 
-    cases = [(name,) for name in cfg.es_bases]
-    return _case_table({"bases": list(cfg.es_bases)}, cases, case)
+    cases = [(name,) for name in ES_BASES]
+    return _case_table({"bases": list(ES_BASES)}, cases, case)
 
 
 def _claim_univ_prop(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
@@ -341,9 +320,9 @@ def _claim_hedetniemi_min4(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
     instances = []
     failures = []
     attempts = 0
-    while len(instances) < cfg.hedetniemi_pairs:
+    while len(instances) < HEDETNIEMI_PAIRS:
         attempts += 1
-        if attempts > 100 * cfg.hedetniemi_pairs:
+        if attempts > 100 * HEDETNIEMI_PAIRS:
             raise RuntimeError("could not draw enough pairs with min chi <= 4")
         g = random_graph(rng, 2, HEDETNIEMI_MAX_N, EDGE_PROBABILITY)
         h = random_graph(rng, 2, HEDETNIEMI_MAX_N, EDGE_PROBABILITY)
@@ -367,7 +346,7 @@ def _claim_hedetniemi_min4(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
         "instances": instances,
         "failures": failures,
     }
-    return {"pairs": cfg.hedetniemi_pairs, "max_n": HEDETNIEMI_MAX_N}, ok, witness
+    return {"pairs": HEDETNIEMI_PAIRS, "max_n": HEDETNIEMI_MAX_N}, ok, witness
 
 
 def _multiplicativity_case(qname: str, gname: str, hname: str, expect_vacuous: bool) -> dict:
@@ -425,8 +404,9 @@ def _digraph_classes_up_to(n_max: int) -> list[tuple[Digraph, int]]:
     """
     if n_max > LEMMA_REL_EXHAUSTIVE_MAX_N:
         raise CapExceeded(
-            f"lemma_rel_exhaustive_n={n_max} is above {LEMMA_REL_EXHAUSTIVE_MAX_N}: "
-            f"the class walk would flag 2^{n_max * (n_max - 1)} arc masks"
+            f"digraph classes on {n_max} vertices are above the cap of "
+            f"{LEMMA_REL_EXHAUSTIVE_MAX_N} vertices: the class walk would flag "
+            f"2^{n_max * (n_max - 1)} arc masks"
         )
     classes = []
     for n in range(1, n_max + 1):
@@ -461,13 +441,13 @@ def _claim_lem_rel(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
             failures.append({"n": d.n, "arcs": sorted(d.arcs)})
         return [d.n, len(d.arcs), report.chi_d, report.chi_shift, report.lower, report.upper]
 
-    classes = _digraph_classes_up_to(cfg.lemma_rel_exhaustive_n)
+    classes = _digraph_classes_up_to(LEMMA_REL_EXHAUSTIVE_N)
     for d, _ in classes:
         check(d)
     rng = cfg.rng("lem-rel")
     instances = [
         check(random_digraph(rng, 1, LEMMA_REL_RANDOM_MAX_N, ARC_PROBABILITY))
-        for _ in range(cfg.lemma_rel_random)
+        for _ in range(LEMMA_REL_RANDOM)
     ]
     witness = {
         "exhaustive_classes": len(classes),
@@ -476,8 +456,8 @@ def _claim_lem_rel(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
         "failures": failures,
     }
     params = {
-        "exhaustive_n": cfg.lemma_rel_exhaustive_n,
-        "random": cfg.lemma_rel_random,
+        "exhaustive_n": LEMMA_REL_EXHAUSTIVE_N,
+        "random": LEMMA_REL_RANDOM,
         "random_max_n": LEMMA_REL_RANDOM_MAX_N,
     }
     return params, not failures, witness
@@ -496,14 +476,14 @@ def _digraph_pair_claim(
         if not good:
             failures.append({"pair": i, "n1": d1.n, "n2": d2.n})
     witness = {"pairs_checked": len(pairs), "instances": instances, "failures": failures}
-    return {"pairs": cfg.digraph_pairs, "max_n": DIGRAPH_PAIRS_MAX_N}, not failures, witness
+    return {"pairs": DIGRAPH_PAIRS, "max_n": DIGRAPH_PAIRS_MAX_N}, not failures, witness
 
 
 def _claim_bound_chain(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
     rng = cfg.rng("bound-chain")
     failures = []
     instances = []
-    for i in range(cfg.bound_chain_pairs):
+    for i in range(BOUND_CHAIN_PAIRS):
         d1 = random_digraph(rng, 1, DIGRAPH_PAIRS_MAX_N, ARC_PROBABILITY)
         d2 = random_digraph(rng, 1, DIGRAPH_PAIRS_MAX_N, ARC_PROBABILITY)
         report = arcshift.bound_chain_instance(d1, d2)
@@ -526,22 +506,22 @@ def _claim_bound_chain(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
             )
     ok = not failures
     witness = {
-        "pairs_checked": cfg.bound_chain_pairs,
+        "pairs_checked": BOUND_CHAIN_PAIRS,
         "instances": instances,
         "failures": failures,
     }
-    return {"pairs": cfg.bound_chain_pairs, "max_n": DIGRAPH_PAIRS_MAX_N}, ok, witness
+    return {"pairs": BOUND_CHAIN_PAIRS, "max_n": DIGRAPH_PAIRS_MAX_N}, ok, witness
 
 
 def _claim_frac_hedetniemi(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
     singles = {}
-    for name in cfg.frac_catalog:
+    for name in FRAC_CATALOG:
         value, _ = fractional.fractional_chromatic(graphs.named(name), cfg.max_lp_vertices)
         singles[name] = value
     checked = []
     skipped = []
     failures = []
-    names = sorted(cfg.frac_catalog)
+    names = sorted(FRAC_CATALOG)
     for i, gname in enumerate(names):
         for hname in names[i:]:
             g, h = graphs.named(gname), graphs.named(hname)

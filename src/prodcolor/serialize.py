@@ -5,8 +5,10 @@ Two interchange formats:
 * edge-list text: a header line ``<n> <count>`` optionally followed by
   ``loops: v1 v2 ...`` on the same line, then one ``u v`` line per edge
   (``u -> v`` for digraph arcs). Blank lines and ``#`` comments are skipped.
-* structured objects: plain dicts mirroring the type fields, suitable for
-  JSON. Round trips are stable; serialization output is sorted.
+* structured objects: ``to_obj`` turns any value into plain JSON-ready
+  data; a dataclass becomes a dict of its fields. The ``*_from_obj``
+  parsers read those dicts back through the validating type constructors.
+  Round trips are stable; serialization output is sorted.
 
 Parsing is always 0-based. ``one_based=True`` shifts displayed indices up by
 one for side-by-side reading with 1-based notation; it is display-only.
@@ -14,6 +16,7 @@ one for side-by-side reading with 1-based notation; it is display-only.
 
 from __future__ import annotations
 
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from typing import Any
 
@@ -124,12 +127,24 @@ def parse_digraph(text: str) -> Digraph:
 # structured-object format
 
 
-def graph_to_obj(g: Graph) -> dict[str, Any]:
-    return {
-        "n": g.n,
-        "edges": [list(e) for e in g.sorted_edges],
-        "loops": sorted(g.loops),
-    }
+def to_obj(value: Any) -> Any:
+    """The JSON-ready form of a value, the same on every run.
+
+    A dataclass becomes a dict of its fields, a Fraction ``[num, den]``, a set
+    a sorted list, a tuple a list, and a dict key a string. Anything else
+    (int, bool, str, float, None) passes through.
+    """
+    if is_dataclass(value):
+        return {f.name: to_obj(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Fraction):
+        return [value.numerator, value.denominator]
+    if isinstance(value, dict):
+        return {str(k): to_obj(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_obj(v) for v in value]
+    if isinstance(value, (set, frozenset)):
+        return sorted(to_obj(v) for v in value)
+    return value
 
 
 def graph_from_obj(obj: dict[str, Any]) -> Graph:
@@ -140,30 +155,14 @@ def graph_from_obj(obj: dict[str, Any]) -> Graph:
     )
 
 
-def digraph_to_obj(d: Digraph) -> dict[str, Any]:
-    return {"n": d.n, "arcs": [list(a) for a in d.sorted_arcs]}
-
-
 def digraph_from_obj(obj: dict[str, Any]) -> Digraph:
     return Digraph.from_arcs(obj["n"], [tuple(a) for a in obj.get("arcs", [])])
-
-
-def coloring_to_obj(coloring) -> dict[str, Any]:
-    return {"k": coloring.k, "colors": list(coloring.colors)}
 
 
 def coloring_from_obj(obj: dict[str, Any]):
     from .solvers import Coloring
 
     return Coloring(tuple(obj["colors"]), obj["k"])
-
-
-def set_coloring_to_obj(sc) -> dict[str, Any]:
-    return {
-        "k": sc.k,
-        "size": sc.size,
-        "sets": [sorted(s) for s in sc.sets],
-    }
 
 
 def set_coloring_from_obj(obj: dict[str, Any]):
@@ -176,22 +175,13 @@ def set_coloring_from_obj(obj: dict[str, Any]):
     )
 
 
-def fractional_coloring_to_obj(fc) -> dict[str, Any]:
-    return {
-        "sets": [
-            [sorted(s), w.numerator, w.denominator]
-            for s, w in zip(fc.sets, fc.weights)
-        ],
-        "value": [fc.value.numerator, fc.value.denominator],
-    }
-
-
 def fractional_coloring_from_obj(obj: dict[str, Any]):
     from .fractional import FractionalColoring
 
-    sets = tuple(frozenset(entry[0]) for entry in obj["sets"])
-    weights = tuple(Fraction(entry[1], entry[2]) for entry in obj["sets"])
-    return FractionalColoring(sets, weights)
+    return FractionalColoring(
+        tuple(frozenset(s) for s in obj["sets"]),
+        tuple(Fraction(num, den) for num, den in obj["weights"]),
+    )
 
 
 def graph_to_dot(g: Graph, one_based: bool = False) -> str:

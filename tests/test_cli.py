@@ -1,10 +1,16 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 from prodcolor import cli
 from prodcolor.graphs import named
-from prodcolor.serialize import parse_digraph, parse_graph, serialize_graph
+from prodcolor.serialize import (
+    fractional_coloring_from_obj,
+    parse_digraph,
+    parse_graph,
+    serialize_graph,
+)
 
 
 def run(capsys, *argv, stdin: str | None = None, monkeypatch=None):
@@ -438,6 +444,17 @@ def test_exp_verify_mu_clique_obj_bytes(capsys, tmp_path):
     violations = ", ".join(f"[{t}, {tp}, [[2, 0], [3, 0]], 0]" for t, tp in pairs)
     assert out == f'{{"pairs_checked": 6, "passed": false, "violations": [{violations}]}}\n'
 
+
+def test_invariant_chif_obj_is_the_coloring_fields(capsys, tmp_path):
+    f = _files(tmp_path)
+    code, out, _ = run(capsys, "invariant", "chif", f["c5"], "--format", "obj")
+    assert code == 0
+    assert out == (
+        '{"coloring": {"sets": [[0, 2], [1, 3], [1, 4], [0, 3], [2, 4]], '
+        '"weights": [[1, 2], [1, 2], [1, 2], [1, 2], [1, 2]]}, "value": [5, 2]}\n'
+    )
+    witness = fractional_coloring_from_obj(json.loads(out)["coloring"])
+    assert witness.value == Fraction(5, 2)
 
 def test_masked_suite_bytes_are_pinned(capsys):
     # the reproducibility contract: the same hash is checked under python -O in CI

@@ -21,7 +21,6 @@ from prodcolor.harness import (
     es_exponential_check,
     multiplicativity_check,
     random_digraph,
-    report_to_obj,
     run_suite,
     serialize_reports,
     thm_main_kneser_check,
@@ -31,22 +30,9 @@ from prodcolor.solvers import Coloring
 from oracles import all_labelled_digraphs, brute_canonical_digraph
 
 
-LIGHT = SuiteConfig(
-    seed=7,
-    hedetniemi_pairs=4,
-    digraph_pairs=4,
-    bound_chain_pairs=3,
-    lemma_rel_exhaustive_n=2,
-    lemma_rel_random=3,
-    es_bases=("k4",),
-    mu_clique_qs=(1,),
-    frac_catalog=("k3", "c5"),
-)
-
-
 def test_unknown_suite():
     with pytest.raises(ValueError, match="unknown suite"):
-        run_suite("nope", LIGHT)
+        run_suite("nope")
 
 
 def test_suite_registry_covers_all_claims():
@@ -55,7 +41,7 @@ def test_suite_registry_covers_all_claims():
 
 
 def test_run_all_includes_out_of_scope_entries():
-    reports = run_suite("all", LIGHT)
+    reports = run_suite("all")
     ids = [r.claim_id for r in reports]
     assert ids == sorted(ids)
     assert set(ids) == set(_CLAIMS) | {"thm-main", "thm-shitov"}
@@ -67,7 +53,7 @@ def test_run_all_includes_out_of_scope_entries():
 
 
 def test_shitov_suite_has_labeled_negative_controls():
-    reports = run_suite("shitov", LIGHT)
+    reports = run_suite("shitov")
     clique = next(r for r in reports if r.claim_id == "clm-clique")
     assert clique.status == "pass"
     negatives = [i for i in clique.witness if i["negative_control"]]
@@ -77,28 +63,28 @@ def test_shitov_suite_has_labeled_negative_controls():
 
 
 def test_determinism_same_config():
-    a = serialize_reports(run_suite("arc-shift", LIGHT), mask_timing=True)
-    b = serialize_reports(run_suite("arc-shift", LIGHT), mask_timing=True)
+    a = serialize_reports(run_suite("arc-shift"), mask_timing=True)
+    b = serialize_reports(run_suite("arc-shift"), mask_timing=True)
     assert a == b
 
 
 def test_different_seeds_differ_somewhere():
-    a = run_suite("products", LIGHT)
-    b = run_suite("products", SuiteConfig(**{**LIGHT.__dict__, "seed": 8}))
+    a = run_suite("products")
+    b = run_suite("products", SuiteConfig(seed=8))
     assert serialize_reports(a, mask_timing=True) != serialize_reports(b, mask_timing=True)
 
 
 def test_jobs_accepts_only_one():
-    a = serialize_reports(run_suite("fractional", LIGHT), mask_timing=True)
-    b = serialize_reports(run_suite("fractional", LIGHT, jobs=1), mask_timing=True)
+    a = serialize_reports(run_suite("fractional"), mask_timing=True)
+    b = serialize_reports(run_suite("fractional", jobs=1), mask_timing=True)
     assert a == b
     for jobs in (0, 2, 3):
         with pytest.raises(ValueError, match="jobs must be 1"):
-            run_suite("fractional", LIGHT, jobs=jobs)
+            run_suite("fractional", jobs=jobs)
 
 
 def test_reports_are_json():
-    reports = run_suite("fractional", LIGHT)
+    reports = run_suite("fractional")
     parsed = json.loads(serialize_reports(reports))
     assert isinstance(parsed, list)
     assert parsed[0]["claim_id"] == "frac-hedetniemi"
@@ -107,9 +93,12 @@ def test_reports_are_json():
 
 
 def test_report_timing_masked():
-    reports = run_suite("fractional", LIGHT)
-    obj = report_to_obj(reports[0], mask_timing=True)
+    reports = run_suite("fractional")
+    assert reports[0].elapsed > 0.0
+    (obj,) = json.loads(serialize_reports(reports, mask_timing=True))
     assert obj["elapsed"] == 0.0
+    (unmasked,) = json.loads(serialize_reports(reports))
+    assert unmasked["elapsed"] == reports[0].elapsed
 
 
 def test_multiplicativity_check_instances():
@@ -157,8 +146,8 @@ def test_digraph_classes_match_brute_canonical_forms():
 
 
 def test_digraph_classes_refuse_six_vertices():
-    with pytest.raises(CapExceeded, match="lemma_rel_exhaustive_n=6"):
-        _claim_lem_rel(SuiteConfig(lemma_rel_exhaustive_n=6))
+    with pytest.raises(CapExceeded, match="digraph classes on 6 vertices"):
+        _digraph_classes_up_to(6)
 
 
 def test_lemma_rel_is_invariant_under_relabelling():
@@ -175,10 +164,10 @@ def test_lemma_rel_is_invariant_under_relabelling():
 
 
 def test_lem_rel_witness_counts_classes_and_labelled_digraphs():
-    params, ok, witness = _claim_lem_rel(LIGHT)
-    assert ok and params["exhaustive_n"] == 2
-    assert witness["exhaustive_classes"] == 4
-    assert witness["labelled_covered"] == 5
+    params, ok, witness = _claim_lem_rel(SuiteConfig())
+    assert ok and params["exhaustive_n"] == 4
+    assert witness["exhaustive_classes"] == 1 + 3 + 16 + 218
+    assert witness["labelled_covered"] == 1 + 4 + 64 + 4096
 
 
 def test_lem_rel_fails_on_a_broken_up_transform(monkeypatch):
@@ -186,7 +175,7 @@ def test_lem_rel_fails_on_a_broken_up_transform(monkeypatch):
         return Coloring((0,) * len(level.index.arcs), 1)
 
     monkeypatch.setattr(arcshift, "_coloring_up", improper)
-    _, ok, witness = _claim_lem_rel(LIGHT)
+    _, ok, witness = _claim_lem_rel(SuiteConfig())
     assert not ok and witness["failures"]
-    representatives = [{"n": d.n, "arcs": sorted(d.arcs)} for d, _ in _digraph_classes_up_to(2)]
+    representatives = [{"n": d.n, "arcs": sorted(d.arcs)} for d, _ in _digraph_classes_up_to(4)]
     assert any(f in representatives for f in witness["failures"])

@@ -12,21 +12,17 @@ from prodcolor.fractional import FractionalColoring
 from prodcolor.graphs import CATALOG, Digraph, Graph, add_loops, complete_digraph, named
 from prodcolor.serialize import (
     coloring_from_obj,
-    coloring_to_obj,
     digraph_from_obj,
     digraph_to_dot,
-    digraph_to_obj,
     fractional_coloring_from_obj,
-    fractional_coloring_to_obj,
     graph_from_obj,
     graph_to_dot,
-    graph_to_obj,
     parse_digraph,
     parse_graph,
     serialize_digraph,
     serialize_graph,
     set_coloring_from_obj,
-    set_coloring_to_obj,
+    to_obj,
 )
 from prodcolor.solvers import Coloring
 
@@ -35,13 +31,13 @@ def test_catalog_round_trips():
     for name in CATALOG:
         g = named(name)
         assert parse_graph(serialize_graph(g)) == g
-        assert graph_from_obj(graph_to_obj(g)) == g
+        assert graph_from_obj(to_obj(g)) == g
 
 
 def test_round_trip_with_loops():
     g = add_loops(named("petersen"))
     assert parse_graph(serialize_graph(g)) == g
-    assert graph_from_obj(graph_to_obj(g)) == g
+    assert graph_from_obj(to_obj(g)) == g
 
 
 def test_parse_path_example():
@@ -58,7 +54,7 @@ def test_parse_digraph_digon():
 def test_digraph_round_trips():
     for d in (complete_digraph(4), Digraph.from_arcs(3, [(0, 1), (2, 1)])):
         assert parse_digraph(serialize_digraph(d)) == d
-        assert digraph_from_obj(digraph_to_obj(d)) == d
+        assert digraph_from_obj(to_obj(d)) == d
 
 
 def test_parse_skips_blanks_and_comments():
@@ -112,11 +108,11 @@ def test_dot_output():
 
 def test_coloring_objects():
     c = Coloring((0, 1, 2, 0), 3)
-    assert coloring_from_obj(coloring_to_obj(c)) == c
+    assert coloring_from_obj(to_obj(c)) == c
     sc = SetColoring((frozenset({0, 1}), frozenset({2, 3})), 4, 2)
-    assert set_coloring_from_obj(set_coloring_to_obj(sc)) == sc
+    assert set_coloring_from_obj(to_obj(sc)) == sc
     sc_any = SetColoring((frozenset(), frozenset({1})), 2, None)
-    assert set_coloring_from_obj(set_coloring_to_obj(sc_any)) == sc_any
+    assert set_coloring_from_obj(to_obj(sc_any)) == sc_any
 
 
 def test_fractional_coloring_objects():
@@ -124,9 +120,20 @@ def test_fractional_coloring_objects():
         (frozenset({0, 2}), frozenset({1, 3})),
         (Fraction(1, 2), Fraction(3, 2)),
     )
-    obj = fractional_coloring_to_obj(fc)
-    assert obj["value"] == [2, 1]
+    obj = to_obj(fc)
+    assert obj == {"sets": [[0, 2], [1, 3]], "weights": [[1, 2], [3, 2]]}
     assert fractional_coloring_from_obj(obj) == fc
+
+
+def test_to_obj_encoding_rules():
+    obj = to_obj({3: (Fraction(-1, 3), {2, 0, 1}), "k": [frozenset({(1, 0), (0, 2)}), None]})
+    assert obj == {"3": [[-1, 3], [0, 1, 2]], "k": [[[0, 2], [1, 0]], None]}
+    assert to_obj(Graph.from_edges(3, [(1, 2), (0, 1)], loops=[2])) == {
+        "n": 3,
+        "edges": [[0, 1], [1, 2]],
+        "loops": [2],
+    }
+    assert to_obj(SetColoring((frozenset({1, 0}),), 2)) == {"sets": [[0, 1]], "k": 2, "size": None}
 
 
 @settings(max_examples=40, deadline=None)
@@ -138,4 +145,4 @@ def test_random_graph_round_trips(data):
     loops = data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=n)) if n else []
     g = Graph.from_edges(n, [e for e, keep in zip(pairs, mask) if keep], loops)
     assert parse_graph(serialize_graph(g)) == g
-    assert graph_from_obj(graph_to_obj(g)) == g
+    assert graph_from_obj(to_obj(g)) == g
