@@ -1,143 +1,62 @@
 """prodcolor: categorical graph products, exponential graphs, arc-shift
 digraphs, and exact chromatic invariants, with a claim-verification harness.
+
+The public names below load lazily: ``import prodcolor`` imports no layer,
+and the first access to a name imports the module that defines it.
 """
 
-from .errors import CapExceeded, ParseError
-from .graphs import (
-    CATALOG,
-    Digraph,
-    Graph,
-    add_loops,
-    blowup,
-    circular_clique,
-    complete_digraph,
-    complete_graph,
-    cycle,
-    digraph_product,
-    distances,
-    kneser,
-    kneser_subsets,
-    named,
-    reverse,
-    tensor_product,
-    underline,
-)
-from .solvers import (
-    Coloring,
-    HomMap,
-    chromatic_number,
-    find_homomorphism,
-    girth,
-    independence_number,
-    is_homomorphism,
-    is_proper_coloring,
-    k_colorable,
-    max_weight_independent_set,
-    maximal_independent_sets,
-)
-from .fractional import FractionalColoring, fractional_chromatic
-from .exponential import (
-    BlowupExpMap,
-    ExpContext,
-    ExpMap,
-    NormalizationError,
-    constant_map,
-    exp_adjacent,
-    index_to_map,
-    materialize_exponential,
-    observation_image_check,
-    shitov_mu,
-    shitov_theta,
-    universal_property_check,
-    verify_mu_clique,
-)
-from .arcshift import (
-    ArcIndex,
-    SetColoring,
-    arc_shift,
-    bound_chain_instance,
-    coloring_down,
-    coloring_up,
-    functoriality_check,
-    is_proper_set_coloring,
-    lemma_rel_bounds_check,
-    schelp_coloring,
-    schelp_triples,
-    underline_decomposition_check,
-)
-from .harness import (
-    ClaimReport,
-    SuiteConfig,
-    es_exponential_check,
-    multiplicativity_check,
-    run_suite,
-    thm_main_kneser_check,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArcIndex",
-    "BlowupExpMap",
-    "CATALOG",
-    "CapExceeded",
-    "ClaimReport",
-    "Coloring",
-    "Digraph",
-    "ExpContext",
-    "ExpMap",
-    "FractionalColoring",
-    "Graph",
-    "HomMap",
-    "NormalizationError",
-    "ParseError",
-    "SetColoring",
-    "SuiteConfig",
-    "add_loops",
-    "arc_shift",
-    "blowup",
-    "bound_chain_instance",
-    "chromatic_number",
-    "circular_clique",
-    "coloring_down",
-    "coloring_up",
-    "complete_digraph",
-    "complete_graph",
-    "constant_map",
-    "cycle",
-    "digraph_product",
-    "distances",
-    "es_exponential_check",
-    "exp_adjacent",
-    "find_homomorphism",
-    "fractional_chromatic",
-    "functoriality_check",
-    "girth",
-    "independence_number",
-    "index_to_map",
-    "is_homomorphism",
-    "is_proper_coloring",
-    "is_proper_set_coloring",
-    "k_colorable",
-    "kneser",
-    "kneser_subsets",
-    "lemma_rel_bounds_check",
-    "materialize_exponential",
-    "max_weight_independent_set",
-    "maximal_independent_sets",
-    "multiplicativity_check",
-    "named",
-    "observation_image_check",
-    "reverse",
-    "run_suite",
-    "schelp_coloring",
-    "schelp_triples",
-    "shitov_mu",
-    "shitov_theta",
-    "tensor_product",
-    "thm_main_kneser_check",
-    "underline",
-    "underline_decomposition_check",
-    "universal_property_check",
-    "verify_mu_clique",
-]
+# public name -> the module that defines it
+_HOME = {
+    name: module
+    for module, names in {
+        "errors": ("CapExceeded", "ParseError"),
+        "graphs": (
+            "CATALOG", "Digraph", "Graph", "add_loops", "blowup", "circular_clique",
+            "complete_digraph", "complete_graph", "cycle", "digraph_product", "distances",
+            "kneser", "kneser_subsets", "named", "reverse", "tensor_product", "underline",
+        ),
+        "solvers": (
+            "Coloring", "HomMap", "chromatic_number", "find_homomorphism", "girth",
+            "independence_number", "is_homomorphism", "is_proper_coloring", "k_colorable",
+            "max_weight_independent_set", "maximal_independent_sets",
+        ),
+        "fractional": ("FractionalColoring", "fractional_chromatic"),
+        "exponential": (
+            "BlowupExpMap", "ExpContext", "ExpMap", "NormalizationError", "constant_map",
+            "exp_adjacent", "index_to_map", "materialize_exponential", "observation_image_check",
+            "shitov_mu", "shitov_theta", "universal_property_check", "verify_mu_clique",
+        ),
+        "arcshift": (
+            "ArcIndex", "SetColoring", "arc_shift", "bound_chain_instance", "coloring_down",
+            "coloring_up", "functoriality_check", "is_proper_set_coloring",
+            "lemma_rel_bounds_check", "schelp_coloring", "schelp_triples",
+            "underline_decomposition_check",
+        ),
+        "harness": (
+            "ClaimReport", "SuiteConfig", "es_exponential_check", "multiplicativity_check",
+            "run_suite", "thm_main_kneser_check",
+        ),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    # PEP 562: called only for names not yet bound in this module
+    try:
+        home = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -18,8 +18,16 @@ import json
 import sys
 from pathlib import Path
 
-from . import arcshift, exponential, fractional, graphs, harness, serialize, solvers
-from .errors import CapExceeded, ParseError
+# graphs and serialize carry every command's input and output; each handler
+# imports the layers it computes with, so a stage loads only what it runs
+from . import graphs, serialize
+from .errors import (
+    DEFAULT_MAX_EXP_EDGES,
+    DEFAULT_MAX_EXP_VERTICES,
+    DEFAULT_MAX_LP_VERTICES,
+    CapExceeded,
+    ParseError,
+)
 
 
 class _UsageError(Exception):
@@ -76,47 +84,65 @@ def _emit_digraph(d: graphs.Digraph, args) -> None:
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
+# kind -> (fewest, most) parameters, and what they are
+_GEN_PARAMS = {
+    "named": (1, 1, "a catalog name"),
+    "complete": (1, 1, "n"),
+    "cycle": (1, 1, "n"),
+    "kneser": (2, 2, "m and k"),
+    "circ": (2, 2, "p and q"),
+    "blowup": (1, 2, "q and an optional input file"),
+    "product": (2, 2, "two input files"),
+    "loops": (0, 1, "an optional input file"),
+}
+_DGEN_PARAMS = {
+    "complete": (1, 1, "n"),
+    "parse": (0, 1, "an optional input file"),
+}
+
+
+def _params(args, table: dict[str, tuple[int, int, str]]) -> list[str]:
+    fewest, most, what = table[args.kind]
+    if not fewest <= len(args.params) <= most:
+        raise _UsageError(f"{args.command} {args.kind} takes {what}, got {args.params}")
+    return args.params
+
 
 def _cmd_gen(args) -> int:
-    kind = args.kind
+    kind, p = args.kind, _params(args, _GEN_PARAMS)
     if kind == "named":
-        g = graphs.named(args.params[0])
+        g = graphs.named(p[0])
     elif kind == "complete":
-        g = graphs.complete_graph(int(args.params[0]))
+        g = graphs.complete_graph(int(p[0]))
     elif kind == "cycle":
-        g = graphs.cycle(int(args.params[0]))
+        g = graphs.cycle(int(p[0]))
     elif kind == "kneser":
-        g = graphs.kneser(int(args.params[0]), int(args.params[1]))
+        g = graphs.kneser(int(p[0]), int(p[1]))
     elif kind == "circ":
-        g = graphs.circular_clique(int(args.params[0]), int(args.params[1]))
+        g = graphs.circular_clique(int(p[0]), int(p[1]))
     elif kind == "blowup":
-        q = int(args.params[0])
-        src = args.params[1] if len(args.params) > 1 else "-"
-        g = graphs.blowup(_load_graph(src), q)
+        g = graphs.blowup(_load_graph(p[1] if len(p) > 1 else "-"), int(p[0]))
     elif kind == "product":
-        g = graphs.tensor_product(_load_graph(args.params[0]), _load_graph(args.params[1]))
-    elif kind == "loops":
-        src = args.params[0] if args.params else "-"
-        g = graphs.add_loops(_load_graph(src))
+        g = graphs.tensor_product(_load_graph(p[0]), _load_graph(p[1]))
     else:
-        raise _UsageError(f"unknown gen kind {kind!r}")
+        g = graphs.add_loops(_load_graph(p[0] if p else "-"))
     _emit_graph(g, args)
     return 0
 
 
 def _cmd_dgen(args) -> int:
+    p = _params(args, _DGEN_PARAMS)
     if args.kind == "complete":
-        d = graphs.complete_digraph(int(args.params[0]))
-    elif args.kind == "parse":
-        src = args.params[0] if args.params else "-"
-        d = _load_digraph(src)
+        d = graphs.complete_digraph(int(p[0]))
     else:
-        raise _UsageError(f"unknown dgen kind {args.kind!r}")
+        d = _load_digraph(p[0] if p else "-")
     _emit_digraph(d, args)
     return 0
 
 
 def _cmd_invariant(args) -> int:
+    from . import solvers
+
     rest = list(args.rest)
     vertex = 0
     if args.which == "dist":
@@ -134,6 +160,8 @@ def _cmd_invariant(args) -> int:
     if args.which == "chi":
         print(solvers.chromatic_number(g))
     elif args.which == "chif":
+        from . import fractional
+
         value, witness = fractional.fractional_chromatic(g, args.max_lp_vertices)
         if args.format == "obj":
             _emit_obj({"value": value, "coloring": witness})
@@ -151,6 +179,8 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_hom(args) -> int:
+    from . import solvers
+
     g = _load_graph(args.g)
     h = _load_graph(args.h)
     hom = solvers.find_homomorphism(g, h)
@@ -170,6 +200,8 @@ def _parse_values(text: str) -> tuple[int, ...]:
 
 
 def _cmd_exp(args) -> int:
+    from . import exponential
+
     if args.action == "materialize":
         g = _load_graph(args.input)
         ctx = exponential.ExpContext(g, args.c)
@@ -214,11 +246,9 @@ def _cmd_exp(args) -> int:
     raise _UsageError(f"unknown exp action {args.action!r}")
 
 
-def _load_coloring(path: str) -> solvers.Coloring:
-    return serialize.coloring_from_obj(json.loads(_read_text(path)))
-
-
 def _cmd_shift(args) -> int:
+    from . import arcshift, solvers
+
     if args.action == "build":
         d = _load_digraph(args.input)
         shifted, index = arcshift.arc_shift(d)
@@ -231,7 +261,8 @@ def _cmd_shift(args) -> int:
         if args.coloring is None:
             raise _UsageError("shift down needs --coloring FILE")
         d = _load_digraph(args.input)
-        sc = arcshift.coloring_down(d, _load_coloring(args.coloring))
+        coloring = serialize.coloring_from_obj(json.loads(_read_text(args.coloring)))
+        sc = arcshift.coloring_down(d, coloring)
         _emit_obj(sc)
         return 0
     if args.action == "up":
@@ -272,6 +303,8 @@ def _cmd_shift(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import harness
+
     cfg = harness.SuiteConfig(
         seed=args.seed,
         max_lp_vertices=args.max_lp_vertices,
@@ -306,14 +339,13 @@ def _build_parser() -> _Parser:
                        help="display vertices/colors 1-based (storage stays 0-based)")
 
     p = sub.add_parser("gen", help="generate or transform a graph")
-    p.add_argument("kind", choices=["named", "complete", "cycle", "kneser", "circ",
-                                    "blowup", "product", "loops"])
+    p.add_argument("kind", choices=list(_GEN_PARAMS))
     p.add_argument("params", nargs="*")
     common(p)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("dgen", help="generate or parse a digraph")
-    p.add_argument("kind", choices=["complete", "parse"])
+    p.add_argument("kind", choices=list(_DGEN_PARAMS))
     p.add_argument("params", nargs="*")
     common(p)
     p.set_defaults(func=_cmd_dgen)
@@ -322,8 +354,7 @@ def _build_parser() -> _Parser:
     p.add_argument("which", choices=["chi", "chif", "alpha", "girth", "dist"])
     p.add_argument("rest", nargs="*",
                    help="for dist: source vertex, then optional input file")
-    p.add_argument("--max-lp-vertices", type=int,
-                   default=fractional.DEFAULT_MAX_LP_VERTICES)
+    p.add_argument("--max-lp-vertices", type=int, default=DEFAULT_MAX_LP_VERTICES)
     common(p)
     p.set_defaults(func=_cmd_invariant)
 
@@ -344,10 +375,8 @@ def _build_parser() -> _Parser:
     p.add_argument("-q", type=int, default=1, help="blow-up factor")
     p.add_argument("-t", type=int, default=None)
     p.add_argument("-b", type=int, default=None)
-    p.add_argument("--max-exp-vertices", type=int,
-                   default=exponential.DEFAULT_MAX_EXP_VERTICES)
-    p.add_argument("--max-exp-edges", type=int,
-                   default=exponential.DEFAULT_MAX_EXP_EDGES)
+    p.add_argument("--max-exp-vertices", type=int, default=DEFAULT_MAX_EXP_VERTICES)
+    p.add_argument("--max-exp-edges", type=int, default=DEFAULT_MAX_EXP_EDGES)
     common(p)
     p.set_defaults(func=_cmd_exp)
 
@@ -368,12 +397,9 @@ def _build_parser() -> _Parser:
     p.add_argument("suite", nargs="?", default="all")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--mask-timing", action="store_true", dest="mask_timing")
-    p.add_argument("--max-lp-vertices", type=int,
-                   default=fractional.DEFAULT_MAX_LP_VERTICES)
-    p.add_argument("--max-exp-vertices", type=int,
-                   default=exponential.DEFAULT_MAX_EXP_VERTICES)
-    p.add_argument("--max-exp-edges", type=int,
-                   default=exponential.DEFAULT_MAX_EXP_EDGES)
+    p.add_argument("--max-lp-vertices", type=int, default=DEFAULT_MAX_LP_VERTICES)
+    p.add_argument("--max-exp-vertices", type=int, default=DEFAULT_MAX_EXP_VERTICES)
+    p.add_argument("--max-exp-edges", type=int, default=DEFAULT_MAX_EXP_EDGES)
     common(p)
     p.set_defaults(func=_cmd_verify)
 

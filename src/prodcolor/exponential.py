@@ -26,12 +26,9 @@ from functools import cached_property, reduce
 from itertools import combinations
 from operator import and_, mul, or_
 
-from .errors import CapExceeded
+from .errors import DEFAULT_MAX_EXP_EDGES, DEFAULT_MAX_EXP_VERTICES, CapExceeded
 from .graphs import Graph, blowup, distances
 from .solvers import Coloring, is_proper_coloring
-
-DEFAULT_MAX_EXP_VERTICES = 200_000
-DEFAULT_MAX_EXP_EDGES = 25_000_000
 
 
 class NormalizationError(ValueError):

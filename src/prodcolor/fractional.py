@@ -23,12 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CapExceeded
+from .errors import DEFAULT_MAX_LP_VERTICES, CapExceeded
 from .graphs import Graph
 from .simplex import add_covering_columns, open_covering_lp
 from .solvers import chromatic_number, k_colorable, max_weight_independent_set
-
-DEFAULT_MAX_LP_VERTICES = 30
 
 
 @dataclass(frozen=True)

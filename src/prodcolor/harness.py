@@ -28,7 +28,12 @@ from itertools import permutations
 from typing import Any, Callable
 
 from . import arcshift, exponential, fractional, graphs, solvers
-from .errors import CapExceeded
+from .errors import (
+    DEFAULT_MAX_EXP_EDGES,
+    DEFAULT_MAX_EXP_VERTICES,
+    DEFAULT_MAX_LP_VERTICES,
+    CapExceeded,
+)
 from .graphs import Digraph, Graph
 from .serialize import to_obj
 
@@ -38,9 +43,9 @@ class SuiteConfig:
     """Seed and instance caps for the verification suites."""
 
     seed: int = 7
-    max_lp_vertices: int = fractional.DEFAULT_MAX_LP_VERTICES
-    max_exp_vertices: int = exponential.DEFAULT_MAX_EXP_VERTICES
-    max_exp_edges: int = exponential.DEFAULT_MAX_EXP_EDGES
+    max_lp_vertices: int = DEFAULT_MAX_LP_VERTICES
+    max_exp_vertices: int = DEFAULT_MAX_EXP_VERTICES
+    max_exp_edges: int = DEFAULT_MAX_EXP_EDGES
 
     def rng(self, label: str) -> random.Random:
         return random.Random(f"{self.seed}:{label}")
@@ -157,8 +162,8 @@ class EsExponentialReport:
 
 def es_exponential_check(
     g: Graph,
-    max_vertices: int = exponential.DEFAULT_MAX_EXP_VERTICES,
-    max_edges: int = exponential.DEFAULT_MAX_EXP_EDGES,
+    max_vertices: int = DEFAULT_MAX_EXP_VERTICES,
+    max_edges: int = DEFAULT_MAX_EXP_EDGES,
 ) -> EsExponentialReport:
     base_chi = solvers.chromatic_number(g)
     if base_chi < 4:

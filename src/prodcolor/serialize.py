@@ -147,41 +147,77 @@ def to_obj(value: Any) -> Any:
     return value
 
 
-def graph_from_obj(obj: dict[str, Any]) -> Graph:
+def _key(obj: Any, key: str, default: Any = ...) -> Any:
+    """``obj[key]``, or ``default`` when given and the key is absent."""
+    if not isinstance(obj, dict):
+        raise ParseError(None, f"expected a JSON object, got {type(obj).__name__}")
+    if key in obj:
+        return obj[key]
+    if default is ...:
+        raise ParseError(None, f"missing key {key!r}")
+    return default
+
+
+def _int(value: Any, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(None, f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _ints(value: Any, where: str, length: int | None = None) -> tuple[int, ...]:
+    """A list of integers, of exactly ``length`` entries when that is given."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        shape = "a list" if length is None else f"a list of {length} integers"
+        raise ParseError(None, f"{where} must be {shape}, got {value!r}")
+    return tuple(_int(x, f"{where}[{i}]") for i, x in enumerate(value))
+
+
+def _rows(obj: Any, key: str, length: int | None = None, default: Any = ...) -> list:
+    """``obj[key]`` read as a list of integer lists."""
+    value = _key(obj, key, default)
+    if not isinstance(value, list):
+        raise ParseError(None, f"{key} must be a list, got {type(value).__name__}")
+    return [_ints(row, f"{key}[{i}]", length) for i, row in enumerate(value)]
+
+
+def graph_from_obj(obj: Any) -> Graph:
     return Graph.from_edges(
-        obj["n"],
-        [tuple(e) for e in obj.get("edges", [])],
-        obj.get("loops", []),
+        _int(_key(obj, "n"), "n"),
+        _rows(obj, "edges", 2, []),
+        _ints(_key(obj, "loops", []), "loops"),
     )
 
 
-def digraph_from_obj(obj: dict[str, Any]) -> Digraph:
-    return Digraph.from_arcs(obj["n"], [tuple(a) for a in obj.get("arcs", [])])
+def digraph_from_obj(obj: Any) -> Digraph:
+    return Digraph.from_arcs(_int(_key(obj, "n"), "n"), _rows(obj, "arcs", 2, []))
 
 
-def coloring_from_obj(obj: dict[str, Any]):
+def coloring_from_obj(obj: Any):
     from .solvers import Coloring
 
-    return Coloring(tuple(obj["colors"]), obj["k"])
+    return Coloring(_ints(_key(obj, "colors"), "colors"), _int(_key(obj, "k"), "k"))
 
 
-def set_coloring_from_obj(obj: dict[str, Any]):
+def set_coloring_from_obj(obj: Any):
     from .arcshift import SetColoring
 
+    size = _key(obj, "size", None)
     return SetColoring(
-        tuple(frozenset(s) for s in obj["sets"]),
-        obj["k"],
-        obj.get("size"),
+        tuple(frozenset(s) for s in _rows(obj, "sets")),
+        _int(_key(obj, "k"), "k"),
+        None if size is None else _int(size, "size"),
     )
 
 
-def fractional_coloring_from_obj(obj: dict[str, Any]):
+def fractional_coloring_from_obj(obj: Any):
     from .fractional import FractionalColoring
 
-    return FractionalColoring(
-        tuple(frozenset(s) for s in obj["sets"]),
-        tuple(Fraction(num, den) for num, den in obj["weights"]),
-    )
+    sets = tuple(frozenset(s) for s in _rows(obj, "sets"))
+    weights = _rows(obj, "weights", 2)
+    for i, (_, den) in enumerate(weights):
+        if den == 0:
+            raise ParseError(None, f"weights[{i}] has denominator 0")
+    return FractionalColoring(sets, tuple(Fraction(num, den) for num, den in weights))
 
 
 def graph_to_dot(g: Graph, one_based: bool = False) -> str:

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+import pytest
+
 from prodcolor import cli
 from prodcolor.graphs import named
 from prodcolor.serialize import (
@@ -229,12 +231,12 @@ def test_verify_deterministic_output(capsys):
 
 
 def test_verify_claim_failure_exit_code(capsys, monkeypatch):
-    from prodcolor.harness import ClaimReport
+    from prodcolor import harness
 
     def fake_run(name, cfg):
-        return [ClaimReport("fake", {}, False, "fail", None, 0.0)]
+        return [harness.ClaimReport("fake", {}, False, "fail", None, 0.0)]
 
-    monkeypatch.setattr(cli.harness, "run_suite", fake_run)
+    monkeypatch.setattr(harness, "run_suite", fake_run)
     code, out, err = run(capsys, "verify", "suite", "all")
     assert code == 3
     assert "failed" in err
@@ -257,6 +259,40 @@ def test_parse_error_exit_1(capsys, monkeypatch):
     code, _, err = run(capsys, "invariant", "chi", stdin="2 1\n0 5\n", monkeypatch=monkeypatch)
     assert code == 1
     assert "line 2" in err
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, message",
+    [
+        (["invariant", "chi"], '{"edges": []}', "missing key 'n'"),
+        (["shift", "up", "--set-coloring", "SETS"], "3 0\n", "missing key 'sets'"),
+        (["invariant", "chi"], '{"n": 3, "edges": [[0, 1, 2]]}',
+         "edges[0] must be a list of 2 integers, got [0, 1, 2]"),
+    ],
+    ids=["graph-without-n", "set-coloring-without-sets", "edge-of-three"],
+)
+def test_malformed_json_input_exit_1(capsys, monkeypatch, tmp_path, argv, stdin, message):
+    sets = tmp_path / "sets.json"
+    sets.write_text('{"k": 2}')
+    argv = [str(sets) if a == "SETS" else a for a in argv]
+    code, _, err = run(capsys, *argv, stdin=stdin, monkeypatch=monkeypatch)
+    assert code == 1
+    assert err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, needs",
+    [
+        (["gen", "kneser", "5"], "gen kneser takes m and k"),
+        (["gen", "named"], "gen named takes a catalog name"),
+        (["gen", "cycle", "5", "6"], "gen cycle takes n"),
+        (["dgen", "complete"], "dgen complete takes n"),
+    ],
+)
+def test_gen_parameter_count_exit_1(capsys, argv, needs):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(needs)
 
 
 def test_cap_exceeded_exit_2(capsys, monkeypatch, tmp_path):

@@ -1,0 +1,80 @@
+"""Which prodcolor modules a cold import or CLI stage loads, and the lazy package surface."""
+
+from __future__ import annotations
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import prodcolor
+
+SRC = os.path.dirname(os.path.dirname(prodcolor.__file__))
+
+# runs one CLI command, then reports the prodcolor.* modules it loaded on stderr's last line
+_CHILD = """
+import sys
+from prodcolor.cli import main
+code = main(sys.argv[1:])
+loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("prodcolor."))
+print(code, *loaded, file=sys.stderr)
+"""
+
+GEN = {"cli", "errors", "graphs", "serialize"}
+CHI = GEN | {"solvers"}
+ALL = {p.stem for p in Path(prodcolor.__file__).parent.glob("*.py")} - {"__init__", "__main__"}
+
+C5 = "5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n"
+DIGON = "2 2\n0 -> 1\n1 -> 0\n"
+
+
+def _child(args: list[str], stdin: str = "") -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *args], input=stdin, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": SRC}, timeout=120,
+    )
+
+
+def test_import_loads_no_layer():
+    code = "import prodcolor, sys; print(*[m for m in sys.modules if m.startswith('prodcolor.')])"
+    proc = _child(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, expected",
+    [
+        (["gen", "named", "petersen"], "", GEN),
+        (["invariant", "chi"], C5, CHI),
+        (["hom", "C5", "C5"], "", CHI),
+        (["invariant", "chif"], C5, CHI | {"fractional", "simplex"}),
+        (["exp", "materialize", "-c", "2"], C5, CHI | {"exponential"}),
+        (["shift", "build"], DIGON, CHI | {"arcshift"}),
+        (["verify", "suite", "products"], "", ALL),
+    ],
+    ids=["gen", "chi", "hom", "chif", "exp", "shift", "verify"],
+)
+def test_cli_stage_loads_only_its_layers(tmp_path, argv, stdin, expected):
+    c5 = tmp_path / "c5.txt"
+    c5.write_text(C5)
+    argv = [str(c5) if a == "C5" else a for a in argv]
+    proc = _child(["-c", _CHILD, *argv], stdin)
+    code, *loaded = proc.stderr.splitlines()[-1].split()
+    assert code == "0", proc.stderr
+    assert set(loaded) == expected
+
+
+def test_every_public_name_is_its_home_modules_attribute():
+    for name in prodcolor.__all__:
+        home = importlib.import_module(f"prodcolor.{prodcolor._HOME[name]}")
+        assert getattr(prodcolor, name) is getattr(home, name), name
+
+
+def test_dir_lists_all_and_unknown_names_raise():
+    assert set(prodcolor.__all__) <= set(dir(prodcolor))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        prodcolor.no_such_name  # noqa: B018
