@@ -11,11 +11,28 @@ maximal one, is appended and the simplex continues from its current basis.
 Generation stops when the search proves that no independent set weighs
 more than den.
 
+Symmetry reduction (Margot 2010; Bodi-Herr-Joswig 2013). Given permutations
+that are checked to be automorphisms, let Gamma be the group they generate;
+union-find over the generators gives its vertex orbits. The master keeps one
+row per orbit O, sum_S w_S |S & O| >= |O|, instead of one row per vertex.
+Without generators every orbit is a single vertex, and this is the LP above.
+The reduced LP sums the vertex rows over each orbit, so its optimum is at
+most chi_f. It is attained because Gamma permutes independent sets:
+averaging a reduced solution over Gamma, each set S spread over its images
+gS at weight w_S / |Gamma|, covers every vertex v of O with
+sum_S w_S |S & O| / |O| >= 1, at the same total weight. That step is why
+every generator must be an automorphism; the vertex classes of colour
+refinement, say, are no orbits, and on C6 plus two triangles they would give
+12/5 for chi_f = 3. Pricing gives each vertex of O the weight den * y_O.
+
 The value is exact and certified without trusting the pivoting path
 (Held-Cook-Sewell 2012, here in integer arithmetic): the primal witness
-covers every vertex, the duals are nonnegative, the last search is the proof
-that they form a feasible fractional clique, and both sides have the LP's
-value.
+covers every orbit row, the duals are nonnegative, the last search is the
+proof that they form a feasible fractional clique, and both sides have the
+LP's value. The lower bound needs no symmetry: the last search ran on the
+full graph with the lifted weights y_v = y_O(v), so it proves that no
+independent set of G weighs more than 1, and sum_v y_v = sum_O |O| y_O is
+the value.
 """
 
 from __future__ import annotations
@@ -31,10 +48,17 @@ from .solvers import chromatic_number, k_colorable, max_weight_independent_set
 
 @dataclass(frozen=True)
 class FractionalColoring:
-    """Nonnegative rational weights on independent sets covering every vertex."""
+    """Nonnegative rational weights on independent sets covering every vertex.
+
+    With ``generators``, the coloring is the average of these weights over
+    the group the generators span: each orbit O needs sum_S w_S |S & O| >= |O|
+    rather than each vertex weight >= 1. Without them every orbit is one
+    vertex.
+    """
 
     sets: tuple[frozenset[int], ...]
     weights: tuple[Fraction, ...]
+    generators: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self) -> None:
         if len(self.sets) != len(self.weights):
@@ -47,16 +71,53 @@ class FractionalColoring:
         return sum(self.weights, Fraction(0))
 
     def covers(self, g: Graph) -> bool:
-        """Every listed set independent in g and every vertex covered with weight >= 1."""
-        cover = [Fraction(0)] * g.n
+        """Every generator an automorphism of g, every listed set an
+        independent set of g's vertices, and every orbit row satisfied."""
+        if not all(_is_automorphism(g, p) for p in self.generators):
+            return False
+        orbit, sizes = _orbits(g.n, self.generators)
+        cover = [Fraction(0)] * len(sizes)
         for s, w in zip(self.sets, self.weights):
+            if not all(0 <= v < g.n for v in s):
+                return False
             for u in s:
                 for v in s:
                     if u < v and g.has_edge(u, v):
                         return False
             for v in s:
-                cover[v] += w
-        return all(c >= 1 for c in cover)
+                cover[orbit[v]] += w
+        return all(c >= size for c, size in zip(cover, sizes))
+
+
+def _is_automorphism(g: Graph, p: tuple[int, ...]) -> bool:
+    """Is p a permutation of g's vertices that maps edges to edges and loops to loops?"""
+    if len(p) != g.n or set(p) != set(range(g.n)):
+        return False
+    return all(g.has_edge(p[u], p[v]) for u, v in g.edges) and all(
+        p[v] in g.loops for v in g.loops
+    )
+
+
+def _orbits(n: int, generators: tuple[tuple[int, ...], ...]) -> tuple[list[int], list[int]]:
+    """The orbit index of each vertex, orbits numbered by their least vertex,
+    and the orbit sizes: union-find over the generators' cycles."""
+    root = list(range(n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    for p in generators:
+        for v, w in enumerate(p):
+            a, b = find(v), find(w)
+            root[max(a, b)] = min(a, b)
+    index: dict[int, int] = {}
+    orbit = [index.setdefault(find(v), len(index)) for v in range(n)]
+    sizes = [0] * len(index)
+    for o in orbit:
+        sizes[o] += 1
+    return orbit, sizes
 
 
 def _maximal(masks: tuple[int, ...], chosen: int) -> tuple[int, ...]:
@@ -68,9 +129,16 @@ def _maximal(masks: tuple[int, ...], chosen: int) -> tuple[int, ...]:
 
 
 def fractional_chromatic(
-    g: Graph, max_vertices: int = DEFAULT_MAX_LP_VERTICES
+    g: Graph,
+    max_vertices: int = DEFAULT_MAX_LP_VERTICES,
+    generators: tuple[tuple[int, ...], ...] = (),
 ) -> tuple[Fraction, FractionalColoring]:
     """Exact chi_f(G) with an optimal witness fractional coloring.
+
+    ``generators`` are automorphisms of g, each a tuple p with v -> p[v]; the
+    LP then has one row per orbit of the group they generate, and the witness
+    carries them. A generator that is not an automorphism raises ValueError.
+    The cap counts g's vertices, not its orbits.
 
     Optimality is certified here: the witness covers g, and the LP's dual
     solution is a fractional clique of equal value whose feasibility the last
@@ -82,28 +150,37 @@ def fractional_chromatic(
         raise CapExceeded(
             f"graph has {g.n} vertices, above the max_vertices cap of {max_vertices}"
         )
+    generators = tuple(tuple(p) for p in generators)
+    for i, p in enumerate(generators):
+        if not _is_automorphism(g, p):
+            raise ValueError(f"generator {i} is not an automorphism of the graph: {p!r}")
     if g.n == 0:
-        return Fraction(0), FractionalColoring((), ())
+        return Fraction(0), FractionalColoring((), (), generators)
 
+    orbit, sizes = _orbits(g.n, generators)
     masks = g.neighbor_masks
     coloring = k_colorable(g, chromatic_number(g))
     classes = [0] * coloring.k
     for v, c in enumerate(coloring.colors):
         classes[c] |= 1 << v
-    lp = open_covering_lp(g.n, [_maximal(masks, s) for s in classes])
+    sets = [_maximal(masks, s) for s in classes]
+    # a set's column lists the orbit of each of its vertices: |S & O| entries of row O
+    lp = open_covering_lp(len(sizes), [tuple(orbit[v] for v in s) for s in sets], sizes)
     while True:
         prices = lp.prices()
         if min(prices) < 0:
             raise RuntimeError("negative dual price; certificate invalid")
-        weight, heaviest = max_weight_independent_set(g, prices)
+        weight, heaviest = max_weight_independent_set(g, [prices[o] for o in orbit])
         if weight <= lp.den:  # every independent set has dual sum <= 1
             break
-        add_covering_columns(lp, [_maximal(masks, sum(1 << v for v in heaviest))])
+        sets.append(_maximal(masks, sum(1 << v for v in heaviest)))
+        add_covering_columns(lp, [tuple(orbit[v] for v in sets[-1])])
     solution = lp.solution()
 
     witness = FractionalColoring(
-        tuple(frozenset(lp.columns[j]) for j in sorted(solution.primal)),
+        tuple(frozenset(sets[j]) for j in sorted(solution.primal)),
         tuple(solution.primal[j] for j in sorted(solution.primal)),
+        generators,
     )
     # primal feasibility, dual feasibility, and equal values together certify
     # optimality without trusting the pivoting path
@@ -111,6 +188,7 @@ def fractional_chromatic(
         raise RuntimeError("simplex returned an infeasible fractional coloring")
     if solution.dual != tuple(Fraction(p, lp.den) for p in prices):
         raise RuntimeError("the returned duals are not the ones the last search priced")
-    if witness.value != sum(solution.dual, Fraction(0)) or witness.value != solution.value:
+    clique = sum((size * y for size, y in zip(sizes, solution.dual)), Fraction(0))
+    if witness.value != clique or witness.value != solution.value:
         raise RuntimeError("primal and dual values differ; certificate invalid")
     return solution.value, witness

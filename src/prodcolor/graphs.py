@@ -216,6 +216,25 @@ def named(identifier: str) -> Graph:
     raise ValueError(f"unknown catalog graph {identifier!r} (known: {known}, k<n>, c<n>)")
 
 
+# automorphisms generating a vertex-transitive group, by n, for the named
+# graphs that frac-hedetniemi checks; fractional_chromatic checks each one
+_GENERATORS = {
+    # a transposition and an n-cycle
+    "k": lambda n: ((*range(n)[1::-1], *range(2, n)), tuple((i + 1) % n for i in range(n))),
+    # a rotation and a reflection
+    "c": lambda n: (tuple((i + 1) % n for i in range(n)), tuple(-i % n for i in range(n))),
+    # i -> i+1 on both 5-cycles; i -> 5+2i and 5+i -> 2i (mod 5)
+    "petersen": lambda n: ((1, 2, 3, 4, 0, 6, 7, 8, 9, 5), (5, 7, 9, 6, 8, 0, 2, 4, 1, 3)),
+}
+
+
+def _named_generators(identifier: str) -> tuple[tuple[int, ...], ...]:
+    """Automorphism generators of named(identifier); () for a catalog graph without them."""
+    n = named(identifier).n
+    make = _GENERATORS.get(identifier if identifier in CATALOG else identifier[0])
+    return make(n) if make else ()
+
+
 # ---------------------------------------------------------------------------
 # products and vertex operations
 
@@ -247,6 +266,18 @@ def tensor_product(g: Graph, h: Graph) -> Graph:
         pair_index(x, y, n2) for x in g.loops for y in h.loops
     )
     return Graph(g.n * h.n, frozenset(edges), loops)
+
+
+def _product_generators(
+    g_gens: tuple[tuple[int, ...], ...], n1: int, h_gens: tuple[tuple[int, ...], ...], n2: int
+) -> tuple[tuple[int, ...], ...]:
+    """Automorphisms of an n1 x n2 tensor product from automorphisms of its
+    factors: (x, y) -> (p[x], y) for each p of g and (x, y) -> (x, s[y]) for
+    each s of h."""
+    pairs = [(x, y) for x in range(n1) for y in range(n2)]
+    return tuple(tuple(pair_index(p[x], y, n2) for x, y in pairs) for p in g_gens) + tuple(
+        tuple(pair_index(x, s[y], n2) for x, y in pairs) for s in h_gens
+    )
 
 
 def blowup(g: Graph, q: int) -> Graph:

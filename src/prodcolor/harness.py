@@ -519,9 +519,14 @@ def _claim_bound_chain(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
 
 
 def _claim_frac_hedetniemi(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
+    # every catalog graph comes with generators of a vertex-transitive group,
+    # so each LP below has one orbit row
+    gens = {name: graphs._named_generators(name) for name in FRAC_CATALOG}
     singles = {}
     for name in FRAC_CATALOG:
-        value, _ = fractional.fractional_chromatic(graphs.named(name), cfg.max_lp_vertices)
+        value, _ = fractional.fractional_chromatic(
+            graphs.named(name), cfg.max_lp_vertices, gens[name]
+        )
         singles[name] = value
     checked = []
     skipped = []
@@ -535,7 +540,9 @@ def _claim_frac_hedetniemi(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
                 continue
             expected = min(singles[gname], singles[hname])
             actual, _ = fractional.fractional_chromatic(
-                graphs.tensor_product(g, h), cfg.max_lp_vertices
+                graphs.tensor_product(g, h),
+                cfg.max_lp_vertices,
+                graphs._product_generators(gens[gname], g.n, gens[hname], h.n),
             )
             checked.append([gname, hname])
             if actual != expected:

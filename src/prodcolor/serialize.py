@@ -217,7 +217,16 @@ def fractional_coloring_from_obj(obj: Any):
     for i, (_, den) in enumerate(weights):
         if den == 0:
             raise ParseError(None, f"weights[{i}] has denominator 0")
-    return FractionalColoring(sets, tuple(Fraction(num, den) for num, den in weights))
+    generators = _rows(obj, "generators", None, [])
+    for i, p in enumerate(generators):
+        if sorted(p) != list(range(len(generators[0]))):
+            raise ParseError(
+                None,
+                f"generators[{i}] must be a permutation of 0..{len(generators[0]) - 1}, got {list(p)}",
+            )
+    return FractionalColoring(
+        sets, tuple(Fraction(num, den) for num, den in weights), tuple(generators)
+    )
 
 
 def graph_to_dot(g: Graph, one_based: bool = False) -> str:

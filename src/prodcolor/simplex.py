@@ -1,7 +1,19 @@
 """Exact rational simplex for covering LPs.
 
-Solves  min sum_j x_j  subject to  sum_{j : i in cols[j]} x_j >= 1 for every
-row i, x >= 0  -- entirely in integer arithmetic (no floating point).
+Solves  min sum_j x_j  subject to  sum_j a_ij x_j >= b_i for every row i,
+x >= 0  -- entirely in integer arithmetic (no floating point). A column is a
+tuple of rows in which row i appears a_ij times, so a column of distinct rows
+is a 0/1 column and a repeated row is an integer coefficient; each right-hand
+side b_i is a positive integer, 1 unless given. The symmetry-reduced LP of
+``fractional`` uses both: one row per vertex orbit O with b_O = |O|, and a
+column listing the orbit of each vertex of an independent set S, so that row
+O appears |S & O| times. Pricing and transforming a column cost one pass over
+its entries, so a coefficient adds no work beyond the entries that state it.
+The simplex itself knows nothing of symmetry: it certifies the optimum of the
+LP it is given. That the orbit LP's optimum is chi_f (averaging a reduced
+solution over the group gives a full one of the same value) and that its
+duals, lifted to the vertices, are a fractional clique of the whole graph is
+argued and checked in ``fractional``.
 
 Revised simplex on the basis inverse, kept fraction-free (Edmonds 1967;
 Bareiss 1968): the basis inverse and the basic values are Python ints over one
@@ -16,24 +28,26 @@ so far and returns the ``CoverLp`` with its basis; ``add_covering_columns``
 appends columns, which enter nonbasic at zero, so the basis stays feasible
 and phase 2 continues from it (a warm start, phase 1 is not rerun). Between
 the two a caller prices new columns on the integer duals ``den * y``: a
-column is worth adding iff its duals sum to more than ``den``.
-``solve_covering_lp`` is the one-shot form of the same path.
+column is worth adding iff its duals, each counted once per entry, sum to
+more than ``den``. ``solve_covering_lp`` is the one-shot form of the same
+path.
 
 One pivot rule: the entering variable has the most negative reduced cost,
 lowest id on ties (Dantzig pricing); the leaving row wins the lexicographic
 ratio test (Dantzig-Orden-Wolfe 1955), which also ends every degenerate
-stall. The first basis is the artificials, B = I and x_B = 1, so every row of
-[x_B | B^-1] is lexicographically positive; each lexicographic pivot keeps
-them so, and phase 2 and ``add_covering_columns`` continue from the same
-basis. Within a phase, the row [c_B x_B | c_B B^-1] (value and duals) then
-strictly decreases lexicographically at every pivot, so no basis repeats,
-whatever the entering rule.
+stall. The first basis is the artificials, B = I and x_B = b >= 1, so every
+row of [x_B | B^-1] is lexicographically positive; each lexicographic pivot
+keeps them so, and phase 2 and ``add_covering_columns`` continue from the
+same basis. Within a phase, the row [c_B x_B | c_B B^-1] (value and duals)
+then strictly decreases lexicographically at every pivot, so no basis
+repeats, whatever the entering rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 ZERO = Fraction(0)
 
@@ -53,19 +67,21 @@ class CoverLpSolution:
 class CoverLp:
     """A covering LP held at its optimum, with the basis kept for added columns.
 
-    ``columns`` are the columns so far, ``den`` the common denominator and
-    ``prices()`` the optimal duals as integers ``den * y``.
+    ``columns`` are the columns so far, ``rhs`` the right-hand sides, ``den``
+    the common denominator and ``prices()`` the optimal duals as integers
+    ``den * y``.
     """
 
-    def __init__(self, m: int, columns: list[tuple[int, ...]]):
+    def __init__(self, m: int, columns: list[tuple[int, ...]], rhs: list[int]):
         self.m = m
         self.columns = columns
+        self.rhs = rhs
         self.ns = len(columns)
         self.iterations = 0
         # B^-1 = binv / den and x_B = xb / den, all ints, den = |det B| > 0
         self.den = 1
         self.binv = [[int(i == j) for j in range(m)] for i in range(m)]
-        self.xb = [1] * m
+        self.xb = list(rhs)
         # variable ids: 0..ns-1 columns, ns..ns+m-1 surplus, ns+m.. artificial
         self.basis = list(range(self.ns + m, self.ns + 2 * m))
 
@@ -80,20 +96,30 @@ class CoverLp:
             b: Fraction(x, den) for b, x in zip(self.basis, self.xb) if b < self.ns and x != 0
         }
         value = sum(primal.values(), ZERO)
-        if value != sum(dual, ZERO):
+        if value != sum(map(mul, dual, self.rhs), ZERO):
             raise RuntimeError("primal/dual value mismatch; simplex invariant broken")
         return CoverLpSolution(value, primal, dual, self.iterations)
 
 
-def solve_covering_lp(num_rows: int, columns: list[tuple[int, ...]]) -> CoverLpSolution:
+def solve_covering_lp(
+    num_rows: int, columns: list[tuple[int, ...]], rhs: list[int] | None = None
+) -> CoverLpSolution:
     """Exact optimum of the unit-cost covering LP over the given columns."""
-    return open_covering_lp(num_rows, columns).solution()
+    return open_covering_lp(num_rows, columns, rhs).solution()
 
 
-def open_covering_lp(num_rows: int, columns: list[tuple[int, ...]]) -> CoverLp:
-    """The covering LP over the given columns, solved to optimality by both phases."""
+def open_covering_lp(
+    num_rows: int, columns: list[tuple[int, ...]], rhs: list[int] | None = None
+) -> CoverLp:
+    """The covering LP over the given columns, solved to optimality by both phases.
+
+    ``rhs`` holds one positive integer per row and defaults to all ones.
+    """
     m = num_rows
-    lp = CoverLp(m, list(columns))
+    rhs = [1] * m if rhs is None else list(rhs)
+    if len(rhs) != m or not all(isinstance(b, int) and b >= 1 for b in rhs):
+        raise ValueError(f"rhs must be {m} positive integers, got {rhs!r}")
+    lp = CoverLp(m, list(columns), rhs)
     _check_columns(m, lp.columns)
     if m == 0:
         return lp
@@ -104,7 +130,7 @@ def open_covering_lp(num_rows: int, columns: list[tuple[int, ...]]) -> CoverLp:
 
     lp.iterations = _iterate(lp, phase1=True)
     # At a phase-1 optimum the surplus columns force y >= 0 and the zero
-    # objective forces sum(y) = y.b = 0, so y = c_B B^-1 = 0 and no artificial
+    # objective forces y.b = 0 with b >= 1, so y = c_B B^-1 = 0 and no artificial
     # (cost 1) can still be basic: phase 2 starts from a basis of real columns.
     if any(b >= lp.ns + m for b in lp.basis):
         raise RuntimeError("phase 1 ended with an artificial in the basis; simplex invariant broken")
@@ -127,10 +153,14 @@ def add_covering_columns(lp: CoverLp, columns: list[tuple[int, ...]]) -> None:
 
 
 def _check_columns(m: int, columns: list[tuple[int, ...]]) -> None:
-    """Each column must be a nonempty set of distinct rows in 0..m-1."""
+    """Each column must be a nonempty tuple of rows in 0..m-1.
+
+    A row's coefficient is the number of times it is listed, so every
+    coefficient a column can express is a positive integer.
+    """
     for j, col in enumerate(columns):
-        if not col or len(set(col)) != len(col) or not all(0 <= i < m for i in col):
-            raise ValueError(f"column {j} {col!r} is empty, repeats a row or names a row outside 0..{m - 1}")
+        if not col or not all(0 <= i < m for i in col):
+            raise ValueError(f"column {j} {col!r} is empty or names a row outside 0..{m - 1}")
 
 
 def _transformed_column(st: CoverLp, enter: int) -> list[int]:

@@ -119,6 +119,22 @@ def brute_maximal_independent_sets(g: Graph) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
+def brute_is_automorphism(g: Graph, p: tuple[int, ...]) -> bool:
+    """Does p (v -> p[v]) permute g's vertices and map the edge set and the
+    loop set onto themselves?"""
+    return (
+        sorted(p) == list(range(g.n))
+        and {frozenset((p[u], p[v])) for u, v in g.edges} == {frozenset(e) for e in g.edges}
+        and {p[v] for v in g.loops} == set(g.loops)
+    )
+
+
+def brute_automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every automorphism of g, by trying all n! permutations (n <= 7)."""
+    assert g.n <= 7
+    return [p for p in permutations(range(g.n)) if brute_is_automorphism(g, p)]
+
+
 def all_labelled_digraphs(n_max: int):
     """Every labelled loopless digraph on 1..n_max vertices, one per arc mask."""
     for n in range(1, n_max + 1):

@@ -486,7 +486,7 @@ def test_invariant_chif_obj_is_the_coloring_fields(capsys, tmp_path):
     code, out, _ = run(capsys, "invariant", "chif", f["c5"], "--format", "obj")
     assert code == 0
     assert out == (
-        '{"coloring": {"sets": [[0, 2], [1, 3], [1, 4], [0, 3], [2, 4]], '
+        '{"coloring": {"generators": [], "sets": [[0, 2], [1, 3], [1, 4], [0, 3], [2, 4]], '
         '"weights": [[1, 2], [1, 2], [1, 2], [1, 2], [1, 2]]}, "value": [5, 2]}\n'
     )
     witness = fractional_coloring_from_obj(json.loads(out)["coloring"])

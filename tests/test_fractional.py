@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,20 +10,24 @@ from hypothesis import strategies as st
 
 from prodcolor.errors import CapExceeded
 from prodcolor.fractional import FractionalColoring, fractional_chromatic
+from prodcolor import fractional
 from prodcolor.graphs import (
     Graph,
+    _named_generators,
+    _product_generators,
     add_loops,
     complete_graph,
     cycle,
     kneser,
+    kneser_subsets,
     named,
     tensor_product,
 )
-from prodcolor.harness import SuiteConfig, run_suite
+from prodcolor.harness import FRAC_CATALOG, SuiteConfig, run_suite
 from prodcolor.simplex import add_covering_columns, open_covering_lp, solve_covering_lp
 from prodcolor.solvers import chromatic_number, independence_number
 
-from oracles import brute_maximal_independent_sets
+from oracles import brute_automorphisms, brute_is_automorphism, brute_maximal_independent_sets
 
 
 # ---------------------------------------------------------------------------
@@ -60,11 +65,27 @@ def test_simplex_rejects_uncoverable_rows():
         solve_covering_lp(2, [(0,)])
     with pytest.raises(ValueError, match=r"column 1 \(\) is empty"):
         solve_covering_lp(1, [(0,), ()])
-    # a repeated row is not set membership: (0, 0) would count row 0 twice
-    with pytest.raises(ValueError, match=r"column 0 \(0, 0\) .*repeats a row"):
-        solve_covering_lp(1, [(0, 0)])
     with pytest.raises(ValueError, match=r"column 0 \(0, 1, 5\) .*outside 0\.\.1"):
         solve_covering_lp(2, [(0, 1, 5)])
+    with pytest.raises(ValueError, match=r"column 0 \(0, -1\) .*outside 0\.\.1"):
+        solve_covering_lp(2, [(0, -1)])
+    # a coefficient is the number of times a column lists its row, so no
+    # column can state a coefficient below 1: (0, 0) is row 0 at coefficient 2
+    assert solve_covering_lp(1, [(0, 0)]).value == Fraction(1, 2)
+    for rhs in ([0, 1], [1], [1, Fraction(1, 2)], [1, -2]):
+        with pytest.raises(ValueError, match="rhs must be 2 positive integers"):
+            solve_covering_lp(2, [(0, 1)], rhs)
+
+
+def test_simplex_integer_coefficients_and_rhs():
+    # rows 0 and 1 need 3 and 2; (0, 0, 1, 1) covers each row twice, so
+    # x = 3/2 covers both at value 3/2, and the duals (1/2, 0) price it at 1
+    sol = solve_covering_lp(2, [(0, 0, 1, 1), (1,)], [3, 2])
+    assert sol.value == Fraction(3, 2)
+    assert sol.primal == {0: Fraction(3, 2)}
+    assert sol.dual == (Fraction(1, 2), 0)
+    # one orbit row of C5 (rhs 5) and its 2-sets: 5/2 = chi_f(C5)
+    assert solve_covering_lp(1, [(0, 0)], [5]).value == Fraction(5, 2)
 
 
 def test_simplex_degenerate_instances():
@@ -78,42 +99,56 @@ def test_simplex_degenerate_instances():
 
 @st.composite
 def _covering_lps(draw):
-    """Up to 8 rows and 14 nonempty columns, every row covered by some column."""
+    """Up to 8 rows and 14 nonempty columns, every row covered by some column.
+
+    A column lists each of its rows 1 to 3 times (its integer coefficient),
+    and each row's right-hand side is 1 to 3; both shrink to the 0/1 LP with
+    all right-hand sides 1.
+    """
     m = draw(st.integers(1, 8))
     k = draw(st.integers(1, 14))
     owner = draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m))
     cols = []
     for j in range(k):
         extra = draw(st.sets(st.integers(0, m - 1), min_size=0 if j in owner else 1))
-        cols.append(tuple(sorted(extra | {i for i in range(m) if owner[i] == j})))
-    return m, cols
+        rows = sorted(extra | {i for i in range(m) if owner[i] == j})
+        times = draw(st.lists(st.integers(1, 3), min_size=len(rows), max_size=len(rows)))
+        cols.append(tuple(i for i, c in zip(rows, times) for _ in range(c)))
+    rhs = tuple(draw(st.lists(st.integers(1, 3), min_size=m, max_size=m)))
+    return m, cols, rhs
+
+
+def _check_certificate(m, cols, rhs, sol):
+    """Primal covers every row to its right-hand side, the duals are a feasible
+    dual solution, and the three values agree; a column adds its weight to a
+    row once per listing."""
+    cover = [Fraction(0)] * m
+    for j, w in sol.primal.items():
+        assert w > 0
+        for i in cols[j]:
+            cover[i] += w
+    assert all(c >= b for c, b in zip(cover, rhs))
+    assert len(sol.dual) == m and all(y >= 0 for y in sol.dual)
+    assert all(sum(sol.dual[i] for i in c) <= 1 for c in cols)
+    assert sol.value == sum(sol.primal.values()) == sum(y * b for y, b in zip(sol.dual, rhs))
 
 
 @settings(max_examples=200, deadline=None)
 @given(_covering_lps())
 # found by the search against a pivot that left the rows off the pivot column
 # at the old denominator: that pivot returns value 0 and an empty cover here
-@example((5, [(1, 2, 3, 4), (0, 1, 2, 3), (0, 4)]))
+@example((5, [(1, 2, 3, 4), (0, 1, 2, 3), (0, 4)], (1,) * 5))
 def test_simplex_certificate_on_random_lps(lp):
     # checked with no simplex code: primal covers, dual is feasible, values agree
-    m, cols = lp
-    sol = solve_covering_lp(m, cols)
-    cover = [Fraction(0)] * m
-    for j, w in sol.primal.items():
-        assert w > 0
-        for i in cols[j]:
-            cover[i] += w
-    assert all(c >= 1 for c in cover)
-    assert len(sol.dual) == m and all(y >= 0 for y in sol.dual)
-    assert all(sum(sol.dual[i] for i in c) <= 1 for c in cols)
-    assert sol.value == sum(sol.primal.values()) == sum(sol.dual)
+    m, cols, rhs = lp
+    _check_certificate(m, cols, rhs, solve_covering_lp(m, cols, rhs))
 
 
-def _warm_starts(m, cols, data):
+def _warm_starts(m, cols, rhs, data):
     """The LP opened on the first columns that cover every row, then with the
     rest added in drawn batches; yields the LP after each step."""
     first = next(k for k in range(1, len(cols) + 1) if set().union(*cols[:k]) == set(range(m)))
-    master = open_covering_lp(m, cols[:first])
+    master = open_covering_lp(m, cols[:first], rhs)
     yield master
     rest = cols[first:]
     while rest:
@@ -127,18 +162,12 @@ def _warm_starts(m, cols, data):
 @given(_covering_lps(), st.data())
 def test_added_columns_continue_from_the_basis(lp, data):
     # the warm-started optimum is the one-shot optimum
-    m, cols = lp
-    *_, master = _warm_starts(m, cols, data)
+    m, cols, rhs = lp
+    *_, master = _warm_starts(m, cols, rhs, data)
     assert master.columns == cols
-    warm, cold = master.solution(), solve_covering_lp(m, cols)
+    warm, cold = master.solution(), solve_covering_lp(m, cols, rhs)
     assert warm.value == cold.value
-    cover = [Fraction(0)] * m
-    for j, w in warm.primal.items():
-        for i in cols[j]:
-            cover[i] += w
-    assert all(c >= 1 for c in cover)
-    assert all(y >= 0 for y in warm.dual) and all(sum(warm.dual[i] for i in c) <= 1 for c in cols)
-    assert warm.value == sum(warm.primal.values()) == sum(warm.dual)
+    _check_certificate(m, cols, rhs, warm)
     scaled = master.prices()
     assert warm.dual == tuple(Fraction(v, master.den) for v in scaled)
 
@@ -149,8 +178,8 @@ def test_basis_rows_stay_lexicographically_positive(lp, data):
     # the termination argument of the simplex: every row of [x_B | B^-1] is
     # lexicographically positive at the first (artificial) basis, and each
     # lexicographic pivot keeps it so, also across added columns
-    m, cols = lp
-    for master in _warm_starts(m, cols, data):
+    m, cols, rhs = lp
+    for master in _warm_starts(m, cols, rhs, data):
         assert master.den > 0
         for x, row in zip(master.xb, master.binv):
             assert next(v for v in [x, *row] if v) > 0
@@ -175,10 +204,13 @@ def test_added_columns_are_checked():
         add_covering_columns(master, [()])
     with pytest.raises(ValueError, match="outside"):
         add_covering_columns(master, [(0, 2)])
-    with pytest.raises(ValueError, match=r"column 1 \(0, 0\) .*repeats a row"):
-        add_covering_columns(master, [(1,), (0, 0)])
+    with pytest.raises(ValueError, match=r"column 1 \(-1,\) .*outside"):
+        add_covering_columns(master, [(1,), (-1,)])
     add_covering_columns(master, [(0,)])
     assert master.solution().value == 1
+    # a repeated row is a coefficient: (0, 0, 1, 1) covers both rows twice
+    add_covering_columns(master, [(0, 0, 1, 1)])
+    assert master.solution().value == Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -301,3 +333,159 @@ def test_chi_f_matches_the_lp_over_every_maximal_set(data):
     value, witness = fractional_chromatic(g)
     assert value == solve_covering_lp(n, brute_maximal_independent_sets(g)).value
     assert witness.covers(g) and witness.value == value
+
+
+def test_covers_rejects_vertices_outside_the_graph():
+    k3 = complete_graph(3)
+    # -1 would index vertex 2 and 3 would raise IndexError
+    for stray in (-1, 3):
+        sets = (frozenset({0}), frozenset({1}), frozenset({stray}))
+        assert not FractionalColoring(sets, (Fraction(1),) * 3).covers(k3)
+    sets = (frozenset({0}), frozenset({1}), frozenset({2}))
+    assert FractionalColoring(sets, (Fraction(1),) * 3).covers(k3)
+
+
+# ---------------------------------------------------------------------------
+# symmetry reduction: one LP row per orbit of the generated group
+
+
+def _group(n, generators):
+    """Every element of the permutation group the generators span, by closure."""
+    identity = tuple(range(n))
+    group, frontier = {identity}, [identity]
+    while frontier:
+        p = frontier.pop()
+        for s in generators:
+            q = tuple(s[p[v]] for v in range(n))
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    return group
+
+
+def _one_orbit(n, generators):
+    seen, frontier = {0}, [0]
+    while frontier:
+        v = frontier.pop()
+        for p in generators:
+            if p[v] not in seen:
+                seen.add(p[v])
+                frontier.append(p[v])
+    return len(seen) == n
+
+
+def _averaged_covers(g, witness):
+    """The witness spread over its group covers every vertex with weight >= 1
+    by independent sets: the averaging step, checked with no package code."""
+    group = _group(g.n, witness.generators)
+    cover = [Fraction(0)] * g.n
+    for p in group:
+        for s, w in zip(witness.sets, witness.weights):
+            image = [p[v] for v in s]
+            if any(g.has_edge(u, v) for u, v in combinations(image, 2)):
+                return False
+            for v in image:
+                cover[v] += w / len(group)
+    return all(c >= 1 for c in cover)
+
+
+def _opened_lps(monkeypatch):
+    """The list of every LP that fractional_chromatic opens from now on."""
+    opened, original = [], fractional.open_covering_lp
+
+    def spy(*args):
+        opened.append(original(*args))
+        return opened[-1]
+
+    monkeypatch.setattr(fractional, "open_covering_lp", spy)
+    return opened
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_chi_f_with_generators_matches_the_full_lp(data):
+    n = data.draw(st.integers(1, 6))
+    pairs = list(combinations(range(n), 2))
+    mask = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph.from_edges(n, [e for e, keep in zip(pairs, mask) if keep])
+    autos = brute_automorphisms(g)
+    gens = tuple(data.draw(st.lists(st.sampled_from(autos), max_size=3)))
+    value, witness = fractional_chromatic(g, generators=gens)
+    assert value == fractional_chromatic(g)[0]
+    assert witness.generators == gens and witness.value == value
+    assert witness.covers(g) and _averaged_covers(g, witness)
+
+
+def test_generators_must_be_automorphisms():
+    c5 = cycle(5)
+    for bad in ((2, 1, 0, 3, 4), (0, 1, 2, 3), (0, 0, 1, 2, 3), (1, 2, 3, 4, 5), (0, "1", 2, 3, 4)):
+        with pytest.raises(ValueError, match="generator 1 is not an automorphism"):
+            fractional_chromatic(c5, generators=[(1, 2, 3, 4, 0), bad])
+    value, witness = fractional_chromatic(c5, generators=[(1, 2, 3, 4, 0)])
+    assert value == Fraction(5, 2) and witness.covers(c5)
+    assert not replace(witness, generators=((2, 1, 0, 3, 4),)).covers(c5)
+    # a 5-cycle that is no automorphism gives the same single orbit row
+    assert not replace(witness, generators=((1, 3, 4, 2, 0),)).covers(c5)
+    assert not replace(witness, generators=((0, 1, 2, 3),)).covers(c5)
+
+
+def test_refinement_cells_are_not_orbits():
+    # C6 plus two disjoint triangles is 2-regular, so colour refinement puts
+    # all 12 vertices in one cell; as an orbit row it would give 12/alpha =
+    # 12/5, below chi_f = 3, so the 12-cycle that would make it one orbit
+    # must be refused
+    edges = [(i, (i + 1) % 6) for i in range(6)]
+    edges += [(6, 7), (7, 8), (6, 8), (9, 10), (10, 11), (9, 11)]
+    g = Graph.from_edges(12, edges)
+    assert {len(g.neighbors(v)) for v in range(12)} == {2}
+    assert independence_number(g) == 5
+    assert solve_covering_lp(1, [(0,) * 5], [12]).value == Fraction(12, 5)
+    assert fractional_chromatic(g)[0] == 3
+    rotation = tuple((v + 1) % 12 for v in range(12))
+    with pytest.raises(ValueError, match="not an automorphism"):
+        fractional_chromatic(g, generators=[rotation])
+    fake = FractionalColoring((frozenset({0, 2, 4, 6, 9}),), (Fraction(12, 5),), (rotation,))
+    assert not fake.covers(g)
+
+
+@pytest.mark.parametrize(
+    "gname, hname, expected",
+    [("petersen", "petersen", Fraction(5, 2)), ("c7", "petersen", Fraction(7, 3))],
+)
+def test_chi_f_of_products_with_product_generators(gname, hname, expected, monkeypatch):
+    g, h = named(gname), named(hname)
+    gh = tensor_product(g, h)
+    gens = _product_generators(_named_generators(gname), g.n, _named_generators(hname), h.n)
+    opened = _opened_lps(monkeypatch)
+    value, witness = fractional_chromatic(gh, max_vertices=100, generators=gens)
+    assert [lp.m for lp in opened] == [1]  # one orbit, one row
+    assert value == expected and witness.value == value
+    assert witness.covers(gh) and witness.generators == gens
+    assert Fraction(gh.n, independence_number(gh)) == expected
+
+
+def test_chi_f_kneser_7_3_without_generators_keeps_its_pivots(monkeypatch):
+    # the no-generator LP is the one-row-per-vertex LP: the same 734 simplex
+    # iterations over 66 columns, and the same witness, the seven stars
+    opened = _opened_lps(monkeypatch)
+    value, witness = fractional_chromatic(kneser(7, 3), max_vertices=35)
+    assert value == Fraction(7, 3)
+    (lp,) = opened
+    assert (lp.iterations, len(lp.columns)) == (734, 66)
+    subsets = kneser_subsets(7, 3)
+    stars = [frozenset(v for v, s in enumerate(subsets) if i in s) for i in (5, 4, 3, 2, 6, 1, 0)]
+    assert witness.sets == tuple(stars)
+    assert witness.weights == (Fraction(1, 3),) * 7 and witness.generators == ()
+
+
+def test_catalog_generators_are_automorphisms_with_one_orbit_per_product():
+    for gname in FRAC_CATALOG:
+        g, g_gens = named(gname), _named_generators(gname)
+        assert g_gens and all(brute_is_automorphism(g, p) for p in g_gens)
+        for hname in FRAC_CATALOG:
+            h = named(hname)
+            gens = _product_generators(g_gens, g.n, _named_generators(hname), h.n)
+            gh = tensor_product(g, h)
+            assert all(brute_is_automorphism(gh, p) for p in gens)
+            assert _one_orbit(gh.n, gens)
+    assert _named_generators("heawood") == ()

@@ -121,8 +121,30 @@ def test_fractional_coloring_objects():
         (Fraction(1, 2), Fraction(3, 2)),
     )
     obj = to_obj(fc)
-    assert obj == {"sets": [[0, 2], [1, 3]], "weights": [[1, 2], [3, 2]]}
+    assert obj == {"generators": [], "sets": [[0, 2], [1, 3]], "weights": [[1, 2], [3, 2]]}
     assert fractional_coloring_from_obj(obj) == fc
+    # an object written before generators existed reads as having none
+    del obj["generators"]
+    assert fractional_coloring_from_obj(obj) == fc
+
+
+def test_fractional_coloring_generators_round_trip_and_are_checked():
+    fc = FractionalColoring(
+        (frozenset({0, 2}),), (Fraction(5, 2),), ((1, 2, 3, 4, 0), (0, 4, 3, 2, 1))
+    )
+    obj = to_obj(fc)
+    assert obj["generators"] == [[1, 2, 3, 4, 0], [0, 4, 3, 2, 1]]
+    assert fractional_coloring_from_obj(obj) == fc
+    for bad, message in (
+        ([[1, 2, 3, 4, 0], [0, 1, 2, 3]], r"generators\[1\] must be a permutation of 0\.\.4"),
+        ([[0, 0, 1]], r"generators\[0\] must be a permutation of 0\.\.2"),
+        ([[1, 2, 3]], r"generators\[0\] must be a permutation"),
+        ([[0, -1]], r"generators\[0\] must be a permutation"),
+        ([[0, "1"]], r"generators\[0\]\[1\] must be an integer"),
+        ([0, 1], r"generators\[0\] must be a list"),
+    ):
+        with pytest.raises(ParseError, match=message):
+            fractional_coloring_from_obj({**obj, "generators": bad})
 
 
 def test_to_obj_encoding_rules():
