@@ -21,10 +21,12 @@ Palette bookkeeping is 0-based: the "first block" is {0..2q-1} and the
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import combinations
-from operator import and_, mul, or_
+from itertools import chain, combinations, compress, repeat
+from operator import and_, lshift, mul, or_
+from typing import Iterator
 
 from .errors import DEFAULT_MAX_EXP_EDGES, DEFAULT_MAX_EXP_VERTICES, CapExceeded
 from .graphs import Graph, blowup, distances
@@ -149,15 +151,18 @@ def constant_map(ctx: ExpContext, i: int) -> ExpMap:
     return ExpMap(ctx, (i,) * ctx.base.n)
 
 
-def _neighbour_columns(ctx: ExpContext) -> tuple[list[list[int]], list[int], list[int]]:
-    """Per base vertex b, the palette mask each map leaves free for a neighbour at b.
+def _neighbour_columns(ctx: ExpContext) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Per map, the palette masks it leaves free for a neighbour, packed per half.
 
     A map g is adjacent to f iff g(b) lies outside f(N(b)) at every base
     vertex b, where N(b) holds the vertices a with (a, b) a directed check
-    (b itself when b carries a loop). Besides the masks, this returns each
-    map's neighbour count with itself included (the product of the free-set
-    sizes) and the maps that are their own neighbours. The work is column by
-    column, O(n_maps * checks), and nothing of size n_maps^2 is allocated.
+    (b itself when b carries a loop). With h = n // 2, the free masks of f
+    at the low base vertices 0..h-1 are packed into one int, vertex i at
+    bit c*i, and those at the high ones h..n-1 into another, vertex h+i at
+    bit c*i. Besides the packed masks, this returns each map's neighbour
+    count with itself included (the product of the free-set sizes) and the
+    maps that are their own neighbours. The work is column by column,
+    O(n_maps * checks), and nothing of size n_maps^2 is allocated.
     """
     nb, c, n_maps = ctx.base.n, ctx.c, ctx.num_maps
     full = (1 << c) - 1
@@ -175,14 +180,62 @@ def _neighbour_columns(ctx: ExpContext) -> tuple[list[list[int]], list[int], lis
         for b in range(nb)
     ]
     free = [[full ^ m for m in col] for col in taken]
+    popcount = [m.bit_count() for m in range(full + 1)]
     sizes = reduce(
-        lambda acc, col: list(map(mul, acc, [m.bit_count() for m in col])), free, [1] * n_maps
+        lambda acc, col: list(map(mul, acc, map(popcount.__getitem__, col))), free, [1] * n_maps
     )
     clash = reduce(
         lambda acc, b: list(map(or_, acc, map(and_, taken[b], bits[b]))), range(nb), zero
     )
     loops = [t for t, x in enumerate(clash) if not x]
-    return free, sizes, loops
+    h = nb // 2
+    # one int per map and half keys the half tables in less memory than a
+    # tuple; Horner's rule from the last vertex of each half down to its first
+    low, high = (
+        reduce(
+            lambda acc, col: list(map(or_, map(lshift, acc, repeat(c)), col)), reversed(half), zero
+        )
+        for half in (free[:h], free[h:])
+    )
+    return low, high, sizes, loops
+
+
+def _digit_sums(key: int, n: int, c: int) -> tuple[int, ...]:
+    """Sorted sums of d_i * c**i over i < n and the set bits d_i of field i of key."""
+    sums, full = [0], (1 << c) - 1
+    # most significant position first: each lower digit refines within a block
+    for i in reversed(range(n)):
+        m, w = key >> c * i & full, c**i
+        sums = [s + d * w for s in sums for d in range(c) if m >> d & 1]
+    return tuple(sums)
+
+
+def _edges_above(
+    ctx: ExpContext, low: list[int], high: list[int], sizes: list[int]
+) -> Iterator[Iterator[tuple[int, int]]]:
+    """Per map t, the edges (t, u) to its neighbours u > t.
+
+    Index u splits as divmod(u, c**h) = (hi, lo), with h = n // 2: lo sums
+    the digits at the low base vertices and hi those at the high ones, each
+    from digit weight 1 up. Each half's sums are built once per packed mask,
+    in ascending order, so t's neighbours come out in ascending order and
+    the ones beyond t are a suffix.
+    """
+    c, nb = ctx.c, ctx.base.n
+    h = nb // 2
+    step = c**h
+    # both tables are complete before the first edge exists, so no table
+    # entry is allocated between two resizes of the growing edge set; the
+    # sums stay below c**(n - h), mostly cached small ints
+    low_sums = {m: _digit_sums(m, h, c) for m in set(compress(low, sizes))}
+    high_sums = {m: _digit_sums(m, nb - h, c) for m in set(compress(high, sizes))}
+    # a map with no neighbour, itself included, yields nothing
+    for t, lo_key, hi_key in compress(zip(range(len(sizes)), low, high), sizes):
+        lows, highs = low_sums[lo_key], high_sums[hi_key]
+        # from t's own high block on
+        blocks = map(step.__mul__, highs[bisect_left(highs, t // step) :])
+        us = [b + lo for b in blocks for lo in lows]
+        yield zip(repeat(t), us[bisect_right(us, t) :])
 
 
 def materialize_exponential(
@@ -203,33 +256,29 @@ def materialize_exponential(
     the product of free-set sizes less the loops, is exact and is checked
     against max_edges before any edge is built; the vertex cap is checked
     first. Time and memory are O(n_maps * checks + edges).
+
+    The product is taken in two halves split at base vertex h = n // 2 (see
+    _edges_above). The half tables hold one sorted tuple of sums per
+    distinct packed mask among the maps with a neighbour: at most
+    min(n_maps, 2**(c*h)) low entries of at most c**h sums each, and at most
+    min(n_maps, 2**(c*(n-h))) high entries of at most c**(n-h) sums each.
+    No entry is longer than the neighbourhood of a map that needs it, so the
+    tables add O(n_maps + edges) and keep the bound above. The edges go
+    straight into the edge set, with no intermediate list.
     """
     n_maps = ctx.num_maps
     if n_maps > max_vertices:
         raise CapExceeded(
             f"{n_maps} maps exceed the max_vertices cap of {max_vertices}"
         )
-    free, sizes, loops = _neighbour_columns(ctx)
+    low, high, sizes, loops = _neighbour_columns(ctx)
     n_edges = (sum(sizes) - len(loops)) // 2
     if n_edges > max_edges:
         raise CapExceeded(
             f"{n_edges} edges exceed the max_edges cap of {max_edges}"
         )
-    c = ctx.c
-    # per base vertex, the index offsets g(b) * c**b of each free mask
-    offset_cols = []
-    for b, col in enumerate(free):
-        offsets = {m: tuple(d * c**b for d in range(c) if m >> d & 1) for m in set(col)}
-        offset_cols.append(list(map(offsets.__getitem__, col)))
-    edges = []
-    for t, offs in enumerate(zip(*offset_cols)):
-        if not sizes[t]:
-            continue
-        near = [0]
-        for o in offs:
-            near = [s + x for s in near for x in o]
-        edges.extend([(t, u) for u in near if u > t])
-    return Graph(n_maps, frozenset(edges), frozenset(loops))
+    edges = frozenset(chain.from_iterable(_edges_above(ctx, low, high, sizes)))
+    return Graph(n_maps, edges, frozenset(loops))
 
 
 def universal_property_check(
@@ -271,9 +320,9 @@ def universal_property_check(
 
     # evaluation map is a proper coloring of g x K_c^g
     eval_product = tensor_product(g, expo)
-    eval_colors = tuple(
-        index_to_map(ctx, t).values[x] for x in range(g.n) for t in range(expo.n)
-    )
+    # row x of the product lists f(x) for every map f
+    values = [index_to_map(ctx, t).values for t in range(expo.n)]
+    eval_colors = tuple(chain.from_iterable(zip(*values)))
     return is_proper_coloring(eval_product, Coloring(eval_colors, c))
 
 
@@ -286,36 +335,43 @@ def secondary_block(q: int) -> range:
     return range(2 * q, 4 * q + 2)
 
 
-def shitov_mu(g: Graph, v: int, q: int, t: int) -> BlowupExpMap:
-    """The radial map mu_{v,t} on blowup(g, q) with palette 4q+2.
-
-    Value at fiber vertex (x, i): i if dist(x, v) is 0 or 2; q+i if
-    dist(x, v) = 1; t if dist(x, v) >= 3 (unreachable vertices included).
-    """
+def _mu_distances(g: Graph, v: int, q: int) -> list[int | float]:
+    """Check the arguments shared by every mu_{v,t} and return the distances from v."""
     if g.loops:
         raise ValueError("mu is defined over loopless base graphs")
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     if not (0 <= v < g.n):
         raise ValueError(f"center vertex {v} out of range")
-    c = 4 * q + 2
+    return distances(g, v)
+
+
+def _mu_values(dist: list[int | float], q: int, t: int) -> tuple[int, ...]:
+    """The values of mu_{v,t} on the blow-up, in fiber order, from the distances to v."""
+    values: list[int] = []
+    for d in dist:
+        if d == 0 or d == 2:
+            values += range(q)
+        elif d == 1:
+            values += range(q, 2 * q)
+        else:
+            values += [t] * q
+    return tuple(values)
+
+
+def shitov_mu(g: Graph, v: int, q: int, t: int) -> BlowupExpMap:
+    """The radial map mu_{v,t} on blowup(g, q) with palette 4q+2.
+
+    Value at fiber vertex (x, i): i if dist(x, v) is 0 or 2; q+i if
+    dist(x, v) = 1; t if dist(x, v) >= 3 (unreachable vertices included).
+    """
+    dist = _mu_distances(g, v, q)
     if t not in secondary_block(q):
         raise ValueError(
             f"t={t} outside the secondary block {2 * q}..{4 * q + 1} for q={q}"
         )
-    dist = distances(g, v)
-    values = []
-    for x in range(g.n):
-        for i in range(q):
-            d = dist[x]
-            if d == 0 or d == 2:
-                values.append(i)
-            elif d == 1:
-                values.append(q + i)
-            else:
-                values.append(t)
-    ctx = ExpContext(blowup(g, q), c)
-    return BlowupExpMap(g, q, ExpMap(ctx, tuple(values)))
+    ctx = ExpContext(blowup(g, q), 4 * q + 2)
+    return BlowupExpMap(g, q, ExpMap(ctx, _mu_values(dist, q, t)))
 
 
 def shitov_theta(
@@ -369,24 +425,39 @@ def verify_mu_clique(g: Graph, v: int, q: int, *, jobs: int = 1) -> MuCliqueRepo
     carries, per violating pair, a witnessing blow-up edge on which the two
     maps share a value. Pairs are checked in lexicographic order.
 
+    One blow-up serves every mu_t. A pair (t, t') is tested per shared value
+    x: the neighbours of the vertices where mu_t is x against the vertices
+    where mu_t' is x. Only a violating pair is scanned for its witness, the
+    first directed check of the exponential graph on which the values agree.
+
     ``jobs`` accepts only 1. It remains so that callers still passing
     ``jobs=1`` (benchmarks/workloads.py) keep working; any other value raises
     ValueError.
     """
     if jobs != 1:
         raise ValueError(f"jobs must be 1, got {jobs}")
-    mus = {t: shitov_mu(g, v, q, t) for t in secondary_block(q)}
-    # all mu_t share one exponential graph, whose checks list each blow-up
-    # edge as (x, y) and then (y, x); a blow-up has no loops, so a pair is
-    # adjacent iff no check (a, b) has f(a) == g(b)
-    checks = mus[2 * q].ctx.directed_checks
+    dist = _mu_distances(g, v, q)
+    # all mu_t share one exponential graph over the blow-up, which has no loops
+    ctx = ExpContext(blowup(g, q), 4 * q + 2)
+    adj = ctx.base.neighbor_masks
+    mus, holding, beside = {}, {}, {}
+    for t in secondary_block(q):
+        f = mus[t] = _mu_values(dist, q, t)
+        # per value, the blow-up vertices holding it and all their neighbours
+        hold: dict[int, int] = {}
+        near: dict[int, int] = {}
+        for a, x in enumerate(f):
+            hold[x] = hold.get(x, 0) | 1 << a
+            near[x] = near.get(x, 0) | adj[a]
+        holding[t], beside[t] = hold, near
     pairs = list(combinations(mus, 2))
     violations = []
     for t, tp in pairs:
-        f, fp = mus[t].exp.values, mus[tp].exp.values
-        witness = next(((a, b) for a, b in checks if f[a] == fp[b]), None)
-        if witness is not None:
-            a, b = witness
+        # adjacent iff no blow-up edge ab has mu_t(a) == mu_tp(b)
+        if any(m & holding[tp].get(x, 0) for x, m in beside[t].items()):
+            f, fp = mus[t], mus[tp]
+            # the checks list each blow-up edge as (x, y) and then (y, x)
+            a, b = next((a, b) for a, b in ctx.directed_checks if f[a] == fp[b])
             violations.append((t, tp, ((a // q, a % q), (b // q, b % q)), f[a]))
     return MuCliqueReport(not violations, len(pairs), tuple(violations))
 

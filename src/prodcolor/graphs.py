@@ -251,21 +251,19 @@ def tensor_product(g: Graph, h: Graph) -> Graph:
     coordinate. The product has a loop at (x, y) iff both x and y carry loops.
     """
     n2 = h.n
-    edges = set()
     g_pairs = list(g.edges) + [(v, v) for v in g.loops]
     h_pairs = list(h.edges) + [(v, v) for v in h.loops]
-    for x, xp in g_pairs:
-        for y, yp in h_pairs:
-            # both orientations of each factor pair
-            for a, b in ((x, xp), (xp, x)):
-                for c, d in ((y, yp), (yp, y)):
-                    p, q = pair_index(a, c, n2), pair_index(b, d, n2)
-                    if p != q:
-                        edges.add((p, q) if p < q else (q, p))
-    loops = frozenset(
-        pair_index(x, y, n2) for x in g.loops for y in h.loops
+    # pair vertex (x, y) is x * n2 + y (row-major); reversing both factor
+    # pairs gives the same two edges again
+    edges = frozenset(
+        (p, q) if p < q else (q, p)
+        for x, xp in g_pairs
+        for y, yp in h_pairs
+        for p, q in ((x * n2 + y, xp * n2 + yp), (x * n2 + yp, xp * n2 + y))
+        if p != q
     )
-    return Graph(g.n * h.n, frozenset(edges), loops)
+    loops = frozenset(x * n2 + y for x in g.loops for y in h.loops)
+    return Graph(g.n * h.n, edges, loops)
 
 
 def _product_generators(

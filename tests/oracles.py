@@ -105,6 +105,22 @@ def brute_exp_adjacent(base: Graph, f: tuple[int, ...], g: tuple[int, ...]) -> b
     return True
 
 
+def brute_tensor_product(g: Graph, h: Graph) -> tuple[set[tuple[int, int]], set[int]]:
+    """Edges and loops of g x h over all pairs of pair vertices (x, y) -> x * h.n + y."""
+
+    def related(graph: Graph, a: int, b: int) -> bool:
+        return b in graph.loops if a == b else (min(a, b), max(a, b)) in graph.edges
+
+    cells = list(product(range(g.n), range(h.n)))
+    edges = {
+        (s, t)
+        for s, t in combinations(range(len(cells)), 2)
+        if related(g, cells[s][0], cells[t][0]) and related(h, cells[s][1], cells[t][1])
+    }
+    loops = {s for s, (x, y) in enumerate(cells) if x in g.loops and y in h.loops}
+    return edges, loops
+
+
 def brute_maximal_independent_sets(g: Graph) -> list[tuple[int, ...]]:
     """Filter all vertex subsets for maximal independence."""
     independent = []

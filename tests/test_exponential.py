@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prodcolor import exponential
 from prodcolor.errors import CapExceeded
 from prodcolor.exponential import (
     BlowupExpMap,
     ExpContext,
     ExpMap,
+    MuCliqueReport,
     NormalizationError,
     constant_map,
     exp_adjacent,
@@ -206,6 +208,47 @@ def test_materialize_matches_brute_over_all_pairs(data):
     }
 
 
+def _expected_exponential(ctx: ExpContext) -> tuple[set[tuple[int, int]], set[int]]:
+    values = [m.values for m in _all_maps(ctx)]
+    edges = {
+        (s, t)
+        for s, t in combinations(range(len(values)), 2)
+        if brute_exp_adjacent(ctx.base, values[s], values[t])
+    }
+    loops = {t for t, f in enumerate(values) if brute_exp_adjacent(ctx.base, f, f)}
+    return edges, loops
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_materialize_every_base_up_to_three_vertices(n):
+    # the neighbourhoods are built in two halves split at n // 2, so n = 0 and
+    # n = 1 have an empty low half (and n = 0 an empty high half too); every
+    # graph on n vertices, with every loop set, for c = 1, 2, 3
+    pairs = list(combinations(range(n), 2))
+    for edge_bits in range(2 ** len(pairs)):
+        edges = [e for i, e in enumerate(pairs) if edge_bits >> i & 1]
+        for loop_bits in range(2**n):
+            loops = [x for x in range(n) if loop_bits >> x & 1]
+            base = Graph.from_edges(n, edges, loops)
+            for c in (1, 2, 3):
+                ctx = ExpContext(base, c)
+                expo = materialize_exponential(ctx)
+                assert expo.n == c**n
+                assert (expo.edges, expo.loops) == _expected_exponential(ctx), (base, c)
+
+
+def test_materialize_empty_and_single_vertex_bases_by_hand():
+    # no base vertex: the one empty map, adjacent to itself (no check to fail)
+    expo = materialize_exponential(ExpContext(Graph(0), 2))
+    assert (expo.n, expo.edges, expo.loops) == (1, set(), {0})
+    # an isolated vertex: every map meets every other one, loops everywhere
+    expo = materialize_exponential(ExpContext(Graph(1), 3))
+    assert expo.edges == {(0, 1), (0, 2), (1, 2)} and expo.loops == {0, 1, 2}
+    # a looped vertex: the constant maps, all distinct, form K_c without loops
+    expo = materialize_exponential(ExpContext(Graph.from_edges(1, [], [0]), 3))
+    assert expo.edges == {(0, 1), (0, 2), (1, 2)} and not expo.loops
+
+
 def test_materialize_caps():
     with pytest.raises(CapExceeded, match="max_vertices"):
         materialize_exponential(ExpContext(cycle(5), 3), max_vertices=100)
@@ -241,6 +284,29 @@ def test_index_round_trip():
 def test_universal_property_instances():
     assert universal_property_check(complete_graph(2), complete_graph(3), 2)
     assert universal_property_check(cycle(5), cycle(5), 3)
+
+
+def test_universal_property_evaluation_coloring(monkeypatch):
+    # the evaluation coloring lists f(x) for every map f, row by row, and
+    # reads each map's values once
+    seen = []
+    monkeypatch.setattr(
+        exponential, "is_proper_coloring", lambda g, col: seen.append((g, col)) or True
+    )
+    calls = []
+    real_index_to_map = exponential.index_to_map
+    monkeypatch.setattr(
+        exponential, "index_to_map", lambda ctx, t: calls.append(t) or real_index_to_map(ctx, t)
+    )
+    g, h = cycle(5), cycle(5)
+    assert universal_property_check(g, h, 3)
+    ctx = ExpContext(g, 3)
+    assert calls == list(range(ctx.num_maps))
+    ((product, coloring),) = seen
+    assert product.n == g.n * ctx.num_maps and coloring.k == 3
+    assert coloring.colors == tuple(
+        real_index_to_map(ctx, t).values[x] for x in range(g.n) for t in range(ctx.num_maps)
+    )
 
 
 def test_universal_property_precondition():
@@ -376,6 +442,84 @@ def test_mu_clique_jobs_deterministic():
     for jobs in (0, 2, 3):
         with pytest.raises(ValueError, match="jobs must be 1"):
             verify_mu_clique(cycle(5), 0, 1, jobs=jobs)
+
+
+def _mu_clique_reference(g: Graph, v: int, q: int) -> MuCliqueReport:
+    # the mu_t one by one, each pair scanned over the checks of their
+    # exponential graph; the first check whose values agree is the witness
+    mus = {t: shitov_mu(g, v, q, t) for t in secondary_block(q)}
+    checks = mus[2 * q].ctx.directed_checks
+    pairs = list(combinations(mus, 2))
+    violations = []
+    for t, tp in pairs:
+        f, fp = mus[t].exp.values, mus[tp].exp.values
+        hits = [(a, b) for a, b in checks if f[a] == fp[b]]
+        assert exp_adjacent(mus[t], mus[tp]) == (not hits)
+        if hits:
+            a, b = hits[0]
+            violations.append((t, tp, ((a // q, a % q), (b // q, b % q)), f[a]))
+    return MuCliqueReport(not violations, len(pairs), tuple(violations))
+
+
+@pytest.mark.parametrize(
+    "base",
+    [
+        named("heawood"),
+        named("petersen"),
+        cycle(5),
+        complete_graph(4),
+        # vertex 5 is unreachable from 0 and 1, so every mu_t gives it t
+        Graph.from_edges(6, cycle(5).edges),
+    ],
+    ids=["heawood", "petersen", "c5", "k4", "c5+isolated"],
+)
+def test_mu_clique_matches_pairwise_reference(base):
+    for q in (1, 2, 3):
+        for v in (0, 1):
+            assert verify_mu_clique(base, v, q) == _mu_clique_reference(base, v, q), (q, v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_mu_clique_matches_reference_on_random_bases(data):
+    n = data.draw(st.integers(1, 7))
+    pairs = list(combinations(range(n), 2))
+    emask = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    base = Graph.from_edges(n, [e for e, k in zip(pairs, emask) if k])
+    v, q = data.draw(st.integers(0, n - 1)), data.draw(st.integers(1, 2))
+    assert verify_mu_clique(base, v, q) == _mu_clique_reference(base, v, q)
+
+
+def test_mu_clique_reference_sees_violations_and_passes():
+    # the comparison above covers both outcomes, and isolated-vertex violations
+    assert _mu_clique_reference(named("heawood"), 0, 2).passed
+    assert len(_mu_clique_reference(complete_graph(4), 1, 3).violations) == 28
+    isolated = _mu_clique_reference(Graph.from_edges(6, cycle(5).edges), 0, 1)
+    assert not isolated.passed and len(isolated.violations) == 6
+
+
+def test_mu_clique_builds_one_blowup(monkeypatch):
+    calls = []
+    real_blowup = exponential.blowup
+    monkeypatch.setattr(
+        exponential, "blowup", lambda g, q: calls.append(q) or real_blowup(g, q)
+    )
+    assert verify_mu_clique(named("heawood"), 0, 3).passed
+    assert calls == [3]
+    calls.clear()
+    assert len(verify_mu_clique(cycle(5), 0, 2).violations) == 15
+    assert calls == [2]
+
+
+def test_mu_clique_validation():
+    hw = named("heawood")
+    with pytest.raises(ValueError, match="loopless"):
+        verify_mu_clique(add_loops(hw), 0, 1)
+    with pytest.raises(ValueError, match="q must be >= 1"):
+        verify_mu_clique(hw, 0, 0)
+    for v in (-1, 14):
+        with pytest.raises(ValueError, match="out of range"):
+            verify_mu_clique(hw, v, 1)
 
 
 def test_heawood_serves_girth_claims_only():

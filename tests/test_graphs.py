@@ -28,7 +28,7 @@ from prodcolor.graphs import (
 )
 from prodcolor.solvers import chromatic_number, girth, independence_number, k_colorable
 
-from oracles import brute_has_cycle_of_length, brute_independence
+from oracles import brute_has_cycle_of_length, brute_independence, brute_tensor_product
 
 
 def small_graphs(max_n=6, p=0.5):
@@ -238,6 +238,23 @@ def test_tensor_loops_only_when_both_loop():
     h = Graph.from_edges(2, [(0, 1)], loops=[1])
     prod = tensor_product(g, h)
     assert prod.loops == frozenset({0 * 2 + 1, 1 * 2 + 1})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_tensor_matches_brute_with_loops(data):
+    # empty factors and loops included; pair (x, y) is row-major x * h.n + y
+    def draw_graph():
+        n = data.draw(st.integers(0, 4))
+        pairs = list(combinations(range(n), 2))
+        mask = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        loops = data.draw(st.lists(st.integers(0, n - 1), max_size=n)) if n else []
+        return Graph.from_edges(n, [e for e, keep in zip(pairs, mask) if keep], loops)
+
+    g, h = draw_graph(), draw_graph()
+    prod = tensor_product(g, h)
+    edges, loops = brute_tensor_product(g, h)
+    assert (prod.n, prod.edges, prod.loops) == (g.n * h.n, edges, loops)
 
 
 @settings(max_examples=30, deadline=None)
