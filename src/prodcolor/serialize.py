@@ -16,8 +16,8 @@ one for side-by-side reading with 1-based notation; it is display-only.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import fields, is_dataclass
-from fractions import Fraction
 from typing import Any
 
 from .errors import ParseError
@@ -136,7 +136,8 @@ def to_obj(value: Any) -> Any:
     """
     if is_dataclass(value):
         return {f.name: to_obj(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, Fraction):
+    fractions = sys.modules.get("fractions")  # a Fraction implies its module is loaded
+    if fractions and isinstance(value, fractions.Fraction):
         return [value.numerator, value.denominator]
     if isinstance(value, dict):
         return {str(k): to_obj(v) for k, v in value.items()}
@@ -210,6 +211,8 @@ def set_coloring_from_obj(obj: Any):
 
 
 def fractional_coloring_from_obj(obj: Any):
+    from fractions import Fraction
+
     from .fractional import FractionalColoring
 
     sets = tuple(frozenset(s) for s in _rows(obj, "sets"))

@@ -1,46 +1,36 @@
 """Exact rational simplex for covering LPs.
 
 Solves  min sum_j x_j  subject to  sum_j a_ij x_j >= b_i for every row i,
-x >= 0  -- entirely in integer arithmetic (no floating point). A column is a
-tuple of rows in which row i appears a_ij times, so a column of distinct rows
-is a 0/1 column and a repeated row is an integer coefficient; each right-hand
-side b_i is a positive integer, 1 unless given. The symmetry-reduced LP of
-``fractional`` uses both: one row per vertex orbit O with b_O = |O|, and a
-column listing the orbit of each vertex of an independent set S, so that row
-O appears |S & O| times. Pricing and transforming a column cost one pass over
-its entries, so a coefficient adds no work beyond the entries that state it.
-The simplex itself knows nothing of symmetry: it certifies the optimum of the
-LP it is given. That the orbit LP's optimum is chi_f (averaging a reduced
-solution over the group gives a full one of the same value) and that its
-duals, lifted to the vertices, are a fractional clique of the whole graph is
-argued and checked in ``fractional``.
+x >= 0, in integer arithmetic only. A column is a tuple of rows that lists
+row i a_ij times; each b_i is a positive integer (default 1). The simplex
+certifies the optimum of the LP it is given; ``fractional`` checks that the
+optimum of its orbit LP is chi_f.
 
-Revised simplex on the basis inverse, kept fraction-free (Edmonds 1967;
-Bareiss 1968): the basis inverse and the basic values are Python ints over one
-positive common denominator ``den = |det B|``, so ``binv`` is the adjugate of B
-up to sign. Each pivot is a Gauss-Jordan step whose divisions by the old
-denominator are exact. Duals come out as ``den * y``, so reduced costs are
-priced as ``den * r_j`` by one integer column scan, and the ratio tests compare
-by cross-multiplication. Results become Fractions only at the end.
+Revised simplex, fraction-free (Edmonds 1967; Bareiss 1968): den * B^-1 (the
+adjugate of B up to sign) and den * x_B are integers, den = |det B| > 0.
+den * B^-1 is packed by columns: one int per row i, whose W-bit field r holds
+the signed entry at basis position r. A transformed column is a sum of packed
+ints D, decoded once into d; the Gauss-Jordan step is one big-int update per
+column, cols[i] = (piv cols[i] - b_i D) // den + b_i 2^(W leave), b_i the
+field ``leave`` of cols[i]. It is exact: each field's numerator is den times
+an entry of the new adjugate, and exact division is linear. A field decodes
+while |v| < 2^(W-1), so a running bound E on |entries|, E' = max(max|b|,
+(piv E + max|d| max|b|) // den), repacks at twice the width (from 64; E reset
+to the true maximum) before a new entry or a transformed column (at most
+len(column) E) could reach that. The pivot updates the duals den * y,
+p_i' = (piv p_i - f b_i) // den with f = p.a_e - c_e den; phase 2 rebuilds
+them once. Only results become Fractions.
 
-Column generation: ``open_covering_lp`` solves the LP over the columns known
-so far and returns the ``CoverLp`` with its basis; ``add_covering_columns``
-appends columns, which enter nonbasic at zero, so the basis stays feasible
-and phase 2 continues from it (a warm start, phase 1 is not rerun). Between
-the two a caller prices new columns on the integer duals ``den * y``: a
-column is worth adding iff its duals, each counted once per entry, sum to
-more than ``den``. ``solve_covering_lp`` is the one-shot form of the same
-path.
+Column generation: ``open_covering_lp`` keeps the optimal basis in its
+``CoverLp``; ``add_covering_columns`` appends columns nonbasic at zero and
+continues phase 2 from it. A column is worth adding iff its duals
+``den * y``, counted once per entry, sum to more than ``den``.
 
-One pivot rule: the entering variable has the most negative reduced cost,
-lowest id on ties (Dantzig pricing); the leaving row wins the lexicographic
-ratio test (Dantzig-Orden-Wolfe 1955), which also ends every degenerate
-stall. The first basis is the artificials, B = I and x_B = b >= 1, so every
-row of [x_B | B^-1] is lexicographically positive; each lexicographic pivot
-keeps them so, and phase 2 and ``add_covering_columns`` continue from the
-same basis. Within a phase, the row [c_B x_B | c_B B^-1] (value and duals)
-then strictly decreases lexicographically at every pivot, so no basis
-repeats, whatever the entering rule.
+One pivot rule: Dantzig pricing (lowest id on ties) and the lexicographic
+ratio test (Dantzig-Orden-Wolfe 1955). The first basis is the artificials,
+B = I, x_B = b >= 1, so every row of [x_B | B^-1] is lexicographically
+positive; each lexicographic pivot keeps it so, and within a phase
+[c_B x_B | c_B B^-1] strictly decreases, so no basis repeats.
 """
 
 from __future__ import annotations
@@ -48,8 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-
-ZERO = Fraction(0)
 
 _ITERATION_GUARD = 500_000
 
@@ -65,12 +53,7 @@ class CoverLpSolution:
 
 
 class CoverLp:
-    """A covering LP held at its optimum, with the basis kept for added columns.
-
-    ``columns`` are the columns so far, ``rhs`` the right-hand sides, ``den``
-    the common denominator and ``prices()`` the optimal duals as integers
-    ``den * y``.
-    """
+    """A covering LP held at its optimum, with the basis kept for added columns."""
 
     def __init__(self, m: int, columns: list[tuple[int, ...]], rhs: list[int]):
         self.m = m
@@ -78,25 +61,38 @@ class CoverLp:
         self.rhs = rhs
         self.ns = len(columns)
         self.iterations = 0
-        # B^-1 = binv / den and x_B = xb / den, all ints, den = |det B| > 0
-        self.den = 1
-        self.binv = [[int(i == j) for j in range(m)] for i in range(m)]
+        # B^-1 = binv / den, x_B = xb / den; cols packs binv, |entries| <= bound
+        self.den = self.bound = 1
+        _set_width(self, 64)
+        self.cols = [1 << 64 * i for i in range(m)]
         self.xb = list(rhs)
+        self.p = [1] * m  # den * y for the phase-1 costs
         # variable ids: 0..ns-1 columns, ns..ns+m-1 surplus, ns+m.. artificial
         self.basis = list(range(self.ns + m, self.ns + 2 * m))
 
+    @property
+    def binv(self) -> list[list[int]]:
+        """den * B^-1 decoded, one row per basis position."""
+        return list(map(list, zip(*map(self._unpack, self.cols))))
+
+    def _unpack(self, x: int) -> list[int]:
+        """The m signed fields of a packed int, field 0 first."""
+        nb, half, take = self.w // 8, self.half, int.from_bytes
+        raw = (x + self.bias).to_bytes(nb * self.m, "little")
+        return [take(raw[k : k + nb], "little") - half for k in range(0, len(raw), nb)]
+
     def prices(self) -> list[int]:
         """The optimal duals scaled by den: den * y, nonnegative integers."""
-        return _dual_prices(self, phase1=False)
+        return list(self.p)
 
     def solution(self) -> CoverLpSolution:
         den = self.den
-        dual = tuple(Fraction(v, den) for v in self.prices())
+        dual = tuple(Fraction(v, den) for v in self.p)
         primal = {
             b: Fraction(x, den) for b, x in zip(self.basis, self.xb) if b < self.ns and x != 0
         }
-        value = sum(primal.values(), ZERO)
-        if value != sum(map(mul, dual, self.rhs), ZERO):
+        value = sum(primal.values(), Fraction(0))
+        if value != sum(map(mul, dual, self.rhs), Fraction(0)):
             raise RuntimeError("primal/dual value mismatch; simplex invariant broken")
         return CoverLpSolution(value, primal, dual, self.iterations)
 
@@ -134,6 +130,8 @@ def open_covering_lp(
     # (cost 1) can still be basic: phase 2 starts from a basis of real columns.
     if any(b >= lp.ns + m for b in lp.basis):
         raise RuntimeError("phase 1 ended with an artificial in the basis; simplex invariant broken")
+    costs = [b < lp.ns for b in lp.basis]  # phase 2: c = 1 on the columns
+    lp.p = [sum(map(mul, lp._unpack(c), costs)) for c in lp.cols]
     lp.iterations += _iterate(lp, phase1=False)
     return lp
 
@@ -153,58 +151,24 @@ def add_covering_columns(lp: CoverLp, columns: list[tuple[int, ...]]) -> None:
 
 
 def _check_columns(m: int, columns: list[tuple[int, ...]]) -> None:
-    """Each column must be a nonempty tuple of rows in 0..m-1.
-
-    A row's coefficient is the number of times it is listed, so every
-    coefficient a column can express is a positive integer.
-    """
+    """Each column must be a nonempty tuple of rows in 0..m-1."""
     for j, col in enumerate(columns):
         if not col or not all(0 <= i < m for i in col):
             raise ValueError(f"column {j} {col!r} is empty or names a row outside 0..{m - 1}")
 
 
-def _transformed_column(st: CoverLp, enter: int) -> list[int]:
-    """den * B^-1 a for the constraint column a of variable `enter`."""
-    ns, m = st.ns, st.m
-    if enter < ns:
-        col = st.columns[enter]
-        return [sum(map(row.__getitem__, col)) for row in st.binv]
-    if enter < ns + m:
-        return [-row[enter - ns] for row in st.binv]
-    return [row[enter - ns - m] for row in st.binv]
+def _set_width(st: CoverLp, w: int) -> None:
+    """w-bit fields; bias, half a field in each, makes every field nonnegative."""
+    st.w, st.half, st.mask = w, 1 << w - 1, (1 << w) - 1
+    st.bias = st.half * ((1 << w * st.m) - 1) // st.mask
 
 
-def _eliminate(st: CoverLp, d: list[int], leave: int, enter: int) -> None:
-    """Fraction-free Gauss-Jordan step on the positive pivot d[leave], the new den.
-
-    The divisions by the old den are exact because every new entry is a
-    cofactor of the new (integer) basis.
-    """
-    piv, den = d[leave], st.den
-    brow, xl = st.binv[leave], st.xb[leave]
-    for r in range(st.m):
-        if r == leave:
-            continue
-        f = d[r]
-        if f:
-            st.binv[r] = [(piv * v - f * w) // den for v, w in zip(st.binv[r], brow)]
-            st.xb[r] = (piv * st.xb[r] - f * xl) // den
-        elif piv != den:
-            st.binv[r] = [piv * v // den for v in st.binv[r]]
-            st.xb[r] = piv * st.xb[r] // den
-    st.den = piv
-    st.basis[leave] = enter
-
-
-def _dual_prices(st: CoverLp, phase1: bool) -> list[int]:
-    """den * y, where y = c_B B^-1 with c = 1 on artificials (phase 1) or on columns (phase 2)."""
-    m, ns = st.m, st.ns
-    costed = [
-        row
-        for b, row in zip(st.basis, st.binv)
-        if ((b >= ns + m) if phase1 else (b < ns))
-    ]
-    return [sum(column) for column in zip(*costed)] if costed else [0] * m
+def _widen(st: CoverLp) -> None:
+    """Repack at twice the width, with the bound reset to the true maximum."""
+    fields = list(map(st._unpack, st.cols))
+    st.bound = max(abs(v) for f in fields for v in f)
+    _set_width(st, 2 * st.w)
+    st.cols[:] = (sum(v << st.w * r for r, v in enumerate(f)) for f in fields)
 
 
 def _iterate(st: CoverLp, phase1: bool) -> int:
@@ -213,19 +177,15 @@ def _iterate(st: CoverLp, phase1: bool) -> int:
         iterations += 1
         if iterations > _ITERATION_GUARD:
             raise RuntimeError("simplex iteration guard tripped")
-        enter = _price(st, _dual_prices(st, phase1), phase1)
-        if enter < 0:
+        entering = _price(st, phase1)
+        if entering is None:
             return iterations
-        _pivot(st, enter)
+        _pivot(st, *entering)
 
 
-def _price(st: CoverLp, p: list[int], phase1: bool) -> int:
-    """Entering variable index, or -1 at optimality.
-
-    Works on integer-scaled reduced costs z_j = q * r_j with q = den: the sign
-    and the ordering are unaffected by the common positive scale q.
-    """
-    m, ns, q = st.m, st.ns, st.den
+def _price(st: CoverLp, phase1: bool) -> tuple[int, int] | None:
+    """(den * r_j, j) for the entering variable j, or None at optimality."""
+    m, ns, q, p = st.m, st.ns, st.den, st.p
     candidates: list[tuple[int, int]] = []  # (z_j, variable id)
     struct_cost = 0 if phase1 else q
     price = p.__getitem__
@@ -233,35 +193,63 @@ def _price(st: CoverLp, p: list[int], phase1: bool) -> int:
     j = z.index(min(z))
     if z[j] < 0:
         candidates.append((z[j], j))
-    for i in range(m):  # surplus columns: A = -e_i, cost 0
-        if p[i] < 0:
-            candidates.append((p[i], ns + i))
-    if phase1:
-        for i in range(m):  # artificial columns: A = e_i, cost 1
-            if q - p[i] < 0:
-                candidates.append((q - p[i], ns + m + i))
-    return min(candidates)[1] if candidates else -1
+    for i, y in enumerate(p):  # surplus A = -e_i, cost 0; artificial A = e_i, cost 1
+        if y < 0:
+            candidates.append((y, ns + i))
+        if phase1 and q < y:
+            candidates.append((q - y, ns + m + i))
+    return min(candidates) if candidates else None
 
 
-def _pivot(st: CoverLp, enter: int) -> None:
-    """Lexicographic ratio test and basis update."""
-    d = _transformed_column(st, enter)
-    leave = -1
-    for r in range(st.m):
-        if d[r] > 0 and (leave < 0 or _lex_less(st, d, r, leave)):
-            leave = r
-    if leave < 0:
+def _pivot(st: CoverLp, z: int, enter: int) -> None:
+    """Ratio test, then the Gauss-Jordan step on the pivot d[leave] > 0, the
+    new den; z = den * r_enter = -f."""
+    ns, m, cols = st.ns, st.m, st.cols
+    if enter < ns:
+        rows, sign = st.columns[enter], 1
+    else:  # surplus A = -e_i, artificial A = e_i
+        rows, sign = ((enter - ns) % m,), 1 if enter >= ns + m else -1
+    while len(rows) * st.bound >> st.w - 1:  # d must fit its fields
+        _widen(st)
+    D = sign * sum(map(cols.__getitem__, rows))  # den * B^-1 a, packed
+    d = st._unpack(D)
+    leave = _leaving_row(st, d)
+    piv, den, bias, mask, half, s = d[leave], st.den, st.bias, st.mask, st.half, st.w * leave
+    b = [(c + bias >> s & mask) - half for c in cols]  # row leave of binv
+    top, dtop = max(map(abs, b)), max(map(abs, d))
+    while True:  # so must the new entries
+        bound = max(top, (piv * st.bound + dtop * top) // den)
+        if not bound >> st.w - 1:
+            break
+        _widen(st)
+        D = sign * sum(map(cols.__getitem__, rows))
+    st.bound, s = bound, st.w * leave
+    for i, (c, f) in enumerate(zip(cols, b)):
+        if f:
+            cols[i] = (piv * c - f * D) // den + (f << s)
+        elif piv != den:
+            cols[i] = piv * c // den
+    xl = st.xb[leave]
+    st.xb = [x if r == leave else (piv * x - f * xl) // den for r, (x, f) in enumerate(zip(st.xb, d))]
+    st.p = [(piv * y + z * f) // den for y, f in zip(st.p, b)]
+    st.den = piv
+    st.basis[leave] = enter
+
+
+def _leaving_row(st: CoverLp, d: list[int]) -> int:
+    """The r, d[r] > 0, with [x_B | B^-1]_r / d[r] lexicographically least;
+    B^-1 is read a column at a time, in the rows still tied."""
+    rows = [r for r in range(st.m) if d[r] > 0]
+    if not rows:
         raise RuntimeError("LP unbounded; covering LPs cannot be unbounded")
-    _eliminate(st, d, leave, enter)
-
-
-def _lex_less(st: CoverLp, d: list[int], r: int, s: int) -> bool:
-    """Is row r lexicographically smaller than row s in the ratio test?"""
-    a, b = st.xb[r] * d[s], st.xb[s] * d[r]
-    if a != b:
-        return a < b
-    for i in range(st.m):
-        a, b = st.binv[r][i] * d[s], st.binv[s][i] * d[r]
-        if a != b:
-            return a < b
-    return False
+    key, cols, w, mask, half = st.xb, iter(st.cols), st.w, st.mask, st.half
+    while True:
+        low = rows[0]
+        for r in rows:
+            if key[r] * d[low] < key[low] * d[r]:
+                low = r
+        rows = [r for r in rows if key[r] * d[low] == key[low] * d[r]]
+        if len(rows) == 1:
+            return low
+        c = next(cols) + st.bias
+        key = {r: (c >> w * r & mask) - half for r in rows}

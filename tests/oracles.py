@@ -7,6 +7,7 @@ Only usable at tiny sizes.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from prodcolor.graphs import Digraph, Graph
@@ -165,3 +166,78 @@ def brute_canonical_digraph(d: Digraph) -> tuple[tuple[int, int], ...]:
     return min(
         tuple(sorted((p[x], p[y]) for x, y in d.arcs)) for p in permutations(range(d.n))
     )
+
+
+class FractionTableau:
+    """A dense Fraction tableau for the covering LP min sum x, A x >= b, x >= 0,
+    with the pivot rules of ``prodcolor.simplex`` and none of its code.
+
+    Variable ids: 0..ns-1 the columns, then one surplus (-e_i) and one
+    artificial (e_i) per row. Phase 1 minimises the artificials from the
+    artificial basis, phase 2 the columns; ``add`` appends columns and runs
+    phase 2 again. The entering variable has the least reduced cost, lowest id
+    on ties; the leaving row has the lexicographically least
+    [x_B | B^-1] row over its pivot entry. ``iterations`` counts pricing passes.
+    """
+
+    def __init__(self, m: int, columns: list[tuple[int, ...]], rhs: list[int]):
+        self.m, self.ns, self.iterations = m, 0, 0
+        # row r of the tableau: B^-1 [A | -I | I] then x_B, over Fractions
+        self.rows = [
+            [Fraction(-(i == r)) for i in range(m)] + [Fraction(i == r) for i in range(m)]
+            + [Fraction(rhs[r])]
+            for r in range(m)
+        ]
+        self.basis = list(range(m, 2 * m))
+        self.add(columns, phase1=True)
+
+    def _cost(self, j: int, phase1: bool) -> int:
+        artificial = j >= self.ns + self.m
+        return int(artificial) if phase1 else int(j < self.ns)
+
+    def add(self, columns: list[tuple[int, ...]], phase1: bool = False) -> None:
+        m, k = self.m, len(columns)
+        for row in self.rows:  # B^-1 a for each new column, read off the artificial block
+            binv = row[self.ns + m : self.ns + 2 * m]
+            row[self.ns : self.ns] = [sum(binv[i] for i in col) for col in columns]
+        self.basis = [b + k if b >= self.ns else b for b in self.basis]
+        self.ns += k
+        if phase1:
+            self._run(True)
+            assert all(b < self.ns + m for b in self.basis), "phase 1 left an artificial"
+        self._run(False)
+
+    def _run(self, phase1: bool) -> None:
+        m, ns = self.m, self.ns
+        while True:
+            self.iterations += 1
+            cb = [self._cost(b, phase1) for b in self.basis]
+            allowed = ns + 2 * m if phase1 else ns + m
+            reduced = [
+                (self._cost(j, phase1) - sum(c * row[j] for c, row in zip(cb, self.rows)), j)
+                for j in range(allowed)
+            ]
+            r, enter = min(reduced)
+            if r >= 0:
+                return
+            keys = [
+                ([row[-1]] + row[ns + m : ns + 2 * m], row[enter], i)
+                for i, row in enumerate(self.rows)
+                if row[enter] > 0
+            ]
+            _, leave = min(([v / piv for v in key], i) for key, piv, i in keys)
+            pivot_row = [v / self.rows[leave][enter] for v in self.rows[leave]]
+            self.rows = [
+                pivot_row if i == leave else [v - row[enter] * p for v, p in zip(row, pivot_row)]
+                for i, row in enumerate(self.rows)
+            ]
+            self.basis[leave] = enter
+
+    def primal(self) -> dict[int, Fraction]:
+        return {b: row[-1] for b, row in zip(self.basis, self.rows) if b < self.ns and row[-1]}
+
+    def dual(self) -> list[Fraction]:
+        """y = c_B B^-1 for the phase-2 costs."""
+        ns, m = self.ns, self.m
+        cb = [self._cost(b, False) for b in self.basis]
+        return [sum(c * row[ns + m + i] for c, row in zip(cb, self.rows)) for i in range(m)]

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import json
+import os
+import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -27,7 +32,12 @@ from prodcolor.harness import FRAC_CATALOG, SuiteConfig, run_suite
 from prodcolor.simplex import add_covering_columns, open_covering_lp, solve_covering_lp
 from prodcolor.solvers import chromatic_number, independence_number
 
-from oracles import brute_automorphisms, brute_is_automorphism, brute_maximal_independent_sets
+from oracles import (
+    FractionTableau,
+    brute_automorphisms,
+    brute_is_automorphism,
+    brute_maximal_independent_sets,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +193,104 @@ def test_basis_rows_stay_lexicographically_positive(lp, data):
         assert master.den > 0
         for x, row in zip(master.xb, master.binv):
             assert next(v for v in [x, *row] if v) > 0
+
+
+def _assert_same_pivots(master, oracle):
+    sol = master.solution()
+    assert (master.iterations, master.basis) == (oracle.iterations, oracle.basis)
+    assert sol.primal == oracle.primal() and list(sol.dual) == oracle.dual()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_covering_lps(), st.data())
+def test_packed_simplex_pivots_like_a_fraction_tableau(lp, data):
+    # the same entering variables, leaving rows, iteration counts and optima
+    # as a dense Fraction tableau under the same rules, after the opening
+    # solve and after every batch of added columns
+    m, cols, rhs = lp
+    oracle = None
+    for master in _warm_starts(m, cols, rhs, data):
+        if oracle is None:
+            oracle = FractionTableau(m, cols[: master.ns], rhs)
+        else:
+            oracle.add(cols[oracle.ns : master.ns])
+        _assert_same_pivots(master, oracle)
+
+
+def _wide_lp():
+    """14 columns on 14 rows whose coefficients, 0 to 60 each, sum to 420, and
+    b = A x for a positive integer x. y = 1/420 prices every column at exactly
+    1, so x, nondegenerate, is the unique optimum, sum(x) its value, and the
+    final basis is all 14 columns: den * B^-1 is then the adjugate of a dense
+    14 x 14 matrix, whose entries pass 2^63."""
+    rng, m, total = random.Random(0), 14, 420
+    a = []
+    while len(a) < m:
+        head = [rng.randint(0, 60) for _ in range(m - 1)]
+        if 0 <= total - sum(head) <= 60:
+            a.append(head + [total - sum(head)])
+    x = [rng.randint(1, 9) for _ in range(m)]
+    cols = [tuple(i for i in range(m) for _ in range(col[i])) for col in a]
+    return m, cols, [sum(col[i] * xj for col, xj in zip(a, x)) for i in range(m)], sum(x)
+
+
+_WIDE_LP_UNDER_O = """
+import json, sys
+from prodcolor.simplex import open_covering_lp
+m, cols, rhs = json.load(sys.stdin)
+lp = open_covering_lp(m, [tuple(c) for c in cols], rhs)
+value = lp.solution().value
+print(lp.w, lp.iterations, value.numerator, value.denominator, lp.basis)
+"""
+
+
+def test_packed_columns_repack_wider_before_a_field_overflows():
+    m, cols, rhs, value = _wide_lp()
+    master = open_covering_lp(m, cols, rhs)
+    assert master.w == 128 and max(abs(v) for row in master.binv for v in row) >> 63
+    assert sorted(master.basis) == list(range(m)) and master.solution().value == value
+    _assert_same_pivots(master, FractionTableau(m, cols, rhs))
+    _check_certificate(m, cols, rhs, master.solution())
+    # python -O strips asserts; the width rule must not depend on any
+    src = os.path.dirname(os.path.dirname(fractional.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _WIDE_LP_UNDER_O], input=json.dumps([m, cols, rhs]),
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split(None, 4) == [
+        "128", str(master.iterations), str(value), "1", str(master.basis) + "\n"
+    ]
+
+
+# column -> {row: coefficient}; a pivot here multiplies the largest entry of
+# den * B^-1 by more than the entering column's length, so only the bound on
+# the new entries, not the one on the transformed column, sees the overflow
+_STEEP_LP = [
+    {11: 33, 12: 1},
+    {0: 33, 1: 2, 2: 33, 3: 2, 4: 33, 6: 2, 7: 1, 8: 2, 11: 1, 12: 1, 13: 1},
+    {12: 33, 13: 1},
+    {0: 1, 1: 33, 3: 33, 4: 33, 5: 2, 6: 33, 7: 1, 9: 1, 10: 1, 11: 1, 12: 33, 13: 2, 14: 33, 15: 1},
+    {6: 1, 15: 33},
+    {0: 1, 1: 1, 3: 1, 4: 1, 6: 33, 7: 1, 8: 33, 9: 33, 10: 1, 12: 1, 13: 1, 14: 1, 15: 2},
+    {0: 33, 4: 1},
+    {6: 1, 7: 33, 11: 2},
+    {4: 33, 5: 1},
+    {9: 33, 10: 1},
+    {6: 1, 14: 33},
+    {1: 33, 2: 1},
+    {2: 1, 10: 33},
+]
+_STEEP_RHS = [5, 25, 6, 9, 59, 56, 56, 17, 25, 31, 51, 31, 57, 2, 36, 9]
+
+
+def test_packed_columns_repack_before_a_steep_pivot():
+    m, rhs = 16, _STEEP_RHS
+    cols = [tuple(i for i, a in sorted(col.items()) for _ in range(a)) for col in _STEEP_LP]
+    master = open_covering_lp(m, cols, rhs)
+    assert master.w == 128
+    _assert_same_pivots(master, FractionTableau(m, cols, rhs))
+    _check_certificate(m, cols, rhs, master.solution())
 
 
 def test_added_columns_that_price_out_keep_the_basis():

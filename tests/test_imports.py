@@ -14,13 +14,15 @@ import prodcolor
 
 SRC = os.path.dirname(os.path.dirname(prodcolor.__file__))
 
-# runs one CLI command, then reports the prodcolor.* modules it loaded on stderr's last line
+# runs one CLI command, then reports on stderr's last line its exit code, whether
+# it loaded the standard library's fractions (which pulls in decimal and numbers),
+# and the prodcolor.* modules it loaded
 _CHILD = """
 import sys
 from prodcolor.cli import main
 code = main(sys.argv[1:])
 loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("prodcolor."))
-print(code, *loaded, file=sys.stderr)
+print(code, "fractions" in sys.modules, *loaded, file=sys.stderr)
 """
 
 GEN = {"cli", "errors", "graphs", "serialize"}
@@ -46,26 +48,27 @@ def test_import_loads_no_layer():
 
 
 @pytest.mark.parametrize(
-    "argv, stdin, expected",
+    "argv, stdin, expected, fractions",
     [
-        (["gen", "named", "petersen"], "", GEN),
-        (["invariant", "chi"], C5, CHI),
-        (["hom", "C5", "C5"], "", CHI),
-        (["invariant", "chif"], C5, CHI | {"fractional", "simplex"}),
-        (["exp", "materialize", "-c", "2"], C5, CHI | {"exponential"}),
-        (["shift", "build"], DIGON, CHI | {"arcshift"}),
-        (["verify", "suite", "products"], "", ALL),
+        (["gen", "named", "petersen"], "", GEN, False),
+        (["invariant", "chi"], C5, CHI, False),
+        (["hom", "C5", "C5"], "", CHI, False),
+        (["invariant", "chif"], C5, CHI | {"fractional", "simplex"}, True),
+        (["exp", "materialize", "-c", "2"], C5, CHI | {"exponential"}, False),
+        (["shift", "build"], DIGON, CHI | {"arcshift"}, False),
+        (["verify", "suite", "products"], "", ALL, True),
     ],
     ids=["gen", "chi", "hom", "chif", "exp", "shift", "verify"],
 )
-def test_cli_stage_loads_only_its_layers(tmp_path, argv, stdin, expected):
+def test_cli_stage_loads_only_its_layers(tmp_path, argv, stdin, expected, fractions):
     c5 = tmp_path / "c5.txt"
     c5.write_text(C5)
     argv = [str(c5) if a == "C5" else a for a in argv]
     proc = _child(["-c", _CHILD, *argv], stdin)
-    code, *loaded = proc.stderr.splitlines()[-1].split()
+    code, loaded_fractions, *loaded = proc.stderr.splitlines()[-1].split()
     assert code == "0", proc.stderr
     assert set(loaded) == expected
+    assert loaded_fractions == str(fractions)
 
 
 def test_every_public_name_is_its_home_modules_attribute():
