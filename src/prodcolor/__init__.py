@@ -31,14 +31,13 @@ _HOME = {
             "shitov_mu", "shitov_theta", "universal_property_check", "verify_mu_clique",
         ),
         "arcshift": (
-            "ArcIndex", "SetColoring", "arc_shift", "bound_chain_instance", "coloring_down",
-            "coloring_up", "functoriality_check", "is_proper_set_coloring",
-            "lemma_rel_bounds_check", "schelp_coloring", "schelp_triples",
-            "underline_decomposition_check",
+            "SetColoring", "arc_shift", "bound_chain_instance", "coloring_down", "coloring_up",
+            "functoriality_check", "is_proper_set_coloring", "lemma_rel_bounds_check",
+            "schelp_coloring", "schelp_triples", "underline_decomposition_check",
         ),
         "harness": (
             "ClaimReport", "SuiteConfig", "es_exponential_check", "multiplicativity_check",
-            "run_suite", "thm_main_kneser_check",
+            "run_suite",
         ),
     }.items()
     for name in names

@@ -14,37 +14,13 @@ arc (x, y) by the smallest element of set(y) - set(x)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Callable
 
 from .graphs import Digraph, Graph, complete_digraph, digraph_product, pair_index, reverse, underline
 from .solvers import Coloring, chromatic_number, is_proper_coloring, k_colorable
-
-
-@dataclass(frozen=True)
-class ArcIndex:
-    """Stable bijection between arcs of a digraph and vertices of its shift.
-
-    Arcs are sorted lexicographically by (tail, head); the same digraph
-    always produces the same indexing.
-    """
-
-    arcs: tuple[tuple[int, int], ...]
-
-    @cached_property
-    def _position(self) -> dict[tuple[int, int], int]:
-        return {arc: i for i, arc in enumerate(self.arcs)}
-
-    def index_of(self, arc: tuple[int, int]) -> int:
-        return self._position[arc]
-
-    def arc_at(self, i: int) -> tuple[int, int]:
-        return self.arcs[i]
-
-    def __len__(self) -> int:
-        return len(self.arcs)
 
 
 @dataclass(frozen=True)
@@ -77,30 +53,22 @@ def is_proper_set_coloring(g: Graph, sc: SetColoring) -> bool:
     return all(sc.sets[u] != sc.sets[v] for u, v in g.edges)
 
 
-def arc_shift(d: Digraph) -> tuple[Digraph, ArcIndex]:
-    """shift(D) together with the arc indexing of its vertices."""
-    index = ArcIndex(d.sorted_arcs)
-    arcs = []
-    for i, (x, y) in enumerate(index.arcs):
-        for j, (xp, yp) in enumerate(index.arcs):
+def arc_shift(d: Digraph) -> tuple[Digraph, tuple[tuple[int, int], ...]]:
+    """shift(D) and D's sorted arcs: vertex i of shift(D) is the arc d.sorted_arcs[i]."""
+    arcs = d.sorted_arcs
+    shift_arcs = []
+    for i, (x, y) in enumerate(arcs):
+        for j, (xp, yp) in enumerate(arcs):
             if y == xp and i != j:
-                arcs.append((i, j))
-    return Digraph.from_arcs(len(index), arcs), index
+                shift_arcs.append((i, j))
+    return Digraph.from_arcs(len(arcs), shift_arcs), arcs
 
 
-@dataclass(frozen=True)
-class _ShiftLevel:
-    """A digraph, the arc indexing of its shift, and both underline graphs."""
-
-    d: Digraph
-    index: ArcIndex
-    under_d: Graph
-    under_shift: Graph
-
-
-def _shift_level(d: Digraph) -> _ShiftLevel:
-    shifted, index = arc_shift(d)
-    return _ShiftLevel(d, index, underline(d), underline(shifted))
+@lru_cache(maxsize=1)
+def _underlines(d: Digraph) -> tuple[Graph, Graph]:
+    """underline(D) and underline(shift(D)), so lem-rel and both transforms
+    on one digraph share one shift."""
+    return underline(d), underline(arc_shift(d)[0])
 
 
 def coloring_down(d: Digraph, shift_coloring: Coloring) -> SetColoring:
@@ -110,19 +78,16 @@ def coloring_down(d: Digraph, shift_coloring: Coloring) -> SetColoring:
     any arc (x, y) the input color of that arc lies in psi(x) - psi(y), so
     adjacent vertices of underline(D) always receive distinct sets.
     """
-    return _coloring_down(_shift_level(d), shift_coloring)
-
-
-def _coloring_down(level: _ShiftLevel, shift_coloring: Coloring) -> SetColoring:
-    if not is_proper_coloring(level.under_shift, shift_coloring):
+    under_d, under_shift = _underlines(d)
+    if not is_proper_coloring(under_shift, shift_coloring):
         raise ValueError("input is not a proper coloring of underline(shift(D))")
-    d, index = level.d, level.index
+    position = {arc: i for i, arc in enumerate(d.sorted_arcs)}
     sets = []
     for v in range(d.n):
-        out = [shift_coloring.colors[index.index_of((v, y))] for y in d.out_neighbors(v)]
+        out = [shift_coloring.colors[position[v, y]] for y in d.out_neighbors(v)]
         sets.append(frozenset(out))
     result = SetColoring(tuple(sets), shift_coloring.k, None)
-    if not is_proper_set_coloring(level.under_d, result):
+    if not is_proper_set_coloring(under_d, result):
         raise RuntimeError("down-transform produced an improper set-coloring of underline(D)")
     return result
 
@@ -134,24 +99,21 @@ def coloring_up(d: Digraph, set_coloring: SetColoring) -> Coloring:
     equal-size sets have nonempty differences. Consecutive arcs (x, y), (y, z)
     then get phi(x, y) in psi(y) and phi(y, z) outside psi(y).
     """
-    return _coloring_up(_shift_level(d), set_coloring)
-
-
-def _coloring_up(level: _ShiftLevel, set_coloring: SetColoring) -> Coloring:
+    under_d, under_shift = _underlines(d)
     if set_coloring.size is None:
         sizes = {len(s) for s in set_coloring.sets}
         if len(sizes) > 1:
             raise ValueError(f"set sizes must all be equal, got sizes {sorted(sizes)}")
-    if not is_proper_set_coloring(level.under_d, set_coloring):
+    if not is_proper_set_coloring(under_d, set_coloring):
         raise ValueError("input is not a proper set-coloring of underline(D)")
     colors = []
-    for x, y in level.index.arcs:
+    for x, y in d.sorted_arcs:
         diff = set_coloring.sets[y] - set_coloring.sets[x]
         if not diff:
             raise ValueError(f"arc ({x}, {y}) has an empty set difference")
         colors.append(min(diff))
     result = Coloring(tuple(colors), set_coloring.k)
-    if not is_proper_coloring(level.under_shift, result):
+    if not is_proper_coloring(under_shift, result):
         raise RuntimeError("up-transform produced an improper coloring of underline(shift(D))")
     return result
 
@@ -187,23 +149,20 @@ def _lemma_rel(d: Digraph) -> tuple[LemmaRelReport, Callable[[], bool]]:
     Both share one shift of D, one chromatic number per underline graph and
     one optimal coloring of underline(D).
     """
-    level = _shift_level(d)
-    chi_d = chromatic_number(level.under_d)
-    chi_shift = chromatic_number(level.under_shift)
+    under_d, under_shift = _underlines(d)
+    chi_d = chromatic_number(under_d)
+    chi_shift = chromatic_number(under_shift)
     lower = _min_k_power(chi_d)
     upper = _min_k_central(chi_d)
     report = LemmaRelReport(chi_d, chi_shift, lower, upper, lower <= chi_shift <= upper)
 
     def transforms_hold() -> bool:
-        if level.under_shift.n:
-            down = _coloring_down(level, k_colorable(level.under_shift, chi_shift))
-            if (
-                not is_proper_set_coloring(level.under_d, down)
-                or len(set(down.sets)) > 2**chi_shift
-            ):
+        if under_shift.n:
+            down = coloring_down(d, k_colorable(under_shift, chi_shift))
+            if not is_proper_set_coloring(under_d, down) or len(set(down.sets)) > 2**chi_shift:
                 return False
-        up = _coloring_up(level, _uniform_set_coloring(level.under_d, chi_d))
-        return is_proper_coloring(level.under_shift, up)
+        up = coloring_up(d, _uniform_set_coloring(under_d, chi_d))
+        return is_proper_coloring(under_shift, up)
 
     return report, transforms_hold
 
@@ -213,17 +172,12 @@ def lemma_rel_bounds_check(d: Digraph) -> LemmaRelReport:
     return _lemma_rel(d)[0]
 
 
-def uniform_set_coloring(d: Digraph) -> SetColoring:
-    """A proper set-coloring of D by equal-size subsets, built from an optimal coloring.
+def _uniform_set_coloring(ug: Graph, chi_d: int) -> SetColoring:
+    """A proper set-coloring of ug by equal-size subsets, from a chi_d-coloring.
 
-    Uses k = min{k: C(k, ceil(k/2)) >= chi(D)} and assigns the i-th color
+    Uses k = min{k: C(k, ceil(k/2)) >= chi_d} and assigns the i-th color
     class the i-th ceil(k/2)-subset of {0..k-1} in lexicographic order.
     """
-    ug = underline(d)
-    return _uniform_set_coloring(ug, chromatic_number(ug))
-
-
-def _uniform_set_coloring(ug: Graph, chi_d: int) -> SetColoring:
     k = _min_k_central(chi_d)
     s = -(-k // 2)
     subsets = list(combinations(range(k), s))[:chi_d]
@@ -258,9 +212,9 @@ def schelp_triples() -> tuple[tuple[int, int, int], ...]:
     s1, a1 = arc_shift(d4)
     _, a2 = arc_shift(s1)
     triples = []
-    for e1, e2 in a2.arcs:
-        i, j = a1.arc_at(e1)
-        j2, k = a1.arc_at(e2)
+    for e1, e2 in a2:
+        i, j = a1[e1]
+        j2, k = a1[e2]
         if j != j2:
             raise RuntimeError(f"shift arcs ({i}, {j}) and ({j2}, {k}) are not consecutive")
         triples.append((i, j, k))
@@ -290,41 +244,30 @@ def functoriality_check(d1: Digraph, d2: Digraph) -> bool:
     """shift(D1 x D2) = shift(D1) x shift(D2) under the canonical arc bijection,
     and shift(D^-1) = shift(D)^-1 under arc reversal, for both arguments."""
     prod = digraph_product(d1, d2)
-    shift_prod, index_prod = arc_shift(prod)
-    s1, a1 = arc_shift(d1)
-    s2, a2 = arc_shift(d2)
+    shift_prod, arcs_prod = arc_shift(prod)
+    s1, arcs1 = arc_shift(d1)
+    s2, arcs2 = arc_shift(d2)
     rhs = digraph_product(s1, s2)
 
-    if len(index_prod) != len(a1) * len(a2):
+    if len(arcs_prod) != len(arcs1) * len(arcs2):
         return False
+    pos1 = {arc: i for i, arc in enumerate(arcs1)}
+    pos2 = {arc: i for i, arc in enumerate(arcs2)}
 
-    def to_rhs_vertex(arc_of_prod: tuple[int, int]) -> int:
-        (x, y), (xp, yp) = (
-            divmod(arc_of_prod[0], d2.n),
-            divmod(arc_of_prod[1], d2.n),
-        )
-        return pair_index(a1.index_of((x, xp)), a2.index_of((y, yp)), len(a2))
+    def to_rhs_vertex(i: int) -> int:
+        (x, y), (xp, yp) = divmod(arcs_prod[i][0], d2.n), divmod(arcs_prod[i][1], d2.n)
+        return pair_index(pos1[x, xp], pos2[y, yp], len(arcs2))
 
-    mapped = frozenset(
-        (to_rhs_vertex(index_prod.arc_at(i)), to_rhs_vertex(index_prod.arc_at(j)))
-        for i, j in shift_prod.arcs
-    )
+    mapped = frozenset((to_rhs_vertex(i), to_rhs_vertex(j)) for i, j in shift_prod.arcs)
     if mapped != rhs.arcs:
         return False
 
-    for d in (d1, d2):
-        shift_rev, idx_rev = arc_shift(reverse(d))
-        shift_d, idx = arc_shift(d)
-        rev_shift = reverse(shift_d)
+    for d, shift_d, position in ((d1, s1, pos1), (d2, s2, pos2)):
+        shift_rev, arcs_rev = arc_shift(reverse(d))
         # vertex bijection: arc (x, y) of D <-> arc (y, x) of D^-1
-        remap = frozenset(
-            (
-                idx.index_of(tuple(reversed(idx_rev.arc_at(i)))),
-                idx.index_of(tuple(reversed(idx_rev.arc_at(j)))),
-            )
-            for i, j in shift_rev.arcs
-        )
-        if remap != rev_shift.arcs:
+        back = [position[y, x] for x, y in arcs_rev]
+        remap = frozenset((back[i], back[j]) for i, j in shift_rev.arcs)
+        if remap != reverse(shift_d).arcs:
             return False
     return True
 

@@ -251,9 +251,9 @@ def _cmd_shift(args) -> int:
 
     if args.action == "build":
         d = _load_digraph(args.input)
-        shifted, index = arcshift.arc_shift(d)
+        shifted, arcs = arcshift.arc_shift(d)
         if args.format == "obj":
-            _emit_obj({"shift": shifted, "arc_index": index.arcs})
+            _emit_obj({"shift": shifted, "arc_index": arcs})
         else:
             _emit_digraph(shifted, args)
         return 0

@@ -336,9 +336,9 @@ def secondary_block(q: int) -> range:
 
 
 def _mu_distances(g: Graph, v: int, q: int) -> list[int | float]:
-    """Check the arguments shared by every mu_{v,t} and return the distances from v."""
+    """Check the arguments shared by mu_{v,t} and theta, and return the distances from v."""
     if g.loops:
-        raise ValueError("mu is defined over loopless base graphs")
+        raise ValueError("Shitov's maps mu and theta are defined over loopless base graphs")
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     if not (0 <= v < g.n):
@@ -382,12 +382,7 @@ def shitov_theta(
     b and t must be distinct colors from the secondary block; the defaults
     are b = 2q+1 and t = 2q.
     """
-    if g.loops:
-        raise ValueError("theta is defined over loopless base graphs")
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
-    if not (0 <= v < g.n):
-        raise ValueError(f"center vertex {v} out of range")
+    dist = _mu_distances(g, v, q)
     if t is None:
         t = 2 * q
     if b is None:
@@ -399,7 +394,6 @@ def shitov_theta(
             raise ValueError(
                 f"{name}={color} outside the secondary block {2 * q}..{4 * q + 1}"
             )
-    dist = distances(g, v)
     values = []
     for x in range(g.n):
         val = t if dist[x] <= 1 else b

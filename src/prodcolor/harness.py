@@ -174,31 +174,6 @@ def es_exponential_check(
     return EsExponentialReport(base_chi, expo.n, chi, chi == 3)
 
 
-@dataclass(frozen=True)
-class KneserCheckReport:
-    """chi(K(dc, c)) against the closed form dc - 2c + 2."""
-
-    m: int
-    k: int
-    expected: int
-    actual: int
-    passed: bool
-
-
-def thm_main_kneser_check(d: int, c: int, max_vertices: int = 100) -> KneserCheckReport:
-    from math import comb
-
-    m, k = d * c, c
-    vertices = comb(m, k)
-    if vertices > max_vertices:
-        raise CapExceeded(
-            f"K({m}, {k}) has {vertices} vertices, above the solver cap of {max_vertices}"
-        )
-    expected = m - 2 * k + 2
-    actual = solvers.chromatic_number(graphs.kneser(m, k))
-    return KneserCheckReport(m, k, expected, actual, actual == expected)
-
-
 # ---------------------------------------------------------------------------
 # claim runners: each returns (params, ok, witness)
 
@@ -306,14 +281,11 @@ def _claim_univ_prop(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
 
 
 def _kneser_lovasz_case(d: int, c: int) -> dict:
-    report = thm_main_kneser_check(d, c)
-    return {
-        "m": report.m,
-        "k": report.k,
-        "expected": report.expected,
-        "actual": report.actual,
-        "ok": report.passed,
-    }
+    # Lovasz: chi(K(m, k)) = m - 2k + 2, here with m = dc and k = c
+    m, k = d * c, c
+    expected = m - 2 * k + 2
+    actual = solvers.chromatic_number(graphs.kneser(m, k))
+    return {"m": m, "k": k, "expected": expected, "actual": actual, "ok": actual == expected}
 
 
 def _claim_kneser_lovasz(cfg: SuiteConfig) -> tuple[dict, bool, Any]:

@@ -97,13 +97,6 @@ class CoverLp:
         return CoverLpSolution(value, primal, dual, self.iterations)
 
 
-def solve_covering_lp(
-    num_rows: int, columns: list[tuple[int, ...]], rhs: list[int] | None = None
-) -> CoverLpSolution:
-    """Exact optimum of the unit-cost covering LP over the given columns."""
-    return open_covering_lp(num_rows, columns, rhs).solution()
-
-
 def open_covering_lp(
     num_rows: int, columns: list[tuple[int, ...]], rhs: list[int] | None = None
 ) -> CoverLp:
@@ -190,9 +183,9 @@ def _price(st: CoverLp, phase1: bool) -> tuple[int, int] | None:
     struct_cost = 0 if phase1 else q
     price = p.__getitem__
     z = [struct_cost - sum(map(price, col)) for col in st.columns]
-    j = z.index(min(z))
-    if z[j] < 0:
-        candidates.append((z[j], j))
+    low = min(z, default=0)  # no columns, no structural candidate
+    if low < 0:
+        candidates.append((low, z.index(low)))
     for i, y in enumerate(p):  # surplus A = -e_i, cost 0; artificial A = e_i, cost 1
         if y < 0:
             candidates.append((y, ns + i))

@@ -486,11 +486,6 @@ def is_homomorphism(g: Graph, h: Graph, hom: HomMap) -> bool:
     return all(hom.mapping[v] in h.loops for v in g.loops)
 
 
-def compose(first: HomMap, then: HomMap) -> HomMap:
-    """The composite map v -> then(first(v))."""
-    return HomMap(tuple(then.mapping[w] for w in first.mapping))
-
-
 def maximal_independent_sets(g: Graph) -> list[tuple[int, ...]]:
     """All maximal independent sets, each sorted, in lexicographic order.
 

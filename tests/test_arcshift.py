@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from prodcolor import arcshift
 from prodcolor.arcshift import (
     SetColoring,
     arc_shift,
@@ -17,7 +18,7 @@ from prodcolor.arcshift import (
     schelp_coloring,
     schelp_triples,
     underline_decomposition_check,
-    uniform_set_coloring,
+    _uniform_set_coloring,
 )
 from prodcolor.graphs import Digraph, complete_digraph, reverse, underline
 from prodcolor.solvers import (
@@ -34,15 +35,20 @@ def _rand_digraph(rng, n_max=5, p=0.4):
     return Digraph.from_arcs(n, arcs)
 
 
+def _uniform(d):
+    ug = underline(d)
+    return _uniform_set_coloring(ug, chromatic_number(ug))
+
+
 # ---------------------------------------------------------------------------
 # the shift operator
 
 
 def test_shift_k2_is_digon():
-    shifted, index = arc_shift(complete_digraph(2))
+    shifted, arcs = arc_shift(complete_digraph(2))
     assert shifted.n == 2
     assert shifted.arcs == frozenset({(0, 1), (1, 0)})
-    assert index.arcs == ((0, 1), (1, 0))
+    assert arcs == ((0, 1), (1, 0))
 
 
 def test_shift_single_arc():
@@ -51,19 +57,18 @@ def test_shift_single_arc():
 
 
 def test_shift_k4_outdegrees():
-    shifted, index = arc_shift(complete_digraph(4))
+    shifted, arcs = arc_shift(complete_digraph(4))
     assert shifted.n == 12
-    for i, (x, y) in enumerate(index.arcs):
+    for i, (x, y) in enumerate(arcs):
         out = sum(1 for a, b in shifted.arcs if a == i)
         assert out == 3  # arcs leaving y, including the one back to x
 
 
 def test_arc_index_stable():
     d = Digraph.from_arcs(3, [(2, 0), (0, 1), (1, 0)])
-    _, i1 = arc_shift(d)
-    _, i2 = arc_shift(Digraph.from_arcs(3, [(0, 1), (1, 0), (2, 0)]))
-    assert i1.arcs == i2.arcs == ((0, 1), (1, 0), (2, 0))
-    assert i1.index_of((2, 0)) == 2 and i1.arc_at(0) == (0, 1)
+    _, a1 = arc_shift(d)
+    _, a2 = arc_shift(Digraph.from_arcs(3, [(0, 1), (1, 0), (2, 0)]))
+    assert a1 == a2 == d.sorted_arcs == ((0, 1), (1, 0), (2, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +127,7 @@ def test_coloring_up_random_proper():
     rng = random.Random(29)
     for _ in range(25):
         d = _rand_digraph(rng, 6)
-        up = coloring_up(d, uniform_set_coloring(d))
+        up = coloring_up(d, _uniform(d))
         shifted, _ = arc_shift(d)
         assert is_proper_coloring(underline(shifted), up)
 
@@ -131,7 +136,7 @@ def test_round_trip_down_of_up():
     rng = random.Random(31)
     for _ in range(10):
         d = _rand_digraph(rng, 5)
-        up = coloring_up(d, uniform_set_coloring(d))
+        up = coloring_up(d, _uniform(d))
         down = coloring_down(d, up)
         assert is_proper_set_coloring(underline(d), down)
 
@@ -168,6 +173,24 @@ def test_lemma_rel_random():
         d = _rand_digraph(rng, 6)
         assert lemma_rel_bounds_check(d).passed
         assert lemma_rel_transforms_check(d)
+
+
+def test_lem_rel_shifts_each_digraph_once(monkeypatch):
+    # the bounds and both transforms of one digraph share one arc shift
+    calls = []
+
+    def counting(d):
+        calls.append(d)
+        return arc_shift(d)
+
+    monkeypatch.setattr(arcshift, "arc_shift", counting)
+    arcshift._underlines.cache_clear()
+    rng = random.Random(47)
+    digraphs = [complete_digraph(4), Digraph(3)] + [_rand_digraph(rng, 5) for _ in range(5)]
+    for i, d in enumerate(digraphs):
+        report, transforms_hold = arcshift._lemma_rel(d)
+        assert report.passed and transforms_hold()
+        assert calls == digraphs[: i + 1]
 
 
 _BROKEN_DOWN_TRANSFORM = """
@@ -209,7 +232,7 @@ def test_lemma_rel_transforms_check_survives_python_O():
 
 def test_uniform_set_coloring_shape():
     d = complete_digraph(4)
-    sc = uniform_set_coloring(d)
+    sc = _uniform(d)
     assert sc.k == 4 and sc.size == 2
     assert is_proper_set_coloring(underline(d), sc)
 
@@ -263,9 +286,9 @@ def test_schelp_pullback_along_homomorphism():
         s1, a1 = arc_shift(d)
         s2, a2 = arc_shift(s1)
         colors = []
-        for e1, e2 in a2.arcs:
-            x, y = a1.arc_at(e1)
-            _, z = a1.arc_at(e2)
+        for e1, e2 in a2:
+            x, y = a1[e1]
+            _, z = a1[e2]
             colors.append(triple_color[(phi.colors[x], phi.colors[y], phi.colors[z])])
         pulled = Coloring(tuple(colors), 3)
         assert is_proper_coloring(underline(s2), pulled)
@@ -281,15 +304,11 @@ def test_functoriality_k2_pair():
 
 def test_functoriality_reverse_identity_k3():
     d = complete_digraph(3)
-    shifted, idx = arc_shift(d)
-    shift_rev, idx_rev = arc_shift(reverse(d))
-    remapped = frozenset(
-        (
-            idx.index_of(tuple(reversed(idx_rev.arc_at(i)))),
-            idx.index_of(tuple(reversed(idx_rev.arc_at(j)))),
-        )
-        for i, j in shift_rev.arcs
-    )
+    shifted, arcs = arc_shift(d)
+    shift_rev, arcs_rev = arc_shift(reverse(d))
+    position = {arc: i for i, arc in enumerate(arcs)}
+    back = [position[y, x] for x, y in arcs_rev]
+    remapped = frozenset((back[i], back[j]) for i, j in shift_rev.arcs)
     assert remapped == reverse(shifted).arcs
 
 

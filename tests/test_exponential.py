@@ -387,6 +387,17 @@ def test_theta_defaults_and_validation():
         shitov_theta(named("heawood"), 0, 1, b=0, t=2)
 
 
+def test_theta_shares_mu_argument_checks():
+    hw = named("heawood")
+    with pytest.raises(ValueError, match="mu and theta are defined over loopless"):
+        shitov_theta(add_loops(hw), 0, 1)
+    with pytest.raises(ValueError, match="q must be >= 1"):
+        shitov_theta(hw, 0, 0)
+    for v in (-1, hw.n):
+        with pytest.raises(ValueError, match="out of range"):
+            shitov_theta(hw, v, 1)
+
+
 def test_theta_adjacent_to_mu():
     hw = named("heawood")
     for q in (1, 2):

@@ -29,7 +29,7 @@ from prodcolor.graphs import (
     tensor_product,
 )
 from prodcolor.harness import FRAC_CATALOG, SuiteConfig, run_suite
-from prodcolor.simplex import add_covering_columns, open_covering_lp, solve_covering_lp
+from prodcolor.simplex import add_covering_columns, open_covering_lp
 from prodcolor.solvers import chromatic_number, independence_number
 
 from oracles import (
@@ -47,63 +47,71 @@ from oracles import (
 def test_simplex_hand_example():
     # min x0 + x1 + x2 covering three rows:
     # col0 = {0, 1}, col1 = {1, 2}, col2 = {0, 2}; optimum 3/2, all weights 1/2
-    sol = solve_covering_lp(3, [(0, 1), (1, 2), (0, 2)])
+    sol = open_covering_lp(3, [(0, 1), (1, 2), (0, 2)]).solution()
     assert sol.value == Fraction(3, 2)
     assert sol.primal == {0: Fraction(1, 2), 1: Fraction(1, 2), 2: Fraction(1, 2)}
     assert sum(sol.dual) == Fraction(3, 2)
 
 
 def test_simplex_single_column():
-    sol = solve_covering_lp(2, [(0, 1)])
+    sol = open_covering_lp(2, [(0, 1)]).solution()
     assert sol.value == 1
     assert sol.primal == {0: Fraction(1)}
 
 
 def test_simplex_prefers_cheap_cover():
     # covering either by two singletons or one big set; optimum is the big set
-    sol = solve_covering_lp(2, [(0,), (1,), (0, 1)])
+    sol = open_covering_lp(2, [(0,), (1,), (0, 1)]).solution()
     assert sol.value == 1
 
 
 def test_simplex_empty():
-    sol = solve_covering_lp(0, [])
+    sol = open_covering_lp(0, []).solution()
     assert sol.value == 0 and sol.primal == {}
+
+
+def test_simplex_empty_lp_takes_no_columns():
+    # with no columns, pricing offers no structural candidate
+    lp = open_covering_lp(0, [])
+    add_covering_columns(lp, [])
+    sol = lp.solution()
+    assert sol.value == 0 and sol.primal == {} and sol.dual == ()
 
 
 def test_simplex_rejects_uncoverable_rows():
     with pytest.raises(ValueError, match="covered by no column"):
-        solve_covering_lp(2, [(0,)])
+        open_covering_lp(2, [(0,)]).solution()
     with pytest.raises(ValueError, match=r"column 1 \(\) is empty"):
-        solve_covering_lp(1, [(0,), ()])
+        open_covering_lp(1, [(0,), ()]).solution()
     with pytest.raises(ValueError, match=r"column 0 \(0, 1, 5\) .*outside 0\.\.1"):
-        solve_covering_lp(2, [(0, 1, 5)])
+        open_covering_lp(2, [(0, 1, 5)]).solution()
     with pytest.raises(ValueError, match=r"column 0 \(0, -1\) .*outside 0\.\.1"):
-        solve_covering_lp(2, [(0, -1)])
+        open_covering_lp(2, [(0, -1)]).solution()
     # a coefficient is the number of times a column lists its row, so no
     # column can state a coefficient below 1: (0, 0) is row 0 at coefficient 2
-    assert solve_covering_lp(1, [(0, 0)]).value == Fraction(1, 2)
+    assert open_covering_lp(1, [(0, 0)]).solution().value == Fraction(1, 2)
     for rhs in ([0, 1], [1], [1, Fraction(1, 2)], [1, -2]):
         with pytest.raises(ValueError, match="rhs must be 2 positive integers"):
-            solve_covering_lp(2, [(0, 1)], rhs)
+            open_covering_lp(2, [(0, 1)], rhs).solution()
 
 
 def test_simplex_integer_coefficients_and_rhs():
     # rows 0 and 1 need 3 and 2; (0, 0, 1, 1) covers each row twice, so
     # x = 3/2 covers both at value 3/2, and the duals (1/2, 0) price it at 1
-    sol = solve_covering_lp(2, [(0, 0, 1, 1), (1,)], [3, 2])
+    sol = open_covering_lp(2, [(0, 0, 1, 1), (1,)], [3, 2]).solution()
     assert sol.value == Fraction(3, 2)
     assert sol.primal == {0: Fraction(3, 2)}
     assert sol.dual == (Fraction(1, 2), 0)
     # one orbit row of C5 (rhs 5) and its 2-sets: 5/2 = chi_f(C5)
-    assert solve_covering_lp(1, [(0, 0)], [5]).value == Fraction(5, 2)
+    assert open_covering_lp(1, [(0, 0)], [5]).solution().value == Fraction(5, 2)
 
 
 def test_simplex_degenerate_instances():
     # one column covering several rows leaves several basic variables at zero
     # after phase 1; phase 2 must still end at the optimum
-    sol = solve_covering_lp(4, [(0, 1, 2, 3)])
+    sol = open_covering_lp(4, [(0, 1, 2, 3)]).solution()
     assert sol.value == 1 and sum(sol.dual) == 1
-    sol = solve_covering_lp(3, [(0, 1, 2), (0, 1, 2), (0, 1)])
+    sol = open_covering_lp(3, [(0, 1, 2), (0, 1, 2), (0, 1)]).solution()
     assert sol.value == 1
 
 
@@ -151,7 +159,7 @@ def _check_certificate(m, cols, rhs, sol):
 def test_simplex_certificate_on_random_lps(lp):
     # checked with no simplex code: primal covers, dual is feasible, values agree
     m, cols, rhs = lp
-    _check_certificate(m, cols, rhs, solve_covering_lp(m, cols, rhs))
+    _check_certificate(m, cols, rhs, open_covering_lp(m, cols, rhs).solution())
 
 
 def _warm_starts(m, cols, rhs, data):
@@ -175,7 +183,7 @@ def test_added_columns_continue_from_the_basis(lp, data):
     m, cols, rhs = lp
     *_, master = _warm_starts(m, cols, rhs, data)
     assert master.columns == cols
-    warm, cold = master.solution(), solve_covering_lp(m, cols, rhs)
+    warm, cold = master.solution(), open_covering_lp(m, cols, rhs).solution()
     assert warm.value == cold.value
     _check_certificate(m, cols, rhs, warm)
     scaled = master.prices()
@@ -439,7 +447,7 @@ def test_chi_f_matches_the_lp_over_every_maximal_set(data):
     mask = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     g = Graph.from_edges(n, [e for e, keep in zip(pairs, mask) if keep])
     value, witness = fractional_chromatic(g)
-    assert value == solve_covering_lp(n, brute_maximal_independent_sets(g)).value
+    assert value == open_covering_lp(n, brute_maximal_independent_sets(g)).solution().value
     assert witness.covers(g) and witness.value == value
 
 
@@ -547,7 +555,7 @@ def test_refinement_cells_are_not_orbits():
     g = Graph.from_edges(12, edges)
     assert {len(g.neighbors(v)) for v in range(12)} == {2}
     assert independence_number(g) == 5
-    assert solve_covering_lp(1, [(0,) * 5], [12]).value == Fraction(12, 5)
+    assert open_covering_lp(1, [(0,) * 5], [12]).solution().value == Fraction(12, 5)
     assert fractional_chromatic(g)[0] == 3
     rotation = tuple((v + 1) % 12 for v in range(12))
     with pytest.raises(ValueError, match="not an automorphism"):

@@ -23,7 +23,6 @@ from prodcolor.harness import (
     random_digraph,
     run_suite,
     serialize_reports,
-    thm_main_kneser_check,
 )
 from prodcolor.solvers import Coloring
 
@@ -120,20 +119,6 @@ def test_es_exponential_check_rejects_small_chi():
         es_exponential_check(cycle(5))
 
 
-def test_thm_main_kneser_consistency():
-    for d, c, expected in ((2, 2, 2), (3, 2, 4), (2, 3, 2)):
-        report = thm_main_kneser_check(d, c)
-        assert report.expected == expected
-        assert report.actual == expected and report.passed
-
-
-def test_thm_main_kneser_cap():
-    from prodcolor.errors import CapExceeded
-
-    with pytest.raises(CapExceeded, match="solver cap"):
-        thm_main_kneser_check(5, 3)  # C(15, 3) = 455 vertices
-
-
 def test_digraph_classes_match_brute_canonical_forms():
     classes = _digraph_classes_up_to(4)
     assert Counter(d.n for d, _ in classes) == {1: 1, 2: 3, 3: 16, 4: 218}
@@ -171,10 +156,10 @@ def test_lem_rel_witness_counts_classes_and_labelled_digraphs():
 
 
 def test_lem_rel_fails_on_a_broken_up_transform(monkeypatch):
-    def improper(level, set_coloring):
-        return Coloring((0,) * len(level.index.arcs), 1)
+    def improper(d, set_coloring):
+        return Coloring((0,) * len(d.arcs), 1)
 
-    monkeypatch.setattr(arcshift, "_coloring_up", improper)
+    monkeypatch.setattr(arcshift, "coloring_up", improper)
     _, ok, witness = _claim_lem_rel(SuiteConfig())
     assert not ok and witness["failures"]
     representatives = [{"n": d.n, "arcs": sorted(d.arcs)} for d, _ in _digraph_classes_up_to(4)]
