@@ -510,22 +510,3 @@ def normalize_on_constants(ctx: ExpContext, coloring: Coloring) -> Coloring:
         perm[src] = dst
     return Coloring(tuple(perm[c] for c in coloring.colors), coloring.k)
 
-
-def simple_maps_adjacent(
-    g: Graph, phi: BlowupExpMap, psi: BlowupExpMap
-) -> bool:
-    """The simple-map adjacency characterization over the original base.
-
-    For simple maps over blowup(g, q) with q >= 2 this equals exp_adjacent:
-    per base edge xy both cross conditions, plus phi(x) != psi(x) at every
-    vertex (from the intra-fiber edges).
-    """
-    if not (phi.simple and psi.simple):
-        raise ValueError("characterization applies to simple maps only")
-    q = phi.q
-    pv = tuple(phi.exp.values[x * q] for x in range(g.n))
-    sv = tuple(psi.exp.values[x * q] for x in range(g.n))
-    for x, y in g.edges:
-        if pv[x] == sv[y] or sv[x] == pv[y]:
-            return False
-    return all(pv[x] != sv[x] for x in range(g.n))

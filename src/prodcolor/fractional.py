@@ -3,13 +3,13 @@
 chi_f(G) is the optimum of: minimize total weight over maximal independent
 sets such that every vertex is covered with weight >= 1. The sets are not
 listed up front but generated (Mehrotra-Trick 1996). The restricted master
-LP starts from the color classes of an optimal coloring, each extended to a
-maximal set. Each round prices the master's integer duals den * y with one
-exact maximum-weight independent-set search: a set whose duals sum to more
-than den would lower the objective, so the heaviest set, extended to a
-maximal one, is appended and the simplex continues from its current basis.
-Generation stops when the search proves that no independent set weighs
-more than den.
+LP starts from the classes of a first-fit coloring in vertex order, each
+extended to a maximal set, so the only search is the pricing one. Each round
+prices the master's integer duals den * y with one exact maximum-weight
+independent-set search: a set whose duals sum to more than den would lower
+the objective, so the heaviest set, extended to a maximal one, is appended
+and the simplex continues from its current basis. Generation stops when the
+search proves that no independent set weighs more than den.
 
 Symmetry reduction (Margot 2010; Bodi-Herr-Joswig 2013). Given permutations
 that are checked to be automorphisms, let Gamma be the group they generate;
@@ -43,7 +43,7 @@ from fractions import Fraction
 from .errors import DEFAULT_MAX_LP_VERTICES, CapExceeded
 from .graphs import Graph
 from .simplex import add_covering_columns, open_covering_lp
-from .solvers import chromatic_number, k_colorable, max_weight_independent_set
+from .solvers import max_weight_independent_set
 
 
 @dataclass(frozen=True)
@@ -72,13 +72,13 @@ class FractionalColoring:
 
     def covers(self, g: Graph) -> bool:
         """Every generator an automorphism of g, every listed set an
-        independent set of g's vertices, and every orbit row satisfied."""
+        independent set of g's unlooped vertices, and every orbit row satisfied."""
         if not all(_is_automorphism(g, p) for p in self.generators):
             return False
         orbit, sizes = _orbits(g.n, self.generators)
         cover = [Fraction(0)] * len(sizes)
         for s, w in zip(self.sets, self.weights):
-            if not all(0 <= v < g.n for v in s):
+            if not all(0 <= v < g.n and v not in g.loops for v in s):
                 return False
             for u in s:
                 for v in s:
@@ -159,10 +159,14 @@ def fractional_chromatic(
 
     orbit, sizes = _orbits(g.n, generators)
     masks = g.neighbor_masks
-    coloring = k_colorable(g, chromatic_number(g))
-    classes = [0] * coloring.k
-    for v, c in enumerate(coloring.colors):
-        classes[c] |= 1 << v
+    classes: list[int] = []  # first fit: v joins the lowest class holding none of its neighbours
+    for v, m in enumerate(masks):
+        for c, s in enumerate(classes):
+            if not m & s:
+                classes[c] = s | 1 << v
+                break
+        else:
+            classes.append(1 << v)
     sets = [_maximal(masks, s) for s in classes]
     # a set's column lists the orbit of each of its vertices: |S & O| entries of row O
     lp = open_covering_lp(len(sizes), [tuple(orbit[v] for v in s) for s in sets], sizes)

@@ -70,7 +70,7 @@ def parse_graph(text: str) -> Graph:
     n, count, loops = _parse_header(*lines[0])
     if len(lines) - 1 != count:
         raise ParseError(lines[0][0], f"header promises {count} edges, found {len(lines) - 1}")
-    edges = []
+    edges: dict[tuple[int, int], int] = {}  # edge -> the line that lists it
     for line_no, line in lines[1:]:
         parts = line.split()
         if len(parts) != 2:
@@ -83,7 +83,9 @@ def parse_graph(text: str) -> Graph:
             raise ParseError(line_no, f"self-edge {u} {v} is not allowed in the edge list")
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(line_no, f"endpoint out of range [0, {n}) in {line!r}")
-        edges.append((u, v))
+        first = edges.setdefault((min(u, v), max(u, v)), line_no)
+        if first != line_no:
+            raise ParseError(line_no, f"edge {u} {v} repeats the edge of line {first}")
     for v in loops:
         if not (0 <= v < n):
             raise ParseError(lines[0][0], f"loop vertex {v} out of range [0, {n})")
@@ -106,7 +108,7 @@ def parse_digraph(text: str) -> Digraph:
         raise ParseError(lines[0][0], "digraphs do not carry loops")
     if len(lines) - 1 != count:
         raise ParseError(lines[0][0], f"header promises {count} arcs, found {len(lines) - 1}")
-    arcs = []
+    arcs: dict[tuple[int, int], int] = {}  # arc -> the line that lists it
     for line_no, line in lines[1:]:
         parts = line.split()
         if len(parts) != 3 or parts[1] != "->":
@@ -119,7 +121,9 @@ def parse_digraph(text: str) -> Digraph:
             raise ParseError(line_no, f"self-arc {x} -> {y} is not allowed")
         if not (0 <= x < n and 0 <= y < n):
             raise ParseError(line_no, f"endpoint out of range [0, {n}) in {line!r}")
-        arcs.append((x, y))
+        first = arcs.setdefault((x, y), line_no)
+        if first != line_no:
+            raise ParseError(line_no, f"arc {x} -> {y} repeats the arc of line {first}")
     return Digraph.from_arcs(n, arcs)
 
 

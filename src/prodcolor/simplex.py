@@ -39,6 +39,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
+from .errors import CapExceeded
+
 _ITERATION_GUARD = 500_000
 
 
@@ -169,7 +171,10 @@ def _iterate(st: CoverLp, phase1: bool) -> int:
     while True:
         iterations += 1
         if iterations > _ITERATION_GUARD:
-            raise RuntimeError("simplex iteration guard tripped")
+            raise CapExceeded(
+                f"simplex phase reached iteration {iterations}, above the"
+                f" _ITERATION_GUARD cap of {_ITERATION_GUARD}"
+            )
         entering = _price(st, phase1)
         if entering is None:
             return iterations

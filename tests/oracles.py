@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
+from prodcolor.exponential import BlowupExpMap
 from prodcolor.graphs import Digraph, Graph
 
 
@@ -104,6 +105,24 @@ def brute_exp_adjacent(base: Graph, f: tuple[int, ...], g: tuple[int, ...]) -> b
         if f[x] == g[x]:
             return False
     return True
+
+
+def simple_maps_adjacent(g: Graph, phi: BlowupExpMap, psi: BlowupExpMap) -> bool:
+    """The simple-map adjacency characterization over the original base.
+
+    For simple maps over blowup(g, q) with q >= 2 this equals exp_adjacent:
+    per base edge xy both cross conditions, plus phi(x) != psi(x) at every
+    vertex (from the intra-fiber edges).
+    """
+    if not (phi.simple and psi.simple):
+        raise ValueError("characterization applies to simple maps only")
+    q = phi.q
+    pv = tuple(phi.exp.values[x * q] for x in range(g.n))
+    sv = tuple(psi.exp.values[x * q] for x in range(g.n))
+    for x, y in g.edges:
+        if pv[x] == sv[y] or sv[x] == pv[y]:
+            return False
+    return all(pv[x] != sv[x] for x in range(g.n))
 
 
 def brute_tensor_product(g: Graph, h: Graph) -> tuple[set[tuple[int, int]], set[int]]:

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from prodcolor import cli
-from prodcolor.graphs import named
+from prodcolor import cli, simplex
+from prodcolor.graphs import kneser, named
 from prodcolor.serialize import (
     fractional_coloring_from_obj,
     parse_digraph,
@@ -312,6 +312,18 @@ def test_edge_cap_exit_2(capsys, monkeypatch):
     )
     assert code == 2
     assert "372 edges exceed the max_edges cap of 10" in err
+
+
+def test_simplex_iteration_guard_exit_2(capsys, monkeypatch):
+    monkeypatch.setattr(simplex, "_ITERATION_GUARD", 5)
+    code, out, err = run(
+        capsys, "invariant", "chif", "--max-lp-vertices", "35",
+        stdin=serialize_graph(kneser(7, 3)), monkeypatch=monkeypatch,
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "cap exceeded: simplex phase reached iteration 6, above the _ITERATION_GUARD cap of 5\n"
+    )
 
 
 def test_unknown_suite_exit_1(capsys):

@@ -24,7 +24,6 @@ from prodcolor.exponential import (
     secondary_block,
     shitov_mu,
     shitov_theta,
-    simple_maps_adjacent,
     universal_property_check,
     verify_mu_clique,
 )
@@ -39,7 +38,7 @@ from prodcolor.graphs import (
 )
 from prodcolor.solvers import Coloring, chromatic_number, is_proper_coloring, k_colorable
 
-from oracles import brute_exp_adjacent
+from oracles import brute_exp_adjacent, simple_maps_adjacent
 
 
 def _path3() -> Graph:

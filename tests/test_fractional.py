@@ -15,18 +15,21 @@ from hypothesis import strategies as st
 
 from prodcolor.errors import CapExceeded
 from prodcolor.fractional import FractionalColoring, fractional_chromatic
-from prodcolor import fractional
+from prodcolor import fractional, simplex
+from prodcolor.arcshift import arc_shift
 from prodcolor.graphs import (
     Graph,
     _named_generators,
     _product_generators,
     add_loops,
+    complete_digraph,
     complete_graph,
     cycle,
     kneser,
     kneser_subsets,
     named,
     tensor_product,
+    underline,
 )
 from prodcolor.harness import FRAC_CATALOG, SuiteConfig, run_suite
 from prodcolor.simplex import add_covering_columns, open_covering_lp
@@ -76,6 +79,13 @@ def test_simplex_empty_lp_takes_no_columns():
     add_covering_columns(lp, [])
     sol = lp.solution()
     assert sol.value == 0 and sol.primal == {} and sol.dual == ()
+
+
+def test_simplex_iteration_guard_raises_cap_exceeded(monkeypatch):
+    # the guard is a cap like the size caps: CapExceeded names it and the count
+    monkeypatch.setattr(simplex, "_ITERATION_GUARD", 5)
+    with pytest.raises(CapExceeded, match="iteration 6, above the _ITERATION_GUARD cap of 5"):
+        fractional_chromatic(kneser(7, 3), max_vertices=35)
 
 
 def test_simplex_rejects_uncoverable_rows():
@@ -461,6 +471,16 @@ def test_covers_rejects_vertices_outside_the_graph():
     assert FractionalColoring(sets, (Fraction(1),) * 3).covers(k3)
 
 
+def test_covers_rejects_a_set_holding_a_looped_vertex():
+    # a looped vertex lies in no independent set, so no set may hold it
+    sets = (frozenset({0, 2}), frozenset({1, 3}), frozenset({4}))
+    hand = FractionalColoring(sets, (Fraction(1),) * 3)
+    assert hand.covers(cycle(5))
+    assert not hand.covers(add_loops(cycle(5)))
+    looped_4 = Graph.from_edges(5, cycle(5).edges, [4])
+    assert not hand.covers(looped_4)
+
+
 # ---------------------------------------------------------------------------
 # symmetry reduction: one LP row per orbit of the generated group
 
@@ -581,17 +601,37 @@ def test_chi_f_of_products_with_product_generators(gname, hname, expected, monke
 
 
 def test_chi_f_kneser_7_3_without_generators_keeps_its_pivots(monkeypatch):
-    # the no-generator LP is the one-row-per-vertex LP: the same 734 simplex
-    # iterations over 66 columns, and the same witness, the seven stars
+    # the no-generator LP is the one-row-per-vertex LP, opened from the
+    # first-fit classes: 529 simplex iterations over 55 columns, and the
+    # witness is the seven stars
     opened = _opened_lps(monkeypatch)
     value, witness = fractional_chromatic(kneser(7, 3), max_vertices=35)
     assert value == Fraction(7, 3)
     (lp,) = opened
-    assert (lp.iterations, len(lp.columns)) == (734, 66)
+    assert (lp.iterations, len(lp.columns)) == (529, 55)
     subsets = kneser_subsets(7, 3)
-    stars = [frozenset(v for v, s in enumerate(subsets) if i in s) for i in (5, 4, 3, 2, 6, 1, 0)]
+    stars = [frozenset(v for v, s in enumerate(subsets) if i in s) for i in (0, 1, 3, 4, 6, 5, 2)]
     assert witness.sets == tuple(stars)
     assert witness.weights == (Fraction(1, 3),) * 7 and witness.generators == ()
+
+
+def test_chi_f_double_shift_of_k7_is_3_from_the_first_fit_start():
+    # u(delta^2(K_7)) has 252 vertices, one per triple (a, b, c) with a != b
+    # != c, and S_7 acts on the triples; with a transposition and the 7-cycle
+    # the LP has one orbit row, and no coloring search runs before pricing
+    shift1, arcs1 = arc_shift(complete_digraph(7))
+    shift2, arcs2 = arc_shift(shift1)
+    triples = [(*arcs1[i], arcs1[j][1]) for i, j in arcs2]
+    index = {t: v for v, t in enumerate(triples)}
+    gens = tuple(
+        tuple(index[tuple(sigma[x] for x in t)] for t in triples)
+        for sigma in ((1, 0, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6, 0))
+    )
+    u = underline(shift2)
+    value, witness = fractional_chromatic(u, max_vertices=252, generators=gens)
+    assert (u.n, len(u.edges), value) == (252, 1491, 3)
+    assert witness.covers(u) and witness.value == 3
+    assert not {"chromatic_number", "k_colorable"} & vars(fractional).keys()
 
 
 def test_catalog_generators_are_automorphisms_with_one_orbit_per_product():

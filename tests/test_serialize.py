@@ -81,6 +81,18 @@ def test_parse_errors_carry_line_numbers():
         parse_digraph("2 1\n1 -> 1")
 
 
+def test_parse_rejects_a_repeated_edge_or_arc():
+    # a repeat would leave fewer edges than the header promises
+    with pytest.raises(ParseError, match=r"^line 3: edge 1 0 repeats the edge of line 2$"):
+        parse_graph("2 2\n0 1\n1 0\n")
+    with pytest.raises(ParseError, match=r"^line 5: edge 1 2 repeats the edge of line 3$"):
+        parse_graph("3 3\n# comment\n1 2\n0 1\n1 2\n")
+    with pytest.raises(ParseError, match=r"^line 4: arc 0 -> 1 repeats the arc of line 2$"):
+        parse_digraph("2 3\n0 -> 1\n1 -> 0\n0 -> 1\n")
+    # the reverse of an arc is another arc
+    assert parse_digraph("2 2\n0 -> 1\n1 -> 0\n").arcs == {(0, 1), (1, 0)}
+
+
 def test_loop_header_round_trip():
     g = Graph.from_edges(4, [(0, 1)], loops=[2, 0])
     text = serialize_graph(g)
