@@ -5,8 +5,11 @@ fixed branching orders, no randomness. They are sized for desk-scale
 instances (hundreds of vertices), not for competitive benchmarks.
 
 One homomorphism search serves k_colorable (maps into K_k) and
-find_homomorphism, and one weighted independent-set branch and bound serves
-independence_number (unit weights) and the pricing of the fractional
+find_homomorphism. Its domains are value-major (one vertex mask per target
+value), so a node costs O(t log t) big-int operations for t target values,
+plus one per placed vertex and one per value a placed value excludes, and
+no scan of the vertices. One weighted independent-set branch and bound
+serves independence_number (unit weights) and the pricing of the fractional
 chromatic LP (the dual prices as weights). Every search runs on an explicit
 stack, so no input is too deep for it and no process-wide state, such as the
 recursion limit, is touched.
@@ -19,6 +22,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .graphs import Graph
 
@@ -80,102 +84,108 @@ def greedy_clique(g: Graph) -> list[int]:
     return clique
 
 
-def _hom_search(nbrs: tuple[int, ...], values: list[int], domains: list[int]) -> list[int] | None:
-    """A map v -> image[v] in domains[v] sending each edge uv to values c, d
-    with d in values[c], or None if there is none.
-
-    nbrs are the source's neighbour masks; values[c] holds c's neighbours in
-    the target, plus c itself when c has a loop. Depth-first on an explicit
-    stack: the vertex with the fewest values left goes first (then higher
-    degree, then lower index: DSATUR order), its values are tried lowest first,
-    each choice narrows its neighbours' domains (forward checking), and
-    vertices left with one value are placed first in, first out.
-
-    Symmetry breaking comes from the target: values x and w are twins when
-    (values[x] ^ values[w]) & ~(bit x | bit w) == 0 and both or neither has a
-    loop. Swapping two twins is an automorphism of the target and twinship is
-    an equivalence, so a branch tries the used values and only the lowest
-    unused value of each twin class. This is complete only if every initial
-    domain that is not a single value is a union of whole twin classes;
-    single values are placed before the first branch.
-    """
-    if not all(domains):
-        return None
-    # twins share their open (nonadjacent twins) or closed (adjacent twins) neighbourhood
+@lru_cache(maxsize=64)
+def _twins(values: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """The twin classes of a target's values, and the mask of the untwinned ones:
+    x, w are twins when (values[x] ^ values[w]) & ~(bit x | bit w) == 0, both or neither looped."""
     groups: dict[tuple[int, int], int] = {}
     for w, vw in enumerate(values):
         bit, loop = 1 << w, vw >> w & 1
         for key in ((vw & ~bit, loop), (vw | bit, loop)):
             groups[key] = groups.get(key, 0) | bit
-    twin_classes = [m for m in groups.values() if m & (m - 1)]
-    untwinned = (1 << len(values)) - 1 - sum(twin_classes)
-    negdeg = [-m.bit_count() for m in nbrs]
-    image = [-1] * len(nbrs)
-    dom = list(domains)
-    left = set(range(len(nbrs)))
-    trail: list[tuple[int, int]] = []  # (u, its domain before) or (v, -1) for a placement
-    used = 0
+    twin_classes = tuple(m for m in groups.values() if m & (m - 1))
+    return twin_classes, (1 << len(values)) - 1 - sum(twin_classes)
 
-    def settle(queue: list[int]) -> bool:
-        # place each queued vertex on its one value; the queue grows as domains collapse
-        nonlocal used
-        for v in queue:
-            bit = dom[v]
-            c = bit.bit_length() - 1
-            image[v] = c
-            left.discard(v)
-            trail.append((v, -1))
-            used |= bit
-            allow = values[c]
-            m = nbrs[v]
-            while m:
-                low = m & -m
-                m ^= low
-                u = low.bit_length() - 1
-                if image[u] == -1:
-                    d = dom[u]
-                    nd = d & allow
-                    if nd != d:
-                        if not nd:
-                            return False
-                        trail.append((u, d))
-                        dom[u] = nd
-                        if nd & (nd - 1) == 0:
-                            queue.append(u)
-        return True
 
-    if not settle([v for v, d in enumerate(dom) if d & (d - 1) == 0]):
-        return None
-    stack: list[list[int]] = []  # [vertex, values left to try, trail length, used]
-    while left:
-        v = min(left, key=lambda u: (dom[u].bit_count(), negdeg[u], u))
-        allow = untwinned | used
-        for m in twin_classes:
-            m &= ~used
-            allow |= m & -m
-        stack.append([v, dom[v] & allow, len(trail), used])
-        while stack:  # try the top frame's next value; an exhausted frame is popped
-            frame = stack[-1]
-            v, cand, mark, used = frame
-            while len(trail) > mark:
-                u, d = trail.pop()
-                if d < 0:
-                    image[u] = -1
-                    left.add(u)
-                else:
-                    dom[u] = d
-            if not cand:
-                stack.pop()
+def _hom_search(nbrs: tuple[int, ...], values: list[int], holders: list[int]) -> list[int] | None:
+    """A map v -> image[v], with v in holders[image[v]], sending each edge uv
+    to values c, d with d in values[c], or None if there is none.
+
+    nbrs are the source's neighbour masks; values[c] holds c's neighbours in
+    the target, plus c itself when c has a loop; holders[c] masks the vertices
+    that may still take c (updated in place), and a placed vertex keeps only
+    its value. Depth-first in DSATUR order (fewest values, then higher degree,
+    then lower index), values lowest first, with forward checking: the
+    unplaced vertices left with one value are placed as a batch, whose
+    vertices on c leave holders[d] for each d outside values[c]. Swapping twin
+    values is an automorphism of the target, so a branch tries the used values
+    and only the lowest unused value of each twin class: complete only if each
+    initial domain that is not a single value is a union of whole twin classes.
+    """
+    twin_classes, untwinned = _twins(tuple(values))
+    full = left = (1 << len(nbrs)) - 1  # left: the unplaced vertices
+    image = [0] * len(nbrs)
+    trail: list[tuple[int, int]] = []  # (c, vertices that left holders[c]), or (-1, a batch placed)
+    stack: list[tuple[int, int, int, int]] = []  # (vertex, value to try, trail length, used)
+    by_degree: dict[int, int] = {}  # vertex masks by degree, highest first, from the first branch
+    used = batch = 0
+    while True:
+        for c, h in enumerate(holders):  # place the batch
+            if on_c := h & batch:
+                used |= 1 << c
+                reach = 0
+                while on_c:
+                    v = on_c.bit_length() - 1
+                    on_c ^= 1 << v
+                    reach |= nbrs[v]
+                    image[v] = c
+                excluded = ~values[c] & ((1 << len(values)) - 1)
+                while excluded:
+                    d = excluded.bit_length() - 1
+                    excluded ^= 1 << d
+                    if gone := holders[d] & reach:
+                        holders[d] ^= gone
+                        trail.append((d, gone))
+        one = two = 0  # the vertices with at least one, at least two values left
+        for h in holders:
+            two |= one & h
+            one |= h
+        if one == full:  # no dead end
+            left ^= batch
+            trail.append((-1, batch))
+            batch = one & ~two & left
+            if batch:
                 continue
-            bit = cand & -cand
-            frame[1] = cand ^ bit
-            trail.append((v, dom[v]))
-            dom[v] = bit
-            if settle([v]):
-                break
-        else:
+            if not left:
+                return image
+            planes: list[int] = []  # planes[i]: the vertices whose number of values has bit i set
+            for carry in holders:
+                for i, plane in enumerate(planes):
+                    planes[i], carry = plane ^ carry, plane & carry
+                    if not carry:
+                        break
+                if carry:
+                    planes.append(carry)
+            fewest = left
+            for plane in reversed(planes):
+                if fewest & ~plane:
+                    fewest &= ~plane
+            if not by_degree:
+                for v, m in sorted(enumerate(nbrs), key=lambda vm: -vm[1].bit_count()):
+                    by_degree[m.bit_count()] = by_degree.get(m.bit_count(), 0) | 1 << v
+            fewest &= next(m for m in by_degree.values() if fewest & m)
+            v = (fewest & -fewest).bit_length() - 1
+            allow = untwinned | used
+            for m in twin_classes:
+                m &= ~used
+                allow |= m & -m
+            for c in reversed(range(len(holders))):  # the lowest value is popped first
+                if allow >> c & 1 and holders[c] >> v & 1:
+                    stack.append((v, c, len(trail), used))
+        if not stack:
             return None
-    return image
+        v, c, mark, used = stack.pop()  # undo to the branch on v, then try v on c
+        while len(trail) > mark:
+            d, m = trail.pop()
+            if d < 0:
+                left |= m
+            else:
+                holders[d] |= m
+        batch = 1 << v
+        for d, h in enumerate(holders):
+            if d != c and h & batch:
+                holders[d] = h ^ batch
+                trail.append((d, batch))
 
 
 def k_colorable(g: Graph, k: int) -> Coloring | None:
@@ -189,19 +199,12 @@ def k_colorable(g: Graph, k: int) -> Coloring | None:
     _require_loopless(g, "k-colorability")
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    n = g.n
-    if n == 0:
-        return Coloring((), k)
-    if k == 0:
-        return None
     clique = greedy_clique(g)
     if len(clique) > k:
         return None
-    full = (1 << k) - 1
-    domains = [full] * n
-    for i, v in enumerate(clique):
-        domains[v] = 1 << i
-    colors = _hom_search(g.neighbor_masks, [full ^ (1 << c) for c in range(k)], domains)
+    rest = (1 << g.n) - 1 - sum(1 << v for v in clique)
+    holders = [rest | 1 << v for v in clique] + [rest] * (k - len(clique))
+    colors = _hom_search(g.neighbor_masks, [((1 << k) - 1) ^ (1 << c) for c in range(k)], holders)
     return None if colors is None else Coloring(tuple(colors), k)
 
 
@@ -463,14 +466,11 @@ def find_homomorphism(g: Graph, h: Graph) -> HomMap | None:
     valid targets, and a loop of g must land on a loop of h. The returned
     witness is a deterministic function of the input.
     """
-    values = list(h.neighbor_masks)
-    loopmask = 0
-    for w in h.loops:
-        values[w] |= 1 << w
-        loopmask |= 1 << w
-    full = (1 << h.n) - 1
-    domains = [loopmask if v in g.loops else full for v in range(g.n)]
-    mapping = _hom_search(g.neighbor_masks, values, domains)
+    values = [m | 1 << w if w in h.loops else m for w, m in enumerate(h.neighbor_masks)]
+    full = (1 << g.n) - 1
+    unlooped = full - sum(1 << v for v in g.loops)
+    holders = [full if w in h.loops else unlooped for w in range(h.n)]
+    mapping = _hom_search(g.neighbor_masks, values, holders)
     return None if mapping is None else HomMap(tuple(mapping))
 
 

@@ -260,3 +260,103 @@ class FractionTableau:
         ns, m = self.ns, self.m
         cb = [self._cost(b, False) for b in self.basis]
         return [sum(c * row[ns + m + i] for c, row in zip(cb, self.rows)) for i in range(m)]
+
+
+# A per-vertex-domain homomorphism search with a DSATUR scan, kept as the
+# reference that solvers._hom_search must match witness for witness.
+def reference_hom_search(nbrs: tuple[int, ...], values: list[int], domains: list[int]) -> list[int] | None:
+    """A map v -> image[v] in domains[v] sending each edge uv to values c, d
+    with d in values[c], or None if there is none.
+
+    nbrs are the source's neighbour masks; values[c] holds c's neighbours in
+    the target, plus c itself when c has a loop. Depth-first on an explicit
+    stack: the vertex with the fewest values left goes first (then higher
+    degree, then lower index: DSATUR order), its values are tried lowest first,
+    each choice narrows its neighbours' domains (forward checking), and
+    vertices left with one value are placed first in, first out.
+
+    Symmetry breaking comes from the target: values x and w are twins when
+    (values[x] ^ values[w]) & ~(bit x | bit w) == 0 and both or neither has a
+    loop. Swapping two twins is an automorphism of the target and twinship is
+    an equivalence, so a branch tries the used values and only the lowest
+    unused value of each twin class. This is complete only if every initial
+    domain that is not a single value is a union of whole twin classes;
+    single values are placed before the first branch.
+    """
+    if not all(domains):
+        return None
+    # twins share their open (nonadjacent twins) or closed (adjacent twins) neighbourhood
+    groups: dict[tuple[int, int], int] = {}
+    for w, vw in enumerate(values):
+        bit, loop = 1 << w, vw >> w & 1
+        for key in ((vw & ~bit, loop), (vw | bit, loop)):
+            groups[key] = groups.get(key, 0) | bit
+    twin_classes = [m for m in groups.values() if m & (m - 1)]
+    untwinned = (1 << len(values)) - 1 - sum(twin_classes)
+    negdeg = [-m.bit_count() for m in nbrs]
+    image = [-1] * len(nbrs)
+    dom = list(domains)
+    left = set(range(len(nbrs)))
+    trail: list[tuple[int, int]] = []  # (u, its domain before) or (v, -1) for a placement
+    used = 0
+
+    def settle(queue: list[int]) -> bool:
+        # place each queued vertex on its one value; the queue grows as domains collapse
+        nonlocal used
+        for v in queue:
+            bit = dom[v]
+            c = bit.bit_length() - 1
+            image[v] = c
+            left.discard(v)
+            trail.append((v, -1))
+            used |= bit
+            allow = values[c]
+            m = nbrs[v]
+            while m:
+                low = m & -m
+                m ^= low
+                u = low.bit_length() - 1
+                if image[u] == -1:
+                    d = dom[u]
+                    nd = d & allow
+                    if nd != d:
+                        if not nd:
+                            return False
+                        trail.append((u, d))
+                        dom[u] = nd
+                        if nd & (nd - 1) == 0:
+                            queue.append(u)
+        return True
+
+    if not settle([v for v, d in enumerate(dom) if d & (d - 1) == 0]):
+        return None
+    stack: list[list[int]] = []  # [vertex, values left to try, trail length, used]
+    while left:
+        v = min(left, key=lambda u: (dom[u].bit_count(), negdeg[u], u))
+        allow = untwinned | used
+        for m in twin_classes:
+            m &= ~used
+            allow |= m & -m
+        stack.append([v, dom[v] & allow, len(trail), used])
+        while stack:  # try the top frame's next value; an exhausted frame is popped
+            frame = stack[-1]
+            v, cand, mark, used = frame
+            while len(trail) > mark:
+                u, d = trail.pop()
+                if d < 0:
+                    image[u] = -1
+                    left.add(u)
+                else:
+                    dom[u] = d
+            if not cand:
+                stack.pop()
+                continue
+            bit = cand & -cand
+            frame[1] = cand ^ bit
+            trail.append((v, dom[v]))
+            dom[v] = bit
+            if settle([v]):
+                break
+        else:
+            return None
+    return image

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from itertools import combinations
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from prodcolor import solvers
+from prodcolor.exponential import ExpContext, materialize_exponential
 from prodcolor.graphs import (
     Graph,
     add_loops,
@@ -41,6 +44,7 @@ from oracles import (
     brute_k_colorable,
     brute_max_weight_independent_set,
     brute_maximal_independent_sets,
+    reference_hom_search,
 )
 
 
@@ -375,6 +379,114 @@ def test_hom_implies_chromatic_order():
         g, h = _random_graph(rng, 5), _random_graph(rng, 5)
         if find_homomorphism(g, h) is not None:
             assert chromatic_number(g) <= chromatic_number(h)
+
+
+# ---------------------------------------------------------------------------
+# the homomorphism search against its per-vertex reference
+
+
+def _reference_k_colorable(g, k):
+    """k_colorable's answer from the reference search, with the same set-up:
+    the greedy clique's vertices fixed to colors 0, 1, ..."""
+    if g.n == 0:
+        return ()
+    clique = greedy_clique(g)
+    if k == 0 or len(clique) > k:
+        return None
+    full = (1 << k) - 1
+    domains = [full] * g.n
+    for i, v in enumerate(clique):
+        domains[v] = 1 << i
+    colors = reference_hom_search(g.neighbor_masks, [full ^ (1 << c) for c in range(k)], domains)
+    return None if colors is None else tuple(colors)
+
+
+def _reference_hom(g, h):
+    """find_homomorphism's answer from the reference search: loops of h are
+    values, and a loop of g must land on one."""
+    values = list(h.neighbor_masks)
+    loopmask = 0
+    for w in h.loops:
+        values[w] |= 1 << w
+        loopmask |= 1 << w
+    full = (1 << h.n) - 1
+    domains = [loopmask if v in g.loops else full for v in range(g.n)]
+    mapping = reference_hom_search(g.neighbor_masks, values, domains)
+    return None if mapping is None else tuple(mapping)
+
+
+def _colors(g, k):
+    coloring = k_colorable(g, k)
+    return None if coloring is None else coloring.colors
+
+
+def _mapping(g, h):
+    hom = find_homomorphism(g, h)
+    return None if hom is None else hom.mapping
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(12, loops=True), small_graphs(6, loops=True), st.integers(0, 6))
+def test_searches_return_the_reference_witness(g, h, k):
+    # value-major domains reach the same fixpoint at every branch point as
+    # per-vertex ones, so the same vertex and values are tried: equal witnesses
+    assert _mapping(g, h) == _reference_hom(g, h)
+    loopless = Graph(g.n, g.edges)
+    assert _colors(loopless, k) == _reference_k_colorable(loopless, k)
+
+
+@pytest.mark.parametrize("name", ["kneser-9-3", "grotzsch2", "exp-3-k7"])
+def test_chromatic_number_colorings_match_the_reference(monkeypatch, name):
+    # the chi instances of the search benchmark, at every k chromatic_number tries
+    g = {
+        "kneser-9-3": lambda: kneser(9, 3),
+        "grotzsch2": lambda: tensor_product(named("grotzsch"), named("grotzsch")),
+        "exp-3-k7": lambda: materialize_exponential(ExpContext(complete_graph(7), 3)),
+    }[name]()
+    tried = []
+    real = solvers.k_colorable
+    monkeypatch.setattr(solvers, "k_colorable", lambda part, k: tried.append((part, k)) or real(part, k))
+    chi = chromatic_number(g)
+    monkeypatch.undo()
+    assert chi == {"kneser-9-3": 5, "grotzsch2": 4, "exp-3-k7": 3}[name]
+    # K_3^{K7} has an empty 3-core, so chromatic_number searches nothing there
+    for part, k in tried + [(g, chi)]:
+        assert _colors(part, k) == _reference_k_colorable(part, k)
+
+
+@pytest.mark.parametrize(
+    "g, h, found",
+    [(tensor_product(cycle(5), named("petersen")), cycle(5), True), (kneser(6, 2), cycle(5), False)],
+)
+def test_hom_instances_match_the_reference(g, h, found):
+    assert (_mapping(g, h) is not None) == found
+    assert _mapping(g, h) == _reference_hom(g, h)
+
+
+def test_search_boundaries():
+    # no vertices to place, no value to place them on, and a clique above k
+    for h in (Graph(0), complete_graph(3), add_loops(Graph(1))):
+        assert find_homomorphism(Graph(0), h) == HomMap(())
+    for g in (Graph(1), add_loops(Graph(1)), cycle(5)):
+        assert find_homomorphism(g, Graph(0)) is None
+    for g, k in ((complete_graph(4), 3), (named("w5"), 2), (Graph(1), 0)):
+        assert len(greedy_clique(g)) > k
+        assert k_colorable(g, k) is None
+
+
+def test_k4_coloring_of_the_exponential_over_c5_join_k2_is_pinned():
+    # C5 joined to K2 (chi = 5). K_4^G has 16,384 maps and its 4-coloring takes
+    # about 16,000 nodes, so a search that scans the unplaced vertices to pick
+    # each branch vertex needs half a minute here; the coloring is pinned
+    join = [(i, (i + 1) % 5) for i in range(5)] + [(5, 6)] + [(i, j) for i in range(5) for j in (5, 6)]
+    g = Graph.from_edges(7, join)
+    assert chromatic_number(g) == 5
+    expo = materialize_exponential(ExpContext(g, 4))
+    assert (expo.n, len(expo.edges), len(expo.loops)) == (16384, 103014, 0)
+    coloring = k_colorable(expo, 4)
+    assert coloring is not None and is_proper_coloring(expo, coloring)
+    digest = hashlib.sha256(bytes(coloring.colors)).hexdigest()
+    assert digest == "62b50e5fdd2728eba6241c898737005be972fdfe8d659725b7125b35f342c966"
 
 
 # ---------------------------------------------------------------------------
