@@ -22,7 +22,7 @@ _HOME = {
         "solvers": (
             "Coloring", "HomMap", "chromatic_number", "find_homomorphism", "girth",
             "independence_number", "is_homomorphism", "is_proper_coloring", "k_colorable",
-            "max_weight_independent_set", "maximal_independent_sets",
+            "max_weight_independent_set", "maximal_independent_sets", "optimal_coloring",
         ),
         "fractional": ("FractionalColoring", "fractional_chromatic"),
         "exponential": (

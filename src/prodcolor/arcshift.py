@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 from typing import Callable
 
 from .graphs import Digraph, Graph, complete_digraph, digraph_product, pair_index, reverse, underline
-from .solvers import Coloring, chromatic_number, is_proper_coloring, k_colorable
+from .solvers import Coloring, chromatic_number, is_proper_coloring, optimal_coloring
 
 
 @dataclass(frozen=True)
@@ -54,13 +54,17 @@ def is_proper_set_coloring(g: Graph, sc: SetColoring) -> bool:
 
 
 def arc_shift(d: Digraph) -> tuple[Digraph, tuple[tuple[int, int], ...]]:
-    """shift(D) and D's sorted arcs: vertex i of shift(D) is the arc d.sorted_arcs[i]."""
+    """shift(D) and D's sorted arcs: vertex i of shift(D) is the arc d.sorted_arcs[i].
+
+    The out-arcs of each vertex y are the run start[y]..start[y+1]-1 of the
+    sorted arcs, so the shift is built in O(arcs x out-degree).
+    """
     arcs = d.sorted_arcs
-    shift_arcs = []
-    for i, (x, y) in enumerate(arcs):
-        for j, (xp, yp) in enumerate(arcs):
-            if y == xp and i != j:
-                shift_arcs.append((i, j))
+    out_degree = [0] * d.n
+    for x, _ in arcs:
+        out_degree[x] += 1
+    start = list(accumulate(out_degree, initial=0))
+    shift_arcs = [(i, j) for i, (_, y) in enumerate(arcs) for j in range(start[y], start[y + 1])]
     return Digraph.from_arcs(len(arcs), shift_arcs), arcs
 
 
@@ -81,12 +85,10 @@ def coloring_down(d: Digraph, shift_coloring: Coloring) -> SetColoring:
     under_d, under_shift = _underlines(d)
     if not is_proper_coloring(under_shift, shift_coloring):
         raise ValueError("input is not a proper coloring of underline(shift(D))")
-    position = {arc: i for i, arc in enumerate(d.sorted_arcs)}
-    sets = []
-    for v in range(d.n):
-        out = [shift_coloring.colors[position[v, y]] for y in d.out_neighbors(v)]
-        sets.append(frozenset(out))
-    result = SetColoring(tuple(sets), shift_coloring.k, None)
+    out_colors: list[set[int]] = [set() for _ in range(d.n)]
+    for (x, _), color in zip(d.sorted_arcs, shift_coloring.colors):
+        out_colors[x].add(color)
+    result = SetColoring(tuple(map(frozenset, out_colors)), shift_coloring.k, None)
     if not is_proper_set_coloring(under_d, result):
         raise RuntimeError("down-transform produced an improper set-coloring of underline(D)")
     return result
@@ -146,22 +148,23 @@ def _min_k_central(chi: int) -> int:
 def _lemma_rel(d: Digraph) -> tuple[LemmaRelReport, Callable[[], bool]]:
     """The bounds report on D, and the transforms check as a deferred call.
 
-    Both share one shift of D, one chromatic number per underline graph and
-    one optimal coloring of underline(D).
+    Both share one shift of D and one optimal coloring per underline graph,
+    which gives its chromatic number too.
     """
     under_d, under_shift = _underlines(d)
-    chi_d = chromatic_number(under_d)
-    chi_shift = chromatic_number(under_shift)
+    base_d = optimal_coloring(under_d)
+    base_shift = optimal_coloring(under_shift)
+    chi_d, chi_shift = base_d.k, base_shift.k
     lower = _min_k_power(chi_d)
     upper = _min_k_central(chi_d)
     report = LemmaRelReport(chi_d, chi_shift, lower, upper, lower <= chi_shift <= upper)
 
     def transforms_hold() -> bool:
         if under_shift.n:
-            down = coloring_down(d, k_colorable(under_shift, chi_shift))
+            down = coloring_down(d, base_shift)
             if not is_proper_set_coloring(under_d, down) or len(set(down.sets)) > 2**chi_shift:
                 return False
-        up = coloring_up(d, _uniform_set_coloring(under_d, chi_d))
+        up = coloring_up(d, _uniform_set_coloring(base_d))
         return is_proper_coloring(under_shift, up)
 
     return report, transforms_hold
@@ -172,18 +175,16 @@ def lemma_rel_bounds_check(d: Digraph) -> LemmaRelReport:
     return _lemma_rel(d)[0]
 
 
-def _uniform_set_coloring(ug: Graph, chi_d: int) -> SetColoring:
-    """A proper set-coloring of ug by equal-size subsets, from a chi_d-coloring.
+def _uniform_set_coloring(base: Coloring) -> SetColoring:
+    """An equal-size set-coloring with the color classes of base, so proper
+    wherever base is.
 
-    Uses k = min{k: C(k, ceil(k/2)) >= chi_d} and assigns the i-th color
+    Uses k = min{k: C(k, ceil(k/2)) >= base.k} and assigns the i-th color
     class the i-th ceil(k/2)-subset of {0..k-1} in lexicographic order.
     """
-    k = _min_k_central(chi_d)
+    k = _min_k_central(base.k)
     s = -(-k // 2)
-    subsets = list(combinations(range(k), s))[:chi_d]
-    base = k_colorable(ug, chi_d)
-    if base is None:
-        raise RuntimeError(f"no {chi_d}-coloring found for a digraph with chi {chi_d}")
+    subsets = list(combinations(range(k), s))[: base.k]
     sets = tuple(frozenset(subsets[c]) for c in base.colors)
     return SetColoring(sets, k, s)
 

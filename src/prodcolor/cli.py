@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 usage or input error, 2 computation cap exceeded,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -45,21 +44,30 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
+# json loads only in the stages that read or write an object
+def _parse_obj(text: str):
+    import json
+
+    return json.loads(text)
+
+
 def _load_graph(path: str) -> graphs.Graph:
     text = _read_text(path)
     if text.lstrip().startswith("{"):
-        return serialize.graph_from_obj(json.loads(text))
+        return serialize.graph_from_obj(_parse_obj(text))
     return serialize.parse_graph(text)
 
 
 def _load_digraph(path: str) -> graphs.Digraph:
     text = _read_text(path)
     if text.lstrip().startswith("{"):
-        return serialize.digraph_from_obj(json.loads(text))
+        return serialize.digraph_from_obj(_parse_obj(text))
     return serialize.parse_digraph(text)
 
 
 def _emit_obj(value) -> None:
+    import json
+
     print(json.dumps(serialize.to_obj(value), sort_keys=True))
 
 
@@ -158,7 +166,11 @@ def _cmd_invariant(args) -> int:
         raise _UsageError(f"unexpected arguments: {rest[1:]}")
     g = _load_graph(rest[0] if rest else "-")
     if args.which == "chi":
-        print(solvers.chromatic_number(g))
+        if args.format == "obj":
+            coloring = solvers.optimal_coloring(g)
+            _emit_obj({"value": coloring.k, "coloring": coloring})
+        else:
+            print(solvers.chromatic_number(g))
     elif args.which == "chif":
         from . import fractional
 
@@ -261,7 +273,7 @@ def _cmd_shift(args) -> int:
         if args.coloring is None:
             raise _UsageError("shift down needs --coloring FILE")
         d = _load_digraph(args.input)
-        coloring = serialize.coloring_from_obj(json.loads(_read_text(args.coloring)))
+        coloring = serialize.coloring_from_obj(_parse_obj(_read_text(args.coloring)))
         sc = arcshift.coloring_down(d, coloring)
         _emit_obj(sc)
         return 0
@@ -269,7 +281,7 @@ def _cmd_shift(args) -> int:
         if args.set_coloring is None:
             raise _UsageError("shift up needs --set-coloring FILE")
         d = _load_digraph(args.input)
-        sc = serialize.set_coloring_from_obj(json.loads(_read_text(args.set_coloring)))
+        sc = serialize.set_coloring_from_obj(_parse_obj(_read_text(args.set_coloring)))
         coloring = arcshift.coloring_up(d, sc)
         _emit_obj(coloring)
         return 0
@@ -453,7 +465,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json's JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

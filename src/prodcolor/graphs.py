@@ -104,9 +104,6 @@ class Digraph:
     def sorted_arcs(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.arcs))
 
-    def out_neighbors(self, v: int) -> list[int]:
-        return sorted(y for x, y in self.arcs if x == v)
-
 
 # ---------------------------------------------------------------------------
 # generators

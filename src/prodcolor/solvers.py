@@ -208,23 +208,28 @@ def k_colorable(g: Graph, k: int) -> Coloring | None:
     return None if colors is None else Coloring(tuple(colors), k)
 
 
-def _core_components(g: Graph, adjacency: list[list[int]], k: int) -> list[Graph]:
-    """The connected components of the k-core of g, each relabeled in vertex order.
+def _core_components(
+    g: Graph, adjacency: list[list[int]], k: int
+) -> tuple[list[int], list[tuple[list[int], Graph]]]:
+    """The vertices peeled off to reach the k-core of g, in peeling order, and
+    the connected components of the core, each as its vertices in increasing
+    order and the graph they induce, relabeled in that order.
 
     adjacency holds g's neighbour lists. Vertices of degree below k are peeled
-    off until none is left; g itself stands for a core that is all of g and
+    off until none is left, so each has fewer than k neighbours in the core
+    or later in the order; g itself stands for a core that is all of g and
     connected.
     """
     degree = [len(nbrs) for nbrs in adjacency]
     alive = [d >= k for d in degree]
-    peel = [v for v in range(g.n) if not alive[v]]
-    while peel:
-        for u in adjacency[peel.pop()]:
+    peeled = [v for v in range(g.n) if not alive[v]]
+    for v in peeled:  # grows while it is scanned
+        for u in adjacency[v]:
             if alive[u]:
                 degree[u] -= 1
                 if degree[u] < k:
                     alive[u] = False
-                    peel.append(u)
+                    peeled.append(u)
     parts = []
     for root in range(g.n):
         if not alive[root]:
@@ -237,14 +242,43 @@ def _core_components(g: Graph, adjacency: list[list[int]], k: int) -> list[Graph
                     alive[u] = False
                     component.append(u)
         if len(component) == g.n:
-            return [g]
+            return peeled, [(list(range(g.n)), g)]
         component.sort()
         index = {v: i for i, v in enumerate(component)}
         edges = frozenset(
             (index[v], index[u]) for v in component for u in adjacency[v] if v < u and u in index
         )
-        parts.append(Graph(len(component), edges))
-    return parts
+        parts.append((component, Graph(len(component), edges)))
+    return peeled, parts
+
+
+def _chromatic_search(
+    g: Graph, adjacency: list[list[int]]
+) -> tuple[int, list[int], list[tuple[list[int], Coloring]]]:
+    """The search of chromatic_number on a g with edges: chi(g), the vertices
+    peeled off to reach the chi-core, and a chi-coloring of each component of
+    that core, each with the core vertices it colors."""
+    _, parts = _core_components(g, adjacency, 2)
+    k = max([2] + [len(greedy_clique(part)) for _, part in parts])
+    while True:
+        peeled, parts = _core_components(g, adjacency, k)
+        colorings = []
+        for vertices, part in parts:
+            coloring = k_colorable(part, k)
+            if coloring is None:
+                break
+            colorings.append((vertices, coloring))
+        else:
+            return k, peeled, colorings
+        k += 1
+
+
+def _adjacency(g: Graph) -> list[list[int]]:
+    adjacency: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    return adjacency
 
 
 def chromatic_number(g: Graph) -> int:
@@ -257,20 +291,37 @@ def chromatic_number(g: Graph) -> int:
     1983). k starts at the largest greedy clique found in the components of
     the 2-core, and the first k at which every component is k-colorable is
     the answer. Every core is peeled from one set of adjacency lists.
+    optimal_coloring runs the same search and also returns a coloring with
+    that many colors.
     """
     _require_loopless(g, "chromatic number")
     if g.n == 0:
         return 0
     if not g.edges:
         return 1
-    adjacency: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    k = max([2] + [len(greedy_clique(part)) for part in _core_components(g, adjacency, 2)])
-    while not all(k_colorable(part, k) is not None for part in _core_components(g, adjacency, k)):
-        k += 1
-    return k
+    return _chromatic_search(g, _adjacency(g))[0]
+
+
+def optimal_coloring(g: Graph) -> Coloring:
+    """A proper coloring of g with chi(g) colors, so its k is chi(g).
+
+    The search of chromatic_number leaves a chi-coloring of each component of
+    the chi-core; each peeled vertex, in reverse peeling order, then takes the
+    lowest color its colored neighbours leave free, and one is always free.
+    """
+    _require_loopless(g, "optimal coloring")
+    if not g.edges:
+        return Coloring((0,) * g.n, min(g.n, 1))
+    adjacency = _adjacency(g)
+    k, peeled, colorings = _chromatic_search(g, adjacency)
+    colors = [-1] * g.n
+    for vertices, coloring in colorings:
+        for v, c in zip(vertices, coloring.colors):
+            colors[v] = c
+    for v in reversed(peeled):
+        taken = {colors[u] for u in adjacency[v]}
+        colors[v] = next(c for c in range(k) if c not in taken)
+    return Coloring(tuple(colors), k)
 
 
 def independence_number(g: Graph) -> int:

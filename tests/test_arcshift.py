@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from prodcolor import arcshift
+from prodcolor import arcshift, harness, solvers
 from prodcolor.arcshift import (
     SetColoring,
     arc_shift,
@@ -26,7 +26,10 @@ from prodcolor.solvers import (
     chromatic_number,
     is_proper_coloring,
     k_colorable,
+    optimal_coloring,
 )
+
+from oracles import all_labelled_digraphs
 
 
 def _rand_digraph(rng, n_max=5, p=0.4):
@@ -36,8 +39,7 @@ def _rand_digraph(rng, n_max=5, p=0.4):
 
 
 def _uniform(d):
-    ug = underline(d)
-    return _uniform_set_coloring(ug, chromatic_number(ug))
+    return _uniform_set_coloring(optimal_coloring(underline(d)))
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +64,18 @@ def test_shift_k4_outdegrees():
     for i, (x, y) in enumerate(arcs):
         out = sum(1 for a, b in shifted.arcs if a == i)
         assert out == 3  # arcs leaving y, including the one back to x
+
+
+def test_shift_matches_the_pairwise_definition_on_every_4_vertex_digraph():
+    # vertex i of the shift is arcs[i]; arc (i, j) exactly when arcs[i] ends where arcs[j] starts
+    for d in all_labelled_digraphs(4):
+        shifted, arcs = arc_shift(d)
+        pairwise = [
+            (i, j) for i, (_, y) in enumerate(arcs) for j, (x, _) in enumerate(arcs) if y == x
+        ]
+        assert arcs == tuple(sorted(d.arcs))
+        assert shifted.n == len(arcs)
+        assert shifted.sorted_arcs == tuple(pairwise)
 
 
 def test_arc_index_stable():
@@ -193,6 +207,23 @@ def test_lem_rel_shifts_each_digraph_once(monkeypatch):
         assert calls == digraphs[: i + 1]
 
 
+def test_lem_rel_claim_reuses_the_chromatic_searches(monkeypatch):
+    # chi and the colorings both transforms start from come from one search
+    # per underline graph: 820 homomorphism searches when the transforms
+    # re-solved their inputs, 170 now
+    search = solvers._hom_search
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return search(*args)
+
+    monkeypatch.setattr(solvers, "_hom_search", counting)
+    _, ok, _ = harness._claim_lem_rel(harness.SuiteConfig(seed=1))
+    assert ok
+    assert len(calls) <= 200
+
+
 _BROKEN_DOWN_TRANSFORM = """
 import sys
 from prodcolor import arcshift
@@ -200,8 +231,12 @@ from prodcolor.graphs import Digraph
 
 if not sys.flags.optimize:
     sys.exit("needs python -O")
-# with no out-neighbors every vertex gets the empty set: an improper set coloring
-Digraph.out_neighbors = lambda self, v: []
+# a down-transform that drops every out-arc color gives every vertex the empty
+# set: an improper set coloring (only the down-transform builds sets of no fixed size)
+real = arcshift.SetColoring
+arcshift.SetColoring = lambda sets, k, size: real(
+    tuple(frozenset() for _ in sets) if size is None else sets, k, size
+)
 d = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
 try:
     print(arcshift.lemma_rel_transforms_check(d))

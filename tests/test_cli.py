@@ -8,11 +8,13 @@ import pytest
 from prodcolor import cli, simplex
 from prodcolor.graphs import kneser, named
 from prodcolor.serialize import (
+    coloring_from_obj,
     fractional_coloring_from_obj,
     parse_digraph,
     parse_graph,
     serialize_graph,
 )
+from prodcolor.solvers import is_proper_coloring
 
 
 def run(capsys, *argv, stdin: str | None = None, monkeypatch=None):
@@ -503,6 +505,18 @@ def test_invariant_chif_obj_is_the_coloring_fields(capsys, tmp_path):
     )
     witness = fractional_coloring_from_obj(json.loads(out)["coloring"])
     assert witness.value == Fraction(5, 2)
+
+
+def test_invariant_chi_obj_is_the_value_and_an_optimal_coloring(capsys, tmp_path):
+    f = _files(tmp_path)
+    code, out, _ = run(capsys, "invariant", "chi", f["c5"], "--format", "obj")
+    assert code == 0
+    assert out == '{"coloring": {"colors": [2, 1, 0, 1, 0], "k": 3}, "value": 3}\n'
+    coloring = coloring_from_obj(json.loads(out)["coloring"])
+    assert is_proper_coloring(named("c5"), coloring)
+    code, out, _ = run(capsys, "invariant", "chi", f["c5"])
+    assert code == 0 and out == "3\n"
+
 
 def test_masked_suite_bytes_are_pinned(capsys):
     # the reproducibility contract: the same hash is checked under python -O in CI

@@ -15,14 +15,14 @@ import prodcolor
 SRC = os.path.dirname(os.path.dirname(prodcolor.__file__))
 
 # runs one CLI command, then reports on stderr's last line its exit code, whether
-# it loaded the standard library's fractions (which pulls in decimal and numbers),
-# and the prodcolor.* modules it loaded
+# it loaded the standard library's fractions (which pulls in decimal and numbers)
+# and json, and the prodcolor.* modules it loaded
 _CHILD = """
 import sys
 from prodcolor.cli import main
 code = main(sys.argv[1:])
 loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("prodcolor."))
-print(code, "fractions" in sys.modules, *loaded, file=sys.stderr)
+print(code, "fractions" in sys.modules, "json" in sys.modules, *loaded, file=sys.stderr)
 """
 
 GEN = {"cli", "errors", "graphs", "serialize"}
@@ -48,27 +48,30 @@ def test_import_loads_no_layer():
 
 
 @pytest.mark.parametrize(
-    "argv, stdin, expected, fractions",
+    "argv, stdin, expected, fractions, json",
     [
-        (["gen", "named", "petersen"], "", GEN, False),
-        (["invariant", "chi"], C5, CHI, False),
-        (["hom", "C5", "C5"], "", CHI, False),
-        (["invariant", "chif"], C5, CHI | {"fractional", "simplex"}, True),
-        (["exp", "materialize", "-c", "2"], C5, CHI | {"exponential"}, False),
-        (["shift", "build"], DIGON, CHI | {"arcshift"}, False),
-        (["verify", "suite", "products"], "", ALL, True),
+        (["gen", "named", "petersen"], "", GEN, False, False),
+        (["invariant", "chi"], C5, CHI, False, False),
+        (["invariant", "chi", "--format", "obj"], C5, CHI, False, True),
+        (["hom", "C5", "C5"], "", CHI, False, False),
+        (["invariant", "chif"], C5, CHI | {"fractional", "simplex"}, True, False),
+        (["exp", "materialize", "-c", "2"], C5, CHI | {"exponential"}, False, False),
+        (["shift", "build"], DIGON, CHI | {"arcshift"}, False, False),
+        (["verify", "suite", "products"], "", ALL, True, True),
     ],
-    ids=["gen", "chi", "hom", "chif", "exp", "shift", "verify"],
+    ids=["gen", "chi", "chi-obj", "hom", "chif", "exp", "shift", "verify"],
 )
-def test_cli_stage_loads_only_its_layers(tmp_path, argv, stdin, expected, fractions):
+def test_cli_stage_loads_only_its_layers(tmp_path, argv, stdin, expected, fractions, json):
+    # text stages parse and print no JSON, so they load no json
     c5 = tmp_path / "c5.txt"
     c5.write_text(C5)
     argv = [str(c5) if a == "C5" else a for a in argv]
     proc = _child(["-c", _CHILD, *argv], stdin)
-    code, loaded_fractions, *loaded = proc.stderr.splitlines()[-1].split()
+    code, loaded_fractions, loaded_json, *loaded = proc.stderr.splitlines()[-1].split()
     assert code == "0", proc.stderr
     assert set(loaded) == expected
     assert loaded_fractions == str(fractions)
+    assert loaded_json == str(json)
 
 
 def test_every_public_name_is_its_home_modules_attribute():

@@ -34,6 +34,7 @@ from prodcolor.solvers import (
     k_colorable,
     max_weight_independent_set,
     maximal_independent_sets,
+    optimal_coloring,
 )
 
 from oracles import (
@@ -203,6 +204,44 @@ def _peelable_graphs(draw):
 @example(Graph.from_edges(9, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (4, 6), (6, 7)]))
 def test_chromatic_matches_brute_across_cores_and_components(g):
     assert chromatic_number(g) == brute_chromatic(g)
+
+
+@st.composite
+def _cores_with_pendant_trees(draw):
+    """Up to 8 vertices: a core, trees hanging off it, then isolated vertices."""
+    core = draw(small_graphs(5))
+    edges = list(core.edges)
+    n = core.n + draw(st.integers(0, 8 - core.n))
+    for v in range(core.n, n):
+        if draw(st.booleans()):
+            edges.append((draw(st.integers(0, v - 1)), v))
+    perm = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_cores_with_pendant_trees(), _peelable_graphs(), st.integers(0, 8).map(Graph)))
+@example(Graph(0))
+@example(Graph(1))
+@example(Graph.from_edges(8, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (3, 5), (0, 6)]))
+def test_optimal_coloring_is_proper_with_chi_colors(g):
+    coloring = optimal_coloring(g)
+    assert is_proper_coloring(g, coloring)
+    assert coloring.k == brute_chromatic(g) == chromatic_number(g)
+    assert coloring.colors_used() == coloring.k
+
+
+def test_optimal_coloring_extends_over_the_peeled_vertices():
+    # K(9,3) is 5-chromatic; hanging a path and a star off it and adding an
+    # isolated vertex leaves the 5-core as it was
+    base = kneser(9, 3)
+    n = base.n
+    extra = [(0, n), (n, n + 1), (n + 1, n + 2), (5, n + 3), (n + 3, n + 4), (n + 3, n + 5)]
+    g = Graph.from_edges(n + 7, list(base.edges) + extra)
+    coloring = optimal_coloring(g)
+    assert coloring.k == 5 and is_proper_coloring(g, coloring)
+    with pytest.raises(ValueError):
+        optimal_coloring(add_loops(Graph(1)))
 
 
 def test_chromatic_exponential_k3_over_k7():
