@@ -19,7 +19,16 @@ from itertools import accumulate, combinations
 from math import comb
 from typing import Callable
 
-from .graphs import Digraph, Graph, complete_digraph, digraph_product, pair_index, reverse, underline
+from .graphs import (
+    Digraph,
+    Graph,
+    complete_digraph,
+    digraph_product,
+    pair_index,
+    reverse,
+    tensor_product,
+    underline,
+)
 from .solvers import Coloring, chromatic_number, is_proper_coloring, optimal_coloring
 
 
@@ -285,8 +294,6 @@ class BoundChainReport:
 
 def bound_chain_instance(d1: Digraph, d2: Digraph) -> BoundChainReport:
     """Check chi(u(D1) x u(D2)) <= chi(D1 x D2) * chi(D1 x D2^-1) exactly."""
-    from .graphs import tensor_product
-
     a = chromatic_number(underline(digraph_product(d1, d2)))
     b = chromatic_number(underline(digraph_product(d1, reverse(d2))))
     c = chromatic_number(tensor_product(underline(d1), underline(d2)))
@@ -295,8 +302,6 @@ def bound_chain_instance(d1: Digraph, d2: Digraph) -> BoundChainReport:
 
 def underline_decomposition_check(d1: Digraph, d2: Digraph) -> bool:
     """Edge-set identity: u(D1) x u(D2) = u(D1 x D2) union u(D1 x D2^-1)."""
-    from .graphs import tensor_product
-
     lhs = tensor_product(underline(d1), underline(d2)).edges
     rhs = underline(digraph_product(d1, d2)).edges | underline(
         digraph_product(d1, reverse(d2))

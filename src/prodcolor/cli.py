@@ -6,6 +6,12 @@ commands as edge-list text on stdin/stdout, so calls compose under pipes:
 
     prodcolor gen kneser 5 2 | prodcolor invariant chi
 
+Every subcommand but hom takes a kind, then a list of positionals whose
+count the kind fixes (``invariant dist VERTEX [FILE]``; verify takes
+``[suite] [NAME]``); hom takes the two files G and H. A missing FILE is
+stdin. A file may follow options (``exp materialize -c 3 FILE``), and a
+surplus positional is a usage error.
+
 Only the requested payload goes to stdout; diagnostics go to stderr.
 Exit codes: 0 success, 1 usage or input error, 2 computation cap exceeded,
 3 claim failure (verify).
@@ -90,88 +96,93 @@ def _emit_digraph(d: graphs.Digraph, args) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# positionals: every subcommand but hom takes a kind, then a list of params
 
-# kind -> (fewest, most) parameters, and what they are
-_GEN_PARAMS = {
-    "named": (1, 1, "a catalog name"),
-    "complete": (1, 1, "n"),
-    "cycle": (1, 1, "n"),
-    "kneser": (2, 2, "m and k"),
-    "circ": (2, 2, "p and q"),
-    "blowup": (1, 2, "q and an optional input file"),
-    "product": (2, 2, "two input files"),
-    "loops": (0, 1, "an optional input file"),
+_FILE = "an optional input file"
+
+
+def _file(p: list[str], i: int = 0) -> str:
+    """The i-th param, or "-" (stdin) when it is not given."""
+    return p[i] if len(p) > i else "-"
+
+
+# command -> kind -> (fewest, most, what) params; gen and dgen add the builder
+# that makes the kind's graph or digraph from them
+_KINDS = {
+    "gen": {
+        "named": (1, 1, "a catalog name", lambda p: graphs.named(p[0])),
+        "complete": (1, 1, "n", lambda p: graphs.complete_graph(int(p[0]))),
+        "cycle": (1, 1, "n", lambda p: graphs.cycle(int(p[0]))),
+        "kneser": (2, 2, "m and k", lambda p: graphs.kneser(int(p[0]), int(p[1]))),
+        "circ": (2, 2, "p and q", lambda p: graphs.circular_clique(int(p[0]), int(p[1]))),
+        "blowup": (1, 2, "q and an optional input file",
+                   lambda p: graphs.blowup(_load_graph(_file(p, 1)), int(p[0]))),
+        "product": (2, 2, "two input files",
+                    lambda p: graphs.tensor_product(_load_graph(p[0]), _load_graph(p[1]))),
+        "loops": (0, 1, _FILE, lambda p: graphs.add_loops(_load_graph(_file(p)))),
+    },
+    "dgen": {
+        "complete": (1, 1, "n", lambda p: graphs.complete_digraph(int(p[0]))),
+        "parse": (0, 1, _FILE, lambda p: _load_digraph(_file(p))),
+    },
+    "invariant": {
+        **dict.fromkeys(["chi", "chif", "alpha", "girth"], (0, 1, _FILE)),
+        "dist": (1, 2, "a source vertex and an optional input file"),
+    },
+    "exp": dict.fromkeys(["materialize", "adjacent", "mu", "theta", "verify-mu-clique"],
+                         (0, 1, _FILE)),
+    "shift": {
+        "build": (0, 1, _FILE),
+        "down": (0, 1, _FILE),
+        "up": (0, 1, _FILE),
+        "schelp": (0, 0, "no positionals"),
+        "functoriality": (0, 2, "two optional input files"),
+        "bounds": (0, 1, _FILE),
+        "chain": (0, 2, "two optional input files"),
+    },
+    # verify has no kind positional: its params are [suite] [NAME]
+    "verify": {"suite": (0, 1, "an optional suite name")},
 }
-_DGEN_PARAMS = {
-    "complete": (1, 1, "n"),
-    "parse": (0, 1, "an optional input file"),
-}
 
 
-def _params(args, table: dict[str, tuple[int, int, str]]) -> list[str]:
-    fewest, most, what = table[args.kind]
+def _params(args) -> list[str]:
+    fewest, most, what = _KINDS[args.command][args.kind][:3]
     if not fewest <= len(args.params) <= most:
         raise _UsageError(f"{args.command} {args.kind} takes {what}, got {args.params}")
     return args.params
 
 
+# ---------------------------------------------------------------------------
+# subcommand handlers
+
+
 def _cmd_gen(args) -> int:
-    kind, p = args.kind, _params(args, _GEN_PARAMS)
-    if kind == "named":
-        g = graphs.named(p[0])
-    elif kind == "complete":
-        g = graphs.complete_graph(int(p[0]))
-    elif kind == "cycle":
-        g = graphs.cycle(int(p[0]))
-    elif kind == "kneser":
-        g = graphs.kneser(int(p[0]), int(p[1]))
-    elif kind == "circ":
-        g = graphs.circular_clique(int(p[0]), int(p[1]))
-    elif kind == "blowup":
-        g = graphs.blowup(_load_graph(p[1] if len(p) > 1 else "-"), int(p[0]))
-    elif kind == "product":
-        g = graphs.tensor_product(_load_graph(p[0]), _load_graph(p[1]))
-    else:
-        g = graphs.add_loops(_load_graph(p[0] if p else "-"))
-    _emit_graph(g, args)
-    return 0
-
-
-def _cmd_dgen(args) -> int:
-    p = _params(args, _DGEN_PARAMS)
-    if args.kind == "complete":
-        d = graphs.complete_digraph(int(p[0]))
-    else:
-        d = _load_digraph(p[0] if p else "-")
-    _emit_digraph(d, args)
+    """gen and dgen: build the kind's graph or digraph and emit it."""
+    build = _KINDS[args.command][args.kind][3]
+    args.emit(build(_params(args)), args)
     return 0
 
 
 def _cmd_invariant(args) -> int:
     from . import solvers
 
-    rest = list(args.rest)
+    p = _params(args)
     vertex = 0
-    if args.which == "dist":
-        if not rest:
-            raise _UsageError("invariant dist needs a source vertex")
+    if args.kind == "dist":
         try:
-            vertex = int(rest.pop(0))
+            vertex = int(p.pop(0))
         except ValueError:
             raise _UsageError("invariant dist needs an integer source vertex") from None
         if args.one_based:
             vertex -= 1
-    if len(rest) > 1:
-        raise _UsageError(f"unexpected arguments: {rest[1:]}")
-    g = _load_graph(rest[0] if rest else "-")
-    if args.which == "chi":
+    g = _load_graph(_file(p))
+    if args.kind == "chi":
         if args.format == "obj":
             coloring = solvers.optimal_coloring(g)
             _emit_obj({"value": coloring.k, "coloring": coloring})
         else:
             print(solvers.chromatic_number(g))
-    elif args.which == "chif":
+    elif args.kind == "chif":
         from . import fractional
 
         value, witness = fractional.fractional_chromatic(g, args.max_lp_vertices)
@@ -179,12 +190,12 @@ def _cmd_invariant(args) -> int:
             _emit_obj({"value": value, "coloring": witness})
         else:
             print(value)
-    elif args.which == "alpha":
+    elif args.kind == "alpha":
         print(solvers.independence_number(g))
-    elif args.which == "girth":
+    elif args.kind == "girth":
         gg = solvers.girth(g)
         print("inf" if gg == float("inf") else gg)
-    elif args.which == "dist":
+    elif args.kind == "dist":
         dist = graphs.distances(g, vertex)
         print(" ".join("inf" if d == float("inf") else str(d) for d in dist))
     return 0
@@ -214,26 +225,27 @@ def _parse_values(text: str) -> tuple[int, ...]:
 def _cmd_exp(args) -> int:
     from . import exponential
 
-    if args.action == "materialize":
-        g = _load_graph(args.input)
+    path = _file(_params(args))
+    if args.kind == "materialize":
+        g = _load_graph(path)
         ctx = exponential.ExpContext(g, args.c)
         expo = exponential.materialize_exponential(
             ctx, args.max_exp_vertices, args.max_exp_edges
         )
         _emit_graph(expo, args)
         return 0
-    if args.action == "adjacent":
+    if args.kind == "adjacent":
         if args.f is None or args.g is None:
             raise _UsageError("exp adjacent needs --f and --g value lists")
-        g = _load_graph(args.input)
+        g = _load_graph(path)
         ctx = exponential.ExpContext(g, args.c)
         f = exponential.ExpMap(ctx, _parse_values(args.f))
         gm = exponential.ExpMap(ctx, _parse_values(args.g))
         print("true" if exponential.exp_adjacent(f, gm) else "false")
         return 0
-    if args.action in ("mu", "theta"):
-        g = _load_graph(args.input)
-        if args.action == "mu":
+    if args.kind in ("mu", "theta"):
+        g = _load_graph(path)
+        if args.kind == "mu":
             m = exponential.shitov_mu(g, args.vertex, args.q, args.t)
         else:
             m = exponential.shitov_theta(g, args.vertex, args.q, b=args.b, t=args.t)
@@ -245,47 +257,46 @@ def _cmd_exp(args) -> int:
             off = 1 if args.one_based else 0
             print(" ".join(str(v + off) for v in m.exp.values))
         return 0
-    if args.action == "verify-mu-clique":
-        g = _load_graph(args.input)
-        report = exponential.verify_mu_clique(g, args.vertex, args.q)
-        if args.format == "obj":
-            _emit_obj(report)
-        else:
-            print(f"pass: {str(report.passed).lower()} ({report.pairs_checked} pairs)")
-            for t, tp, edge, value in report.violations:
-                print(f"violation: t={t} t'={tp} edge={edge} shared={value}")
-        return 0
-    raise _UsageError(f"unknown exp action {args.action!r}")
+    # verify-mu-clique
+    report = exponential.verify_mu_clique(_load_graph(path), args.vertex, args.q)
+    if args.format == "obj":
+        _emit_obj(report)
+    else:
+        print(f"pass: {str(report.passed).lower()} ({report.pairs_checked} pairs)")
+        for t, tp, edge, value in report.violations:
+            print(f"violation: t={t} t'={tp} edge={edge} shared={value}")
+    return 0
 
 
 def _cmd_shift(args) -> int:
     from . import arcshift, solvers
 
-    if args.action == "build":
-        d = _load_digraph(args.input)
+    p = _params(args)
+    if args.kind == "build":
+        d = _load_digraph(_file(p))
         shifted, arcs = arcshift.arc_shift(d)
         if args.format == "obj":
             _emit_obj({"shift": shifted, "arc_index": arcs})
         else:
             _emit_digraph(shifted, args)
         return 0
-    if args.action == "down":
+    if args.kind == "down":
         if args.coloring is None:
             raise _UsageError("shift down needs --coloring FILE")
-        d = _load_digraph(args.input)
+        d = _load_digraph(_file(p))
         coloring = serialize.coloring_from_obj(_parse_obj(_read_text(args.coloring)))
         sc = arcshift.coloring_down(d, coloring)
         _emit_obj(sc)
         return 0
-    if args.action == "up":
+    if args.kind == "up":
         if args.set_coloring is None:
             raise _UsageError("shift up needs --set-coloring FILE")
-        d = _load_digraph(args.input)
+        d = _load_digraph(_file(p))
         sc = serialize.set_coloring_from_obj(_parse_obj(_read_text(args.set_coloring)))
         coloring = arcshift.coloring_up(d, sc)
         _emit_obj(coloring)
         return 0
-    if args.action == "schelp":
+    if args.kind == "schelp":
         coloring = arcshift.schelp_coloring()
         triples = arcshift.schelp_triples()
         off = 1 if args.one_based else 0
@@ -297,33 +308,35 @@ def _cmd_shift(args) -> int:
         proper = solvers.is_proper_coloring(graphs.underline(s2), coloring)
         print(f"{coloring.colors_used()} colors, proper: {str(proper).lower()}")
         return 0
-    if args.action == "functoriality":
-        d1 = _load_digraph(args.d1)
-        d2 = _load_digraph(args.d2)
+    if args.kind == "functoriality":
+        d1 = _load_digraph(_file(p))
+        d2 = _load_digraph(_file(p, 1))
         print("true" if arcshift.functoriality_check(d1, d2) else "false")
         return 0
-    if args.action == "bounds":
-        d = _load_digraph(args.input)
+    if args.kind == "bounds":
+        d = _load_digraph(_file(p))
         _emit_obj(arcshift.lemma_rel_bounds_check(d))
         return 0
-    if args.action == "chain":
-        d1 = _load_digraph(args.d1)
-        d2 = _load_digraph(args.d2)
-        _emit_obj(arcshift.bound_chain_instance(d1, d2))
-        return 0
-    raise _UsageError(f"unknown shift action {args.action!r}")
+    # chain
+    d1 = _load_digraph(_file(p))
+    d2 = _load_digraph(_file(p, 1))
+    _emit_obj(arcshift.bound_chain_instance(d1, d2))
+    return 0
 
 
 def _cmd_verify(args) -> int:
     from . import harness
 
+    if args.params[:1] == ["suite"]:  # the word 'suite' is optional
+        del args.params[0]
+    p = _params(args)
     cfg = harness.SuiteConfig(
         seed=args.seed,
         max_lp_vertices=args.max_lp_vertices,
         max_exp_vertices=args.max_exp_vertices,
         max_exp_edges=args.max_exp_edges,
     )
-    reports = harness.run_suite(args.suite, cfg)
+    reports = harness.run_suite(p[0] if p else "all", cfg)
     if args.format == "obj":
         sys.stdout.write(harness.serialize_reports(reports, mask_timing=args.mask_timing))
     else:
@@ -350,22 +363,23 @@ def _build_parser() -> _Parser:
         p.add_argument("--one-based", action="store_true", dest="one_based",
                        help="display vertices/colors 1-based (storage stays 0-based)")
 
+    def kinds(p, command):
+        p.add_argument("kind", choices=list(_KINDS[command]))
+        p.add_argument("params", nargs="*", help="; ".join(
+            f"{kind}: {entry[2]}" for kind, entry in _KINDS[command].items()))
+
     p = sub.add_parser("gen", help="generate or transform a graph")
-    p.add_argument("kind", choices=list(_GEN_PARAMS))
-    p.add_argument("params", nargs="*")
+    kinds(p, "gen")
     common(p)
-    p.set_defaults(func=_cmd_gen)
+    p.set_defaults(func=_cmd_gen, emit=_emit_graph)
 
     p = sub.add_parser("dgen", help="generate or parse a digraph")
-    p.add_argument("kind", choices=list(_DGEN_PARAMS))
-    p.add_argument("params", nargs="*")
+    kinds(p, "dgen")
     common(p)
-    p.set_defaults(func=_cmd_dgen)
+    p.set_defaults(func=_cmd_gen, emit=_emit_digraph)
 
     p = sub.add_parser("invariant", help="compute an exact invariant")
-    p.add_argument("which", choices=["chi", "chif", "alpha", "girth", "dist"])
-    p.add_argument("rest", nargs="*",
-                   help="for dist: source vertex, then optional input file")
+    kinds(p, "invariant")
     p.add_argument("--max-lp-vertices", type=int, default=DEFAULT_MAX_LP_VERTICES)
     common(p)
     p.set_defaults(func=_cmd_invariant)
@@ -377,9 +391,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_hom)
 
     p = sub.add_parser("exp", help="exponential graph operations")
-    p.add_argument("action", choices=["materialize", "adjacent", "mu", "theta",
-                                      "verify-mu-clique"])
-    p.add_argument("input", nargs="?", default="-")
+    kinds(p, "exp")
     p.add_argument("-c", type=int, default=3, help="palette size")
     p.add_argument("--f", help="first map values, comma separated")
     p.add_argument("--g", help="second map values, comma separated")
@@ -393,10 +405,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_exp)
 
     p = sub.add_parser("shift", help="arc-shift operations")
-    p.add_argument("action", choices=["build", "down", "up", "schelp",
-                                      "functoriality", "bounds", "chain"])
-    p.add_argument("input", nargs="?", default="-")
-    p.add_argument("d2", nargs="?", default="-")
+    kinds(p, "shift")
     p.add_argument("--coloring", help="coloring JSON file (down)")
     p.add_argument("--set-coloring", dest="set_coloring",
                    help="set-coloring JSON file (up)")
@@ -404,57 +413,30 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_shift)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite_word", nargs="?", default="suite",
-                   help="the literal word 'suite' (optional)")
-    p.add_argument("suite", nargs="?", default="all")
+    p.add_argument("params", nargs="*",
+                   help="the optional word 'suite', then an optional suite name (default all)")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--mask-timing", action="store_true", dest="mask_timing")
     p.add_argument("--max-lp-vertices", type=int, default=DEFAULT_MAX_LP_VERTICES)
     p.add_argument("--max-exp-vertices", type=int, default=DEFAULT_MAX_EXP_VERTICES)
     p.add_argument("--max-exp-edges", type=int, default=DEFAULT_MAX_EXP_EDGES)
     common(p)
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_verify, kind="suite")
 
     return parser
-
-
-def _absorb_extras(args, extra: list[str]) -> None:
-    """Attach positional tokens that argparse left behind.
-
-    argparse binds optional positionals at the first positional run, so a
-    file name after an option (as in ``exp materialize -c 3 FILE``) arrives
-    here; slot such tokens into the still-default positionals in order.
-    """
-    bad = [t for t in extra if t.startswith("-") and t != "-"]
-    if bad:
-        raise _UsageError(f"unrecognized arguments: {' '.join(bad)}")
-    queue = list(extra)
-    if not queue:
-        return
-    if hasattr(args, "rest"):
-        args.rest = list(args.rest) + queue
-        return
-    if hasattr(args, "params"):
-        args.params = list(args.params) + queue
-        return
-    for name in ("input", "d2"):
-        if queue and hasattr(args, name) and getattr(args, name) == "-":
-            setattr(args, name, queue.pop(0))
-    if queue:
-        raise _UsageError(f"unexpected arguments: {' '.join(queue)}")
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
+        # argparse binds positionals only in their first run, so a file given
+        # after an option (``exp materialize -c 3 FILE``) comes back unparsed
         args, extra = parser.parse_known_args(argv)
-        _absorb_extras(args, extra)
-        if args.command == "shift" and args.action in ("functoriality", "chain"):
-            args.d1 = args.input
-        if args.command == "verify":
-            if args.suite_word != "suite":
-                # both positionals given without the 'suite' keyword
-                args.suite = args.suite_word
+        bad = [t for t in extra if t.startswith("-") and t != "-"]
+        if bad or (extra and "params" not in args):  # hom takes just its two files
+            raise _UsageError(f"unrecognized arguments: {' '.join(bad or extra)}")
+        if extra:
+            args.params += extra
         return args.func(args)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)

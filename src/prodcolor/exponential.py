@@ -29,8 +29,8 @@ from operator import and_, lshift, mul, or_
 from typing import Iterator
 
 from .errors import DEFAULT_MAX_EXP_EDGES, DEFAULT_MAX_EXP_VERTICES, CapExceeded
-from .graphs import Graph, blowup, distances
-from .solvers import Coloring, is_proper_coloring
+from .graphs import Graph, blowup, distances, tensor_product
+from .solvers import Coloring, is_proper_coloring, k_colorable
 
 
 class NormalizationError(ValueError):
@@ -296,9 +296,6 @@ def universal_property_check(
     exponential graph, and that the evaluation coloring (x, f) -> f(x) is a
     proper coloring of the product of g with that graph.
     """
-    from .graphs import tensor_product
-    from .solvers import k_colorable
-
     product = tensor_product(g, h)
     coloring = k_colorable(product, c)
     if coloring is None:

@@ -121,6 +121,21 @@ def test_shift_schelp(capsys):
     assert lines[-1] == "3 colors, proper: true"
 
 
+@pytest.mark.parametrize(
+    "flags, sha",
+    [
+        ([], "365494a75dc95799ecbd4e3d659077ab3e050fd00a2a30b9bd462316ecf02ef9"),
+        (["--one-based"], "d8b5ebd7393cae5708650e1ea1afaaa1a33e72d4936a46dae595e646aee04881"),
+    ],
+)
+def test_shift_schelp_bytes_are_pinned(capsys, flags, sha):
+    import hashlib
+
+    code, out, _ = run(capsys, "shift", "schelp", *flags)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
 def test_shift_bounds(capsys, monkeypatch):
     code, out, _ = run(capsys, "dgen", "complete", "4")
     code, out, _ = run(capsys, "shift", "bounds", stdin=out, monkeypatch=monkeypatch)
@@ -295,6 +310,50 @@ def test_gen_parameter_count_exit_1(capsys, argv, needs):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith(needs)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["shift", "build", "D", "/nonexistent/file"],
+        ["shift", "down", "D", "D", "--coloring", "COL"],
+        ["shift", "up", "D", "D", "--set-coloring", "SETS"],
+        ["shift", "bounds", "D", "D"],
+        ["shift", "schelp", "anything"],
+        ["verify", "products", "nonsense"],
+        ["hom", "C5", "C5", "C5"],
+    ],
+    ids=lambda argv: "-".join(argv[:2]),
+)
+def test_surplus_positional_exit_1(capsys, tmp_path, argv):
+    # every such file exists and parses, so only the surplus can fail the call
+    f = _files(tmp_path)
+    paths = {"D": f["k3d"], "C5": f["c5"], "COL": f["col"], "SETS": f["sets"]}
+    code, out, err = run(capsys, *[paths.get(a, a) for a in argv])
+    assert (code, out) == (1, "")
+    assert err
+
+
+@pytest.mark.parametrize(
+    "command, kind", [(c, k) for c, kinds in cli._KINDS.items() for k in kinds]
+)
+def test_one_positional_too_many_exit_1(capsys, command, kind):
+    # verify's kind is its optional word 'suite', so its argv reads the same way
+    most = cli._KINDS[command][kind][1]
+    code, out, err = run(capsys, command, kind, *["x"] * (most + 1))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"{command} {kind} takes")
+
+
+@pytest.mark.parametrize(
+    "argv", [[], ["gen"], ["dgen"], ["invariant"], ["hom"], ["exp"], ["shift"], ["verify"]]
+)
+def test_help_exits_0(capsys, argv):
+    # argparse formats help strings only when asked, so a bad one shows only here
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(" ".join(["usage: prodcolor", *argv]))
 
 
 def test_cap_exceeded_exit_2(capsys, monkeypatch, tmp_path):
