@@ -13,12 +13,12 @@ arc (x, y) by the smallest element of set(y) - set(x)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations
 from math import comb
 from typing import Callable
 
+from ._record import Record
 from .graphs import (
     Digraph,
     Graph,
@@ -32,8 +32,7 @@ from .graphs import (
 from .solvers import Coloring, chromatic_number, is_proper_coloring, optimal_coloring
 
 
-@dataclass(frozen=True)
-class SetColoring:
+class SetColoring(Record):
     """Total map vertex -> subset of {0..k-1}; adjacent vertices get distinct sets.
 
     size fixes the required subset cardinality; None means any size
@@ -129,8 +128,7 @@ def coloring_up(d: Digraph, set_coloring: SetColoring) -> Coloring:
     return result
 
 
-@dataclass(frozen=True)
-class LemmaRelReport:
+class LemmaRelReport(Record):
     """Exact chi values and the two-sided bound on chi(shift(D))."""
 
     chi_d: int
@@ -282,8 +280,7 @@ def functoriality_check(d1: Digraph, d2: Digraph) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class BoundChainReport:
+class BoundChainReport(Record):
     """chi of both digraph products and of the product of underlines."""
 
     chi_product: int

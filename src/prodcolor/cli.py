@@ -99,6 +99,7 @@ def _emit_digraph(d: graphs.Digraph, args) -> None:
 # positionals: every subcommand but hom takes a kind, then a list of params
 
 _FILE = "an optional input file"
+_TWO_FILES = "one or two input files (a missing second one is stdin)"
 
 
 def _file(p: list[str], i: int = 0) -> str:
@@ -136,9 +137,9 @@ _KINDS = {
         "down": (0, 1, _FILE),
         "up": (0, 1, _FILE),
         "schelp": (0, 0, "no positionals"),
-        "functoriality": (0, 2, "two optional input files"),
+        "functoriality": (1, 2, _TWO_FILES),
         "bounds": (0, 1, _FILE),
-        "chain": (0, 2, "two optional input files"),
+        "chain": (1, 2, _TWO_FILES),
     },
     # verify has no kind positional: its params are [suite] [NAME]
     "verify": {"suite": (0, 1, "an optional suite name")},

@@ -22,12 +22,12 @@ Palette bookkeeping is 0-based: the "first block" is {0..2q-1} and the
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, combinations, compress, repeat
 from operator import and_, lshift, mul, or_
 from typing import Iterator
 
+from ._record import Record
 from .errors import DEFAULT_MAX_EXP_EDGES, DEFAULT_MAX_EXP_VERTICES, CapExceeded
 from .graphs import Graph, blowup, distances, tensor_product
 from .solvers import Coloring, is_proper_coloring, k_colorable
@@ -37,8 +37,7 @@ class NormalizationError(ValueError):
     """A precondition on the supplied coloring failed (not a claim failure)."""
 
 
-@dataclass(frozen=True)
-class ExpContext:
+class ExpContext(Record):
     """Base graph (loops permitted) and palette size for an exponential graph."""
 
     base: Graph
@@ -64,8 +63,7 @@ class ExpContext:
         return self.c ** self.base.n
 
 
-@dataclass(frozen=True)
-class ExpMap:
+class ExpMap(Record):
     """A vertex of an exponential graph: a total map V(base) -> {0..c-1}."""
 
     ctx: ExpContext
@@ -93,8 +91,7 @@ class ExpMap:
         return t
 
 
-@dataclass(frozen=True)
-class BlowupExpMap:
+class BlowupExpMap(Record):
     """A map on blowup(base, q) with fiber indexing (x, i) -> x*q + i."""
 
     base: Graph
@@ -399,8 +396,7 @@ def shitov_theta(
     return BlowupExpMap(g, q, ExpMap(ctx, tuple(values)))
 
 
-@dataclass(frozen=True)
-class MuCliqueReport:
+class MuCliqueReport(Record):
     """Outcome of the pairwise mu-map adjacency check."""
 
     passed: bool

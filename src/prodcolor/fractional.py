@@ -37,17 +37,16 @@ the value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import DEFAULT_MAX_LP_VERTICES, CapExceeded
 from .graphs import Graph
 from .simplex import add_covering_columns, open_covering_lp
 from .solvers import max_weight_independent_set
 
 
-@dataclass(frozen=True)
-class FractionalColoring:
+class FractionalColoring(Record):
     """Nonnegative rational weights on independent sets covering every vertex.
 
     With ``generators``, the coloring is the average of these weights over

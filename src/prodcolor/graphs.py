@@ -11,14 +11,14 @@ searches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
+from ._record import Record
 
-@dataclass(frozen=True)
-class Graph:
+
+class Graph(Record):
     """Finite undirected graph on vertices 0..n-1 with optional loops."""
 
     n: int
@@ -80,8 +80,7 @@ class Graph:
         return self.has_edge(u, v)
 
 
-@dataclass(frozen=True)
-class Digraph:
+class Digraph(Record):
     """Finite loopless digraph on vertices 0..n-1; digons are permitted."""
 
     n: int

@@ -22,12 +22,12 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import permutations
 from typing import Any, Callable
 
 from . import arcshift, exponential, fractional, graphs, solvers
+from ._record import Record
 from .errors import (
     DEFAULT_MAX_EXP_EDGES,
     DEFAULT_MAX_EXP_VERTICES,
@@ -38,8 +38,7 @@ from .graphs import Digraph, Graph
 from .serialize import to_obj
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
+class SuiteConfig(Record):
     """Seed and instance caps for the verification suites."""
 
     seed: int = 7
@@ -51,8 +50,7 @@ class SuiteConfig:
         return random.Random(f"{self.seed}:{label}")
 
 
-@dataclass(frozen=True)
-class ClaimReport:
+class ClaimReport(Record):
     """Outcome of one registered claim."""
 
     claim_id: str
@@ -68,7 +66,7 @@ OUT_OF_SCOPE = "out-of-scope: scale"
 
 def serialize_reports(reports: list[ClaimReport], mask_timing: bool = False) -> str:
     if mask_timing:
-        reports = [replace(r, elapsed=0.0) for r in reports]
+        reports = [r._replace(elapsed=0.0) for r in reports]
     return json.dumps(to_obj(reports), sort_keys=True, indent=2) + "\n"
 
 
@@ -130,8 +128,7 @@ def _digraph_pairs(cfg: SuiteConfig) -> list[tuple[Digraph, Digraph]]:
 # harness-level checks (used standalone and by the suites)
 
 
-@dataclass(frozen=True)
-class MultiplicativityReport:
+class MultiplicativityReport(Record):
     """Instance evaluation of: G !-> Q and H !-> Q implies G x H !-> Q."""
 
     vacuous: bool
@@ -150,8 +147,7 @@ def multiplicativity_check(q: Graph, g: Graph, h: Graph) -> MultiplicativityRepo
     return MultiplicativityReport(False, not prod_to_q, g_to_q, h_to_q, prod_to_q)
 
 
-@dataclass(frozen=True)
-class EsExponentialReport:
+class EsExponentialReport(Record):
     """chi of the materialized K_3^G for a base with chi(G) >= 4."""
 
     base_chi: int

@@ -6,7 +6,7 @@ Two interchange formats:
   ``loops: v1 v2 ...`` on the same line, then one ``u v`` line per edge
   (``u -> v`` for digraph arcs). Blank lines and ``#`` comments are skipped.
 * structured objects: ``to_obj`` turns any value into plain JSON-ready
-  data; a dataclass becomes a dict of its fields. The ``*_from_obj``
+  data; a record becomes a dict of its fields. The ``*_from_obj``
   parsers read those dicts back through the validating type constructors.
   Round trips are stable; serialization output is sorted.
 
@@ -17,9 +17,9 @@ one for side-by-side reading with 1-based notation; it is display-only.
 from __future__ import annotations
 
 import sys
-from dataclasses import fields, is_dataclass
 from typing import Any
 
+from ._record import Record
 from .errors import ParseError
 from .graphs import Digraph, Graph
 
@@ -134,12 +134,12 @@ def parse_digraph(text: str) -> Digraph:
 def to_obj(value: Any) -> Any:
     """The JSON-ready form of a value, the same on every run.
 
-    A dataclass becomes a dict of its fields, a Fraction ``[num, den]``, a set
+    A record becomes a dict of its fields, a Fraction ``[num, den]``, a set
     a sorted list, a tuple a list, and a dict key a string. Anything else
     (int, bool, str, float, None) passes through.
     """
-    if is_dataclass(value):
-        return {f.name: to_obj(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Record):
+        return {f: to_obj(getattr(value, f)) for f in value._fields}
     fractions = sys.modules.get("fractions")  # a Fraction implies its module is loaded
     if fractions and isinstance(value, fractions.Fraction):
         return [value.numerator, value.denominator]

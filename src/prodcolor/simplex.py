@@ -35,17 +35,16 @@ positive; each lexicographic pivot keeps it so, and within a phase
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
+from ._record import Record
 from .errors import CapExceeded
 
 _ITERATION_GUARD = 500_000
 
 
-@dataclass(frozen=True)
-class CoverLpSolution:
+class CoverLpSolution(Record):
     """Optimal primal weights, dual row prices, and the common objective value."""
 
     value: Fraction

@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import Record
 from .graphs import Graph
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(Record):
     """Total assignment of colors 0..k-1 to vertices 0..len(colors)-1."""
 
     colors: tuple[int, ...]
@@ -45,8 +44,7 @@ class Coloring:
         return len(set(self.colors))
 
 
-@dataclass(frozen=True)
-class HomMap:
+class HomMap(Record):
     """A vertex map witnessing a homomorphism (edges map to edges-or-loops)."""
 
     mapping: tuple[int, ...]

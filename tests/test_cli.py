@@ -159,6 +159,24 @@ def test_shift_chain_and_functoriality(capsys, tmp_path):
     assert code == 0 and out.strip() == "true"
 
 
+@pytest.mark.parametrize("kind", ["functoriality", "chain"])
+def test_shift_two_digraph_kinds_read_a_missing_second_file_from_stdin(
+    capsys, monkeypatch, tmp_path, kind
+):
+    _, text, _ = run(capsys, "dgen", "complete", "3")
+    d = tmp_path / "d.txt"
+    d.write_text(text)
+    _, both_files, _ = run(capsys, "shift", kind, str(d), str(d))
+    code, out, _ = run(capsys, "shift", kind, str(d), stdin=text, monkeypatch=monkeypatch)
+    assert code == 0 and out == both_files
+    # with no file both digraphs would be stdin, so the form is a usage error
+    code, out, err = run(capsys, "shift", kind, stdin=text, monkeypatch=monkeypatch)
+    assert code == 1 and out == ""
+    assert err.strip() == (
+        f"shift {kind} takes one or two input files (a missing second one is stdin), got []"
+    )
+
+
 def test_shift_down_and_up(capsys, monkeypatch, tmp_path):
     dfile = tmp_path / "digon.txt"
     code, text, _ = run(capsys, "dgen", "complete", "2")

@@ -15,17 +15,18 @@ import prodcolor
 SRC = os.path.dirname(os.path.dirname(prodcolor.__file__))
 
 # runs one CLI command, then reports on stderr's last line its exit code, whether
-# it loaded the standard library's fractions (which pulls in decimal and numbers)
-# and json, and the prodcolor.* modules it loaded
+# it loaded the standard library's fractions (which pulls in decimal and numbers),
+# json, dataclasses and inspect, and the prodcolor.* modules it loaded
 _CHILD = """
 import sys
 from prodcolor.cli import main
 code = main(sys.argv[1:])
 loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("prodcolor."))
-print(code, "fractions" in sys.modules, "json" in sys.modules, *loaded, file=sys.stderr)
+stdlib = [m in sys.modules for m in ("fractions", "json", "dataclasses", "inspect")]
+print(code, *stdlib, *loaded, file=sys.stderr)
 """
 
-GEN = {"cli", "errors", "graphs", "serialize"}
+GEN = {"_record", "cli", "errors", "graphs", "serialize"}
 CHI = GEN | {"solvers"}
 ALL = {p.stem for p in Path(prodcolor.__file__).parent.glob("*.py")} - {"__init__", "__main__"}
 
@@ -67,11 +68,14 @@ def test_cli_stage_loads_only_its_layers(tmp_path, argv, stdin, expected, fracti
     c5.write_text(C5)
     argv = [str(c5) if a == "C5" else a for a in argv]
     proc = _child(["-c", _CHILD, *argv], stdin)
-    code, loaded_fractions, loaded_json, *loaded = proc.stderr.splitlines()[-1].split()
+    code, loaded_fractions, loaded_json, dataclasses, inspect, *loaded = (
+        proc.stderr.splitlines()[-1].split())
     assert code == "0", proc.stderr
     assert set(loaded) == expected
     assert loaded_fractions == str(fractions)
     assert loaded_json == str(json)
+    # records are built by prodcolor._record, so no stage pays for dataclasses' inspect
+    assert (dataclasses, inspect) == ("False", "False")
 
 
 def test_every_public_name_is_its_home_modules_attribute():
