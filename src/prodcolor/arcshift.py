@@ -167,11 +167,13 @@ def _lemma_rel(d: Digraph) -> tuple[LemmaRelReport, Callable[[], bool]]:
     report = LemmaRelReport(chi_d, chi_shift, lower, upper, lower <= chi_shift <= upper)
 
     def transforms_hold() -> bool:
-        if under_shift.n:
-            down = coloring_down(d, base_shift)
-            if not is_proper_set_coloring(under_d, down) or len(set(down.sets)) > 2**chi_shift:
+        try:  # each transform raises RuntimeError on an improper output
+            if under_shift.n and len(set(coloring_down(d, base_shift).sets)) > 2**chi_shift:
                 return False
-        up = coloring_up(d, _uniform_set_coloring(base_d))
+            up = coloring_up(d, _uniform_set_coloring(base_d))
+        except RuntimeError:
+            return False
+        # checked here too, so that a stand-in for coloring_up that checks nothing still fails
         return is_proper_coloring(under_shift, up)
 
     return report, transforms_hold
@@ -199,8 +201,9 @@ def _uniform_set_coloring(base: Coloring) -> SetColoring:
 def lemma_rel_transforms_check(d: Digraph) -> bool:
     """Exercise both transforms on D with solver-found inputs; True iff both verify.
 
-    Each output is checked for properness here, and the down-transform must
-    also use at most 2^k distinct sets.
+    Each transform checks its output for properness (and the up-transform's
+    is checked again), and the down-transform must also use at most 2^k
+    distinct sets.
     """
     return _lemma_rel(d)[1]()
 

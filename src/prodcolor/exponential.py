@@ -5,12 +5,13 @@ x, taken as the edge xx), f(x) != g(y) and g(x) != f(y). Evaluating the
 predicate at f = g decides whether the map carries a loop, which happens
 exactly when the map is a proper coloring of a loopless base.
 
-Materialization enumerates all c^|V| maps: map index t assigns vertex v the
-base-c digit (t // c**v) % c, least-significant digit first. Each map's
-neighbourhood is enumerated directly, so the work follows the number of
-edges rather than the number of map pairs. Hard caps on the map and edge
-counts make the astronomically large instances fail loudly instead of
-running forever.
+Map index t assigns vertex v the base-c digit (t // c**v) % c,
+least-significant digit first. Materialization visits only the maps with a
+neighbour, the others being isolated vertices, and enumerates each of
+their neighbourhoods directly, so the work follows those maps and the edges,
+not all c^|V| maps or the map pairs. Hard caps on the map and edge counts
+make the astronomically large instances fail loudly instead of running
+forever.
 
 The blow-up machinery hosts the two special map families used to analyze
 K_c^{G[K_q]} with palette c = 4q+2: the radial maps mu_t (value i, q+i, or t
@@ -24,13 +25,13 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from functools import cached_property, reduce
 from itertools import chain, combinations, compress, repeat
-from operator import and_, lshift, mul, or_
+from operator import add, and_, lshift, mul, not_, or_
 from typing import Iterator
 
 from ._record import Record
 from .errors import DEFAULT_MAX_EXP_EDGES, DEFAULT_MAX_EXP_VERTICES, CapExceeded
 from .graphs import Graph, blowup, distances, tensor_product
-from .solvers import Coloring, is_proper_coloring, k_colorable
+from .solvers import Coloring, k_colorable
 
 
 class NormalizationError(ValueError):
@@ -148,43 +149,59 @@ def constant_map(ctx: ExpContext, i: int) -> ExpMap:
     return ExpMap(ctx, (i,) * ctx.base.n)
 
 
-def _neighbour_columns(ctx: ExpContext) -> tuple[list[int], list[int], list[int], list[int]]:
-    """Per map, the palette masks it leaves free for a neighbour, packed per half.
+def _neighbour_columns(ctx: ExpContext) -> tuple[list[int], ...]:
+    """The maps with a neighbour, in index order, and per such map the palette
+    masks it leaves free for a neighbour, packed per half.
 
     A map g is adjacent to f iff g(b) lies outside f(N(b)) at every base
     vertex b, where N(b) holds the vertices a with (a, b) a directed check
-    (b itself when b carries a loop). With h = n // 2, the free masks of f
-    at the low base vertices 0..h-1 are packed into one int, vertex i at
-    bit c*i, and those at the high ones h..n-1 into another, vertex h+i at
-    bit c*i. Besides the packed masks, this returns each map's neighbour
-    count with itself included (the product of the free-set sizes) and the
-    maps that are their own neighbours. The work is column by column,
-    O(n_maps * checks), and nothing of size n_maps^2 is allocated.
+    (b itself when b carries a loop), so f has a neighbour iff no f(N(b)) is
+    the whole palette. The maps are assigned from the most significant base
+    vertex down, and a partial map is dropped once a full N(b) is assigned.
+    With h = n // 2, the free masks of f at the low base vertices 0..h-1 are
+    packed into one int, vertex i at bit c*i, and those at the high ones
+    h..n-1 into another, vertex h+i at bit c*i. Besides the maps and the
+    packed masks, this returns each map's neighbour count with itself
+    included (the product of the free-set sizes) and the maps that are their
+    own neighbours. The work is O(checks) per partial map kept.
     """
-    nb, c, n_maps = ctx.base.n, ctx.c, ctx.num_maps
+    nb, c = ctx.base.n, ctx.c
     full = (1 << c) - 1
-    # bit of f(v) for every map f, in map-index order: digit v cycles with period c^(v+1)
-    bits = [
-        [1 << d for d in range(c) for _ in range(c**v)] * c ** (nb - v - 1)
-        for v in range(nb)
-    ]
     into: list[list[int]] = [[] for _ in range(nb)]
     for a, b in ctx.directed_checks:
         into[b].append(a)
-    zero = [0] * n_maps
-    taken = [
-        reduce(lambda acc, a: list(map(or_, acc, bits[a])), into[b], zero)
-        for b in range(nb)
-    ]
+    # N(b) is assigned from step min N(b) on; fewer than c vertices never fill it
+    due: dict[int, list[int]] = {}
+    for b in filter(lambda b: len(into[b]) >= c, range(nb)):
+        due.setdefault(min(into[b]), []).append(b)
+    maps, bits, level = [0], [[]] * nb, nb
+    used = lambda b: reduce(lambda acc, a: list(map(or_, acc, bits[a])), into[b], [0] * len(maps))
+    for v in sorted({*due, 0}, reverse=True):
+        # each kept partial map takes every digit at v..level-1; bits[a] holds f(a)
+        k = c ** (level - v)
+        spread = lambda col: list(chain.from_iterable(zip(*repeat(col, k))))
+        digits = list(range(0, c**level, c**v))
+        maps = list(map(add, spread(maps), digits * len(maps))) if level < nb else digits
+        bits[level:] = map(spread, bits[level:])
+        for a in range(v, level):  # digit a cycles with period c**(a - v + 1)
+            period = c ** (a - v)
+            bits[a] = [1 << d for d in range(c) for _ in range(period)] * (len(maps) // period // c)
+        level = v
+        for b in due.get(v, ()):
+            keep = list(map(full.__ne__, used(b)))
+            maps = list(compress(maps, keep))
+            bits = [list(compress(col, keep)) for col in bits]
+    zero = [0] * len(maps)
+    taken = list(map(used, range(nb)))
     free = [[full ^ m for m in col] for col in taken]
     popcount = [m.bit_count() for m in range(full + 1)]
     sizes = reduce(
-        lambda acc, col: list(map(mul, acc, map(popcount.__getitem__, col))), free, [1] * n_maps
+        lambda acc, col: list(map(mul, acc, map(popcount.__getitem__, col))), free, [1] * len(maps)
     )
     clash = reduce(
         lambda acc, b: list(map(or_, acc, map(and_, taken[b], bits[b]))), range(nb), zero
     )
-    loops = [t for t, x in enumerate(clash) if not x]
+    loops = list(compress(maps, map(not_, clash)))
     h = nb // 2
     # one int per map and half keys the half tables in less memory than a
     # tuple; Horner's rule from the last vertex of each half down to its first
@@ -194,7 +211,7 @@ def _neighbour_columns(ctx: ExpContext) -> tuple[list[int], list[int], list[int]
         )
         for half in (free[:h], free[h:])
     )
-    return low, high, sizes, loops
+    return maps, low, high, sizes, loops
 
 
 def _digit_sums(key: int, n: int, c: int) -> tuple[int, ...]:
@@ -208,31 +225,33 @@ def _digit_sums(key: int, n: int, c: int) -> tuple[int, ...]:
 
 
 def _edges_above(
-    ctx: ExpContext, low: list[int], high: list[int], sizes: list[int]
+    ctx: ExpContext, maps: list[int], low: list[int], high: list[int]
 ) -> Iterator[Iterator[tuple[int, int]]]:
-    """Per map t, the edges (t, u) to its neighbours u > t.
+    """Per map t with a neighbour, the edges (t, u) to its neighbours u > t.
 
     Index u splits as divmod(u, c**h) = (hi, lo), with h = n // 2: lo sums
     the digits at the low base vertices and hi those at the high ones, each
     from digit weight 1 up. Each half's sums are built once per packed mask,
     in ascending order, so t's neighbours come out in ascending order and
-    the ones beyond t are a suffix.
+    the ones beyond t are a suffix; its last entry bounds the whole run.
     """
-    c, nb = ctx.c, ctx.base.n
+    c, nb, n_maps = ctx.c, ctx.base.n, ctx.num_maps
     h = nb // 2
     step = c**h
     # both tables are complete before the first edge exists, so no table
     # entry is allocated between two resizes of the growing edge set; the
     # sums stay below c**(n - h), mostly cached small ints
-    low_sums = {m: _digit_sums(m, h, c) for m in set(compress(low, sizes))}
-    high_sums = {m: _digit_sums(m, nb - h, c) for m in set(compress(high, sizes))}
-    # a map with no neighbour, itself included, yields nothing
-    for t, lo_key, hi_key in compress(zip(range(len(sizes)), low, high), sizes):
+    low_sums = {m: _digit_sums(m, h, c) for m in set(low)}
+    high_sums = {m: _digit_sums(m, nb - h, c) for m in set(high)}
+    for t, lo_key, hi_key in zip(maps, low, high):
         lows, highs = low_sums[lo_key], high_sums[hi_key]
         # from t's own high block on
         blocks = map(step.__mul__, highs[bisect_left(highs, t // step) :])
         us = [b + lo for b in blocks for lo in lows]
-        yield zip(repeat(t), us[bisect_right(us, t) :])
+        above = us[bisect_right(us, t) :]
+        if above and above[-1] >= n_maps:
+            raise RuntimeError(f"map {t} has a neighbour {above[-1]} beyond the {n_maps} maps")
+        yield zip(repeat(t), above)
 
 
 def materialize_exponential(
@@ -249,33 +268,34 @@ def materialize_exponential(
     The construction is output-sensitive: the neighbours of a map f are the
     maps g with g(b) outside f(N(b)) at every base vertex b, so each
     neighbourhood is the product of the free digits at each b, read off as
-    indices sum(g(b) * c**b). The edge count, half of the sum over maps of
-    the product of free-set sizes less the loops, is exact and is checked
-    against max_edges before any edge is built; the vertex cap is checked
-    first. Time and memory are O(n_maps * checks + edges).
+    indices sum(g(b) * c**b). Only the maps with a neighbour are visited (see
+    _neighbour_columns); the rest are isolated. The edge count, half of the
+    sum over maps of the free-set sizes' product less the loops, is exact
+    and is checked against max_edges before any edge is built, after the
+    vertex cap. Time and memory are O(checks) per partial map kept + edges.
 
     The product is taken in two halves split at base vertex h = n // 2 (see
     _edges_above). The half tables hold one sorted tuple of sums per
-    distinct packed mask among the maps with a neighbour: at most
-    min(n_maps, 2**(c*h)) low entries of at most c**h sums each, and at most
-    min(n_maps, 2**(c*(n-h))) high entries of at most c**(n-h) sums each.
-    No entry is longer than the neighbourhood of a map that needs it, so the
-    tables add O(n_maps + edges) and keep the bound above. The edges go
-    straight into the edge set, with no intermediate list.
+    distinct packed mask among the maps with a neighbour: at most one low
+    entry of at most c**h sums and one high entry of at most c**(n-h) sums
+    per such map. No entry is longer than the neighbourhood of a map that
+    needs it, so the tables add O(maps with a neighbour + edges). The edges
+    go straight into the edge set, with no intermediate list, and the graph
+    takes the trusted build path.
     """
     n_maps = ctx.num_maps
     if n_maps > max_vertices:
         raise CapExceeded(
             f"{n_maps} maps exceed the max_vertices cap of {max_vertices}"
         )
-    low, high, sizes, loops = _neighbour_columns(ctx)
+    maps, low, high, sizes, loops = _neighbour_columns(ctx)
     n_edges = (sum(sizes) - len(loops)) // 2
     if n_edges > max_edges:
         raise CapExceeded(
             f"{n_edges} edges exceed the max_edges cap of {max_edges}"
         )
-    edges = frozenset(chain.from_iterable(_edges_above(ctx, low, high, sizes)))
-    return Graph(n_maps, edges, frozenset(loops))
+    edges = frozenset(chain.from_iterable(_edges_above(ctx, maps, low, high)))
+    return Graph._built(n_maps, edges, frozenset(loops))
 
 
 def universal_property_check(
@@ -291,7 +311,9 @@ def universal_property_check(
     precondition). The check then confirms that u -> f_u with
     f_u(v) = Psi(v, u) is a homomorphism from h into the materialized
     exponential graph, and that the evaluation coloring (x, f) -> f(x) is a
-    proper coloring of the product of g with that graph.
+    proper coloring of the product of g with that graph, without building
+    it: f(x) != f'(y) and f(y) != f'(x) for each edge or loop ff' of the
+    exponential graph and xy of g, which are the product's edges.
     """
     product = tensor_product(g, h)
     coloring = k_colorable(product, c)
@@ -312,12 +334,14 @@ def universal_property_check(
         if maps[u] not in expo.loops:
             return False
 
-    # evaluation map is a proper coloring of g x K_c^g
-    eval_product = tensor_product(g, expo)
-    # row x of the product lists f(x) for every map f
-    values = [index_to_map(ctx, t).values for t in range(expo.n)]
-    eval_colors = tuple(chain.from_iterable(zip(*values)))
-    return is_proper_coloring(eval_product, Coloring(eval_colors, c))
+    # the evaluation map is a proper coloring of g x K_c^g
+    g_pairs = [*g.edges, *((x, x) for x in g.loops)]
+    expo_pairs = [*expo.edges, *((f, f) for f in expo.loops)]
+    value = {t: index_to_map(ctx, t).values for t in set(chain.from_iterable(expo_pairs))}
+    return all(
+        value[f][x] != value[fp][y] and value[f][y] != value[fp][x]
+        for f, fp in expo_pairs for x, y in g_pairs
+    )
 
 
 # ---------------------------------------------------------------------------

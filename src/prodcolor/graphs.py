@@ -19,21 +19,34 @@ from ._record import Record
 
 
 class Graph(Record):
-    """Finite undirected graph on vertices 0..n-1 with optional loops."""
+    """Finite undirected graph on vertices 0..n-1 with optional loops.
+
+    The public constructor, from_edges and the parsers in serialize check
+    every edge and loop; internal constructors build valid graphs and skip
+    the checks through _built.
+    """
 
     n: int
     edges: frozenset[tuple[int, int]] = frozenset()
     loops: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {self.n}")
+        n = self.n
+        if n < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {n}")
         for u, v in self.edges:
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"bad edge ({u}, {v}) for n={self.n}")
+            if not (0 <= u < v < n):
+                raise ValueError(f"bad edge ({u}, {v}) for n={n}")
         for v in self.loops:
-            if not (0 <= v < self.n):
-                raise ValueError(f"loop vertex {v} out of range for n={self.n}")
+            if not (0 <= v < n):
+                raise ValueError(f"loop vertex {v} out of range for n={n}")
+
+    @classmethod
+    def _built(cls, n: int, edges: frozenset, loops: frozenset = frozenset()) -> "Graph":
+        """A graph its builder made valid: nothing is checked."""
+        g = object.__new__(cls)
+        g.__dict__.update(n=n, edges=edges, loops=loops)
+        return g
 
     @classmethod
     def from_edges(
@@ -259,7 +272,7 @@ def tensor_product(g: Graph, h: Graph) -> Graph:
         if p != q
     )
     loops = frozenset(x * n2 + y for x in g.loops for y in h.loops)
-    return Graph(g.n * h.n, edges, loops)
+    return Graph._built(g.n * h.n, edges, loops)
 
 
 def _product_generators(
@@ -280,20 +293,15 @@ def blowup(g: Graph, q: int) -> Graph:
         raise ValueError(f"blowup needs q >= 1, got {q}")
     if g.loops:
         raise ValueError("blowup requires a loopless graph")
-    edges = []
-    for x, y in g.edges:
-        for i in range(q):
-            for j in range(q):
-                edges.append((x * q + i, y * q + j))
-    for x in range(g.n):
-        for i, j in combinations(range(q), 2):
-            edges.append((x * q + i, x * q + j))
-    return Graph.from_edges(g.n * q, edges)
+    # x < y puts every copy of x below every copy of y
+    edges = {(x * q + i, y * q + j) for x, y in g.edges for i in range(q) for j in range(q)}
+    edges.update((x * q + i, x * q + j) for x in range(g.n) for i, j in combinations(range(q), 2))
+    return Graph._built(g.n * q, frozenset(edges))
 
 
 def add_loops(g: Graph) -> Graph:
     """The reflexive closure: same edges, a loop at every vertex."""
-    return Graph(g.n, g.edges, frozenset(range(g.n)))
+    return Graph._built(g.n, g.edges, frozenset(range(g.n)))
 
 
 def distances(g: Graph, v: int) -> list[int | float]:
@@ -349,4 +357,5 @@ def reverse(d: Digraph) -> Digraph:
 
 def underline(d: Digraph) -> Graph:
     """Forget orientation: each arc (and each digon) becomes a single edge."""
-    return Graph.from_edges(d.n, (((x, y) if x < y else (y, x)) for x, y in d.arcs))
+    # a Digraph has no self-arc
+    return Graph._built(d.n, frozenset({(x, y) if x < y else (y, x) for x, y in d.arcs}))

@@ -246,7 +246,7 @@ def _core_components(
         edges = frozenset(
             (index[v], index[u]) for v in component for u in adjacency[v] if v < u and u in index
         )
-        parts.append((component, Graph(len(component), edges)))
+        parts.append((component, Graph._built(len(component), edges)))
     return peeled, parts
 
 
@@ -271,12 +271,21 @@ def _chromatic_search(
         k += 1
 
 
-def _adjacency(g: Graph) -> list[list[int]]:
+def _core_input(g: Graph) -> tuple[list[int], Graph, list[list[int]]]:
+    """The vertices of g with an edge, in increasing order, the graph they
+    induce relabeled in that order, and its neighbour lists in the order of
+    g's edge set, so that peeling meets the vertices as it would in g."""
+    touched = sorted(set().union(*g.edges))
+    pairs = g.edges
+    if len(touched) < g.n:
+        index = {v: i for i, v in enumerate(touched)}
+        pairs = [(index[u], index[v]) for u, v in pairs]
+        g = Graph._built(len(touched), frozenset(pairs))
     adjacency: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
+    for u, v in pairs:
         adjacency[u].append(v)
         adjacency[v].append(u)
-    return adjacency
+    return touched, g, adjacency
 
 
 def chromatic_number(g: Graph) -> int:
@@ -288,38 +297,42 @@ def chromatic_number(g: Graph) -> int:
     k_colorable on each connected component of the k-core only (Matula-Beck
     1983). k starts at the largest greedy clique found in the components of
     the 2-core, and the first k at which every component is k-colorable is
-    the answer. Every core is peeled from one set of adjacency lists.
-    optimal_coloring runs the same search and also returns a coloring with
-    that many colors.
+    the answer. Every core is peeled from one set of adjacency lists over
+    the vertices with an edge (the others take color 0). optimal_coloring
+    runs the same search and also returns a coloring with that many colors.
     """
     _require_loopless(g, "chromatic number")
     if g.n == 0:
         return 0
     if not g.edges:
         return 1
-    return _chromatic_search(g, _adjacency(g))[0]
+    return _chromatic_search(*_core_input(g)[1:])[0]
 
 
 def optimal_coloring(g: Graph) -> Coloring:
     """A proper coloring of g with chi(g) colors, so its k is chi(g).
 
-    The search of chromatic_number leaves a chi-coloring of each component of
-    the chi-core; each peeled vertex, in reverse peeling order, then takes the
-    lowest color its colored neighbours leave free, and one is always free.
+    Isolated vertices take color 0. The search of chromatic_number leaves a
+    chi-coloring of each component of the chi-core of the other vertices;
+    each peeled vertex, in reverse peeling order, then takes the lowest color
+    its colored neighbours leave free, and one is always free.
     """
     _require_loopless(g, "optimal coloring")
     if not g.edges:
         return Coloring((0,) * g.n, min(g.n, 1))
-    adjacency = _adjacency(g)
-    k, peeled, colorings = _chromatic_search(g, adjacency)
-    colors = [-1] * g.n
+    touched, core, adjacency = _core_input(g)
+    k, peeled, colorings = _chromatic_search(core, adjacency)
+    colors = [-1] * core.n
     for vertices, coloring in colorings:
         for v, c in zip(vertices, coloring.colors):
             colors[v] = c
     for v in reversed(peeled):
         taken = {colors[u] for u in adjacency[v]}
         colors[v] = next(c for c in range(k) if c not in taken)
-    return Coloring(tuple(colors), k)
+    relabeled = [0] * g.n  # core vertex v is touched[v] of g
+    for v, c in zip(touched, colors):
+        relabeled[v] = c
+    return Coloring(tuple(relabeled), k)
 
 
 def independence_number(g: Graph) -> int:

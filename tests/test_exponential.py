@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import chain, combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +36,13 @@ from prodcolor.graphs import (
     distances,
     named,
 )
-from prodcolor.solvers import Coloring, chromatic_number, is_proper_coloring, k_colorable
+from prodcolor.solvers import (
+    Coloring,
+    chromatic_number,
+    is_proper_coloring,
+    k_colorable,
+    optimal_coloring,
+)
 
 from oracles import brute_exp_adjacent, simple_maps_adjacent
 
@@ -207,15 +213,22 @@ def test_materialize_matches_brute_over_all_pairs(data):
     }
 
 
-def _expected_exponential(ctx: ExpContext) -> tuple[set[tuple[int, int]], set[int]]:
-    values = [m.values for m in _all_maps(ctx)]
+def _check_maps_with_a_neighbour(ctx: ExpContext) -> None:
+    """The maps with a neighbour, the edges and the loops all equal the brute
+    force, and the trusted graph equals the checked one."""
+    # vertex 0 is the least significant digit of a map's index
+    values = [f[::-1] for f in product(range(ctx.c), repeat=ctx.base.n)]
     edges = {
         (s, t)
         for s, t in combinations(range(len(values)), 2)
         if brute_exp_adjacent(ctx.base, values[s], values[t])
     }
     loops = {t for t, f in enumerate(values) if brute_exp_adjacent(ctx.base, f, f)}
-    return edges, loops
+    assert exponential._neighbour_columns(ctx)[0] == sorted(set(chain(*edges)) | loops)
+    expo = materialize_exponential(ctx)
+    assert (expo.n, expo.edges, expo.loops) == (len(values), edges, loops)
+    checked = Graph.from_edges(expo.n, expo.edges, expo.loops)
+    assert expo == checked and hash(expo) == hash(checked)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -223,17 +236,44 @@ def test_materialize_every_base_up_to_three_vertices(n):
     # the neighbourhoods are built in two halves split at n // 2, so n = 0 and
     # n = 1 have an empty low half (and n = 0 an empty high half too); every
     # graph on n vertices, with every loop set, for c = 1, 2, 3
+    _check_every_base(n)
+
+
+def _check_every_base(n: int) -> None:
     pairs = list(combinations(range(n), 2))
     for edge_bits in range(2 ** len(pairs)):
         edges = [e for i, e in enumerate(pairs) if edge_bits >> i & 1]
         for loop_bits in range(2**n):
-            loops = [x for x in range(n) if loop_bits >> x & 1]
-            base = Graph.from_edges(n, edges, loops)
+            base = Graph.from_edges(n, edges, [x for x in range(n) if loop_bits >> x & 1])
             for c in (1, 2, 3):
-                ctx = ExpContext(base, c)
-                expo = materialize_exponential(ctx)
-                assert expo.n == c**n
-                assert (expo.edges, expo.loops) == _expected_exponential(ctx), (base, c)
+                _check_maps_with_a_neighbour(ExpContext(base, c))
+
+
+def test_maps_with_a_neighbour_every_base_on_four_vertices():
+    # as above on four vertices: a map whose values fill some N(b) is dropped
+    # and stays an isolated vertex at its index
+    _check_every_base(4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_maps_with_a_neighbour_on_five_vertex_bases(data):
+    pairs = list(combinations(range(5), 2))
+    emask = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    loops = data.draw(st.lists(st.integers(0, 4), max_size=5))
+    base = Graph.from_edges(5, [e for e, k in zip(pairs, emask) if k], loops)
+    _check_maps_with_a_neighbour(ExpContext(base, data.draw(st.integers(1, 3))))
+
+
+def test_grotzsch_exponential_keeps_only_the_maps_with_a_neighbour():
+    # El-Zahar-Sauer: K_3^G is 3-chromatic for the 4-chromatic Grotzsch graph;
+    # 6,927 of its 177,147 maps have a neighbour, the rest are isolated
+    ctx = ExpContext(named("grotzsch"), 3)
+    assert len(exponential._neighbour_columns(ctx)[0]) == 6_927
+    expo = materialize_exponential(ctx)
+    assert (expo.n, len(expo.edges), len(expo.loops)) == (177_147, 32_598, 0)
+    coloring = optimal_coloring(expo)
+    assert coloring.k == chromatic_number(expo) == 3 and is_proper_coloring(expo, coloring)
 
 
 def test_materialize_empty_and_single_vertex_bases_by_hand():
@@ -286,26 +326,56 @@ def test_universal_property_instances():
 
 
 def test_universal_property_evaluation_coloring(monkeypatch):
-    # the evaluation coloring lists f(x) for every map f, row by row, and
-    # reads each map's values once
-    seen = []
+    # the evaluation coloring (x, f) -> f(x) is checked on each edge or loop
+    # of the exponential graph against each edge of g, with no product of g
+    # and the exponential graph, reading only the maps with a neighbour
+    products = []
+    real_tensor_product = exponential.tensor_product
     monkeypatch.setattr(
-        exponential, "is_proper_coloring", lambda g, col: seen.append((g, col)) or True
+        exponential,
+        "tensor_product",
+        lambda g, h: products.append((g, h)) or real_tensor_product(g, h),
     )
-    calls = []
+    read = []
     real_index_to_map = exponential.index_to_map
     monkeypatch.setattr(
-        exponential, "index_to_map", lambda ctx, t: calls.append(t) or real_index_to_map(ctx, t)
+        exponential, "index_to_map", lambda ctx, t: read.append(t) or real_index_to_map(ctx, t)
     )
     g, h = cycle(5), cycle(5)
     assert universal_property_check(g, h, 3)
-    ctx = ExpContext(g, 3)
-    assert calls == list(range(ctx.num_maps))
-    ((product, coloring),) = seen
-    assert product.n == g.n * ctx.num_maps and coloring.k == 3
-    assert coloring.colors == tuple(
-        real_index_to_map(ctx, t).values[x] for x in range(g.n) for t in range(ctx.num_maps)
+    assert products == [(g, h)]
+    expo = materialize_exponential(ExpContext(g, 3))
+    assert sorted(read) == sorted({t for e in expo.edges for t in e} | expo.loops)
+
+
+def test_universal_property_evaluation_negative_controls(monkeypatch):
+    g, h, c = cycle(5), cycle(5), 3
+    ctx = ExpContext(g, c)
+    expo = materialize_exponential(ctx)
+    # one corrupted edge: h still maps into the graph, which only gained an
+    # edge, but two maps that are not adjacent clash on some edge of g
+    s, t = next((s, t) for s, t in combinations(range(expo.n), 2) if not expo.has_edge(s, t))
+    corrupted = Graph(expo.n, expo.edges | {(s, t)}, expo.loops)
+    with monkeypatch.context() as m:
+        m.setattr(exponential, "materialize_exponential", lambda *args: corrupted)
+        assert not universal_property_check(g, h, c)
+    # one corrupted map value: f_s(x) made equal to f_t(y) across an edge st
+    # of the exponential graph and an edge xy of g
+    s, t = min(expo.edges)
+    x, y = min(g.edges)
+    real_index_to_map = exponential.index_to_map
+    values = list(real_index_to_map(ctx, s).values)
+    values[x] = real_index_to_map(ctx, t).values[y]
+    monkeypatch.setattr(
+        exponential,
+        "index_to_map",
+        lambda ctx, u: ExpMap(ctx, tuple(values)) if u == s else real_index_to_map(ctx, u),
     )
+    assert not universal_property_check(g, h, c)
+    # the uncorrupted check passes on other instances, loops included
+    monkeypatch.setattr(exponential, "index_to_map", real_index_to_map)
+    assert universal_property_check(Graph.from_edges(2, [(0, 1)], [0]), complete_graph(3), 3)
+    assert universal_property_check(_path3(), cycle(5), 2)
 
 
 def test_universal_property_precondition():

@@ -59,6 +59,34 @@ def test_graph_rejects_bad_edges():
         Graph(2, frozenset(), frozenset({5}))
 
 
+def _assert_equals_checked(g: Graph) -> None:
+    """g equals, and hashes equal to, the graph the checked path builds."""
+    checked = Graph.from_edges(g.n, g.edges, g.loops)
+    assert g == checked and hash(g) == hash(checked)
+    assert g.neighbor_masks == checked.neighbor_masks
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_trusted_constructors_equal_the_checked_graphs(data):
+    # tensor_product, blowup, underline and add_loops skip the per-edge check
+    def draw_graph(loops: bool) -> Graph:
+        n = data.draw(st.integers(0, 5))
+        pairs = list(combinations(range(n), 2))
+        mask = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        looped = data.draw(st.lists(st.integers(0, n - 1), max_size=n)) if n and loops else []
+        return Graph.from_edges(n, [e for e, keep in zip(pairs, mask) if keep], looped)
+
+    g, h = draw_graph(loops=True), draw_graph(loops=True)
+    _assert_equals_checked(Graph._built(g.n, g.edges, g.loops))
+    _assert_equals_checked(tensor_product(g, h))
+    _assert_equals_checked(add_loops(g))
+    _assert_equals_checked(blowup(draw_graph(loops=False), data.draw(st.integers(1, 3))))
+    n = data.draw(st.integers(1, 5))
+    arcs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
+    _assert_equals_checked(underline(Digraph.from_arcs(n, [(x, y) for x, y in arcs if x != y])))
+
+
 def test_digraph_rejects_self_arcs():
     with pytest.raises(ValueError):
         Digraph.from_arcs(3, [(1, 1)])

@@ -231,6 +231,27 @@ def test_optimal_coloring_is_proper_with_chi_colors(g):
     assert coloring.colors_used() == coloring.k
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_graphs(6), st.data())
+def test_chi_and_optimal_coloring_with_isolated_vertices(g, data):
+    # isolated vertices take color 0 up front; the search runs on the rest,
+    # relabeled in order, and the colors return to the original labels
+    n = g.n + data.draw(st.integers(1, 6))
+    perm = data.draw(st.permutations(range(n)))
+    spread = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges])
+    coloring = optimal_coloring(spread)
+    assert coloring.k == chromatic_number(spread) == brute_chromatic(spread)
+    assert is_proper_coloring(spread, coloring)
+    touched = {v for e in spread.edges for v in e}
+    assert all(coloring.colors[v] == 0 for v in range(n) if v not in touched)
+    # the trusted graphs of the search equal the checked ones
+    _, core, adjacency = solvers._core_input(spread)
+    assert core.n == len(touched)
+    for part in [core] + [part for _, part in solvers._core_components(core, adjacency, 2)[1]]:
+        checked = Graph.from_edges(part.n, part.edges)
+        assert part == checked and hash(part) == hash(checked)
+
+
 def test_optimal_coloring_extends_over_the_peeled_vertices():
     # K(9,3) is 5-chromatic; hanging a path and a star off it and adding an
     # isolated vertex leaves the 5-core as it was
