@@ -25,6 +25,7 @@ _HOME = {
             "max_weight_independent_set", "maximal_independent_sets", "optimal_coloring",
         ),
         "fractional": ("FractionalColoring", "fractional_chromatic"),
+        "symmetry": ("automorphism_generators",),
         "exponential": (
             "BlowupExpMap", "ExpContext", "ExpMap", "NormalizationError", "constant_map",
             "exp_adjacent", "index_to_map", "materialize_exponential", "observation_image_check",

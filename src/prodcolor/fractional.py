@@ -13,7 +13,12 @@ search proves that no independent set weighs more than den.
 
 Symmetry reduction (Margot 2010; Bodi-Herr-Joswig 2013). Given permutations
 that are checked to be automorphisms, let Gamma be the group they generate;
-union-find over the generators gives its vertex orbits. The master keeps one
+union-find over the generators gives its vertex orbits. The caller gives
+the generators, or () for none; by default ``symmetry`` finds them by
+individualization-refinement. That search may drop a candidate that runs out
+of nodes and then spans only a subgroup of Aut(G). The argument below needs
+only that Gamma is a group of automorphisms, so the value is exact for every
+such Gamma; a smaller one only costs more rows. The master keeps one
 row per orbit O, sum_S w_S |S & O| >= |O|, instead of one row per vertex.
 Without generators every orbit is a single vertex, and this is the LP above.
 The reduced LP sums the vertex rows over each orbit, so its optimum is at
@@ -44,6 +49,7 @@ from .errors import DEFAULT_MAX_LP_VERTICES, CapExceeded
 from .graphs import Graph
 from .simplex import add_covering_columns, open_covering_lp
 from .solvers import max_weight_independent_set
+from .symmetry import _is_automorphism, _orbits, automorphism_generators
 
 
 class FractionalColoring(Record):
@@ -88,37 +94,6 @@ class FractionalColoring(Record):
         return all(c >= size for c, size in zip(cover, sizes))
 
 
-def _is_automorphism(g: Graph, p: tuple[int, ...]) -> bool:
-    """Is p a permutation of g's vertices that maps edges to edges and loops to loops?"""
-    if len(p) != g.n or set(p) != set(range(g.n)):
-        return False
-    return all(g.has_edge(p[u], p[v]) for u, v in g.edges) and all(
-        p[v] in g.loops for v in g.loops
-    )
-
-
-def _orbits(n: int, generators: tuple[tuple[int, ...], ...]) -> tuple[list[int], list[int]]:
-    """The orbit index of each vertex, orbits numbered by their least vertex,
-    and the orbit sizes: union-find over the generators' cycles."""
-    root = list(range(n))
-
-    def find(v: int) -> int:
-        while root[v] != v:
-            root[v] = v = root[root[v]]
-        return v
-
-    for p in generators:
-        for v, w in enumerate(p):
-            a, b = find(v), find(w)
-            root[max(a, b)] = min(a, b)
-    index: dict[int, int] = {}
-    orbit = [index.setdefault(find(v), len(index)) for v in range(n)]
-    sizes = [0] * len(index)
-    for o in orbit:
-        sizes[o] += 1
-    return orbit, sizes
-
-
 def _maximal(masks: tuple[int, ...], chosen: int) -> tuple[int, ...]:
     """The independent set `chosen` (a bitmask) extended by every vertex that fits, lowest first."""
     for v, m in enumerate(masks):
@@ -130,14 +105,16 @@ def _maximal(masks: tuple[int, ...], chosen: int) -> tuple[int, ...]:
 def fractional_chromatic(
     g: Graph,
     max_vertices: int = DEFAULT_MAX_LP_VERTICES,
-    generators: tuple[tuple[int, ...], ...] = (),
+    generators: tuple[tuple[int, ...], ...] | None = None,
 ) -> tuple[Fraction, FractionalColoring]:
     """Exact chi_f(G) with an optimal witness fractional coloring.
 
     ``generators`` are automorphisms of g, each a tuple p with v -> p[v]; the
     LP then has one row per orbit of the group they generate, and the witness
-    carries them. A generator that is not an automorphism raises ValueError.
-    The cap counts g's vertices, not its orbits.
+    carries them. None (the default) takes them from
+    ``symmetry.automorphism_generators``, and () gives the LP with one row per
+    vertex. A generator, given or found, that is not an automorphism raises
+    ValueError. The cap counts g's vertices, not its orbits.
 
     Optimality is certified here: the witness covers g, and the LP's dual
     solution is a fractional clique of equal value whose feasibility the last
@@ -149,6 +126,8 @@ def fractional_chromatic(
         raise CapExceeded(
             f"graph has {g.n} vertices, above the max_vertices cap of {max_vertices}"
         )
+    if generators is None:
+        generators = automorphism_generators(g)
     generators = tuple(tuple(p) for p in generators)
     for i, p in enumerate(generators):
         if not _is_automorphism(g, p):

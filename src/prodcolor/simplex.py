@@ -118,7 +118,7 @@ def open_covering_lp(
         missing = sorted(set(range(m)) - covered)
         raise ValueError(f"rows {missing} are covered by no column; LP infeasible")
 
-    lp.iterations = _iterate(lp, phase1=True)
+    _iterate(lp, phase1=True)
     # At a phase-1 optimum the surplus columns force y >= 0 and the zero
     # objective forces y.b = 0 with b >= 1, so y = c_B B^-1 = 0 and no artificial
     # (cost 1) can still be basic: phase 2 starts from a basis of real columns.
@@ -126,7 +126,7 @@ def open_covering_lp(
         raise RuntimeError("phase 1 ended with an artificial in the basis; simplex invariant broken")
     costs = [b < lp.ns for b in lp.basis]  # phase 2: c = 1 on the columns
     lp.p = [sum(map(mul, lp._unpack(c), costs)) for c in lp.cols]
-    lp.iterations += _iterate(lp, phase1=False)
+    _iterate(lp, phase1=False)
     return lp
 
 
@@ -141,7 +141,7 @@ def add_covering_columns(lp: CoverLp, columns: list[tuple[int, ...]]) -> None:
     lp.basis = [b + k if b >= ns else b for b in lp.basis]  # slack ids move up
     lp.columns += columns
     lp.ns += k
-    lp.iterations += _iterate(lp, phase1=False)
+    _iterate(lp, phase1=False)
 
 
 def _check_columns(m: int, columns: list[tuple[int, ...]]) -> None:
@@ -165,18 +165,19 @@ def _widen(st: CoverLp) -> None:
     st.cols[:] = (sum(v << st.w * r for r, v in enumerate(f)) for f in fields)
 
 
-def _iterate(st: CoverLp, phase1: bool) -> int:
-    iterations = 0
+def _iterate(st: CoverLp, phase1: bool) -> None:
+    """Pivot to the phase's optimum; the guard bounds the LP's running total
+    of iterations over both phases and every added batch of columns."""
     while True:
-        iterations += 1
-        if iterations > _ITERATION_GUARD:
+        st.iterations += 1
+        if st.iterations > _ITERATION_GUARD:
             raise CapExceeded(
-                f"simplex phase reached iteration {iterations}, above the"
+                f"simplex LP reached iteration {st.iterations}, above the"
                 f" _ITERATION_GUARD cap of {_ITERATION_GUARD}"
             )
         entering = _price(st, phase1)
         if entering is None:
-            return iterations
+            return
         _pivot(st, *entering)
 
 

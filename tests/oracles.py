@@ -171,6 +171,20 @@ def brute_automorphisms(g: Graph) -> list[tuple[int, ...]]:
     return [p for p in permutations(range(g.n)) if brute_is_automorphism(g, p)]
 
 
+def brute_group(n: int, generators) -> set[tuple[int, ...]]:
+    """Every element of the permutation group the generators span, by closure."""
+    identity = tuple(range(n))
+    group, frontier = {identity}, [identity]
+    while frontier:
+        p = frontier.pop()
+        for s in generators:
+            q = tuple(s[v] for v in p)
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    return group
+
+
 def all_labelled_digraphs(n_max: int):
     """Every labelled loopless digraph on 1..n_max vertices, one per arc mask."""
     for n in range(1, n_max + 1):

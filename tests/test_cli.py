@@ -394,14 +394,16 @@ def test_edge_cap_exit_2(capsys, monkeypatch):
 
 
 def test_simplex_iteration_guard_exit_2(capsys, monkeypatch):
-    monkeypatch.setattr(simplex, "_ITERATION_GUARD", 5)
+    # invariant chif finds K(7,3)'s automorphisms, so its LP has one orbit row
+    # and needs 3 iterations in all; a guard of 2 stops it at the third
+    monkeypatch.setattr(simplex, "_ITERATION_GUARD", 2)
     code, out, err = run(
         capsys, "invariant", "chif", "--max-lp-vertices", "35",
         stdin=serialize_graph(kneser(7, 3)), monkeypatch=monkeypatch,
     )
     assert (code, out) == (2, "")
     assert err == (
-        "cap exceeded: simplex phase reached iteration 6, above the _ITERATION_GUARD cap of 5\n"
+        "cap exceeded: simplex LP reached iteration 3, above the _ITERATION_GUARD cap of 2\n"
     )
 
 
@@ -576,12 +578,14 @@ def test_invariant_chif_obj_is_the_coloring_fields(capsys, tmp_path):
     f = _files(tmp_path)
     code, out, _ = run(capsys, "invariant", "chif", f["c5"], "--format", "obj")
     assert code == 0
+    # the generators are found: a reflection and the rotation, so the LP has
+    # one orbit row and {0, 2} at weight 5/2 covers it
     assert out == (
-        '{"coloring": {"generators": [], "sets": [[0, 2], [1, 3], [1, 4], [0, 3], [2, 4]], '
-        '"weights": [[1, 2], [1, 2], [1, 2], [1, 2], [1, 2]]}, "value": [5, 2]}\n'
+        '{"coloring": {"generators": [[0, 4, 3, 2, 1], [1, 2, 3, 4, 0]], "sets": [[0, 2]], '
+        '"weights": [[5, 2]]}, "value": [5, 2]}\n'
     )
     witness = fractional_coloring_from_obj(json.loads(out)["coloring"])
-    assert witness.value == Fraction(5, 2)
+    assert witness.value == Fraction(5, 2) and witness.covers(named("c5"))
 
 
 def test_invariant_chi_obj_is_the_value_and_an_optimal_coloring(capsys, tmp_path):

@@ -33,10 +33,12 @@ from prodcolor.graphs import (
 from prodcolor.harness import FRAC_CATALOG, SuiteConfig, run_suite
 from prodcolor.simplex import add_covering_columns, open_covering_lp
 from prodcolor.solvers import chromatic_number, independence_number
+from prodcolor.symmetry import _orbits
 
 from oracles import (
     FractionTableau,
     brute_automorphisms,
+    brute_group,
     brute_is_automorphism,
     brute_maximal_independent_sets,
 )
@@ -84,7 +86,15 @@ def test_simplex_iteration_guard_raises_cap_exceeded(monkeypatch):
     # the guard is a cap like the size caps: CapExceeded names it and the count
     monkeypatch.setattr(simplex, "_ITERATION_GUARD", 5)
     with pytest.raises(CapExceeded, match="iteration 6, above the _ITERATION_GUARD cap of 5"):
-        fractional_chromatic(kneser(7, 3), max_vertices=35)
+        fractional_chromatic(kneser(7, 3), max_vertices=35, generators=())
+
+
+def test_simplex_iteration_guard_bounds_the_whole_lp(monkeypatch):
+    # the plain K(7,3) LP takes 529 iterations over both phases and its
+    # pricing rounds, no one call of which reaches 60; the running total does
+    monkeypatch.setattr(simplex, "_ITERATION_GUARD", 60)
+    with pytest.raises(CapExceeded, match="simplex LP reached iteration 61, above the"):
+        fractional_chromatic(kneser(7, 3), max_vertices=35, generators=())
 
 
 def test_simplex_rejects_uncoverable_rows():
@@ -484,20 +494,6 @@ def test_covers_rejects_a_set_holding_a_looped_vertex():
 # symmetry reduction: one LP row per orbit of the generated group
 
 
-def _group(n, generators):
-    """Every element of the permutation group the generators span, by closure."""
-    identity = tuple(range(n))
-    group, frontier = {identity}, [identity]
-    while frontier:
-        p = frontier.pop()
-        for s in generators:
-            q = tuple(s[p[v]] for v in range(n))
-            if q not in group:
-                group.add(q)
-                frontier.append(q)
-    return group
-
-
 def _one_orbit(n, generators):
     seen, frontier = {0}, [0]
     while frontier:
@@ -512,7 +508,7 @@ def _one_orbit(n, generators):
 def _averaged_covers(g, witness):
     """The witness spread over its group covers every vertex with weight >= 1
     by independent sets: the averaging step, checked with no package code."""
-    group = _group(g.n, witness.generators)
+    group = brute_group(g.n, witness.generators)
     cover = [Fraction(0)] * g.n
     for p in group:
         for s, w in zip(witness.sets, witness.weights):
@@ -546,7 +542,7 @@ def test_chi_f_with_generators_matches_the_full_lp(data):
     autos = brute_automorphisms(g)
     gens = tuple(data.draw(st.lists(st.sampled_from(autos), max_size=3)))
     value, witness = fractional_chromatic(g, generators=gens)
-    assert value == fractional_chromatic(g)[0]
+    assert value == fractional_chromatic(g, generators=())[0]
     assert witness.generators == gens and witness.value == value
     assert witness.covers(g) and _averaged_covers(g, witness)
 
@@ -604,7 +600,7 @@ def test_chi_f_kneser_7_3_without_generators_keeps_its_pivots(monkeypatch):
     # first-fit classes: 529 simplex iterations over 55 columns, and the
     # witness is the seven stars
     opened = _opened_lps(monkeypatch)
-    value, witness = fractional_chromatic(kneser(7, 3), max_vertices=35)
+    value, witness = fractional_chromatic(kneser(7, 3), max_vertices=35, generators=())
     assert value == Fraction(7, 3)
     (lp,) = opened
     assert (lp.iterations, len(lp.columns)) == (529, 55)
@@ -616,8 +612,9 @@ def test_chi_f_kneser_7_3_without_generators_keeps_its_pivots(monkeypatch):
 
 def test_chi_f_double_shift_of_k7_is_3_from_the_first_fit_start():
     # u(delta^2(K_7)) has 252 vertices, one per triple (a, b, c) with a != b
-    # != c, and S_7 acts on the triples; with a transposition and the 7-cycle
-    # the LP has one orbit row, and no coloring search runs before pricing
+    # != c, and S_7 acts on the triples; a transposition and the 7-cycle
+    # generate it, and its two orbits, the 42 triples with a = c and the 210
+    # with a != c, are the LP's two rows; no coloring search runs before pricing
     shift1, arcs1 = arc_shift(complete_digraph(7))
     shift2, arcs2 = arc_shift(shift1)
     triples = [(*arcs1[i], arcs1[j][1]) for i, j in arcs2]
@@ -627,6 +624,7 @@ def test_chi_f_double_shift_of_k7_is_3_from_the_first_fit_start():
         for sigma in ((1, 0, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6, 0))
     )
     u = underline(shift2)
+    assert _orbits(u.n, gens)[1] == [42, 210]
     value, witness = fractional_chromatic(u, max_vertices=252, generators=gens)
     assert (u.n, len(u.edges), value) == (252, 1491, 3)
     assert witness.covers(u) and witness.value == 3

@@ -55,7 +55,7 @@ def test_import_loads_no_layer():
         (["invariant", "chi"], C5, CHI, False, False),
         (["invariant", "chi", "--format", "obj"], C5, CHI, False, True),
         (["hom", "C5", "C5"], "", CHI, False, False),
-        (["invariant", "chif"], C5, CHI | {"fractional", "simplex"}, True, False),
+        (["invariant", "chif"], C5, CHI | {"fractional", "simplex", "symmetry"}, True, False),
         (["exp", "materialize", "-c", "2"], C5, CHI | {"exponential"}, False, False),
         (["shift", "build"], DIGON, CHI | {"arcshift"}, False, False),
         (["verify", "suite", "products"], "", ALL, True, True),

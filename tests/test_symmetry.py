@@ -1,0 +1,121 @@
+"""Automorphism generators by individualization-refinement, checked against
+brute force, and the orbit LP they give chi_f by default."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from prodcolor import fractional, symmetry
+from prodcolor.fractional import fractional_chromatic
+from prodcolor.graphs import Graph, cycle, kneser, named, tensor_product
+from prodcolor.symmetry import _orbits, automorphism_generators
+
+from oracles import brute_automorphisms, brute_group, brute_is_automorphism
+
+
+@st.composite
+def _graphs(draw, max_n, loops=True):
+    n = draw(st.integers(0, max_n))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    looped = draw(st.sets(st.integers(0, n - 1))) if loops and n else set()
+    return Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k], looped)
+
+
+def _classes(orbit):
+    """A partition given as one class index per vertex, as a set of vertex sets."""
+    classes: dict[int, set[int]] = {}
+    for v, o in enumerate(orbit):
+        classes.setdefault(o, set()).add(v)
+    return {frozenset(c) for c in classes.values()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graphs(7))
+def test_generators_are_automorphisms_with_the_brute_force_orbits(g):
+    gens = automorphism_generators(g)
+    assert all(brute_is_automorphism(g, p) for p in gens)
+    autos = brute_automorphisms(g)
+    brute = {frozenset(p[v] for p in autos) for v in range(g.n)}
+    assert _classes(_orbits(g.n, gens)[0]) == brute
+    assert len(brute_group(g.n, gens)) == len(autos)
+
+
+@pytest.mark.parametrize(
+    "g, order",
+    [(named("petersen"), 120), (named("heawood"), 336), (named("grotzsch"), 10), (kneser(7, 3), 5040)],
+    ids=["petersen", "heawood", "grotzsch", "kneser-7-3"],
+)
+def test_generators_span_the_whole_group(g, order):
+    assert len(brute_group(g.n, automorphism_generators(g))) == order
+
+
+def test_a_leaf_that_passes_the_pruning_can_still_be_no_automorphism():
+    # 4-regular on 8 vertices: |Aut| = 4 by brute force over all 8!
+    # permutations. Some leaf here has the first leaf's cell sizes at every
+    # depth and yet maps it by no automorphism, so each leaf map is checked
+    edges = [(0, 1), (0, 5), (0, 6), (0, 7), (1, 2), (1, 3), (1, 6), (2, 3)]
+    edges += [(2, 4), (2, 5), (3, 4), (3, 7), (4, 5), (4, 6), (5, 7), (6, 7)]
+    g = Graph.from_edges(8, edges)
+    gens = automorphism_generators(g)
+    assert all(brute_is_automorphism(g, p) for p in gens)
+    assert len(brute_group(g.n, gens)) == 4
+    assert _classes(_orbits(g.n, gens)[0]) == {
+        frozenset({0, 2}), frozenset({1, 5}), frozenset({3, 4, 6, 7})
+    }
+
+
+def test_c6_plus_two_triangles_keeps_its_two_classes_apart():
+    # 2-regular, so colour refinement alone leaves all 12 vertices in one cell
+    edges = [(i, (i + 1) % 6) for i in range(6)]
+    edges += [(6, 7), (7, 8), (6, 8), (9, 10), (10, 11), (9, 11)]
+    g = Graph.from_edges(12, edges)
+    orbit, sizes = _orbits(g.n, automorphism_generators(g))
+    assert sizes == [6, 6] and orbit == [0] * 6 + [1] * 6
+    assert fractional_chromatic(g)[0] == 3
+
+
+def test_generators_are_a_function_of_the_graph():
+    p = named("petersen")
+    gens = automorphism_generators(tensor_product(p, p))
+    assert gens and automorphism_generators(tensor_product(p, p)) == gens
+
+
+def test_out_of_nodes_gives_a_subgroup_and_the_same_chi_f(monkeypatch):
+    # with no node to spend every candidate is dropped: the trivial group,
+    # whose orbit LP is the plain one
+    g = kneser(7, 3)
+    monkeypatch.setattr(symmetry, "_NODE_LIMIT", 0)
+    assert automorphism_generators(g) == ()
+    value, witness = fractional_chromatic(g, max_vertices=35)
+    assert value == Fraction(7, 3) and witness.generators == ()
+    assert witness.covers(g) and witness.value == value
+
+
+def test_found_generators_are_checked_before_the_lp(monkeypatch):
+    monkeypatch.setattr(fractional, "automorphism_generators", lambda g: ((2, 1, 0, 3, 4),))
+    with pytest.raises(ValueError, match="generator 0 is not an automorphism"):
+        fractional_chromatic(cycle(5))
+
+
+def test_chi_f_of_a_vertex_transitive_product_has_one_orbit_row():
+    p = named("petersen")
+    pp = tensor_product(p, p)
+    value, witness = fractional_chromatic(pp, max_vertices=100)
+    assert value == Fraction(5, 2) and witness.generators
+    assert _orbits(pp.n, witness.generators)[1] == [100]
+    assert witness.covers(pp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_graphs(8, loops=False))
+def test_chi_f_with_found_generators_is_the_plain_lps(g):
+    value, witness = fractional_chromatic(g)
+    assert value == fractional_chromatic(g, generators=())[0]
+    assert witness.generators == automorphism_generators(g)
+    assert witness.covers(g) and witness.value == value
