@@ -30,26 +30,38 @@ every generator must be an automorphism; the vertex classes of colour
 refinement, say, are no orbits, and on C6 plus two triangles they would give
 12/5 for chi_f = 3. Pricing gives each vertex of O the weight den * y_O.
 
+Pricing uses the group too (orbital branching; Ostrowski-Linderoth-Rossi-
+Smriglio 2011, Margot 2010). The weights are constant on orbits, so Gamma
+maps a heaviest set to a heaviest set, and the search starts from one
+branch per orbit of each component that Gamma maps to itself. Generators
+that ``symmetry`` found carry levels: those of level d or more fix the first
+d vertices of its first path and span a group of their own, so a branch
+that takes such a vertex branches again over that group's orbits.
+
 The value is exact and certified without trusting the pivoting path
 (Held-Cook-Sewell 2012, here in integer arithmetic): the primal witness
 covers every orbit row, the duals are nonnegative, the last search is the
 proof that they form a feasible fractional clique, and both sides have the
-LP's value. The lower bound needs no symmetry: the last search ran on the
-full graph with the lifted weights y_v = y_O(v), so it proves that no
-independent set of G weighs more than 1, and sum_v y_v = sum_O |O| y_O is
-the value.
+LP's value. That proof holds up to Gamma: the last search ran with the
+lifted weights y_v = y_O(v), but its branches reach each independent set
+only through an image under Gamma. So it proves that no independent set of
+G weighs more than 1 because every generator passed the _is_automorphism
+check, and each level's group was checked to fix the base vertex before it.
+Then sum_v y_v = sum_O |O| y_O is the value. Without generators the last
+search ran on the full graph with no symmetry.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
 
 from ._record import Record
 from .errors import DEFAULT_MAX_LP_VERTICES, CapExceeded
 from .graphs import Graph
 from .simplex import add_covering_columns, open_covering_lp
-from .solvers import max_weight_independent_set
-from .symmetry import _is_automorphism, _orbits, automorphism_generators
+from .solvers import _heaviest_independent_set
+from .symmetry import _is_automorphism, _leveled_generators, _orbits
 
 
 class FractionalColoring(Record):
@@ -102,6 +114,69 @@ def _maximal(masks: tuple[int, ...], chosen: int) -> tuple[int, ...]:
     return tuple(v for v in range(len(masks)) if chosen >> v & 1)
 
 
+def _orbit_masks(labels: list[int]) -> list[int]:
+    """Each vertex's class, as a mask, for a label per vertex."""
+    members: dict[int, int] = {}
+    for v, o in enumerate(labels):
+        members[o] = members.get(o, 0) | 1 << v
+    return [members[o] for o in labels]
+
+
+def _orbital_roots(
+    g: Graph, orbit: list[int], base: list[int], leveled: list[tuple[int, tuple[int, ...]]]
+) -> Callable[[int, list[int]], list[tuple[int, int]] | None] | None:
+    """The pricing search's start nodes on a component, by orbital branching
+    (Ostrowski-Linderoth-Rossi-Smriglio 2011).
+
+    Gamma_d is the group of the generators of level >= d, which fix base[:d];
+    orbit gives the Gamma_0-orbit of each vertex. A node takes a set T and
+    leaves candidates P, a union of Gamma_d-orbits that Gamma_d maps to
+    itself while fixing T. Let O_1, O_2, ... be those orbits in the search's
+    order. Child i takes a representative r_i of O_i and drops O_1 ... O_i-1
+    and r_i's closed neighbourhood: a heaviest set with more than T meets
+    some first O_i, and an element of Gamma_d maps it to one of equal weight
+    through r_i in child i. Where r_i is base[d], the child branches again
+    over Gamma_d+1, which fixes r_i; every other node, and a node whose
+    orbits are all single vertices, is a start node.
+
+    Returns None without generators, else a function of a component (a mask)
+    and its vertices in the search's order: the start nodes, as (taken,
+    candidates) masks in that order, or None when some generator moves the
+    component.
+    """
+    if not leveled:
+        return None
+    masks = g.neighbor_masks
+    groups = [_orbit_masks(orbit)]  # groups[d][v]: v's Gamma_d-orbit as a mask
+    for d in range(1, max(k for k, _ in leveled) + 1):
+        groups.append(_orbit_masks(_orbits(g.n, tuple(p for k, p in leveled if k >= d))[0]))
+        if groups[d][base[d - 1]] != 1 << base[d - 1]:
+            raise RuntimeError(f"a generator of level {d} or more moves base vertex {base[d - 1]}")
+
+    def roots(comp: int, verts: list[int]) -> list[tuple[int, int]] | None:
+        if any(groups[0][v] & ~comp for v in verts):
+            return None
+        nodes: list[tuple[int, int]] = []
+        stack = [(0, 0, comp)]  # (d, T, P); d == len(groups) for a start node
+        while stack:
+            d, taken, p = stack.pop()
+            if d == len(groups) or all(groups[d][v] == 1 << v for v in verts if p >> v & 1):
+                nodes.append((taken, p))
+                continue
+            children, seen = [], 0
+            for v in verts:
+                if (p & ~seen) >> v & 1:
+                    r, deeper = v, len(groups)
+                    if d < len(base) and groups[d][v] >> base[d] & 1:
+                        r, deeper = base[d], d + 1
+                    children.append((deeper, taken | 1 << r, p & ~seen & ~(masks[r] | 1 << r)))
+                    seen |= groups[d][v]
+            stack += reversed(children)
+        return nodes
+
+    return roots
+
+
 def fractional_chromatic(
     g: Graph,
     max_vertices: int = DEFAULT_MAX_LP_VERTICES,
@@ -127,8 +202,11 @@ def fractional_chromatic(
             f"graph has {g.n} vertices, above the max_vertices cap of {max_vertices}"
         )
     if generators is None:
-        generators = automorphism_generators(g)
-    generators = tuple(tuple(p) for p in generators)
+        base, leveled = _leveled_generators(g)
+        generators = tuple(p for _, p in leveled)
+    else:
+        generators = tuple(tuple(p) for p in generators)
+        base, leveled = [], [(0, p) for p in generators]
     for i, p in enumerate(generators):
         if not _is_automorphism(g, p):
             raise ValueError(f"generator {i} is not an automorphism of the graph: {p!r}")
@@ -146,13 +224,14 @@ def fractional_chromatic(
         else:
             classes.append(1 << v)
     sets = [_maximal(masks, s) for s in classes]
+    roots = _orbital_roots(g, orbit, base, leveled)
     # a set's column lists the orbit of each of its vertices: |S & O| entries of row O
     lp = open_covering_lp(len(sizes), [tuple(orbit[v] for v in s) for s in sets], sizes)
     while True:
         prices = lp.prices()
         if min(prices) < 0:
             raise RuntimeError("negative dual price; certificate invalid")
-        weight, heaviest = max_weight_independent_set(g, [prices[o] for o in orbit])
+        weight, heaviest = _heaviest_independent_set(g, [prices[o] for o in orbit], roots)
         if weight <= lp.den:  # every independent set has dual sum <= 1
             break
         sets.append(_maximal(masks, sum(1 << v for v in heaviest)))

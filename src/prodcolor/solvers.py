@@ -10,7 +10,10 @@ value), so a node costs O(t log t) big-int operations for t target values,
 plus one per placed vertex and one per value a placed value excludes, and
 no scan of the vertices. One weighted independent-set branch and bound
 serves independence_number (unit weights) and the pricing of the fractional
-chromatic LP (the dual prices as weights). Every search runs on an explicit
+chromatic LP (the dual prices as weights). It indexes each component's
+vertices by decreasing weight and equal weights by increasing degree, and
+branches on one vertex at a time; pricing may hand it the root's children,
+found by orbital branching in ``fractional``. Every search runs on an explicit
 stack, so no input is too deep for it and no process-wide state, such as the
 recursion limit, is touched.
 
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Callable
 from functools import lru_cache
 
 from ._record import Record
@@ -356,15 +360,26 @@ def max_weight_independent_set(g: Graph, weights: list[int]) -> tuple[int, tuple
     return _heaviest_independent_set(g, weights)
 
 
-def _heaviest_independent_set(g: Graph, weights: list[int]) -> tuple[int, tuple[int, ...]]:
+def _heaviest_independent_set(
+    g: Graph,
+    weights: list[int],
+    roots: Callable[[int, list[int]], list[tuple[int, int]] | None] | None = None,
+) -> tuple[int, tuple[int, ...]]:
     """The one independent-set search behind alpha and LP pricing.
 
-    Vertices of weight 0 never enter the pool. The maximum adds up over the connected components of the graph the
-    positive vertices induce: a component of one vertex is taken, and every
-    other one is searched on its own by branch and bound, with its vertices
-    relabeled by decreasing weight (ties: lower vertex first).
+    Vertices of weight 0 never enter the pool. The maximum adds up over the
+    connected components of the graph the positive vertices induce: a
+    component of one vertex is taken, and every other one is searched on its
+    own by branch and bound, with its vertices relabeled by decreasing weight,
+    equal weights by increasing degree in g, then lower vertex first. Degrees
+    are taken in g, so on a regular graph the order is by weight alone.
+
+    roots, from LP pricing, maps a component's mask and its vertices in that
+    order to the root's children, as (taken, candidates) masks of g, or to
+    None for the plain search (see ``fractional._orbital_roots``).
     """
     masks = g.neighbor_masks
+    n = g.n
     pool = sum(1 << v for v, w in enumerate(weights) if w)
     total = 0
     chosen: list[int] = []
@@ -379,18 +394,41 @@ def _heaviest_independent_set(g: Graph, weights: list[int]) -> tuple[int, tuple[
             frontier = reach & pool & ~comp
             comp |= frontier
         pool &= ~comp
-        verts = list(_bits(comp))
-        if len(verts) == 1:
-            total += weights[verts[0]]
-            chosen += verts
+        if not comp & (comp - 1):
+            total += weights[comp.bit_length() - 1]
+            chosen.append(comp.bit_length() - 1)
             continue
-        verts.sort(key=lambda v: -weights[v])  # stable: ties keep the lower vertex first
-        index = {v: i for i, v in enumerate(verts)}
-        local = [sum(1 << index[u] for u in _bits(masks[v] & comp)) for v in verts]
-        weight, taken = _independence_search(local, [weights[v] for v in verts])
+        # a degree is below n, so this key orders by weight, then degree; sorted is stable
+        verts = sorted(_bits(comp), key=lambda v: masks[v].bit_count() - weights[v] * n)
+        # relabel in one pass: each edge is met once, from its later end
+        index: dict[int, int] = {}
+        local: list[int] = []
+        placed = 0
+        for i, v in enumerate(verts):
+            bit, own, m = 1 << i, 0, masks[v] & placed
+            while m:
+                low = m & -m
+                m ^= low
+                j = index[low.bit_length() - 1]
+                local[j] |= bit
+                own |= 1 << j
+            local.append(own)
+            index[v] = i
+            placed |= 1 << v
+        nodes = roots and roots(comp, verts)
+        starts = [
+            (_relabel(p, index), sum(weights[v] for v in _bits(t)), _relabel(t, index))
+            for t, p in nodes or ()
+        ]
+        weight, taken = _independence_search(local, [weights[v] for v in verts], starts)
         total += weight
         chosen += (verts[i] for i in _bits(taken))
     return total, tuple(sorted(chosen))
+
+
+def _relabel(m: int, index: dict[int, int]) -> int:
+    """The mask m with each vertex v moved to bit index[v]."""
+    return sum(1 << index[v] for v in _bits(m))
 
 
 def _bits(m: int):
@@ -441,14 +479,19 @@ def _greedy_independent_set(masks: list[int], weights: list[int]) -> tuple[int, 
     return weight, taken
 
 
-def _independence_search(masks: list[int], weights: list[int]) -> tuple[int, int]:
+def _independence_search(
+    masks: list[int], weights: list[int], starts: list[tuple[int, int, int]]
+) -> tuple[int, int]:
     """(weight, bitmask) of a heaviest independent set, by branch and bound.
 
     The vertices are indexed by nonincreasing positive weight. Depth-first on
     an explicit stack from the greedy start; a node is pruned when its bound,
     the weight taken plus the heaviest weight of each class of a greedy
     clique cover of the candidates, does not beat the best set found. Unit
-    weights make that bound the number of cliques.
+    weights make that bound the number of cliques. A node not pruned branches
+    on one vertex, taken or left out, except that the root, given starts
+    (candidates, weight taken, set taken), branches into those: some heaviest
+    set must lie below one of them.
     """
     best, best_set = _greedy_independent_set(masks, weights)
     stack = [((1 << len(masks)) - 1, 0, 0)]  # (candidates, weight taken, set taken)
@@ -479,6 +522,10 @@ def _independence_search(masks: list[int], weights: list[int]) -> tuple[int, int
                 q ^= low
                 common &= masks[low.bit_length() - 1]
         if bound <= best:
+            continue
+        if starts:  # the root's children, the first popped first
+            stack += starts[::-1]
+            starts = []
             continue
         # branch on the highest-degree candidate: "take v" is popped first
         m, v, bd = p, -1, -1

@@ -42,6 +42,16 @@ _NODE_LIMIT = 256  # search-tree nodes per candidate vertex
 def automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Automorphisms of g, each a tuple p with v -> p[v], that generate
     Aut(g) unless a candidate ran out of nodes; a function of g alone."""
+    return tuple(p for _, p in _leveled_generators(g)[1])
+
+
+def _leveled_generators(g: Graph) -> tuple[list[int], list[tuple[int, tuple[int, ...]]]]:
+    """The first path's individualized vertices, the base b, and the
+    generators of automorphism_generators in its order, each with its level k.
+
+    A generator of level k maps the first leaf onto a leaf below the
+    partition at depth k, and both leaves list the vertices of each of its
+    cells in that cell's slot, so it fixes b[0..k-1]; it moves b[k]."""
     n, masks = g.n, g.neighbor_masks
     looped = sum(1 << v for v in g.loops)
     cells = [c for c in ((1 << n) - 1 ^ looped, looped) if c]
@@ -58,16 +68,16 @@ def automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
     shapes = [tuple(map(int.bit_count, p)) for p in path]
     first = [c.bit_length() - 1 for c in cells]
 
-    generators: list[tuple[int, ...]] = []
+    generators: list[tuple[int, tuple[int, ...]]] = []
     root = list(range(n))
     for k in reversed(range(len(chosen))):
         for w in _members(path[k][targets[k]]):
             if _find(root, w) != _find(root, chosen[k]):
                 p = _equivalent_leaf(g, path[k], targets[k], w, k + 1, shapes, first)
                 if p is not None:
-                    generators.append(p)
+                    generators.append((k, p))
                     _join(root, p)
-    return tuple(generators)
+    return chosen, generators
 
 
 def _equivalent_leaf(
@@ -209,8 +219,9 @@ def _find(root: list[int], v: int) -> int:
 def _join(root: list[int], p: tuple[int, ...]) -> None:
     """Merge the union-find classes of each v and p[v]; the least vertex is the root."""
     for v, w in enumerate(p):
-        a, b = _find(root, v), _find(root, w)
-        root[max(a, b)] = min(a, b)
+        if v != w:
+            a, b = _find(root, v), _find(root, w)
+            root[max(a, b)] = min(a, b)
 
 
 def _orbits(n: int, generators: tuple[tuple[int, ...], ...]) -> tuple[list[int], list[int]]:

@@ -610,6 +610,21 @@ def test_chi_f_kneser_7_3_without_generators_keeps_its_pivots(monkeypatch):
     assert witness.weights == (Fraction(1, 3),) * 7 and witness.generators == ()
 
 
+@pytest.mark.parametrize(
+    "g, path",
+    [(kneser(8, 3), (725, 79)), (tensor_product(cycle(5), named("petersen")), (521, 63))],
+    ids=["kneser-8-3", "c5-petersen"],
+)
+def test_regular_graphs_without_generators_keep_their_pivots(g, path, monkeypatch):
+    # on a regular graph the pricing search orders equal weights by vertex
+    # alone, so the plain LP keeps its simplex iterations and columns
+    opened = _opened_lps(monkeypatch)
+    value, witness = fractional_chromatic(g, max_vertices=100, generators=())
+    assert len({g.degree(v) for v in range(g.n)}) == 1
+    assert value == Fraction(g.n, independence_number(g)) and witness.covers(g)
+    assert [(lp.iterations, len(lp.columns)) for lp in opened] == [path]
+
+
 def test_chi_f_double_shift_of_k7_is_3_from_the_first_fit_start():
     # u(delta^2(K_7)) has 252 vertices, one per triple (a, b, c) with a != b
     # != c, and S_7 acts on the triples; a transposition and the 7-cycle

@@ -54,13 +54,14 @@ def test_import_loads_no_layer():
         (["gen", "named", "petersen"], "", GEN, False, False),
         (["invariant", "chi"], C5, CHI, False, False),
         (["invariant", "chi", "--format", "obj"], C5, CHI, False, True),
+        (["invariant", "alpha"], C5, CHI, False, False),  # alpha never looks for symmetry
         (["hom", "C5", "C5"], "", CHI, False, False),
         (["invariant", "chif"], C5, CHI | {"fractional", "simplex", "symmetry"}, True, False),
         (["exp", "materialize", "-c", "2"], C5, CHI | {"exponential"}, False, False),
         (["shift", "build"], DIGON, CHI | {"arcshift"}, False, False),
         (["verify", "suite", "products"], "", ALL, True, True),
     ],
-    ids=["gen", "chi", "chi-obj", "hom", "chif", "exp", "shift", "verify"],
+    ids=["gen", "chi", "chi-obj", "alpha", "hom", "chif", "exp", "shift", "verify"],
 )
 def test_cli_stage_loads_only_its_layers(tmp_path, argv, stdin, expected, fractions, json):
     # text stages parse and print no JSON, so they load no json

@@ -1,5 +1,6 @@
 """Automorphism generators by individualization-refinement, checked against
-brute force, and the orbit LP they give chi_f by default."""
+brute force, the orbit LP they give chi_f by default, and the orbital
+branching of its pricing search."""
 
 from __future__ import annotations
 
@@ -7,15 +8,21 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prodcolor import fractional, symmetry
-from prodcolor.fractional import fractional_chromatic
-from prodcolor.graphs import Graph, cycle, kneser, named, tensor_product
-from prodcolor.symmetry import _orbits, automorphism_generators
+from prodcolor.fractional import _orbital_roots, fractional_chromatic
+from prodcolor.graphs import CATALOG, Graph, cycle, kneser, named, tensor_product
+from prodcolor.solvers import _heaviest_independent_set
+from prodcolor.symmetry import _leveled_generators, _orbits, automorphism_generators
 
-from oracles import brute_automorphisms, brute_group, brute_is_automorphism
+from oracles import (
+    brute_automorphisms,
+    brute_group,
+    brute_is_automorphism,
+    brute_max_weight_independent_set,
+)
 
 
 @st.composite
@@ -98,7 +105,7 @@ def test_out_of_nodes_gives_a_subgroup_and_the_same_chi_f(monkeypatch):
 
 
 def test_found_generators_are_checked_before_the_lp(monkeypatch):
-    monkeypatch.setattr(fractional, "automorphism_generators", lambda g: ((2, 1, 0, 3, 4),))
+    monkeypatch.setattr(fractional, "_leveled_generators", lambda g: ([0], [(0, (2, 1, 0, 3, 4))]))
     with pytest.raises(ValueError, match="generator 0 is not an automorphism"):
         fractional_chromatic(cycle(5))
 
@@ -118,4 +125,66 @@ def test_chi_f_with_found_generators_is_the_plain_lps(g):
     value, witness = fractional_chromatic(g)
     assert value == fractional_chromatic(g, generators=())[0]
     assert witness.generators == automorphism_generators(g)
+    assert witness.covers(g) and witness.value == value
+
+
+@pytest.mark.parametrize("gname", [*CATALOG, "kneser-7-3"])
+def test_a_generator_of_level_k_fixes_the_first_k_base_vertices(gname):
+    g = kneser(7, 3) if gname == "kneser-7-3" else named(gname)
+    base, leveled = _leveled_generators(g)
+    assert tuple(p for _, p in leveled) == automorphism_generators(g)
+    for k, p in leveled:
+        assert [p[b] for b in base[:k]] == base[:k] and p[base[k]] != base[k]
+    assert [k for k, _ in leveled] == sorted((k for k, _ in leveled), reverse=True)
+
+
+@st.composite
+def _orbital_cases(draw):
+    """A graph at a drawn density, a first path with level-tagged generators,
+    and weights 0..9 constant on their orbits (a 0 splits components): the
+    found generators on up to 9 vertices, or a random subset of Aut(g), all
+    at level 0 with no path, on up to 7."""
+    found = draw(st.booleans())
+    n = draw(st.integers(0, 9 if found else 7))
+    pairs = list(combinations(range(n), 2))
+    density = draw(st.integers(1, 9))
+    keep = draw(st.lists(st.integers(0, 9), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k < density])
+    if found:
+        base, leveled = _leveled_generators(g)
+    else:
+        gens = draw(st.lists(st.sampled_from(brute_automorphisms(g)), max_size=3))
+        base, leveled = [], [(0, p) for p in gens]
+    orbit, sizes = _orbits(g.n, tuple(p for _, p in leveled))
+    prices = draw(st.lists(st.integers(0, 9), min_size=len(sizes), max_size=len(sizes)))
+    return g, base, leveled, [prices[o] for o in orbit]
+
+
+# a branch through a vertex off the first path must not branch again over
+# the path's stabilizer, which need not fix that vertex
+_OFF_PATH = (
+    Graph.from_edges(9, [(0, 4), (0, 5), (0, 8), (3, 5), (4, 6), (5, 6)]),
+    [1, 2, 3],
+    [
+        (2, (5, 1, 2, 8, 6, 0, 4, 7, 3)),
+        (1, (0, 1, 7, 3, 4, 5, 6, 2, 8)),
+        (0, (0, 2, 1, 3, 4, 5, 6, 7, 8)),
+    ],
+    [3, 1, 1, 1, 5, 3, 5, 1, 1],
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_orbital_cases())
+@example(_OFF_PATH)
+def test_the_orbital_search_is_the_brute_force_maximum(case):
+    g, base, leveled, weights = case
+    gens = tuple(p for _, p in leveled)
+    roots = _orbital_roots(g, _orbits(g.n, gens)[0], base, leveled)
+    weight, chosen = _heaviest_independent_set(g, weights, roots)
+    assert weight == brute_max_weight_independent_set(g, weights)
+    assert not any(g.has_edge(u, v) for u, v in combinations(chosen, 2))
+    assert sum(weights[v] for v in chosen) == weight
+    value, witness = fractional_chromatic(g, generators=gens)
+    assert value == fractional_chromatic(g, generators=())[0]
     assert witness.covers(g) and witness.value == value
