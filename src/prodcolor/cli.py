@@ -303,10 +303,7 @@ def _cmd_shift(args) -> int:
         off = 1 if args.one_based else 0
         for (i, j, k), color in zip(triples, coloring.colors):
             print(f"{i + off} {j + off} {k + off} -> {color + off}")
-        d4 = graphs.complete_digraph(4)
-        s1, _ = arcshift.arc_shift(d4)
-        s2, _ = arcshift.arc_shift(s1)
-        proper = solvers.is_proper_coloring(graphs.underline(s2), coloring)
+        proper = solvers.is_proper_coloring(arcshift._schelp_shift()[0], coloring)
         print(f"{coloring.colors_used()} colors, proper: {str(proper).lower()}")
         return 0
     if args.kind == "functoriality":

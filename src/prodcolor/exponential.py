@@ -31,7 +31,7 @@ from typing import Iterator
 from ._record import Record
 from .errors import DEFAULT_MAX_EXP_EDGES, DEFAULT_MAX_EXP_VERTICES, CapExceeded
 from .graphs import Graph, blowup, distances, tensor_product
-from .solvers import Coloring, k_colorable
+from .solvers import Coloring, HomMap, is_homomorphism, k_colorable
 
 
 class NormalizationError(ValueError):
@@ -327,12 +327,8 @@ def universal_property_check(
     for u in range(h.n):
         values = tuple(coloring.colors[x * h.n + u] for x in range(g.n))
         maps.append(ExpMap(ctx, values).index())
-    for u, up in h.edges:
-        if not expo.adjacent_or_loop(maps[u], maps[up]):
-            return False
-    for u in h.loops:
-        if maps[u] not in expo.loops:
-            return False
+    if not is_homomorphism(h, expo, HomMap(tuple(maps))):
+        return False
 
     # the evaluation map is a proper coloring of g x K_c^g
     g_pairs = [*g.edges, *((x, x) for x in g.loops)]

@@ -39,16 +39,18 @@ d vertices of its first path and span a group of their own, so a branch
 that takes such a vertex branches again over that group's orbits.
 
 The value is exact and certified without trusting the pivoting path
-(Held-Cook-Sewell 2012, here in integer arithmetic): the primal witness
-covers every orbit row, the duals are nonnegative, the last search is the
-proof that they form a feasible fractional clique, and both sides have the
-LP's value. That proof holds up to Gamma: the last search ran with the
-lifted weights y_v = y_O(v), but its branches reach each independent set
-only through an image under Gamma. So it proves that no independent set of
-G weighs more than 1 because every generator passed the _is_automorphism
-check, and each level's group was checked to fix the base vertex before it.
-Then sum_v y_v = sum_O |O| y_O is the value. Without generators the last
-search ran on the full graph with no symmetry.
+(Held-Cook-Sewell 2012, here in integer arithmetic), each part checked once:
+the primal witness covers every orbit row, the duals are nonnegative, the
+last search is the proof that they form a feasible fractional clique, and
+``CoverLp.solution`` checks that both sides have the LP's value. The
+generators, found or given, are checked once, before the LP, and the final
+cover check reuses their orbits. The proof holds up to Gamma: the last
+search ran with the lifted weights y_v = y_O(v), but its branches reach each
+independent set only through an image under Gamma. So it proves that no
+independent set of G weighs more than 1 because every generator passed the
+_is_automorphism check, and each level's group was checked to fix the base
+vertex before it. Then sum_v y_v = sum_O |O| y_O is the value. Without
+generators the last search ran on the full graph with no symmetry.
 """
 
 from __future__ import annotations
@@ -92,7 +94,10 @@ class FractionalColoring(Record):
         independent set of g's unlooped vertices, and every orbit row satisfied."""
         if not all(_is_automorphism(g, p) for p in self.generators):
             return False
-        orbit, sizes = _orbits(g.n, self.generators)
+        return self._covers(g, *_orbits(g.n, self.generators))
+
+    def _covers(self, g: Graph, orbit: list[int], sizes: list[int]) -> bool:
+        """covers, for generators already checked, with their orbits and sizes."""
         cover = [Fraction(0)] * len(sizes)
         for s, w in zip(self.sets, self.weights):
             if not all(0 <= v < g.n and v not in g.loops for v in s):
@@ -243,13 +248,10 @@ def fractional_chromatic(
         tuple(solution.primal[j] for j in sorted(solution.primal)),
         generators,
     )
-    # primal feasibility, dual feasibility, and equal values together certify
-    # optimality without trusting the pivoting path
-    if not witness.covers(g):
+    # primal feasibility and dual feasibility, with the equal values that
+    # lp.solution() checked, certify optimality without trusting the pivoting path
+    if not witness._covers(g, orbit, sizes):
         raise RuntimeError("simplex returned an infeasible fractional coloring")
     if solution.dual != tuple(Fraction(p, lp.den) for p in prices):
         raise RuntimeError("the returned duals are not the ones the last search priced")
-    clique = sum((size * y for size, y in zip(sizes, solution.dual)), Fraction(0))
-    if witness.value != clique or witness.value != solution.value:
-        raise RuntimeError("primal and dual values differ; certificate invalid")
     return solution.value, witness

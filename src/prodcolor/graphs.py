@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from ._record import Record
 
@@ -115,6 +115,14 @@ class Digraph(Record):
     @cached_property
     def sorted_arcs(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.arcs))
+
+
+def _bits(m: int) -> Iterator[int]:
+    """The indices of the set bits of m, lowest first."""
+    while m:
+        low = m & -m
+        m ^= low
+        yield low.bit_length() - 1
 
 
 # ---------------------------------------------------------------------------
@@ -223,25 +231,6 @@ def named(identifier: str) -> Graph:
         return family(int(digits))
     known = ", ".join(sorted(CATALOG))
     raise ValueError(f"unknown catalog graph {identifier!r} (known: {known}, k<n>, c<n>)")
-
-
-# automorphisms generating a vertex-transitive group, by n, for the named
-# graphs that frac-hedetniemi checks; fractional_chromatic checks each one
-_GENERATORS = {
-    # a transposition and an n-cycle
-    "k": lambda n: ((*range(n)[1::-1], *range(2, n)), tuple((i + 1) % n for i in range(n))),
-    # a rotation and a reflection
-    "c": lambda n: (tuple((i + 1) % n for i in range(n)), tuple(-i % n for i in range(n))),
-    # i -> i+1 on both 5-cycles; i -> 5+2i and 5+i -> 2i (mod 5)
-    "petersen": lambda n: ((1, 2, 3, 4, 0, 6, 7, 8, 9, 5), (5, 7, 9, 6, 8, 0, 2, 4, 1, 3)),
-}
-
-
-def _named_generators(identifier: str) -> tuple[tuple[int, ...], ...]:
-    """Automorphism generators of named(identifier); () for a catalog graph without them."""
-    n = named(identifier).n
-    make = _GENERATORS.get(identifier if identifier in CATALOG else identifier[0])
-    return make(n) if make else ()
 
 
 # ---------------------------------------------------------------------------

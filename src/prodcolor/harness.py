@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Any, Callable
 
-from . import arcshift, exponential, fractional, graphs, solvers
+from . import arcshift, exponential, fractional, graphs, solvers, symmetry
 from ._record import Record
 from .errors import (
     DEFAULT_MAX_EXP_EDGES,
@@ -344,10 +344,7 @@ def _claim_multiplicativity(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
 
 def _claim_schelp(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
     coloring = arcshift.schelp_coloring()
-    d4 = graphs.complete_digraph(4)
-    shift1, _ = arcshift.arc_shift(d4)
-    shift2, _ = arcshift.arc_shift(shift1)
-    ug = graphs.underline(shift2)
+    ug = arcshift._schelp_shift()[0]
     proper = solvers.is_proper_coloring(ug, coloring)
     colors_used = coloring.colors_used()
     chi = solvers.chromatic_number(ug)
@@ -487,15 +484,13 @@ def _claim_bound_chain(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
 
 
 def _claim_frac_hedetniemi(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
-    # every catalog graph comes with generators of a vertex-transitive group,
-    # so each LP below has one orbit row
-    gens = {name: graphs._named_generators(name) for name in FRAC_CATALOG}
-    singles = {}
+    # every catalog graph is vertex-transitive, so its found generators, and
+    # the product generators of two of them, give each LP below one orbit row
+    gens, singles = {}, {}
     for name in FRAC_CATALOG:
-        value, _ = fractional.fractional_chromatic(
-            graphs.named(name), cfg.max_lp_vertices, gens[name]
-        )
-        singles[name] = value
+        g = graphs.named(name)
+        gens[name] = symmetry.automorphism_generators(g)
+        singles[name], _ = fractional.fractional_chromatic(g, cfg.max_lp_vertices, gens[name])
     checked = []
     skipped = []
     failures = []

@@ -28,7 +28,7 @@ from collections.abc import Callable
 from functools import lru_cache
 
 from ._record import Record
-from .graphs import Graph
+from .graphs import Graph, _bits
 
 
 class Coloring(Record):
@@ -52,9 +52,6 @@ class HomMap(Record):
     """A vertex map witnessing a homomorphism (edges map to edges-or-loops)."""
 
     mapping: tuple[int, ...]
-
-    def __call__(self, v: int) -> int:
-        return self.mapping[v]
 
 
 def _require_loopless(g: Graph, what: str) -> None:
@@ -429,14 +426,6 @@ def _heaviest_independent_set(
 def _relabel(m: int, index: dict[int, int]) -> int:
     """The mask m with each vertex v moved to bit index[v]."""
     return sum(1 << index[v] for v in _bits(m))
-
-
-def _bits(m: int):
-    """The indices of the set bits of m, lowest first."""
-    while m:
-        low = m & -m
-        m ^= low
-        yield low.bit_length() - 1
 
 
 def _greedy_independent_set(masks: list[int], weights: list[int]) -> tuple[int, int]:

@@ -32,9 +32,7 @@ LP of ``fractional`` is exact for any group of automorphisms.
 
 from __future__ import annotations
 
-from typing import Iterator
-
-from .graphs import Graph
+from .graphs import Graph, _bits
 
 _NODE_LIMIT = 256  # search-tree nodes per candidate vertex
 
@@ -71,7 +69,7 @@ def _leveled_generators(g: Graph) -> tuple[list[int], list[tuple[int, tuple[int,
     generators: list[tuple[int, tuple[int, ...]]] = []
     root = list(range(n))
     for k in reversed(range(len(chosen))):
-        for w in _members(path[k][targets[k]]):
+        for w in _bits(path[k][targets[k]]):
             if _find(root, w) != _find(root, chosen[k]):
                 p = _equivalent_leaf(g, path[k], targets[k], w, k + 1, shapes, first)
                 if p is not None:
@@ -116,16 +114,8 @@ def _equivalent_leaf(
                 return tuple(p)
             continue
         j = _target(cells, i + 1)
-        stack.append((cells, j, _members(cells[j])))
+        stack.append((cells, j, _bits(cells[j])))
     return None
-
-
-def _members(mask: int) -> Iterator[int]:
-    """The vertices of a bitmask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _target(cells: list[int], start: int) -> int:
@@ -162,7 +152,7 @@ def _refine(masks: tuple[int, ...], n: int, cells: list[int], queue: list[int]) 
         pending.remove(splitter)
         # bit-sliced neighbour counts: bit b of v's count into the splitter is bit v of slices[b]
         slices: list[int] = []
-        for u in _members(splitter):
+        for u in _bits(splitter):
             carry, b = masks[u], 0
             while carry:
                 if b == len(slices):

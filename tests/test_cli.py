@@ -445,7 +445,7 @@ def test_file_after_flags(capsys, tmp_path):
     k4.write_text(text)
     code, out, _ = run(capsys, "exp", "materialize", "-c", "3", str(k4))
     assert code == 0
-    assert parse_graph(out).n == 81
+    assert out.splitlines()[0] == "81 57" and parse_graph(out).n == 81
     code, out, _ = run(capsys, "invariant", "chif", "--max-lp-vertices", "40", str(k4))
     assert code == 0 and out.strip() == "4"
     d = tmp_path / "d.txt"
@@ -597,6 +597,12 @@ def test_invariant_chi_obj_is_the_value_and_an_optimal_coloring(capsys, tmp_path
     assert is_proper_coloring(named("c5"), coloring)
     code, out, _ = run(capsys, "invariant", "chi", f["c5"])
     assert code == 0 and out == "3\n"
+    _, text, _ = run(capsys, "gen", "named", "grotzsch")
+    (tmp_path / "grotzsch").write_text(text)
+    code, out, _ = run(capsys, "invariant", "chi", str(tmp_path / "grotzsch"), "--format", "obj")
+    obj = json.loads(out)
+    assert code == 0 and obj["value"] == 4
+    assert is_proper_coloring(named("grotzsch"), coloring_from_obj(obj["coloring"]))
 
 
 def test_masked_suite_bytes_are_pinned(capsys):

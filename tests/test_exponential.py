@@ -39,6 +39,7 @@ from prodcolor.graphs import (
 from prodcolor.solvers import (
     Coloring,
     chromatic_number,
+    is_homomorphism,
     is_proper_coloring,
     k_colorable,
     optimal_coloring,
@@ -303,9 +304,11 @@ def test_materialize_caps():
 
 
 def test_materialize_petersen_within_default_caps():
-    # 3^10 maps: far beyond any n_maps x n_maps matrix, but only 21,069 edges
-    expo = materialize_exponential(ExpContext(named("petersen"), 3))
-    assert (expo.n, len(expo.edges), len(expo.loops)) == (59_049, 21_069, 120)
+    # 3^10 maps: far beyond any n_maps x n_maps matrix, but only 21,069
+    # edges; K_3^{C8}, with its 258 loops, the 3-colorings of C8
+    for name, counts in (("petersen", (59_049, 21_069, 120)), ("c8", (6_561, 33_153, 258))):
+        expo = materialize_exponential(ExpContext(named(name), 3))
+        assert (expo.n, len(expo.edges), len(expo.loops)) == counts
 
 
 def test_index_round_trip():
@@ -359,6 +362,16 @@ def test_universal_property_evaluation_negative_controls(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(exponential, "materialize_exponential", lambda *args: corrupted)
         assert not universal_property_check(g, h, c)
+    # no edge at all: the evaluation coloring holds vacuously, so only the
+    # one homomorphism checker, is_homomorphism, can refuse h -> K_c^g
+    checked = []
+    with monkeypatch.context() as m:
+        m.setattr(exponential, "materialize_exponential", lambda *args: Graph(expo.n))
+        m.setattr(
+            exponential, "is_homomorphism", lambda *a: checked.append(a) or is_homomorphism(*a)
+        )
+        assert not universal_property_check(g, h, c)
+    assert len(checked) == 1
     # one corrupted map value: f_s(x) made equal to f_t(y) across an edge st
     # of the exponential graph and an edge xy of g
     s, t = min(expo.edges)

@@ -18,7 +18,6 @@ from prodcolor import fractional, simplex
 from prodcolor.arcshift import arc_shift
 from prodcolor.graphs import (
     Graph,
-    _named_generators,
     _product_generators,
     add_loops,
     complete_digraph,
@@ -33,7 +32,7 @@ from prodcolor.graphs import (
 from prodcolor.harness import FRAC_CATALOG, SuiteConfig, run_suite
 from prodcolor.simplex import add_covering_columns, open_covering_lp
 from prodcolor.solvers import chromatic_number, independence_number
-from prodcolor.symmetry import _orbits
+from prodcolor.symmetry import _orbits, automorphism_generators
 
 from oracles import (
     FractionTableau,
@@ -586,7 +585,9 @@ def test_refinement_cells_are_not_orbits():
 def test_chi_f_of_products_with_product_generators(gname, hname, expected, monkeypatch):
     g, h = named(gname), named(hname)
     gh = tensor_product(g, h)
-    gens = _product_generators(_named_generators(gname), g.n, _named_generators(hname), h.n)
+    gens = _product_generators(
+        automorphism_generators(g), g.n, automorphism_generators(h), h.n
+    )
     opened = _opened_lps(monkeypatch)
     value, witness = fractional_chromatic(gh, max_vertices=100, generators=gens)
     assert [lp.m for lp in opened] == [1]  # one orbit, one row
@@ -647,13 +648,52 @@ def test_chi_f_double_shift_of_k7_is_3_from_the_first_fit_start():
 
 
 def test_catalog_generators_are_automorphisms_with_one_orbit_per_product():
+    # frac-hedetniemi finds each factor's generators and takes the products'
+    # from them: every product of two catalog graphs has one orbit row
+    found = {name: automorphism_generators(named(name)) for name in FRAC_CATALOG}
     for gname in FRAC_CATALOG:
-        g, g_gens = named(gname), _named_generators(gname)
+        g, g_gens = named(gname), found[gname]
         assert g_gens and all(brute_is_automorphism(g, p) for p in g_gens)
         for hname in FRAC_CATALOG:
             h = named(hname)
-            gens = _product_generators(g_gens, g.n, _named_generators(hname), h.n)
+            gens = _product_generators(g_gens, g.n, found[hname], h.n)
             gh = tensor_product(g, h)
             assert all(brute_is_automorphism(gh, p) for p in gens)
             assert _one_orbit(gh.n, gens)
-    assert _named_generators("heawood") == ()
+
+
+def test_given_generators_are_checked_once_with_one_orbit_computation(monkeypatch):
+    # the 18 found generators of Heawood x Heawood, given: each is checked
+    # once before the LP, and the final cover check reuses their orbits
+    hw = named("heawood")
+    g = tensor_product(hw, hw)
+    gens = automorphism_generators(g)
+    checked, orbits = [], []
+    check, orbit = fractional._is_automorphism, fractional._orbits
+    monkeypatch.setattr(fractional, "_is_automorphism", lambda *a: checked.append(a) or check(*a))
+    monkeypatch.setattr(fractional, "_orbits", lambda *a: orbits.append(a) or orbit(*a))
+    value, witness = fractional_chromatic(g, max_vertices=196, generators=gens)
+    assert value == 2 and witness.generators == gens and len(gens) == 18
+    assert (len(checked), len(orbits)) == (18, 1)
+
+
+def test_a_solution_that_drops_a_set_is_refused(monkeypatch):
+    # the cover check on the final witness is the one primal check
+    real_solution = simplex.CoverLp.solution
+
+    def dropping(lp):
+        solution = real_solution(lp)
+        return solution._replace(primal=dict(sorted(solution.primal.items())[1:]))
+
+    monkeypatch.setattr(simplex.CoverLp, "solution", dropping)
+    with pytest.raises(RuntimeError, match="infeasible fractional coloring"):
+        fractional_chromatic(cycle(5), generators=())
+
+
+def test_the_lp_solution_checks_that_primal_and_dual_values_agree():
+    # the one check that the witness and the fractional clique have equal value
+    lp = open_covering_lp(3, [(0, 1), (1, 2), (0, 2)])
+    assert lp.solution().value == Fraction(3, 2)
+    lp.p[0] += lp.den
+    with pytest.raises(RuntimeError, match="primal/dual value mismatch"):
+        lp.solution()

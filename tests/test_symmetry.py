@@ -111,12 +111,13 @@ def test_found_generators_are_checked_before_the_lp(monkeypatch):
 
 
 def test_chi_f_of_a_vertex_transitive_product_has_one_orbit_row():
+    # and so has the vertex-transitive Kneser graph K(10, 4), with n/alpha = 210/84
     p = named("petersen")
-    pp = tensor_product(p, p)
-    value, witness = fractional_chromatic(pp, max_vertices=100)
-    assert value == Fraction(5, 2) and witness.generators
-    assert _orbits(pp.n, witness.generators)[1] == [100]
-    assert witness.covers(pp)
+    for g in (tensor_product(p, p), kneser(10, 4)):
+        value, witness = fractional_chromatic(g, max_vertices=g.n)
+        assert value == Fraction(5, 2) and witness.generators
+        assert _orbits(g.n, witness.generators)[1] == [g.n]
+        assert witness.covers(g)
 
 
 @settings(max_examples=60, deadline=None)
