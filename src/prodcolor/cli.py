@@ -328,13 +328,7 @@ def _cmd_verify(args) -> int:
     if args.params[:1] == ["suite"]:  # the word 'suite' is optional
         del args.params[0]
     p = _params(args)
-    cfg = harness.SuiteConfig(
-        seed=args.seed,
-        max_lp_vertices=args.max_lp_vertices,
-        max_exp_vertices=args.max_exp_vertices,
-        max_exp_edges=args.max_exp_edges,
-    )
-    reports = harness.run_suite(p[0] if p else "all", cfg)
+    reports = harness.run_suite(p[0] if p else "all", harness.SuiteConfig(args.seed))
     if args.format == "obj":
         sys.stdout.write(harness.serialize_reports(reports, mask_timing=args.mask_timing))
     else:
@@ -415,10 +409,7 @@ def _build_parser() -> _Parser:
                    help="the optional word 'suite', then an optional suite name (default all)")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--mask-timing", action="store_true", dest="mask_timing")
-    p.add_argument("--max-lp-vertices", type=int, default=DEFAULT_MAX_LP_VERTICES)
-    p.add_argument("--max-exp-vertices", type=int, default=DEFAULT_MAX_EXP_VERTICES)
-    p.add_argument("--max-exp-edges", type=int, default=DEFAULT_MAX_EXP_EDGES)
-    common(p)
+    p.add_argument("--format", choices=["text", "obj"], default="text")
     p.set_defaults(func=_cmd_verify, kind="suite")
 
     return parser

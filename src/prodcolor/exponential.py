@@ -298,13 +298,7 @@ def materialize_exponential(
     return Graph._built(n_maps, edges, frozenset(loops))
 
 
-def universal_property_check(
-    g: Graph,
-    h: Graph,
-    c: int,
-    max_vertices: int = DEFAULT_MAX_EXP_VERTICES,
-    max_edges: int = DEFAULT_MAX_EXP_EDGES,
-) -> bool:
+def universal_property_check(g: Graph, h: Graph, c: int) -> bool:
     """Verify the exponential graph's defining property on concrete instances.
 
     A proper c-coloring Psi of g x h is computed first (its existence is a
@@ -320,7 +314,7 @@ def universal_property_check(
     if coloring is None:
         raise ValueError(f"product is not {c}-colorable; precondition fails")
     ctx = ExpContext(g, c)
-    expo = materialize_exponential(ctx, max_vertices, max_edges)
+    expo = materialize_exponential(ctx)
 
     # h -> K_c^g via u -> f_u
     maps = []
@@ -509,17 +503,18 @@ def normalize_on_constants(ctx: ExpContext, coloring: Coloring) -> Coloring:
     """Permute colors so that each constant map g_i receives color i.
 
     Possible for any proper coloring with k = c: the constant maps form a
-    c-clique, so their colors are pairwise distinct.
+    c-clique, so their colors are pairwise distinct. Two constant maps that
+    share a color raise NormalizationError.
     """
     if coloring.k != ctx.c:
         raise ValueError(f"need palette {ctx.c}, coloring has {coloring.k}")
     perm = [-1] * ctx.c
     for i in range(ctx.c):
         current = coloring.colors[constant_map(ctx, i).index()]
+        if perm[current] >= 0:
+            raise NormalizationError(
+                f"constant maps {perm[current]} and {i} share color {current}"
+            )
         perm[current] = i
-    unassigned = [i for i, p in enumerate(perm) if p == -1]
-    targets = sorted(set(range(ctx.c)) - set(p for p in perm if p != -1))
-    for src, dst in zip(unassigned, targets):
-        perm[src] = dst
     return Coloring(tuple(perm[c] for c in coloring.colors), coloring.k)
 

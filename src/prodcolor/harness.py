@@ -2,10 +2,11 @@
 
 A suite run produces one ClaimReport per claim id, with parameters, a pass
 flag, a witness payload, and elapsed time. Reports are deterministic
-functions of the SuiteConfig (timing aside): random instances come from
-seeded generators with a documented distribution (n uniform in its range,
-each edge or arc present independently with a fixed probability), and all
-collections are emitted in sorted order.
+functions of the SuiteConfig's seed (timing aside): random instances come
+from seeded generators with a documented distribution (n uniform in its
+range, each edge or arc present independently with a fixed probability),
+and all collections are emitted in sorted order. The claims run at the
+default size caps of ``errors``.
 
 Negative controls are part of the contract: the shitov suite always includes
 girth-below-6 bases on which the mu-clique check must fail with an explicit
@@ -28,23 +29,15 @@ from typing import Any, Callable
 
 from . import arcshift, exponential, fractional, graphs, solvers, symmetry
 from ._record import Record
-from .errors import (
-    DEFAULT_MAX_EXP_EDGES,
-    DEFAULT_MAX_EXP_VERTICES,
-    DEFAULT_MAX_LP_VERTICES,
-    CapExceeded,
-)
+from .errors import DEFAULT_MAX_LP_VERTICES, CapExceeded
 from .graphs import Digraph, Graph
 from .serialize import to_obj
 
 
 class SuiteConfig(Record):
-    """Seed and instance caps for the verification suites."""
+    """The seed of the verification suites' random instances."""
 
     seed: int = 7
-    max_lp_vertices: int = DEFAULT_MAX_LP_VERTICES
-    max_exp_vertices: int = DEFAULT_MAX_EXP_VERTICES
-    max_exp_edges: int = DEFAULT_MAX_EXP_EDGES
 
     def rng(self, label: str) -> random.Random:
         return random.Random(f"{self.seed}:{label}")
@@ -156,16 +149,12 @@ class EsExponentialReport(Record):
     passed: bool
 
 
-def es_exponential_check(
-    g: Graph,
-    max_vertices: int = DEFAULT_MAX_EXP_VERTICES,
-    max_edges: int = DEFAULT_MAX_EXP_EDGES,
-) -> EsExponentialReport:
+def es_exponential_check(g: Graph) -> EsExponentialReport:
     base_chi = solvers.chromatic_number(g)
     if base_chi < 4:
         raise ValueError(f"base must have chi >= 4, got {base_chi}")
     ctx = exponential.ExpContext(g, 3)
-    expo = exponential.materialize_exponential(ctx, max_vertices, max_edges)
+    expo = exponential.materialize_exponential(ctx)
     chi = solvers.chromatic_number(expo)
     return EsExponentialReport(base_chi, expo.n, chi, chi == 3)
 
@@ -221,7 +210,7 @@ def _claim_clm_ad(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
 
 def _claim_ob_image(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
     ctx = exponential.ExpContext(graphs.named("k4"), 3)
-    expo = exponential.materialize_exponential(ctx, cfg.max_exp_vertices, cfg.max_exp_edges)
+    expo = exponential.materialize_exponential(ctx)
     raw = solvers.k_colorable(expo, 3)
     if raw is None:
         raise RuntimeError("K_3^K4 has no proper 3-coloring, but its chi is 3")
@@ -258,7 +247,7 @@ def _claim_ob_image(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
 
 def _claim_es_k3(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
     def case(name: str) -> dict:
-        report = es_exponential_check(graphs.named(name), cfg.max_exp_vertices, cfg.max_exp_edges)
+        report = es_exponential_check(graphs.named(name))
         return {"base": name, "vertices": report.vertices, "chi": report.chi, "ok": report.passed}
 
     cases = [(name,) for name in ES_BASES]
@@ -267,9 +256,7 @@ def _claim_es_k3(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
 
 def _claim_univ_prop(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
     def case(gname: str, hname: str, c: int) -> dict:
-        ok = exponential.universal_property_check(
-            graphs.named(gname), graphs.named(hname), c, cfg.max_exp_vertices, cfg.max_exp_edges
-        )
+        ok = exponential.universal_property_check(graphs.named(gname), graphs.named(hname), c)
         return {"g": gname, "h": hname, "c": c, "ok": ok}
 
     cases = [("k2", "k3", 2), ("c5", "c5", 3)]
@@ -490,7 +477,7 @@ def _claim_frac_hedetniemi(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
     for name in FRAC_CATALOG:
         g = graphs.named(name)
         gens[name] = symmetry.automorphism_generators(g)
-        singles[name], _ = fractional.fractional_chromatic(g, cfg.max_lp_vertices, gens[name])
+        singles[name], _ = fractional.fractional_chromatic(g, generators=gens[name])
     checked = []
     skipped = []
     failures = []
@@ -498,14 +485,13 @@ def _claim_frac_hedetniemi(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
     for i, gname in enumerate(names):
         for hname in names[i:]:
             g, h = graphs.named(gname), graphs.named(hname)
-            if g.n * h.n > cfg.max_lp_vertices:
+            if g.n * h.n > DEFAULT_MAX_LP_VERTICES:
                 skipped.append([gname, hname, g.n * h.n])
                 continue
             expected = min(singles[gname], singles[hname])
             actual, _ = fractional.fractional_chromatic(
                 graphs.tensor_product(g, h),
-                cfg.max_lp_vertices,
-                graphs._product_generators(gens[gname], g.n, gens[hname], h.n),
+                generators=graphs._product_generators(gens[gname], g.n, gens[hname], h.n),
             )
             checked.append([gname, hname])
             if actual != expected:
@@ -524,7 +510,7 @@ def _claim_frac_hedetniemi(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
         "failures": failures,
         "exact_values_ok": exact_ok,
     }
-    return {"catalog": list(names), "cap": cfg.max_lp_vertices}, ok, witness
+    return {"catalog": list(names), "cap": DEFAULT_MAX_LP_VERTICES}, ok, witness
 
 
 _CLAIMS: dict[str, Callable[[SuiteConfig], tuple[dict, bool, Any]]] = {

@@ -272,6 +272,15 @@ def test_uniform_set_coloring_shape():
     assert is_proper_set_coloring(underline(d), sc)
 
 
+def test_set_coloring_validation():
+    with pytest.raises(ValueError, match="vertex 1 uses color 2 outside palette 2"):
+        SetColoring((frozenset({0}), frozenset({2})), 2)
+    with pytest.raises(ValueError, match="vertex 0 has a set of size 1, required size is 2"):
+        SetColoring((frozenset({0}),), 2, 2)
+    with pytest.raises(ValueError, match="set coloring covers 1 vertices, graph has 2"):
+        is_proper_set_coloring(underline(complete_digraph(2)), SetColoring((frozenset(),), 1))
+
+
 # ---------------------------------------------------------------------------
 # Schelp's coloring
 

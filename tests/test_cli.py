@@ -61,7 +61,9 @@ def test_invariant_alpha_girth_dist(capsys, monkeypatch, tmp_path):
     assert code == 0 and out.strip() == "5"
     code, out, _ = run(capsys, "invariant", "dist", "0", str(gfile))
     assert code == 0
-    assert out.strip().startswith("0 1")
+    assert out == "0 1 2 2 1 1 2 2 2 2\n"
+    # a 1-based source vertex 1 is vertex 0
+    assert run(capsys, "invariant", "dist", "1", "--one-based", str(gfile)) == (0, out, "")
 
 
 def test_gen_product_and_blowup(capsys, monkeypatch, tmp_path):
@@ -288,6 +290,16 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1 and "--jobs" in err
     code, _, err = run(capsys, "verify", "--max-exp-pairs", "5")
     assert code == 1 and "--max-exp-pairs" in err
+    # the suite runs at the default caps, and verify has no 1-based or dot output
+    for option in (
+        ["--max-lp-vertices", "50"],
+        ["--max-exp-vertices", "10"],
+        ["--max-exp-edges", "10"],
+        ["--one-based"],
+        ["--format", "dot"],
+    ):
+        code, out, err = run(capsys, "verify", "products", *option)
+        assert code == 1 and option[0] in err and out == ""
 
 
 def test_parse_error_exit_1(capsys, monkeypatch):
@@ -303,8 +315,9 @@ def test_parse_error_exit_1(capsys, monkeypatch):
         (["shift", "up", "--set-coloring", "SETS"], "3 0\n", "missing key 'sets'"),
         (["invariant", "chi"], '{"n": 3, "edges": [[0, 1, 2]]}',
          "edges[0] must be a list of 2 integers, got [0, 1, 2]"),
+        (["invariant", "chi"], '{"n": 3, "edges": 5}', "edges must be a list, got int"),
     ],
-    ids=["graph-without-n", "set-coloring-without-sets", "edge-of-three"],
+    ids=["graph-without-n", "set-coloring-without-sets", "edge-of-three", "edges-not-a-list"],
 )
 def test_malformed_json_input_exit_1(capsys, monkeypatch, tmp_path, argv, stdin, message):
     sets = tmp_path / "sets.json"
@@ -313,6 +326,22 @@ def test_malformed_json_input_exit_1(capsys, monkeypatch, tmp_path, argv, stdin,
     code, _, err = run(capsys, *argv, stdin=stdin, monkeypatch=monkeypatch)
     assert code == 1
     assert err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, message",
+    [
+        (["invariant", "dist", "x"], None, "invariant dist needs an integer source vertex"),
+        (["exp", "adjacent", "-c", "2", "--f", "0,a", "--g", "1,1"], "2 1\n0 1\n",
+         "bad value list '0,a'"),
+        (["shift", "down"], None, "shift down needs --coloring FILE"),
+        (["shift", "up"], None, "shift up needs --set-coloring FILE"),
+    ],
+    ids=["dist-vertex", "adjacent-values", "down-coloring", "up-set-coloring"],
+)
+def test_bad_or_missing_option_value_exit_1(capsys, monkeypatch, argv, stdin, message):
+    code, out, err = run(capsys, *argv, stdin=stdin, monkeypatch=monkeypatch)
+    assert (code, out, err) == (1, "", message + "\n")
 
 
 @pytest.mark.parametrize(
@@ -510,7 +539,7 @@ def test_gen_obj_bytes_with_loops(capsys, tmp_path):
     assert code == 0 and out == C5_OBJ + "\n"
 
 
-def test_dgen_obj_bytes(capsys, tmp_path):
+def test_dgen_obj_bytes(capsys, monkeypatch, tmp_path):
     f = _files(tmp_path)
     code, out, _ = run(capsys, "dgen", "complete", "3", "--format", "obj")
     assert code == 0
@@ -518,6 +547,13 @@ def test_dgen_obj_bytes(capsys, tmp_path):
     code, out, _ = run(capsys, "dgen", "parse", f["dx"], "--format", "obj")
     assert code == 0
     assert out == '{"arcs": [[0, 1], [1, 2], [2, 0], [2, 3], [3, 2]], "n": 4}\n'
+    # an object read back, written as dot
+    code, dot, _ = run(capsys, "dgen", "parse", "--format", "dot", stdin=out,
+                       monkeypatch=monkeypatch)
+    assert code == 0
+    assert dot == "digraph {\n" + "".join(f"  {v};\n" for v in range(4)) + "".join(
+        f"  {x} -> {y};\n" for x, y in [(0, 1), (1, 2), (2, 0), (2, 3), (3, 2)]
+    ) + "}\n"
 
 
 def test_shift_obj_bytes(capsys, tmp_path):
@@ -572,6 +608,12 @@ def test_exp_verify_mu_clique_obj_bytes(capsys, tmp_path):
     pairs = [(2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)]
     violations = ", ".join(f"[{t}, {tp}, [[2, 0], [3, 0]], 0]" for t, tp in pairs)
     assert out == f'{{"pairs_checked": 6, "passed": false, "violations": [{violations}]}}\n'
+    # the text form lists the same violations, one line each
+    code, out, _ = run(capsys, "exp", "verify-mu-clique", f["c5"], "-q", "1")
+    assert code == 0
+    assert out == "pass: false (6 pairs)\n" + "".join(
+        f"violation: t={t} t'={tp} edge=((2, 0), (3, 0)) shared=0\n" for t, tp in pairs
+    )
 
 
 def test_invariant_chif_obj_is_the_coloring_fields(capsys, tmp_path):

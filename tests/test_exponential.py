@@ -745,3 +745,14 @@ def test_normalize_on_constants():
     assert is_proper_coloring(expo, fixed)
     for i in range(3):
         assert fixed.colors[constant_map(ctx, i).index()] == i
+
+
+def test_normalize_on_constants_refuses_constants_sharing_a_color():
+    # an improper coloring in which constant 1 takes constant 0's color has no
+    # normalizing permutation; filling one in used to surface only later, as
+    # a misleading "constant map 0 is colored 1"
+    ctx = ExpContext(complete_graph(4), 3)
+    colors = list(k_colorable(materialize_exponential(ctx), 3).colors)
+    colors[constant_map(ctx, 1).index()] = colors[constant_map(ctx, 0).index()]
+    with pytest.raises(NormalizationError, match="constant maps 0 and 1 share color"):
+        normalize_on_constants(ctx, Coloring(tuple(colors), 3))

@@ -29,7 +29,7 @@ from prodcolor.graphs import (
     tensor_product,
     underline,
 )
-from prodcolor.harness import FRAC_CATALOG, SuiteConfig, run_suite
+from prodcolor.harness import FRAC_CATALOG
 from prodcolor.simplex import add_covering_columns, open_covering_lp
 from prodcolor.solvers import chromatic_number, independence_number
 from prodcolor.symmetry import _orbits, automorphism_generators
@@ -394,18 +394,6 @@ def test_chi_f_petersen_squared_beyond_the_default_cap():
     assert witness.covers(tensor_product(p, p))
 
 
-def test_frac_hedetniemi_at_a_raised_cap():
-    # at cap 50 the claim also checks c5xc7, c7xc7, k4xpetersen and c5xpetersen
-    (report,) = run_suite("fractional", SuiteConfig(max_lp_vertices=50))
-    assert report.passed
-    checked = report.witness["checked"]
-    for pair in (["c5", "c7"], ["c7", "c7"], ["k4", "petersen"], ["c5", "petersen"]):
-        assert pair in checked
-    assert [s[:2] for s in report.witness["skipped"]] == [["c7", "petersen"], ["petersen", "petersen"]]
-    (default,) = run_suite("fractional", SuiteConfig())
-    assert len(default.witness["skipped"]) == 6
-
-
 def test_chi_f_edgeless_and_empty():
     assert fractional_chromatic(Graph(3))[0] == 1
     value, witness = fractional_chromatic(Graph(0))
@@ -580,7 +568,16 @@ def test_refinement_cells_are_not_orbits():
 
 @pytest.mark.parametrize(
     "gname, hname, expected",
-    [("petersen", "petersen", Fraction(5, 2)), ("c7", "petersen", Fraction(7, 3))],
+    [
+        ("petersen", "petersen", Fraction(5, 2)),
+        ("c7", "petersen", Fraction(7, 3)),
+        # with the two above, the catalog pairs that frac-hedetniemi skips
+        # at its LP cap of 30 vertices
+        ("c5", "c7", Fraction(7, 3)),
+        ("c7", "c7", Fraction(7, 3)),
+        ("k4", "petersen", Fraction(5, 2)),
+        ("c5", "petersen", Fraction(5, 2)),
+    ],
 )
 def test_chi_f_of_products_with_product_generators(gname, hname, expected, monkeypatch):
     g, h = named(gname), named(hname)

@@ -92,6 +92,10 @@ def test_digraph_rejects_self_arcs():
         Digraph.from_arcs(3, [(1, 1)])
     d = Digraph.from_arcs(2, [(0, 1), (1, 0)])  # digon is fine
     assert len(d.arcs) == 2
+    with pytest.raises(ValueError, match="vertex count must be nonnegative, got -1"):
+        Digraph(-1)
+    with pytest.raises(ValueError, match=r"bad arc \(0, 2\) for n=2"):
+        Digraph.from_arcs(2, [(0, 2)])
 
 
 def test_from_edges_normalizes():

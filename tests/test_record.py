@@ -17,6 +17,7 @@ def test_positional_keyword_and_default_construction():
     g = Graph(3)
     assert (g.n, g.edges, g.loops) == (3, frozenset(), frozenset())
     assert SuiteConfig(seed=3).seed == 3 and SuiteConfig() == SuiteConfig(7)
+    assert SuiteConfig._fields == ("seed",)
     assert Graph._fields == ("n", "edges", "loops")
     assert ClaimReport._fields == ("claim_id", "params", "passed", "status", "witness", "elapsed")
 

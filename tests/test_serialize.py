@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -79,6 +80,19 @@ def test_parse_errors_carry_line_numbers():
         parse_digraph("2 1\n0 1")
     with pytest.raises(ParseError, match="self-arc"):
         parse_digraph("2 1\n1 -> 1")
+    for parse, text, message in (
+        (parse_graph, "2 0 loops: x\n", "line 1: bad loop list ['x']"),
+        (parse_graph, "2 x\n", "line 1: non-integer header field in '2 x'"),
+        (parse_graph, "2 1\n0 x\n", "line 2: non-integer endpoint in '0 x'"),
+        (parse_graph, "2 0 loops: 5\n", "line 1: loop vertex 5 out of range [0, 2)"),
+        (parse_digraph, "# nothing\n", "line 1: empty input"),
+        (parse_digraph, "2 0 loops: 0\n", "line 1: digraphs do not carry loops"),
+        (parse_digraph, "2 2\n0 -> 1\n", "line 1: header promises 2 arcs, found 1"),
+        (parse_digraph, "2 1\n0 -> x\n", "line 2: non-integer endpoint in '0 -> x'"),
+        (parse_digraph, "2 1\n0 -> 2\n", "line 2: endpoint out of range [0, 2) in '0 -> 2'"),
+    ):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse(text)
 
 
 def test_parse_rejects_a_repeated_edge_or_arc():
@@ -125,6 +139,8 @@ def test_coloring_objects():
     assert set_coloring_from_obj(to_obj(sc)) == sc
     sc_any = SetColoring((frozenset(), frozenset({1})), 2, None)
     assert set_coloring_from_obj(to_obj(sc_any)) == sc_any
+    with pytest.raises(ParseError, match="^expected a JSON object, got list$"):
+        coloring_from_obj([0, 1])
 
 
 def test_fractional_coloring_objects():
@@ -138,6 +154,8 @@ def test_fractional_coloring_objects():
     # an object written before generators existed reads as having none
     del obj["generators"]
     assert fractional_coloring_from_obj(obj) == fc
+    with pytest.raises(ParseError, match=r"^weights\[1\] has denominator 0$"):
+        fractional_coloring_from_obj({**obj, "weights": [[1, 2], [3, 0]]})
 
 
 def test_fractional_coloring_generators_round_trip_and_are_checked():
