@@ -1,0 +1,116 @@
+"""The structured-object forms behind ``serialize``.
+
+to_obj turns any value into plain JSON-ready data, and the ``*_from_obj``
+readers take such data back through the validating type constructors. The
+public functions stay in ``serialize``, which imports this module on their
+first call, so a stage that reads and writes only text does not compile it.
+"""
+
+from __future__ import annotations
+
+import sys
+from typing import Any
+
+from ._record import Record
+from .errors import ParseError
+from .graphs import Digraph, Graph
+
+
+def to_obj(value: Any) -> Any:
+    """The body of ``serialize.to_obj``, which states the rules."""
+    if isinstance(value, Record):
+        return {f: to_obj(getattr(value, f)) for f in value._fields}
+    fractions = sys.modules.get("fractions")  # a Fraction implies its module is loaded
+    if fractions and isinstance(value, fractions.Fraction):
+        return [value.numerator, value.denominator]
+    if isinstance(value, dict):
+        return {str(k): to_obj(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_obj(v) for v in value]
+    if isinstance(value, (set, frozenset)):
+        return sorted(to_obj(v) for v in value)
+    return value
+
+
+def _key(obj: Any, key: str, default: Any = ...) -> Any:
+    """``obj[key]``, or ``default`` when given and the key is absent."""
+    if not isinstance(obj, dict):
+        raise ParseError(None, f"expected a JSON object, got {type(obj).__name__}")
+    if key in obj:
+        return obj[key]
+    if default is ...:
+        raise ParseError(None, f"missing key {key!r}")
+    return default
+
+
+def _int(value: Any, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(None, f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _ints(value: Any, where: str, length: int | None = None) -> tuple[int, ...]:
+    """A list of integers, of exactly ``length`` entries when that is given."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        shape = "a list" if length is None else f"a list of {length} integers"
+        raise ParseError(None, f"{where} must be {shape}, got {value!r}")
+    return tuple(_int(x, f"{where}[{i}]") for i, x in enumerate(value))
+
+
+def _rows(obj: Any, key: str, length: int | None = None, default: Any = ...) -> list:
+    """``obj[key]`` read as a list of integer lists."""
+    value = _key(obj, key, default)
+    if not isinstance(value, list):
+        raise ParseError(None, f"{key} must be a list, got {type(value).__name__}")
+    return [_ints(row, f"{key}[{i}]", length) for i, row in enumerate(value)]
+
+
+def graph_from_obj(obj: Any) -> Graph:
+    return Graph.from_edges(
+        _int(_key(obj, "n"), "n"),
+        _rows(obj, "edges", 2, []),
+        _ints(_key(obj, "loops", []), "loops"),
+    )
+
+
+def digraph_from_obj(obj: Any) -> Digraph:
+    return Digraph.from_arcs(_int(_key(obj, "n"), "n"), _rows(obj, "arcs", 2, []))
+
+
+def coloring_from_obj(obj: Any):
+    from .solvers import Coloring
+
+    return Coloring(_ints(_key(obj, "colors"), "colors"), _int(_key(obj, "k"), "k"))
+
+
+def set_coloring_from_obj(obj: Any):
+    from .arcshift import SetColoring
+
+    size = _key(obj, "size", None)
+    return SetColoring(
+        tuple(frozenset(s) for s in _rows(obj, "sets")),
+        _int(_key(obj, "k"), "k"),
+        None if size is None else _int(size, "size"),
+    )
+
+
+def fractional_coloring_from_obj(obj: Any):
+    from fractions import Fraction
+
+    from .fractional import FractionalColoring
+
+    sets = tuple(frozenset(s) for s in _rows(obj, "sets"))
+    weights = _rows(obj, "weights", 2)
+    for i, (_, den) in enumerate(weights):
+        if den == 0:
+            raise ParseError(None, f"weights[{i}] has denominator 0")
+    generators = _rows(obj, "generators", None, [])
+    for i, p in enumerate(generators):
+        if sorted(p) != list(range(len(generators[0]))):
+            raise ParseError(
+                None,
+                f"generators[{i}] must be a permutation of 0..{len(generators[0]) - 1}, got {list(p)}",
+            )
+    return FractionalColoring(
+        sets, tuple(Fraction(num, den) for num, den in weights), tuple(generators)
+    )

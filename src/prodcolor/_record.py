@@ -6,8 +6,10 @@ keyword), ``__eq__`` (same class only) and ``__hash__`` are compiled once per
 class, as ``collections.namedtuple`` compiles its ``__new__``, into the code a
 frozen dataclass would have: fields are set with ``object.__setattr__``, so
 they stay in the instance's compact attribute storage, and compared and
-hashed as one tuple. It also gets the ``Name(field=value, ...)`` repr and
-``_replace``. Assignment and deletion raise ``AttributeError``;
+hashed as one tuple. It also gets the ``Name(field=value, ...)`` repr,
+``_replace`` and the classmethod ``_built``, which takes every field's value
+and skips ``__post_init__``, for internal constructors whose values are
+valid by construction. Assignment and deletion raise ``AttributeError``;
 ``functools.cached_property`` still works, as it writes the instance
 ``__dict__`` directly.
 """
@@ -47,6 +49,14 @@ class Record:
             setattr(cls, name, namespace[name])
         cls.__init__.__defaults__ = defaults
         cls._fields = fields
+
+    @classmethod
+    def _built(cls, *values):
+        """An instance from every field's value, in order, with nothing checked:
+        for internal constructors whose values are valid by construction."""
+        record = object.__new__(cls)
+        vars(record).update(zip(cls._fields, values))
+        return record
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)

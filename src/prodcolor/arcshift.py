@@ -72,8 +72,11 @@ def arc_shift(d: Digraph) -> tuple[Digraph, tuple[tuple[int, int], ...]]:
     for x, _ in arcs:
         out_degree[x] += 1
     start = list(accumulate(out_degree, initial=0))
-    shift_arcs = [(i, j) for i, (_, y) in enumerate(arcs) for j in range(start[y], start[y + 1])]
-    return Digraph.from_arcs(len(arcs), shift_arcs), arcs
+    # arc j leaves the head of arc i, so j != i: a digraph has no self-arc
+    shift_arcs = frozenset(
+        (i, j) for i, (_, y) in enumerate(arcs) for j in range(start[y], start[y + 1])
+    )
+    return Digraph._built(len(arcs), shift_arcs), arcs
 
 
 @lru_cache(maxsize=1)

@@ -14,7 +14,7 @@ surplus positional is a usage error.
 
 Only the requested payload goes to stdout; diagnostics go to stderr.
 Exit codes: 0 success, 1 usage or input error, 2 computation cap exceeded,
-3 claim failure (verify).
+3 claim failure (verify, or exp verify-mu-clique on a failing check).
 """
 
 from __future__ import annotations
@@ -266,7 +266,7 @@ def _cmd_exp(args) -> int:
         print(f"pass: {str(report.passed).lower()} ({report.pairs_checked} pairs)")
         for t, tp, edge, value in report.violations:
             print(f"violation: t={t} t'={tp} edge={edge} shared={value}")
-    return 0
+    return 0 if report.passed else 3
 
 
 def _cmd_shift(args) -> int:
@@ -346,81 +346,89 @@ def _cmd_verify(args) -> int:
 # parser assembly
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="prodcolor", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+# subcommand -> its handler and its one-line help in the full parser's listing
+_COMMANDS = {
+    "gen": (_cmd_gen, "generate or transform a graph"),
+    "dgen": (_cmd_gen, "generate or parse a digraph"),
+    "invariant": (_cmd_invariant, "compute an exact invariant"),
+    "hom": (_cmd_hom, "search for a homomorphism G -> H"),
+    "exp": (_cmd_exp, "exponential graph operations"),
+    "shift": (_cmd_shift, "arc-shift operations"),
+    "verify": (_cmd_verify, "run a verification suite"),
+}
 
-    def common(p):
-        p.add_argument("--format", choices=["text", "obj", "dot"], default="text")
-        p.add_argument("--one-based", action="store_true", dest="one_based",
-                       help="display vertices/colors 1-based (storage stays 0-based)")
 
-    def kinds(p, command):
+def _add_arguments(p: _Parser, command: str) -> None:
+    """Give p the arguments of one subcommand, in the order its help lists them."""
+    p.set_defaults(command=command, func=_COMMANDS[command][0])
+    if command == "verify":
+        p.add_argument("params", nargs="*",
+                       help="the optional word 'suite', then an optional suite name (default all)")
+        p.add_argument("--seed", type=int, default=7)
+        p.add_argument("--mask-timing", action="store_true", dest="mask_timing")
+        p.add_argument("--format", choices=["text", "obj"], default="text")
+        p.set_defaults(kind="suite")
+        return
+    if command == "hom":
+        p.add_argument("g")
+        p.add_argument("h")
+    else:
         p.add_argument("kind", choices=list(_KINDS[command]))
         p.add_argument("params", nargs="*", help="; ".join(
             f"{kind}: {entry[2]}" for kind, entry in _KINDS[command].items()))
+    if command == "invariant":
+        p.add_argument("--max-lp-vertices", type=int, default=DEFAULT_MAX_LP_VERTICES)
+    elif command == "exp":
+        p.add_argument("-c", type=int, default=3, help="palette size")
+        p.add_argument("--f", help="first map values, comma separated")
+        p.add_argument("--g", help="second map values, comma separated")
+        p.add_argument("-v", "--vertex", type=int, default=0, help="center vertex")
+        p.add_argument("-q", type=int, default=1, help="blow-up factor")
+        p.add_argument("-t", type=int, default=None)
+        p.add_argument("-b", type=int, default=None)
+        p.add_argument("--max-exp-vertices", type=int, default=DEFAULT_MAX_EXP_VERTICES)
+        p.add_argument("--max-exp-edges", type=int, default=DEFAULT_MAX_EXP_EDGES)
+    elif command == "shift":
+        p.add_argument("--coloring", help="coloring JSON file (down)")
+        p.add_argument("--set-coloring", dest="set_coloring",
+                       help="set-coloring JSON file (up)")
+    p.add_argument("--format", choices=["text", "obj", "dot"], default="text")
+    p.add_argument("--one-based", action="store_true", dest="one_based",
+                   help="display vertices/colors 1-based (storage stays 0-based)")
+    if command in ("gen", "dgen"):
+        p.set_defaults(emit=_emit_graph if command == "gen" else _emit_digraph)
 
-    p = sub.add_parser("gen", help="generate or transform a graph")
-    kinds(p, "gen")
-    common(p)
-    p.set_defaults(func=_cmd_gen, emit=_emit_graph)
 
-    p = sub.add_parser("dgen", help="generate or parse a digraph")
-    kinds(p, "dgen")
-    common(p)
-    p.set_defaults(func=_cmd_gen, emit=_emit_digraph)
-
-    p = sub.add_parser("invariant", help="compute an exact invariant")
-    kinds(p, "invariant")
-    p.add_argument("--max-lp-vertices", type=int, default=DEFAULT_MAX_LP_VERTICES)
-    common(p)
-    p.set_defaults(func=_cmd_invariant)
-
-    p = sub.add_parser("hom", help="search for a homomorphism G -> H")
-    p.add_argument("g")
-    p.add_argument("h")
-    common(p)
-    p.set_defaults(func=_cmd_hom)
-
-    p = sub.add_parser("exp", help="exponential graph operations")
-    kinds(p, "exp")
-    p.add_argument("-c", type=int, default=3, help="palette size")
-    p.add_argument("--f", help="first map values, comma separated")
-    p.add_argument("--g", help="second map values, comma separated")
-    p.add_argument("-v", "--vertex", type=int, default=0, help="center vertex")
-    p.add_argument("-q", type=int, default=1, help="blow-up factor")
-    p.add_argument("-t", type=int, default=None)
-    p.add_argument("-b", type=int, default=None)
-    p.add_argument("--max-exp-vertices", type=int, default=DEFAULT_MAX_EXP_VERTICES)
-    p.add_argument("--max-exp-edges", type=int, default=DEFAULT_MAX_EXP_EDGES)
-    common(p)
-    p.set_defaults(func=_cmd_exp)
-
-    p = sub.add_parser("shift", help="arc-shift operations")
-    kinds(p, "shift")
-    p.add_argument("--coloring", help="coloring JSON file (down)")
-    p.add_argument("--set-coloring", dest="set_coloring",
-                   help="set-coloring JSON file (up)")
-    common(p)
-    p.set_defaults(func=_cmd_shift)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("params", nargs="*",
-                   help="the optional word 'suite', then an optional suite name (default all)")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--mask-timing", action="store_true", dest="mask_timing")
-    p.add_argument("--format", choices=["text", "obj"], default="text")
-    p.set_defaults(func=_cmd_verify, kind="suite")
-
+def _build_parser() -> _Parser:
+    """The parser of every subcommand, for the top-level help and errors."""
+    parser = _Parser(prog="prodcolor", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, summary) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(command, help=summary), command)
     return parser
 
 
+def _parse(argv: list[str]) -> tuple[argparse.Namespace, list[str]]:
+    """The parsed arguments and the unparsed rest.
+
+    A known command at argv[0] takes all the rest, as a subparser of the
+    full parser would, so only that command's parser is built: it is the
+    subparser the full parser would make, and prints the same help and
+    errors. Anything else (no arguments, ``--help``, an unknown command)
+    goes to the full parser.
+    """
+    if argv[:1] and argv[0] in _COMMANDS:
+        parser = _Parser(prog=f"prodcolor {argv[0]}")
+        _add_arguments(parser, argv[0])
+        return parser.parse_known_args(argv[1:])
+    return _build_parser().parse_known_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
         # argparse binds positionals only in their first run, so a file given
         # after an option (``exp materialize -c 3 FILE``) comes back unparsed
-        args, extra = parser.parse_known_args(argv)
+        args, extra = _parse(sys.argv[1:] if argv is None else argv)
         bad = [t for t in extra if t.startswith("-") and t != "-"]
         if bad or (extra and "params" not in args):  # hom takes just its two files
             raise _UsageError(f"unrecognized arguments: {' '.join(bad or extra)}")

@@ -58,11 +58,11 @@ from __future__ import annotations
 from collections.abc import Callable
 from fractions import Fraction
 
+from ._independent_sets import heaviest_independent_set
 from ._record import Record
 from .errors import DEFAULT_MAX_LP_VERTICES, CapExceeded
 from .graphs import Graph
 from .simplex import add_covering_columns, open_covering_lp
-from .solvers import _heaviest_independent_set
 from .symmetry import _is_automorphism, _leveled_generators, _orbits
 
 
@@ -236,7 +236,7 @@ def fractional_chromatic(
         prices = lp.prices()
         if min(prices) < 0:
             raise RuntimeError("negative dual price; certificate invalid")
-        weight, heaviest = _heaviest_independent_set(g, [prices[o] for o in orbit], roots)
+        weight, heaviest = heaviest_independent_set(g, [prices[o] for o in orbit], roots)
         if weight <= lp.den:  # every independent set has dual sum <= 1
             break
         sets.append(_maximal(masks, sum(1 << v for v in heaviest)))

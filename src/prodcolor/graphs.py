@@ -42,13 +42,6 @@ class Graph(Record):
                 raise ValueError(f"loop vertex {v} out of range for n={n}")
 
     @classmethod
-    def _built(cls, n: int, edges: frozenset, loops: frozenset = frozenset()) -> "Graph":
-        """A graph its builder made valid: nothing is checked."""
-        g = object.__new__(cls)
-        g.__dict__.update(n=n, edges=edges, loops=loops)
-        return g
-
-    @classmethod
     def from_edges(
         cls,
         n: int,
@@ -94,7 +87,11 @@ class Graph(Record):
 
 
 class Digraph(Record):
-    """Finite loopless digraph on vertices 0..n-1; digons are permitted."""
+    """Finite loopless digraph on vertices 0..n-1; digons are permitted.
+
+    As for Graph, from_arcs and the parsers check every arc, and internal
+    constructors skip the checks through _built.
+    """
 
     n: int
     arcs: frozenset[tuple[int, int]] = frozenset()
@@ -285,7 +282,7 @@ def blowup(g: Graph, q: int) -> Graph:
     # x < y puts every copy of x below every copy of y
     edges = {(x * q + i, y * q + j) for x, y in g.edges for i in range(q) for j in range(q)}
     edges.update((x * q + i, x * q + j) for x in range(g.n) for i, j in combinations(range(q), 2))
-    return Graph._built(g.n * q, frozenset(edges))
+    return Graph._built(g.n * q, frozenset(edges), frozenset())
 
 
 def add_loops(g: Graph) -> Graph:
@@ -325,26 +322,28 @@ def complete_digraph(n: int) -> Digraph:
     """All n(n-1) ordered pairs of distinct vertices."""
     if n < 1:
         raise ValueError(f"complete_digraph needs n >= 1, got {n}")
-    return Digraph.from_arcs(n, ((x, y) for x in range(n) for y in range(n) if x != y))
+    return Digraph._built(n, frozenset((x, y) for x in range(n) for y in range(n) if x != y))
 
 
 def digraph_product(d1: Digraph, d2: Digraph) -> Digraph:
     """Arc ((x,y), (x',y')) iff (x,x') and (y,y') are arcs; pair vertices row-major."""
     n2 = d2.n
-    arcs = [
+    arcs = frozenset(
         (pair_index(x, y, n2), pair_index(xp, yp, n2))
         for x, xp in d1.arcs
         for y, yp in d2.arcs
-    ]
-    return Digraph.from_arcs(d1.n * d2.n, arcs)
+    )
+    return Digraph._built(d1.n * d2.n, arcs)
 
 
 def reverse(d: Digraph) -> Digraph:
     """Reverse the direction of every arc."""
-    return Digraph.from_arcs(d.n, ((y, x) for x, y in d.arcs))
+    return Digraph._built(d.n, frozenset((y, x) for x, y in d.arcs))
 
 
 def underline(d: Digraph) -> Graph:
     """Forget orientation: each arc (and each digon) becomes a single edge."""
     # a Digraph has no self-arc
-    return Graph._built(d.n, frozenset({(x, y) if x < y else (y, x) for x, y in d.arcs}))
+    return Graph._built(
+        d.n, frozenset({(x, y) if x < y else (y, x) for x, y in d.arcs}), frozenset()
+    )

@@ -99,10 +99,10 @@ def random_graph(rng: random.Random, n_min: int, n_max: int, p: float) -> Graph:
 
 def random_digraph(rng: random.Random, n_min: int, n_max: int, p: float) -> Digraph:
     n = rng.randint(n_min, n_max)
-    arcs = [
+    arcs = frozenset(
         (x, y) for x in range(n) for y in range(n) if x != y and rng.random() < p
-    ]
-    return Digraph.from_arcs(n, arcs)
+    )
+    return Digraph._built(n, arcs)
 
 
 def _digraph_pairs(cfg: SuiteConfig) -> list[tuple[Digraph, Digraph]]:
@@ -383,7 +383,7 @@ def _digraph_classes_up_to(n_max: int) -> list[tuple[Digraph, int]]:
                 if not seen[image]:
                     seen[image] = 1
                     orbit += 1
-            classes.append((Digraph.from_arcs(n, [possible[i] for i in bits]), orbit))
+            classes.append((Digraph._built(n, frozenset(possible[i] for i in bits)), orbit))
     return classes
 
 

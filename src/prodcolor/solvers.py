@@ -8,27 +8,21 @@ One homomorphism search serves k_colorable (maps into K_k) and
 find_homomorphism. Its domains are value-major (one vertex mask per target
 value), so a node costs O(t log t) big-int operations for t target values,
 plus one per placed vertex and one per value a placed value excludes, and
-no scan of the vertices. One weighted independent-set branch and bound
-serves independence_number (unit weights) and the pricing of the fractional
-chromatic LP (the dual prices as weights). It indexes each component's
-vertices by decreasing weight and equal weights by increasing degree, and
-branches on one vertex at a time; pricing may hand it the root's children,
-found by orbital branching in ``fractional``. Every search runs on an explicit
-stack, so no input is too deep for it and no process-wide state, such as the
-recursion limit, is touched.
+no scan of the vertices. The independent-set searches live in the private
+``_independent_sets``, which the functions that need them import on their
+first call. Every search runs on an explicit stack, so no input is too deep
+for it and no process-wide state, such as the recursion limit, is touched.
 
 Coloring-type invariants are undefined on graphs with loops and reject them.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from collections.abc import Callable
 from functools import lru_cache
 
 from ._record import Record
-from .graphs import Graph, _bits
+from .graphs import Graph
 
 
 class Coloring(Record):
@@ -247,7 +241,7 @@ def _core_components(
         edges = frozenset(
             (index[v], index[u]) for v in component for u in adjacency[v] if v < u and u in index
         )
-        parts.append((component, Graph._built(len(component), edges)))
+        parts.append((component, Graph._built(len(component), edges, frozenset())))
     return peeled, parts
 
 
@@ -281,7 +275,7 @@ def _core_input(g: Graph) -> tuple[list[int], Graph, list[list[int]]]:
     if len(touched) < g.n:
         index = {v: i for i, v in enumerate(touched)}
         pairs = [(index[u], index[v]) for u, v in pairs]
-        g = Graph._built(len(touched), frozenset(pairs))
+        g = Graph._built(len(touched), frozenset(pairs), frozenset())
     adjacency: list[list[int]] = [[] for _ in range(g.n)]
     for u, v in pairs:
         adjacency[u].append(v)
@@ -339,7 +333,9 @@ def optimal_coloring(g: Graph) -> Coloring:
 def independence_number(g: Graph) -> int:
     """Exact size of a largest independent set: the heaviest one under unit weights."""
     _require_loopless(g, "independence number")
-    return _heaviest_independent_set(g, [1] * g.n)[0]
+    from ._independent_sets import heaviest_independent_set
+
+    return heaviest_independent_set(g, [1] * g.n)[0]
 
 
 def max_weight_independent_set(g: Graph, weights: list[int]) -> tuple[int, tuple[int, ...]]:
@@ -354,180 +350,9 @@ def max_weight_independent_set(g: Graph, weights: list[int]) -> tuple[int, tuple
         raise ValueError(f"{len(weights)} weights given for {g.n} vertices")
     if any(w < 0 for w in weights):
         raise ValueError("weights must be nonnegative")
-    return _heaviest_independent_set(g, weights)
+    from ._independent_sets import heaviest_independent_set
 
-
-def _heaviest_independent_set(
-    g: Graph,
-    weights: list[int],
-    roots: Callable[[int, list[int]], list[tuple[int, int]] | None] | None = None,
-) -> tuple[int, tuple[int, ...]]:
-    """The one independent-set search behind alpha and LP pricing.
-
-    Vertices of weight 0 never enter the pool. The maximum adds up over the
-    connected components of the graph the positive vertices induce: a
-    component of one vertex is taken, and every other one is searched on its
-    own by branch and bound, with its vertices relabeled by decreasing weight,
-    equal weights by increasing degree in g, then lower vertex first. Degrees
-    are taken in g, so on a regular graph the order is by weight alone.
-
-    roots, from LP pricing, maps a component's mask and its vertices in that
-    order to the root's children, as (taken, candidates) masks of g, or to
-    None for the plain search (see ``fractional._orbital_roots``).
-    """
-    masks = g.neighbor_masks
-    n = g.n
-    pool = sum(1 << v for v, w in enumerate(weights) if w)
-    total = 0
-    chosen: list[int] = []
-    while pool:
-        comp = frontier = pool & -pool
-        while frontier:  # breadth-first search on masks
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                reach |= masks[low.bit_length() - 1]
-            frontier = reach & pool & ~comp
-            comp |= frontier
-        pool &= ~comp
-        if not comp & (comp - 1):
-            total += weights[comp.bit_length() - 1]
-            chosen.append(comp.bit_length() - 1)
-            continue
-        # a degree is below n, so this key orders by weight, then degree; sorted is stable
-        verts = sorted(_bits(comp), key=lambda v: masks[v].bit_count() - weights[v] * n)
-        # relabel in one pass: each edge is met once, from its later end
-        index: dict[int, int] = {}
-        local: list[int] = []
-        placed = 0
-        for i, v in enumerate(verts):
-            bit, own, m = 1 << i, 0, masks[v] & placed
-            while m:
-                low = m & -m
-                m ^= low
-                j = index[low.bit_length() - 1]
-                local[j] |= bit
-                own |= 1 << j
-            local.append(own)
-            index[v] = i
-            placed |= 1 << v
-        nodes = roots and roots(comp, verts)
-        starts = [
-            (_relabel(p, index), sum(weights[v] for v in _bits(t)), _relabel(t, index))
-            for t, p in nodes or ()
-        ]
-        weight, taken = _independence_search(local, [weights[v] for v in verts], starts)
-        total += weight
-        chosen += (verts[i] for i in _bits(taken))
-    return total, tuple(sorted(chosen))
-
-
-def _relabel(m: int, index: dict[int, int]) -> int:
-    """The mask m with each vertex v moved to bit index[v]."""
-    return sum(1 << index[v] for v in _bits(m))
-
-
-def _greedy_independent_set(masks: list[int], weights: list[int]) -> tuple[int, int]:
-    """(weight, bitmask) of a maximal independent set taken greedily.
-
-    The vertex taken next has the fewest remaining neighbours, ties going to
-    the lowest index; it leaves with its neighbours. Vertices sit in heaps
-    bucketed by remaining degree, and each degree drop pushes one entry, so
-    the greedy is near-linear in the number of edges.
-    """
-    adjacency = [list(_bits(m)) for m in masks]
-    degree = [len(nbrs) for nbrs in adjacency]
-    buckets: list[list[int]] = [[] for _ in range(max(degree, default=0) + 1)]
-    for v, d in enumerate(degree):
-        buckets[d].append(v)  # ascending, hence already a heap
-    alive = [True] * len(masks)
-    left = len(masks)
-    low = weight = taken = 0
-    while left:
-        bucket = buckets[low]
-        while bucket and not (alive[bucket[0]] and degree[bucket[0]] == low):
-            heapq.heappop(bucket)  # a vertex gone, or one that moved to a lower bucket
-        if not bucket:
-            low += 1
-            continue
-        v = heapq.heappop(bucket)
-        weight += weights[v]
-        taken |= 1 << v
-        alive[v] = False
-        left -= 1
-        for u in adjacency[v]:
-            if alive[u]:
-                alive[u] = False
-                left -= 1
-                for x in adjacency[u]:
-                    if alive[x]:
-                        d = degree[x] = degree[x] - 1
-                        heapq.heappush(buckets[d], x)
-                        low = min(low, d)
-    return weight, taken
-
-
-def _independence_search(
-    masks: list[int], weights: list[int], starts: list[tuple[int, int, int]]
-) -> tuple[int, int]:
-    """(weight, bitmask) of a heaviest independent set, by branch and bound.
-
-    The vertices are indexed by nonincreasing positive weight. Depth-first on
-    an explicit stack from the greedy start; a node is pruned when its bound,
-    the weight taken plus the heaviest weight of each class of a greedy
-    clique cover of the candidates, does not beat the best set found. Unit
-    weights make that bound the number of cliques. A node not pruned branches
-    on one vertex, taken or left out, except that the root, given starts
-    (candidates, weight taken, set taken), branches into those: some heaviest
-    set must lie below one of them.
-    """
-    best, best_set = _greedy_independent_set(masks, weights)
-    stack = [((1 << len(masks)) - 1, 0, 0)]  # (candidates, weight taken, set taken)
-    while stack:
-        p, weight, taken = stack.pop()
-        if not p:
-            if weight > best:
-                best, best_set = weight, taken
-            continue
-        # no candidate is heavier than the lowest-indexed one
-        if weight + p.bit_count() * weights[(p & -p).bit_length() - 1] <= best:
-            continue
-        # independent sets meet each clique at most once: cover the candidates
-        # by greedy cliques, each grown from the lowest candidate left by
-        # adding the lowest one adjacent to all of it, so its first vertex is
-        # its heaviest. That is first-fit in index order, at one mask step per
-        # vertex; the node is kept as soon as the bound passes best.
-        bound = weight
-        q = p
-        while q and bound <= best:
-            low = q & -q
-            q ^= low
-            v = low.bit_length() - 1
-            bound += weights[v]
-            common = q & masks[v]
-            while common:
-                low = common & -common
-                q ^= low
-                common &= masks[low.bit_length() - 1]
-        if bound <= best:
-            continue
-        if starts:  # the root's children, the first popped first
-            stack += starts[::-1]
-            starts = []
-            continue
-        # branch on the highest-degree candidate: "take v" is popped first
-        m, v, bd = p, -1, -1
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            d = (masks[u] & p).bit_count()
-            if d > bd:
-                v, bd = u, d
-        bit = 1 << v
-        stack.append((p & ~bit, weight, taken))
-        stack.append((p & ~(masks[v] | bit), weight + weights[v], taken | bit))
-    return best, best_set
+    return heaviest_independent_set(g, weights)
 
 
 def girth(g: Graph) -> int | float:
@@ -590,35 +415,6 @@ def maximal_independent_sets(g: Graph) -> list[tuple[int, ...]]:
     Bron-Kerbosch with pivoting on the complement adjacency, on an explicit stack.
     """
     _require_loopless(g, "independent set enumeration")
-    n = g.n
-    if n == 0:
-        return []
-    masks = g.neighbor_masks
-    fullmask = (1 << n) - 1
-    compat = [fullmask & ~masks[v] & ~(1 << v) for v in range(n)]
-    sets: list[tuple[int, ...]] = []
-    stack = [(0, fullmask, 0)]  # (set, candidates, excluded)
-    while stack:
-        r, p, x = stack.pop()
-        if p == 0 and x == 0:
-            sets.append(tuple(_bits(r)))
-            continue
-        pux = p | x
-        pivot, bestdeg = -1, -1
-        m = pux
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            d = (p & compat[u]).bit_count()
-            if d > bestdeg:
-                pivot, bestdeg = u, d
-        # the children in reverse, so the lowest is popped first; each child
-        # moves the branch vertices below it from the candidates to the excluded
-        m = p & ~compat[pivot]
-        while m:
-            v = m.bit_length() - 1
-            bit = 1 << v
-            m ^= bit
-            stack.append((r | bit, p & ~m & compat[v], (x | m) & compat[v]))
-    sets.sort()
-    return sets
+    from ._independent_sets import maximal_sets
+
+    return maximal_sets(g)

@@ -403,6 +403,43 @@ def test_help_exits_0(capsys, argv):
     assert capsys.readouterr().out.startswith(" ".join(["usage: prodcolor", *argv]))
 
 
+def _outcome(capsys, argv: list[str]) -> tuple:
+    """The exit code (or SystemExit's code, as help raises it), stdout and stderr."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *([command, "--help"] for command in cli._COMMANDS),
+        [],
+        ["--help"],
+        ["nosuch", "chi"],
+        ["invariant"],
+        ["invariant", "nosuch"],
+        ["invariant", "chi", "--bogus"],
+        ["gen", "named", "petersen", "extra"],
+        ["hom", "a", "b", "c"],
+    ],
+    ids=lambda argv: "-".join(argv) or "none",
+)
+def test_one_command_parser_matches_the_full_parser(capsys, monkeypatch, argv):
+    built = []
+    full = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or full())
+    one = _outcome(capsys, argv)
+    # the full parser is built only when argv[0] names no command
+    assert bool(built) == (argv[:1] == [] or argv[0] not in cli._COMMANDS)
+    monkeypatch.setattr(cli, "_parse", lambda argv: full().parse_known_args(argv))
+    assert _outcome(capsys, argv) == one
+    assert one[0] in (1, ("SystemExit", 0))
+
+
 def test_cap_exceeded_exit_2(capsys, monkeypatch, tmp_path):
     hw = tmp_path / "heawood.txt"
     hw.write_text(serialize_graph(named("heawood")))
@@ -604,13 +641,13 @@ def test_exp_verify_mu_clique_obj_bytes(capsys, tmp_path):
     f = _files(tmp_path)
     code, out, _ = run(capsys, "exp", "verify-mu-clique", f["c5"], "-q", "1",
                        "--format", "obj")
-    assert code == 0
+    assert code == 3  # a failing check exits 3, as verify does
     pairs = [(2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)]
     violations = ", ".join(f"[{t}, {tp}, [[2, 0], [3, 0]], 0]" for t, tp in pairs)
     assert out == f'{{"pairs_checked": 6, "passed": false, "violations": [{violations}]}}\n'
     # the text form lists the same violations, one line each
     code, out, _ = run(capsys, "exp", "verify-mu-clique", f["c5"], "-q", "1")
-    assert code == 0
+    assert code == 3
     assert out == "pass: false (6 pairs)\n" + "".join(
         f"violation: t={t} t'={tp} edge=((2, 0), (3, 0)) shared=0\n" for t, tp in pairs
     )

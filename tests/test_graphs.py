@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prodcolor.arcshift import arc_shift
 from prodcolor.graphs import (
     Digraph,
     Graph,
@@ -69,7 +70,8 @@ def _assert_equals_checked(g: Graph) -> None:
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_trusted_constructors_equal_the_checked_graphs(data):
-    # tensor_product, blowup, underline and add_loops skip the per-edge check
+    # tensor_product, blowup, underline and add_loops skip the per-edge check,
+    # and complete_digraph, digraph_product, reverse and arc_shift the per-arc one
     def draw_graph(loops: bool) -> Graph:
         n = data.draw(st.integers(0, 5))
         pairs = list(combinations(range(n), 2))
@@ -84,7 +86,11 @@ def test_trusted_constructors_equal_the_checked_graphs(data):
     _assert_equals_checked(blowup(draw_graph(loops=False), data.draw(st.integers(1, 3))))
     n = data.draw(st.integers(1, 5))
     arcs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
-    _assert_equals_checked(underline(Digraph.from_arcs(n, [(x, y) for x, y in arcs if x != y])))
+    d = Digraph.from_arcs(n, [(x, y) for x, y in arcs if x != y])
+    _assert_equals_checked(underline(d))
+    for built in (complete_digraph(n), digraph_product(d, d), reverse(d), arc_shift(d)[0]):
+        checked = Digraph.from_arcs(built.n, built.arcs)
+        assert built == checked and hash(built) == hash(checked)
 
 
 def test_digraph_rejects_self_arcs():

@@ -122,6 +122,8 @@ def test_es_exponential_check_rejects_small_chi():
 def test_digraph_classes_match_brute_canonical_forms():
     classes = _digraph_classes_up_to(4)
     assert Counter(d.n for d, _ in classes) == {1: 1, 2: 3, 3: 16, 4: 218}
+    # built unchecked, so check each against the validating constructor
+    assert all(d == Digraph.from_arcs(d.n, d.arcs) for d, _ in classes)
     forms = [(d.n, brute_canonical_digraph(d)) for d, _ in classes]
     assert len(set(forms)) == len(forms)
     orbits = Counter((d.n, brute_canonical_digraph(d)) for d in all_labelled_digraphs(4))
@@ -139,6 +141,7 @@ def test_lemma_rel_is_invariant_under_relabelling():
     rng = random.Random(59)
     for _ in range(30):
         d = random_digraph(rng, 1, LEMMA_REL_RANDOM_MAX_N, ARC_PROBABILITY)
+        assert d == Digraph.from_arcs(d.n, d.arcs)  # built unchecked
         report = lemma_rel_bounds_check(d)
         for _ in range(3):
             p = list(range(d.n))

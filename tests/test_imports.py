@@ -28,6 +28,9 @@ print(code, *stdlib, *loaded, file=sys.stderr)
 
 GEN = {"_record", "cli", "errors", "graphs", "serialize"}
 CHI = GEN | {"solvers"}
+# the private modules that serialize and solvers import on first use
+OBJ = "_obj_forms"
+MIS = "_independent_sets"
 ALL = {p.stem for p in Path(prodcolor.__file__).parent.glob("*.py")} - {"__init__", "__main__"}
 
 C5 = "5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n"
@@ -53,18 +56,21 @@ def test_import_loads_no_layer():
     [
         (["gen", "named", "petersen"], "", GEN, False, False),
         (["invariant", "chi"], C5, CHI, False, False),
-        (["invariant", "chi", "--format", "obj"], C5, CHI, False, True),
-        (["invariant", "alpha"], C5, CHI, False, False),  # alpha never looks for symmetry
+        (["invariant", "chi", "--format", "obj"], C5, CHI | {OBJ}, False, True),
+        (["invariant", "alpha"], C5, CHI | {MIS}, False, False),  # alpha never looks for symmetry
+        (["invariant", "girth"], C5, CHI, False, False),
         (["hom", "C5", "C5"], "", CHI, False, False),
-        (["invariant", "chif"], C5, CHI | {"fractional", "simplex", "symmetry"}, True, False),
+        (["invariant", "chif"], C5, CHI | {MIS, "fractional", "simplex", "symmetry"}, True, False),
         (["exp", "materialize", "-c", "2"], C5, CHI | {"exponential"}, False, False),
         (["shift", "build"], DIGON, CHI | {"arcshift"}, False, False),
-        (["verify", "suite", "products"], "", ALL, True, True),
+        # a text report encodes no object
+        (["verify", "suite", "products"], "", ALL - {OBJ}, True, True),
     ],
-    ids=["gen", "chi", "chi-obj", "alpha", "hom", "chif", "exp", "shift", "verify"],
+    ids=["gen", "chi", "chi-obj", "alpha", "girth", "hom", "chif", "exp", "shift", "verify"],
 )
 def test_cli_stage_loads_only_its_layers(tmp_path, argv, stdin, expected, fractions, json):
-    # text stages parse and print no JSON, so they load no json
+    # text stages parse and print no JSON, so they load no json and no object
+    # forms; only alpha, chif and verify search for an independent set
     c5 = tmp_path / "c5.txt"
     c5.write_text(C5)
     argv = [str(c5) if a == "C5" else a for a in argv]

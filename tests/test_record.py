@@ -87,6 +87,16 @@ def test_post_init_validates_construction():
         Graph(-1)
 
 
+def test_built_takes_the_fields_and_skips_post_init():
+    # for constructors whose values are valid by construction: nothing is checked
+    assert Graph._built(3, EDGES, frozenset()) == Graph(3, EDGES)
+    assert Digraph._built(2, frozenset({(0, 1)})) == Digraph(2, frozenset({(0, 1)}))
+    unchecked = Coloring._built((5,), 1)
+    assert unchecked.colors == (5,) and unchecked != Coloring((0,), 1)
+    with pytest.raises(AttributeError):
+        unchecked.k = 2
+
+
 def test_cached_property_is_cached():
     g = Graph(3, EDGES)
     masks = g.neighbor_masks

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from prodcolor import fractional, symmetry
 from prodcolor.fractional import _orbital_roots, fractional_chromatic
 from prodcolor.graphs import CATALOG, Graph, cycle, kneser, named, tensor_product
-from prodcolor.solvers import _heaviest_independent_set
+from prodcolor._independent_sets import heaviest_independent_set
 from prodcolor.symmetry import _leveled_generators, _orbits, automorphism_generators
 
 from oracles import (
@@ -182,7 +182,7 @@ def test_the_orbital_search_is_the_brute_force_maximum(case):
     g, base, leveled, weights = case
     gens = tuple(p for _, p in leveled)
     roots = _orbital_roots(g, _orbits(g.n, gens)[0], base, leveled)
-    weight, chosen = _heaviest_independent_set(g, weights, roots)
+    weight, chosen = heaviest_independent_set(g, weights, roots)
     assert weight == brute_max_weight_independent_set(g, weights)
     assert not any(g.has_edge(u, v) for u, v in combinations(chosen, 2))
     assert sum(weights[v] for v in chosen) == weight
