@@ -6,11 +6,13 @@ commands as edge-list text on stdin/stdout, so calls compose under pipes:
 
     prodcolor gen kneser 5 2 | prodcolor invariant chi
 
-Every subcommand but hom takes a kind, then a list of positionals whose
-count the kind fixes (``invariant dist VERTEX [FILE]``; verify takes
-``[suite] [NAME]``); hom takes the two files G and H. A missing FILE is
-stdin. A file may follow options (``exp materialize -c 3 FILE``), and a
-surplus positional is a usage error.
+Every subcommand but hom and verify takes a kind, then a list of positionals
+whose count the kind fixes (``invariant dist VERTEX [FILE]``); hom takes the
+two files G and H, and verify ``[suite] [NAME]``. A missing FILE is stdin. A
+file may follow options (``exp materialize -c 3 FILE``). A surplus positional
+is a usage error, as are an option the kind does not use (even at its default),
+a format it does not write, a missing required option, and --one-based with
+--format obj, which is always 0-based.
 
 Only the requested payload goes to stdout; diagnostics go to stderr.
 Exit codes: 0 success, 1 usage or input error, 2 computation cap exceeded,
@@ -77,26 +79,21 @@ def _emit_obj(value) -> None:
     print(json.dumps(serialize.to_obj(value), sort_keys=True))
 
 
-def _emit_graph(g: graphs.Graph, args) -> None:
+def _emit_graph(g, args) -> None:
+    """Write a Graph or a Digraph in the format args name."""
     if args.format == "obj":
         _emit_obj(g)
-    elif args.format == "dot":
-        sys.stdout.write(serialize.graph_to_dot(g, args.one_based))
+        return
+    directed = isinstance(g, graphs.Digraph)
+    if args.format == "dot":
+        write = serialize.digraph_to_dot if directed else serialize.graph_to_dot
     else:
-        sys.stdout.write(serialize.serialize_graph(g, args.one_based))
-
-
-def _emit_digraph(d: graphs.Digraph, args) -> None:
-    if args.format == "obj":
-        _emit_obj(d)
-    elif args.format == "dot":
-        sys.stdout.write(serialize.digraph_to_dot(d, args.one_based))
-    else:
-        sys.stdout.write(serialize.serialize_digraph(d, args.one_based))
+        write = serialize.serialize_digraph if directed else serialize.serialize_graph
+    sys.stdout.write(write(g, args.one_based))
 
 
 # ---------------------------------------------------------------------------
-# positionals: every subcommand but hom takes a kind, then a list of params
+# positionals and options: a kind names its params, formats and options
 
 _FILE = "an optional input file"
 _TWO_FILES = "one or two input files (a missing second one is stdin)"
@@ -107,49 +104,103 @@ def _file(p: list[str], i: int = 0) -> str:
     return p[i] if len(p) > i else "-"
 
 
-# command -> kind -> (fewest, most, what) params; gen and dgen add the builder
-# that makes the kind's graph or digraph from them
+# dest -> (flags, then the value's name in a "needs" error; type; default; help).
+# Options parse with default SUPPRESS, so args holds just those given.
+_OPTIONS = {
+    "max_lp_vertices": ("--max-lp-vertices", int, DEFAULT_MAX_LP_VERTICES, ""),
+    "c": ("-c", int, 3, "palette size"),
+    "f": ("--f VALUES", str, None, "first map values, comma separated"),
+    "g": ("--g VALUES", str, None, "second map values, comma separated"),
+    "vertex": ("-v --vertex", int, 0, "center vertex"),
+    "q": ("-q", int, 1, "blow-up factor"),
+    "t": ("-t COLOR", int, None, ""),
+    "b": ("-b", int, None, ""),
+    "max_exp_vertices": ("--max-exp-vertices", int, DEFAULT_MAX_EXP_VERTICES, ""),
+    "max_exp_edges": ("--max-exp-edges", int, DEFAULT_MAX_EXP_EDGES, ""),
+    "coloring": ("--coloring FILE", str, None, "coloring JSON file"),
+    "set_coloring": ("--set-coloring FILE", str, None, "set-coloring JSON file"),
+    "seed": ("--seed", int, 7, ""),
+    "mask_timing": ("--mask-timing", bool, False, ""),
+    "format": ("--format", str, None, ""),  # a kind's default is its first format
+    "one_based": ("--one-based", bool, False,
+                  "display vertices/colors 1-based (storage stays 0-based)"),
+}
+_DRAWN = ("text obj dot", "one_based")  # a kind that writes a graph or digraph
+
+# command -> kind -> (fewest, most, what) params, the formats it writes and
+# the options it uses (! marks a required one); gen and dgen add the builder
+# that makes the kind's graph or digraph from them. hom's one kind has no
+# name, and verify's is the optional word 'suite'.
 _KINDS = {
     "gen": {
-        "named": (1, 1, "a catalog name", lambda p: graphs.named(p[0])),
-        "complete": (1, 1, "n", lambda p: graphs.complete_graph(int(p[0]))),
-        "cycle": (1, 1, "n", lambda p: graphs.cycle(int(p[0]))),
-        "kneser": (2, 2, "m and k", lambda p: graphs.kneser(int(p[0]), int(p[1]))),
-        "circ": (2, 2, "p and q", lambda p: graphs.circular_clique(int(p[0]), int(p[1]))),
-        "blowup": (1, 2, "q and an optional input file",
+        "named": (1, 1, "a catalog name", *_DRAWN, lambda p: graphs.named(p[0])),
+        "complete": (1, 1, "n", *_DRAWN, lambda p: graphs.complete_graph(int(p[0]))),
+        "cycle": (1, 1, "n", *_DRAWN, lambda p: graphs.cycle(int(p[0]))),
+        "kneser": (2, 2, "m and k", *_DRAWN, lambda p: graphs.kneser(int(p[0]), int(p[1]))),
+        "circ": (2, 2, "p and q", *_DRAWN,
+                 lambda p: graphs.circular_clique(int(p[0]), int(p[1]))),
+        "blowup": (1, 2, "q and an optional input file", *_DRAWN,
                    lambda p: graphs.blowup(_load_graph(_file(p, 1)), int(p[0]))),
-        "product": (2, 2, "two input files",
+        "product": (2, 2, "two input files", *_DRAWN,
                     lambda p: graphs.tensor_product(_load_graph(p[0]), _load_graph(p[1]))),
-        "loops": (0, 1, _FILE, lambda p: graphs.add_loops(_load_graph(_file(p)))),
+        "loops": (0, 1, _FILE, *_DRAWN, lambda p: graphs.add_loops(_load_graph(_file(p)))),
     },
     "dgen": {
-        "complete": (1, 1, "n", lambda p: graphs.complete_digraph(int(p[0]))),
-        "parse": (0, 1, _FILE, lambda p: _load_digraph(_file(p))),
+        "complete": (1, 1, "n", *_DRAWN, lambda p: graphs.complete_digraph(int(p[0]))),
+        "parse": (0, 1, _FILE, *_DRAWN, lambda p: _load_digraph(_file(p))),
     },
     "invariant": {
-        **dict.fromkeys(["chi", "chif", "alpha", "girth"], (0, 1, _FILE)),
-        "dist": (1, 2, "a source vertex and an optional input file"),
+        "chi": (0, 1, _FILE, "text obj", ""),
+        "chif": (0, 1, _FILE, "text obj", "max_lp_vertices"),
+        "alpha": (0, 1, _FILE, "text", ""),
+        "girth": (0, 1, _FILE, "text", ""),
+        "dist": (1, 2, "a source vertex and an optional input file", "text", "one_based"),
     },
-    "exp": dict.fromkeys(["materialize", "adjacent", "mu", "theta", "verify-mu-clique"],
-                         (0, 1, _FILE)),
+    "hom": {"": (2, 2, "two input files G and H", "text", "one_based")},
+    "exp": {
+        "materialize": (0, 1, _FILE, _DRAWN[0], "c max_exp_vertices max_exp_edges one_based"),
+        "adjacent": (0, 1, _FILE, "text", "c f! g!"),
+        "mu": (0, 1, _FILE, "text obj", "vertex q t! one_based"),
+        "theta": (0, 1, _FILE, "text obj", "vertex q t b one_based"),
+        "verify-mu-clique": (0, 1, _FILE, "text obj", "vertex q"),
+    },
     "shift": {
-        "build": (0, 1, _FILE),
-        "down": (0, 1, _FILE),
-        "up": (0, 1, _FILE),
-        "schelp": (0, 0, "no positionals"),
-        "functoriality": (1, 2, _TWO_FILES),
-        "bounds": (0, 1, _FILE),
-        "chain": (1, 2, _TWO_FILES),
+        "build": (0, 1, _FILE, *_DRAWN),
+        "down": (0, 1, _FILE, "obj", "coloring!"),
+        "up": (0, 1, _FILE, "obj", "set_coloring!"),
+        "schelp": (0, 0, "no positionals", "text", "one_based"),
+        "functoriality": (1, 2, _TWO_FILES, "text", ""),
+        "bounds": (0, 1, _FILE, "obj", ""),
+        "chain": (1, 2, _TWO_FILES, "obj", ""),
     },
-    # verify has no kind positional: its params are [suite] [NAME]
-    "verify": {"suite": (0, 1, "an optional suite name")},
+    "verify": {"suite": (0, 1, "an optional suite name (default all)", "text obj",
+                         "seed mask_timing")},
 }
 
 
+def _uses(command: str, kind: str) -> dict[str, bool]:
+    """The options the kind uses, each mapped to whether it is required."""
+    formats, options = _KINDS[command][kind][3:5]
+    options += "" if formats == "text" else " format"  # a text-only kind takes no --format
+    return {o.rstrip("!"): o.endswith("!") for o in options.split()}
+
+
 def _params(args) -> list[str]:
-    fewest, most, what = _KINDS[args.command][args.kind][:3]
+    """The kind's params, once they and the options given fit the kind."""
+    fewest, most, what, formats = _KINDS[args.command][args.kind][:4]
+    name, uses = f"{args.command} {args.kind}".rstrip(), _uses(args.command, args.kind)
     if not fewest <= len(args.params) <= most:
-        raise _UsageError(f"{args.command} {args.kind} takes {what}, got {args.params}")
+        raise _UsageError(f"{name} takes {what}, got {args.params}")
+    for dest, (flags, _, default, _) in _OPTIONS.items():
+        if dest in args and dest not in uses:
+            raise _UsageError(f"{name} does not use {flags}")
+        if dest not in args and uses.get(dest):
+            raise _UsageError(f"{name} needs {flags}")
+        vars(args).setdefault(dest, formats.split()[0] if dest == "format" else default)
+    if args.format not in formats.split():
+        raise _UsageError(f"{name} does not write --format {args.format}")
+    if args.one_based and args.format == "obj":
+        raise _UsageError(f"{name} --one-based: obj output is always 0-based")
     return args.params
 
 
@@ -159,8 +210,8 @@ def _params(args) -> list[str]:
 
 def _cmd_gen(args) -> int:
     """gen and dgen: build the kind's graph or digraph and emit it."""
-    build = _KINDS[args.command][args.kind][3]
-    args.emit(build(_params(args)), args)
+    build = _KINDS[args.command][args.kind][5]
+    _emit_graph(build(_params(args)), args)
     return 0
 
 
@@ -205,8 +256,7 @@ def _cmd_invariant(args) -> int:
 def _cmd_hom(args) -> int:
     from . import solvers
 
-    g = _load_graph(args.g)
-    h = _load_graph(args.h)
+    g, h = (_load_graph(path) for path in _params(args))
     hom = solvers.find_homomorphism(g, h)
     if hom is None:
         print("none")
@@ -226,9 +276,8 @@ def _parse_values(text: str) -> tuple[int, ...]:
 def _cmd_exp(args) -> int:
     from . import exponential
 
-    path = _file(_params(args))
+    g = _load_graph(_file(_params(args)))
     if args.kind == "materialize":
-        g = _load_graph(path)
         ctx = exponential.ExpContext(g, args.c)
         expo = exponential.materialize_exponential(
             ctx, args.max_exp_vertices, args.max_exp_edges
@@ -236,16 +285,12 @@ def _cmd_exp(args) -> int:
         _emit_graph(expo, args)
         return 0
     if args.kind == "adjacent":
-        if args.f is None or args.g is None:
-            raise _UsageError("exp adjacent needs --f and --g value lists")
-        g = _load_graph(path)
         ctx = exponential.ExpContext(g, args.c)
         f = exponential.ExpMap(ctx, _parse_values(args.f))
         gm = exponential.ExpMap(ctx, _parse_values(args.g))
         print("true" if exponential.exp_adjacent(f, gm) else "false")
         return 0
     if args.kind in ("mu", "theta"):
-        g = _load_graph(path)
         if args.kind == "mu":
             m = exponential.shitov_mu(g, args.vertex, args.q, args.t)
         else:
@@ -259,7 +304,7 @@ def _cmd_exp(args) -> int:
             print(" ".join(str(v + off) for v in m.exp.values))
         return 0
     # verify-mu-clique
-    report = exponential.verify_mu_clique(_load_graph(path), args.vertex, args.q)
+    report = exponential.verify_mu_clique(g, args.vertex, args.q)
     if args.format == "obj":
         _emit_obj(report)
     else:
@@ -273,30 +318,6 @@ def _cmd_shift(args) -> int:
     from . import arcshift, solvers
 
     p = _params(args)
-    if args.kind == "build":
-        d = _load_digraph(_file(p))
-        shifted, arcs = arcshift.arc_shift(d)
-        if args.format == "obj":
-            _emit_obj({"shift": shifted, "arc_index": arcs})
-        else:
-            _emit_digraph(shifted, args)
-        return 0
-    if args.kind == "down":
-        if args.coloring is None:
-            raise _UsageError("shift down needs --coloring FILE")
-        d = _load_digraph(_file(p))
-        coloring = serialize.coloring_from_obj(_parse_obj(_read_text(args.coloring)))
-        sc = arcshift.coloring_down(d, coloring)
-        _emit_obj(sc)
-        return 0
-    if args.kind == "up":
-        if args.set_coloring is None:
-            raise _UsageError("shift up needs --set-coloring FILE")
-        d = _load_digraph(_file(p))
-        sc = serialize.set_coloring_from_obj(_parse_obj(_read_text(args.set_coloring)))
-        coloring = arcshift.coloring_up(d, sc)
-        _emit_obj(coloring)
-        return 0
     if args.kind == "schelp":
         coloring = arcshift.schelp_coloring()
         triples = arcshift.schelp_triples()
@@ -306,19 +327,25 @@ def _cmd_shift(args) -> int:
         proper = solvers.is_proper_coloring(arcshift._schelp_shift()[0], coloring)
         print(f"{coloring.colors_used()} colors, proper: {str(proper).lower()}")
         return 0
-    if args.kind == "functoriality":
-        d1 = _load_digraph(_file(p))
-        d2 = _load_digraph(_file(p, 1))
-        print("true" if arcshift.functoriality_check(d1, d2) else "false")
-        return 0
-    if args.kind == "bounds":
-        d = _load_digraph(_file(p))
+    d = _load_digraph(_file(p))  # every other kind reads a digraph, and two take a second
+    if args.kind == "build":
+        shifted, arcs = arcshift.arc_shift(d)
+        if args.format == "obj":
+            _emit_obj({"shift": shifted, "arc_index": arcs})
+        else:
+            _emit_graph(shifted, args)
+    elif args.kind == "down":
+        coloring = serialize.coloring_from_obj(_parse_obj(_read_text(args.coloring)))
+        _emit_obj(arcshift.coloring_down(d, coloring))
+    elif args.kind == "up":
+        sc = serialize.set_coloring_from_obj(_parse_obj(_read_text(args.set_coloring)))
+        _emit_obj(arcshift.coloring_up(d, sc))
+    elif args.kind == "functoriality":
+        print("true" if arcshift.functoriality_check(d, _load_digraph(_file(p, 1))) else "false")
+    elif args.kind == "bounds":
         _emit_obj(arcshift.lemma_rel_bounds_check(d))
-        return 0
-    # chain
-    d1 = _load_digraph(_file(p))
-    d2 = _load_digraph(_file(p, 1))
-    _emit_obj(arcshift.bound_chain_instance(d1, d2))
+    else:  # chain
+        _emit_obj(arcshift.bound_chain_instance(d, _load_digraph(_file(p, 1))))
     return 0
 
 
@@ -359,44 +386,32 @@ _COMMANDS = {
 
 
 def _add_arguments(p: _Parser, command: str) -> None:
-    """Give p the arguments of one subcommand, in the order its help lists them."""
+    """Give p the arguments of one subcommand, in the order its help lists them.
+
+    Its options are those its kinds use; an option's help names them unless all do.
+    """
     p.set_defaults(command=command, func=_COMMANDS[command][0])
-    if command == "verify":
-        p.add_argument("params", nargs="*",
-                       help="the optional word 'suite', then an optional suite name (default all)")
-        p.add_argument("--seed", type=int, default=7)
-        p.add_argument("--mask-timing", action="store_true", dest="mask_timing")
-        p.add_argument("--format", choices=["text", "obj"], default="text")
-        p.set_defaults(kind="suite")
-        return
-    if command == "hom":
-        p.add_argument("g")
-        p.add_argument("h")
+    kinds = _KINDS[command]
+    if len(kinds) > 1:
+        p.add_argument("kind", choices=list(kinds))
+        what = "; ".join(f"{kind}: {entry[2]}" for kind, entry in kinds.items())
     else:
-        p.add_argument("kind", choices=list(_KINDS[command]))
-        p.add_argument("params", nargs="*", help="; ".join(
-            f"{kind}: {entry[2]}" for kind, entry in _KINDS[command].items()))
-    if command == "invariant":
-        p.add_argument("--max-lp-vertices", type=int, default=DEFAULT_MAX_LP_VERTICES)
-    elif command == "exp":
-        p.add_argument("-c", type=int, default=3, help="palette size")
-        p.add_argument("--f", help="first map values, comma separated")
-        p.add_argument("--g", help="second map values, comma separated")
-        p.add_argument("-v", "--vertex", type=int, default=0, help="center vertex")
-        p.add_argument("-q", type=int, default=1, help="blow-up factor")
-        p.add_argument("-t", type=int, default=None)
-        p.add_argument("-b", type=int, default=None)
-        p.add_argument("--max-exp-vertices", type=int, default=DEFAULT_MAX_EXP_VERTICES)
-        p.add_argument("--max-exp-edges", type=int, default=DEFAULT_MAX_EXP_EDGES)
-    elif command == "shift":
-        p.add_argument("--coloring", help="coloring JSON file (down)")
-        p.add_argument("--set-coloring", dest="set_coloring",
-                       help="set-coloring JSON file (up)")
-    p.add_argument("--format", choices=["text", "obj", "dot"], default="text")
-    p.add_argument("--one-based", action="store_true", dest="one_based",
-                   help="display vertices/colors 1-based (storage stays 0-based)")
-    if command in ("gen", "dgen"):
-        p.set_defaults(emit=_emit_graph if command == "gen" else _emit_digraph)
+        [(kind, entry)] = kinds.items()
+        p.set_defaults(kind=kind)
+        what = f"the optional word {kind!r}, then {entry[2]}" if kind else entry[2]
+    p.add_argument("params", nargs="*", help=what)
+    for dest, (flags, type_, _, text) in _OPTIONS.items():
+        users = [kind for kind in kinds if dest in _uses(command, kind)]
+        if not users:
+            continue
+        if len(users) < len(kinds):
+            text = f"{text} ({', '.join(users)})".lstrip()
+        settings = {"action": "store_true"} if type_ is bool else {"type": type_}
+        if dest == "format":  # every format some kind of the command writes
+            formats = " ".join(kinds[kind][3] for kind in users).split()
+            settings["choices"] = list(dict.fromkeys(formats))
+        p.add_argument(*[f for f in flags.split() if f[0] == "-"], dest=dest,
+                       default=argparse.SUPPRESS, help=text, **settings)
 
 
 def _build_parser() -> _Parser:
@@ -430,10 +445,9 @@ def main(argv: list[str] | None = None) -> int:
         # after an option (``exp materialize -c 3 FILE``) comes back unparsed
         args, extra = _parse(sys.argv[1:] if argv is None else argv)
         bad = [t for t in extra if t.startswith("-") and t != "-"]
-        if bad or (extra and "params" not in args):  # hom takes just its two files
-            raise _UsageError(f"unrecognized arguments: {' '.join(bad or extra)}")
-        if extra:
-            args.params += extra
+        if bad:
+            raise _UsageError(f"unrecognized arguments: {' '.join(bad)}")
+        args.params += extra
         return args.func(args)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)

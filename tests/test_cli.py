@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -336,8 +337,9 @@ def test_malformed_json_input_exit_1(capsys, monkeypatch, tmp_path, argv, stdin,
          "bad value list '0,a'"),
         (["shift", "down"], None, "shift down needs --coloring FILE"),
         (["shift", "up"], None, "shift up needs --set-coloring FILE"),
+        (["exp", "mu"], "5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n", "exp mu needs -t COLOR"),
     ],
-    ids=["dist-vertex", "adjacent-values", "down-coloring", "up-set-coloring"],
+    ids=["dist-vertex", "adjacent-values", "down-coloring", "up-set-coloring", "mu-t"],
 )
 def test_bad_or_missing_option_value_exit_1(capsys, monkeypatch, argv, stdin, message):
     code, out, err = run(capsys, *argv, stdin=stdin, monkeypatch=monkeypatch)
@@ -385,11 +387,155 @@ def test_surplus_positional_exit_1(capsys, tmp_path, argv):
     "command, kind", [(c, k) for c, kinds in cli._KINDS.items() for k in kinds]
 )
 def test_one_positional_too_many_exit_1(capsys, command, kind):
-    # verify's kind is its optional word 'suite', so its argv reads the same way
+    # verify's kind is its optional word 'suite', so its argv reads the same
+    # way; hom's kind has no name, so its argv is just the files
     most = cli._KINDS[command][kind][1]
-    code, out, err = run(capsys, command, kind, *["x"] * (most + 1))
+    name = f"{command} {kind}".rstrip()
+    code, out, err = run(capsys, *name.split(), *["x"] * (most + 1))
     assert (code, out) == (1, "")
-    assert err.startswith(f"{command} {kind} takes")
+    assert err.startswith(f"{name} takes")
+
+
+# ---------------------------------------------------------------------------
+# each kind takes only the options it uses: a gate over cli._KINDS x cli._OPTIONS
+
+_KIND_PAIRS = [(c, k) for c, kinds in cli._KINDS.items() for k in kinds]
+
+# one call of each kind that succeeds; a name from _files stands for its path.
+# An option in the call is checked by dropping it, and any other option the
+# kind uses by adding it at its _AWAY value. verify's seed shows only in obj
+# output, so its call writes obj
+_CALLS = {
+    ("gen", "named"): ["petersen"],
+    ("gen", "complete"): ["3"],
+    ("gen", "cycle"): ["5"],
+    ("gen", "kneser"): ["5", "2"],
+    ("gen", "circ"): ["5", "2"],
+    ("gen", "blowup"): ["2", "c5"],
+    ("gen", "product"): ["c5", "c5"],
+    ("gen", "loops"): ["c5"],
+    ("dgen", "complete"): ["3"],
+    ("dgen", "parse"): ["dx"],
+    ("invariant", "chi"): ["c5"],
+    ("invariant", "chif"): ["c5"],
+    ("invariant", "alpha"): ["c5"],
+    ("invariant", "girth"): ["c5"],
+    ("invariant", "dist"): ["1", "c5"],
+    ("hom", ""): ["c5", "c5"],
+    ("exp", "materialize"): ["c5"],
+    ("exp", "adjacent"): ["c5", "--f", "0,1,0,1,2", "--g", "1,0,1,0,1"],
+    ("exp", "mu"): ["c5", "-t", "4"],
+    ("exp", "theta"): ["c5"],
+    ("exp", "verify-mu-clique"): ["c5"],
+    ("shift", "build"): ["k3d"],
+    ("shift", "down"): ["k3d", "--coloring", "col"],
+    ("shift", "up"): ["k3d", "--set-coloring", "sets"],
+    ("shift", "schelp"): [],
+    ("shift", "functoriality"): ["k3d", "dx"],
+    ("shift", "bounds"): ["dx"],
+    ("shift", "chain"): ["k3d", "dx"],
+    ("verify", "suite"): ["products", "--mask-timing", "--format", "obj"],
+}
+# -c 2 refuses adjacent's value 2; the caps are below C5's sizes
+_AWAY = {"max_lp_vertices": "2", "c": "2", "vertex": "1", "q": "2", "t": "3", "b": "4",
+         "max_exp_vertices": "3", "max_exp_edges": "0", "seed": "8"}
+
+
+def _flag(dest: str) -> str:
+    return cli._OPTIONS[dest][0].split()[0]
+
+
+def _given(dest: str, value: str) -> list[str]:
+    """dest's flag with value, or alone for an on/off flag."""
+    return [_flag(dest)] if cli._OPTIONS[dest][1] is bool else [_flag(dest), value]
+
+
+def _without(call: list[str], dest: str) -> list[str]:
+    i = call.index(_flag(dest))
+    return call[:i] + call[i + len(_given(dest, "")):]
+
+
+def test_every_kind_has_a_call():
+    assert set(_CALLS) == set(_KIND_PAIRS)
+
+
+@pytest.mark.parametrize("command, kind", _KIND_PAIRS)
+def test_an_option_the_kind_does_not_use_exits_1(capsys, tmp_path, command, kind):
+    # each is given at its default (--format at text), so counting by value
+    # would miss it; the options of other commands fail in argparse instead
+    files = _files(tmp_path)
+    head = [command, *([kind] if kind else []), *[files.get(a, a) for a in _CALLS[command, kind]]]
+    uses = cli._uses(command, kind)
+    for dest, (_, _, default, _) in cli._OPTIONS.items():
+        if dest not in uses:
+            value = "text" if dest == "format" else str(1 if default is None else default)
+            code, out, err = _outcome(capsys, [*head, *_given(dest, value)])
+            assert (code, out) == (1, ""), dest
+            assert _flag(dest) in err
+
+
+@pytest.mark.parametrize("command, kind", _KIND_PAIRS)
+def test_each_option_the_kind_uses_changes_its_outcome(capsys, tmp_path, command, kind):
+    files = _files(tmp_path)
+
+    def outcome(call):
+        argv = [command, *([kind] if kind else []), *[files.get(a, a) for a in call]]
+        return _outcome(capsys, argv)
+
+    call = _CALLS[command, kind]
+    base = outcome(call)
+    assert base[0] in (0, 3), base  # C5 fails the mu-clique check, and exits 3
+    uses = cli._uses(command, kind)
+    for dest, required in uses.items():
+        if dest == "format":
+            continue
+        if _flag(dest) in call:
+            changed = outcome(_without(call, dest))
+            if required:
+                assert changed[:2] == (1, "") and _flag(dest) in changed[2], dest
+        else:
+            changed = outcome([*call, *_given(dest, _AWAY.get(dest, ""))])
+        assert changed != base, dest
+    if "format" not in uses:
+        return
+    formats = cli._KINDS[command][kind][3].split()
+    current = call[call.index("--format") + 1] if "--format" in call else formats[0]
+    plain = _without(call, "format") if "--format" in call else call
+    for fmt in {"text", "obj", "dot"} - {current}:
+        code, out, err = changed = outcome([*plain, "--format", fmt])
+        if fmt in formats:
+            assert code == base[0] and changed != base, fmt
+        else:  # a format the kind does not write
+            assert (code, out) == (1, "") and "--format" in err, fmt
+    if "one_based" in uses and "obj" in formats:  # obj output is always 0-based
+        code, out, err = outcome([*plain, "--format", "obj", "--one-based"])
+        assert (code, out) == (1, "") and "--one-based" in err
+
+
+def test_readme_command_table_matches_kinds():
+    # per (command, kind): {flag: required}, and the formats --format lists
+    import re
+    from pathlib import Path
+
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = text.split("## Command line", 1)[1].splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| subcommand"))
+    table, command = {}, None
+    for row in itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2:]):
+        cells = [cell.strip() for cell in row.strip("|").split("|")]
+        command = cells[0].strip("`") or command  # a blank cell continues the command above
+        options = re.findall(r"`(-[^`]*)`( \(required\))?", cells[3])
+        formats = [re.findall(r"\w+", spec.split(" ", 1)[1]) for spec, _ in options
+                   if spec.startswith("--format")]
+        entry = ({spec.split()[0]: bool(req) for spec, req in options}, formats)
+        for kind in re.findall(r"`([^`]+)`", cells[1]) or list(cli._KINDS[command]):
+            table[command, kind] = entry
+    expected = {}
+    for command, kind in _KIND_PAIRS:
+        uses = cli._uses(command, kind)
+        formats = [cli._KINDS[command][kind][3].split()] if "format" in uses else []
+        expected[command, kind] = ({_flag(d): required for d, required in uses.items()}, formats)
+    assert table == expected
 
 
 @pytest.mark.parametrize(
