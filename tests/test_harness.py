@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from collections import Counter
 
 import pytest
 
-from prodcolor import arcshift
+from prodcolor import arcshift, graphs
 from prodcolor.arcshift import lemma_rel_bounds_check, lemma_rel_transforms_check
 from prodcolor.errors import CapExceeded
 from prodcolor.graphs import Digraph, complete_graph, cycle
@@ -166,3 +167,53 @@ def test_lem_rel_fails_on_a_broken_up_transform(monkeypatch):
     assert not ok and witness["failures"]
     representatives = [{"n": d.n, "arcs": sorted(d.arcs)} for d, _ in _digraph_classes_up_to(4)]
     assert any(f in representatives for f in witness["failures"])
+
+
+# each seeded-instance claim made to fail on some of its draws: the suite that
+# runs it, the module and function patched, the stand-in, the keys of a
+# failure entry, how many fail, and the sha256 of the masked report, which
+# pins the failures, the instance rows and the pass flag
+_real_bound_chain = arcshift.bound_chain_instance
+_real_product = graphs.tensor_product
+_PAIR_KEYS = {"pair", "n1", "n2"}
+_BROKEN = {
+    "hedetniemi-min4": (
+        "products", graphs, "tensor_product",
+        lambda g, h: _real_product(g, h) if g.n != h.n else complete_graph(5),
+        {"g", "h", "expected", "actual"}, 9,
+        "7ab8241a41ee50abcf79c6d14ca6c0a662a925c7b228313e57912afc47dbe46c",
+    ),
+    "functoriality": (
+        "arc-shift", arcshift, "functoriality_check", lambda d1, d2: d1.n != d2.n,
+        _PAIR_KEYS, 20, "72bffcd264193eefc756211ee0bd28b67619673939d8dbb784ad9974a553b624",
+    ),
+    "underline-decomp": (
+        "arc-shift", arcshift, "underline_decomposition_check",
+        lambda d1, d2: len(d1.arcs) <= len(d2.arcs), _PAIR_KEYS, 34,
+        "6cd1b61ae1f3074304af32ec0c287832c8af707783f2747a9e78cb5ff8cbc5b8",
+    ),
+    "bound-chain": (
+        "arc-shift", arcshift, "bound_chain_instance",
+        lambda d1, d2: _real_bound_chain(d1, d2)._replace(passed=d1.n != d2.n),
+        {"pair", "chi_product", "chi_product_reversed", "chi_underline_product"}, 9,
+        "e31752abf7f1c6d68ad136df53bcf4ecc1b1dc800a868af68e1daefff5763bf4",
+    ),
+}
+
+
+@pytest.mark.parametrize("claim_id", sorted(_BROKEN))
+def test_a_failing_seeded_instance_records_its_witness(monkeypatch, claim_id):
+    suite, module, name, stand_in, keys, failing, sha = _BROKEN[claim_id]
+    monkeypatch.setattr(module, name, stand_in)
+    (report,) = [r for r in run_suite(suite) if r.claim_id == claim_id]
+    witness = report.witness
+    assert (report.passed, report.status) == (False, "fail")
+    assert witness["pairs_checked"] == len(witness["instances"]) == report.params["pairs"]
+    assert len(witness["failures"]) == failing
+    assert all(set(f) == keys for f in witness["failures"])
+    if claim_id == "hedetniemi-min4":
+        first = witness["failures"][0]
+        assert set(first["g"]) == set(first["h"]) == {"n", "edges"}
+        assert first["actual"] == 5
+    text = serialize_reports([report], mask_timing=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == sha
