@@ -10,9 +10,10 @@ Every subcommand but hom and verify takes a kind, then a list of positionals
 whose count the kind fixes (``invariant dist VERTEX [FILE]``); hom takes the
 two files G and H, and verify ``[suite] [NAME]``. A missing FILE is stdin. A
 file may follow options (``exp materialize -c 3 FILE``). A surplus positional
-is a usage error, as are an option the kind does not use (even at its default),
-a format it does not write, a missing required option, and --one-based with
---format obj, which is always 0-based.
+is a usage error, as are a positional that must be an integer and is not, an
+option the kind does not use (even at its default), a format it does not write,
+a missing required option, and --one-based with --format obj, which is always
+0-based.
 
 Only the requested payload goes to stdout; diagnostics go to stderr.
 Exit codes: 0 success, 1 usage or input error, 2 computation cap exceeded,
@@ -104,24 +105,43 @@ def _file(p: list[str], i: int = 0) -> str:
     return p[i] if len(p) > i else "-"
 
 
-# dest -> (flags, then the value's name in a "needs" error; type; default; help).
-# Options parse with default SUPPRESS, so args holds just those given.
+def _int(args, i: int, what: str) -> int:
+    """The i-th param as an integer, or a usage error naming what it is."""
+    try:
+        return int(args.params[i])
+    except ValueError:
+        raise _UsageError(f"{args.command} {args.kind} needs an integer {what}") from None
+
+
+# dest -> (flags, then the value's name in --help and in a "needs" error; type;
+# default; help). Options parse with default SUPPRESS, so args holds just those given.
 _OPTIONS = {
-    "max_lp_vertices": ("--max-lp-vertices", int, DEFAULT_MAX_LP_VERTICES, ""),
+    "max_lp_vertices": ("--max-lp-vertices", int, DEFAULT_MAX_LP_VERTICES,
+                        "cap on the vertices of a graph whose chi_f LP is solved; "
+                        "exit 2 above it"),
     "c": ("-c", int, 3, "palette size"),
     "f": ("--f VALUES", str, None, "first map values, comma separated"),
     "g": ("--g VALUES", str, None, "second map values, comma separated"),
     "vertex": ("-v --vertex", int, 0, "center vertex"),
     "q": ("-q", int, 1, "blow-up factor"),
-    "t": ("-t COLOR", int, None, ""),
-    "b": ("-b", int, None, ""),
-    "max_exp_vertices": ("--max-exp-vertices", int, DEFAULT_MAX_EXP_VERTICES, ""),
-    "max_exp_edges": ("--max-exp-edges", int, DEFAULT_MAX_EXP_EDGES, ""),
+    "t": ("-t COLOR", int, None,
+          "a color of the secondary block 2q..4q+1: mu's value at distance 3 or more, "
+          "theta's within distance 1, where it defaults to 2q"),
+    "b": ("-b COLOR", int, None,
+          "theta's color beyond distance 1: a color of the secondary block other than t, "
+          "by default 2q+1 (2q if t is 2q+1)"),
+    "max_exp_vertices": ("--max-exp-vertices", int, DEFAULT_MAX_EXP_VERTICES,
+                         "cap on the maps of K_c^G, its vertices; exit 2 above it"),
+    "max_exp_edges": ("--max-exp-edges", int, DEFAULT_MAX_EXP_EDGES,
+                      "cap on the edges of K_c^G; exit 2 above it"),
     "coloring": ("--coloring FILE", str, None, "coloring JSON file"),
     "set_coloring": ("--set-coloring FILE", str, None, "set-coloring JSON file"),
-    "seed": ("--seed", int, 7, ""),
-    "mask_timing": ("--mask-timing", bool, False, ""),
-    "format": ("--format", str, None, ""),  # a kind's default is its first format
+    "seed": ("--seed", int, 7, "seed of the suites' random instances"),
+    "mask_timing": ("--mask-timing", bool, False,
+                    "write each claim's time as 0 (obj) or - (text), so equal seeds "
+                    "give equal bytes"),
+    "format": ("--format", str, None,  # a kind's default is its first format
+               "output format; the default is text, or obj where the kind writes only obj"),
     "one_based": ("--one-based", bool, False,
                   "display vertices/colors 1-based (storage stays 0-based)"),
 }
@@ -129,25 +149,27 @@ _DRAWN = ("text obj dot", "one_based")  # a kind that writes a graph or digraph
 
 # command -> kind -> (fewest, most, what) params, the formats it writes and
 # the options it uses (! marks a required one); gen and dgen add the builder
-# that makes the kind's graph or digraph from them. hom's one kind has no
-# name, and verify's is the optional word 'suite'.
+# that makes the kind's graph or digraph from the parsed args. hom's one kind
+# has no name, and verify's is the optional word 'suite'.
 _KINDS = {
     "gen": {
-        "named": (1, 1, "a catalog name", *_DRAWN, lambda p: graphs.named(p[0])),
-        "complete": (1, 1, "n", *_DRAWN, lambda p: graphs.complete_graph(int(p[0]))),
-        "cycle": (1, 1, "n", *_DRAWN, lambda p: graphs.cycle(int(p[0]))),
-        "kneser": (2, 2, "m and k", *_DRAWN, lambda p: graphs.kneser(int(p[0]), int(p[1]))),
+        "named": (1, 1, "a catalog name", *_DRAWN, lambda a: graphs.named(a.params[0])),
+        "complete": (1, 1, "n", *_DRAWN, lambda a: graphs.complete_graph(_int(a, 0, "n"))),
+        "cycle": (1, 1, "n", *_DRAWN, lambda a: graphs.cycle(_int(a, 0, "n"))),
+        "kneser": (2, 2, "m and k", *_DRAWN,
+                   lambda a: graphs.kneser(_int(a, 0, "m"), _int(a, 1, "k"))),
         "circ": (2, 2, "p and q", *_DRAWN,
-                 lambda p: graphs.circular_clique(int(p[0]), int(p[1]))),
-        "blowup": (1, 2, "q and an optional input file", *_DRAWN,
-                   lambda p: graphs.blowup(_load_graph(_file(p, 1)), int(p[0]))),
+                 lambda a: graphs.circular_clique(_int(a, 0, "p"), _int(a, 1, "q"))),
+        "blowup": (1, 2, "q and an optional input file", *_DRAWN,  # q before reading stdin
+                   lambda a: graphs.blowup(q=_int(a, 0, "q"), g=_load_graph(_file(a.params, 1)))),
         "product": (2, 2, "two input files", *_DRAWN,
-                    lambda p: graphs.tensor_product(_load_graph(p[0]), _load_graph(p[1]))),
-        "loops": (0, 1, _FILE, *_DRAWN, lambda p: graphs.add_loops(_load_graph(_file(p)))),
+                    lambda a: graphs.tensor_product(*map(_load_graph, a.params))),
+        "loops": (0, 1, _FILE, *_DRAWN,
+                  lambda a: graphs.add_loops(_load_graph(_file(a.params)))),
     },
     "dgen": {
-        "complete": (1, 1, "n", *_DRAWN, lambda p: graphs.complete_digraph(int(p[0]))),
-        "parse": (0, 1, _FILE, *_DRAWN, lambda p: _load_digraph(_file(p))),
+        "complete": (1, 1, "n", *_DRAWN, lambda a: graphs.complete_digraph(_int(a, 0, "n"))),
+        "parse": (0, 1, _FILE, *_DRAWN, lambda a: _load_digraph(_file(a.params))),
     },
     "invariant": {
         "chi": (0, 1, _FILE, "text obj", ""),
@@ -210,8 +232,8 @@ def _params(args) -> list[str]:
 
 def _cmd_gen(args) -> int:
     """gen and dgen: build the kind's graph or digraph and emit it."""
-    build = _KINDS[args.command][args.kind][5]
-    _emit_graph(build(_params(args)), args)
+    _params(args)
+    _emit_graph(_KINDS[args.command][args.kind][5](args), args)
     return 0
 
 
@@ -221,10 +243,8 @@ def _cmd_invariant(args) -> int:
     p = _params(args)
     vertex = 0
     if args.kind == "dist":
-        try:
-            vertex = int(p.pop(0))
-        except ValueError:
-            raise _UsageError("invariant dist needs an integer source vertex") from None
+        vertex = _int(args, 0, "source vertex")
+        p.pop(0)
         if args.one_based:
             vertex -= 1
     g = _load_graph(_file(p))
@@ -407,10 +427,13 @@ def _add_arguments(p: _Parser, command: str) -> None:
         if len(users) < len(kinds):
             text = f"{text} ({', '.join(users)})".lstrip()
         settings = {"action": "store_true"} if type_ is bool else {"type": type_}
+        names = flags.split()
+        if names[-1][0] != "-":  # the word after the flags names the value
+            settings["metavar"] = names.pop()
         if dest == "format":  # every format some kind of the command writes
             formats = " ".join(kinds[kind][3] for kind in users).split()
             settings["choices"] = list(dict.fromkeys(formats))
-        p.add_argument(*[f for f in flags.split() if f[0] == "-"], dest=dest,
+        p.add_argument(*names, dest=dest,
                        default=argparse.SUPPRESS, help=text, **settings)
 
 

@@ -105,16 +105,30 @@ def random_digraph(rng: random.Random, n_min: int, n_max: int, p: float) -> Digr
     return Digraph._built(n, arcs)
 
 
-def _digraph_pairs(cfg: SuiteConfig) -> list[tuple[Digraph, Digraph]]:
-    # shared between the functoriality and underline-decomposition claims
-    rng = cfg.rng("digraph-pairs")
+def _digraph_pairs(cfg: SuiteConfig, label: str, count: int) -> list[tuple[Digraph, Digraph]]:
+    rng = cfg.rng(label)
     return [
         (
             random_digraph(rng, 1, DIGRAPH_PAIRS_MAX_N, ARC_PROBABILITY),
             random_digraph(rng, 1, DIGRAPH_PAIRS_MAX_N, ARC_PROBABILITY),
         )
-        for _ in range(DIGRAPH_PAIRS)
+        for _ in range(count)
     ]
+
+
+def _hedetniemi_pairs(cfg: SuiteConfig) -> list[tuple[Graph, Graph, int]]:
+    """The seeded graph pairs (g, h, min chi) whose min chi is at most 4."""
+    rng = cfg.rng("hedetniemi")
+    pairs = []
+    for _ in range(100 * HEDETNIEMI_PAIRS):
+        g = random_graph(rng, 2, HEDETNIEMI_MAX_N, EDGE_PROBABILITY)
+        h = random_graph(rng, 2, HEDETNIEMI_MAX_N, EDGE_PROBABILITY)
+        expected = min(solvers.chromatic_number(g), solvers.chromatic_number(h))
+        if expected <= 4:
+            pairs.append((g, h, expected))
+            if len(pairs) == HEDETNIEMI_PAIRS:
+                return pairs
+    raise RuntimeError("could not draw enough pairs with min chi <= 4")
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +174,7 @@ def es_exponential_check(g: Graph) -> EsExponentialReport:
 
 
 # ---------------------------------------------------------------------------
-# claim runners: each returns (params, ok, witness)
+# claim runners, each returning (params, ok, witness), and the cases they run
 
 
 def _case_table(params: dict, cases, check: Callable[..., dict]) -> tuple[dict, bool, Any]:
@@ -169,22 +183,32 @@ def _case_table(params: dict, cases, check: Callable[..., dict]) -> tuple[dict, 
     return params, all(i["ok"] for i in instances), instances
 
 
-def _claim_clm_clique(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
-    def case(name: str, q: int, negative_control: bool) -> dict:
-        report = exponential.verify_mu_clique(graphs.named(name), 0, q)
-        return {
-            "graph": name,
-            "q": q,
-            "negative_control": negative_control,
-            "pairs": report.pairs_checked,
-            "violations": list(report.violations),
-            # a negative control is ok when it fails with a witness
-            "ok": bool(report.violations) == negative_control,
-        }
+def _instance_table(params: dict, draws, case: Callable[..., tuple]) -> tuple[dict, bool, Any]:
+    """Run case(i, *draw) on the i-th seeded draw; the claim passes iff no case fails.
 
-    cases = [("heawood", q, False) for q in MU_CLIQUE_QS]
-    cases += [("c5", 1, True), ("k4", 1, True)]
-    return _case_table({"center": 0}, cases, case)
+    A case returns its instance row, and its failure dict or None when it holds.
+    """
+    instances, failures = [], []
+    for i, draw in enumerate(draws):
+        row, failure = case(i, *draw)
+        instances.append(row)
+        if failure is not None:
+            failures.append(failure)
+    witness = {"pairs_checked": len(instances), "instances": instances, "failures": failures}
+    return params, not failures, witness
+
+
+def _clm_clique_case(name: str, q: int, negative_control: bool) -> dict:
+    report = exponential.verify_mu_clique(graphs.named(name), 0, q)
+    return {
+        "graph": name,
+        "q": q,
+        "negative_control": negative_control,
+        "pairs": report.pairs_checked,
+        "violations": list(report.violations),
+        # a negative control is ok when it fails with a witness
+        "ok": bool(report.violations) == negative_control,
+    }
 
 
 def _clm_ad_case(q: int) -> dict:
@@ -202,10 +226,6 @@ def _clm_ad_case(q: int) -> dict:
         "image_intersection": sorted(shared),
         "ok": adjacent and shared == frozenset({t}),
     }
-
-
-def _claim_clm_ad(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
-    return _case_table({"graph": "heawood", "center": 0}, [(1,), (2,)], _clm_ad_case)
 
 
 def _claim_ob_image(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
@@ -245,22 +265,14 @@ def _claim_ob_image(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
     return {"base": "k4", "c": 3}, ok, witness
 
 
-def _claim_es_k3(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
-    def case(name: str) -> dict:
-        report = es_exponential_check(graphs.named(name))
-        return {"base": name, "vertices": report.vertices, "chi": report.chi, "ok": report.passed}
-
-    cases = [(name,) for name in ES_BASES]
-    return _case_table({"bases": list(ES_BASES)}, cases, case)
+def _es_k3_case(name: str) -> dict:
+    report = es_exponential_check(graphs.named(name))
+    return {"base": name, "vertices": report.vertices, "chi": report.chi, "ok": report.passed}
 
 
-def _claim_univ_prop(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
-    def case(gname: str, hname: str, c: int) -> dict:
-        ok = exponential.universal_property_check(graphs.named(gname), graphs.named(hname), c)
-        return {"g": gname, "h": hname, "c": c, "ok": ok}
-
-    cases = [("k2", "k3", 2), ("c5", "c5", 3)]
-    return _case_table({"cases": len(cases)}, cases, case)
+def _univ_prop_case(gname: str, hname: str, c: int) -> dict:
+    ok = exponential.universal_property_check(graphs.named(gname), graphs.named(hname), c)
+    return {"g": gname, "h": hname, "c": c, "ok": ok}
 
 
 def _kneser_lovasz_case(d: int, c: int) -> dict:
@@ -271,42 +283,17 @@ def _kneser_lovasz_case(d: int, c: int) -> dict:
     return {"m": m, "k": k, "expected": expected, "actual": actual, "ok": actual == expected}
 
 
-def _claim_kneser_lovasz(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
-    return _case_table({"cases": 3}, [(2, 2), (3, 2), (2, 3)], _kneser_lovasz_case)
-
-
-def _claim_hedetniemi_min4(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
-    rng = cfg.rng("hedetniemi")
-    instances = []
-    failures = []
-    attempts = 0
-    while len(instances) < HEDETNIEMI_PAIRS:
-        attempts += 1
-        if attempts > 100 * HEDETNIEMI_PAIRS:
-            raise RuntimeError("could not draw enough pairs with min chi <= 4")
-        g = random_graph(rng, 2, HEDETNIEMI_MAX_N, EDGE_PROBABILITY)
-        h = random_graph(rng, 2, HEDETNIEMI_MAX_N, EDGE_PROBABILITY)
-        expected = min(solvers.chromatic_number(g), solvers.chromatic_number(h))
-        if expected > 4:
-            continue
-        actual = solvers.chromatic_number(graphs.tensor_product(g, h))
-        instances.append([g.n, len(g.edges), h.n, len(h.edges), expected, actual])
-        if actual != expected:
-            failures.append(
-                {
-                    "g": {"n": g.n, "edges": sorted(g.edges)},
-                    "h": {"n": h.n, "edges": sorted(h.edges)},
-                    "expected": expected,
-                    "actual": actual,
-                }
-            )
-    ok = not failures
-    witness = {
-        "pairs_checked": len(instances),
-        "instances": instances,
-        "failures": failures,
+def _hedetniemi_case(_: int, g: Graph, h: Graph, expected: int) -> tuple[list, dict | None]:
+    actual = solvers.chromatic_number(graphs.tensor_product(g, h))
+    row = [g.n, len(g.edges), h.n, len(h.edges), expected, actual]
+    if actual == expected:
+        return row, None
+    return row, {
+        "g": {"n": g.n, "edges": sorted(g.edges)},
+        "h": {"n": h.n, "edges": sorted(h.edges)},
+        "expected": expected,
+        "actual": actual,
     }
-    return {"pairs": HEDETNIEMI_PAIRS, "max_n": HEDETNIEMI_MAX_N}, ok, witness
 
 
 def _multiplicativity_case(qname: str, gname: str, hname: str, expect_vacuous: bool) -> dict:
@@ -318,15 +305,6 @@ def _multiplicativity_case(qname: str, gname: str, hname: str, expect_vacuous: b
         "vacuous": report.vacuous,
         "ok": report.passed and report.vacuous == expect_vacuous,
     }
-
-
-def _claim_multiplicativity(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
-    cases = [
-        ("k3", "k4", "k4", False),
-        ("c5", "k3", "k3", False),
-        ("k3", "k2", "k2", True),  # K2 -> K3 exists, so the implication is vacuous
-    ]
-    return _case_table({"cases": len(cases)}, cases, _multiplicativity_case)
 
 
 def _claim_schelp(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
@@ -420,54 +398,25 @@ def _claim_lem_rel(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
     return params, not failures, witness
 
 
-def _digraph_pair_claim(
-    cfg: SuiteConfig, check: Callable[[Digraph, Digraph], bool]
-) -> tuple[dict, bool, Any]:
-    """Run a label-equality check over the seeded digraph pairs."""
-    failures = []
-    instances = []
-    pairs = _digraph_pairs(cfg)
-    for i, (d1, d2) in enumerate(pairs):
+def _label_case(check: Callable[[Digraph, Digraph], bool]) -> Callable[..., tuple]:
+    """The case of a label-equality check over the seeded digraph pairs."""
+
+    def case(i: int, d1: Digraph, d2: Digraph) -> tuple[list, dict | None]:
         good = check(d1, d2)
-        instances.append([d1.n, len(d1.arcs), d2.n, len(d2.arcs), good])
-        if not good:
-            failures.append({"pair": i, "n1": d1.n, "n2": d2.n})
-    witness = {"pairs_checked": len(pairs), "instances": instances, "failures": failures}
-    return {"pairs": DIGRAPH_PAIRS, "max_n": DIGRAPH_PAIRS_MAX_N}, not failures, witness
+        row = [d1.n, len(d1.arcs), d2.n, len(d2.arcs), good]
+        return row, None if good else {"pair": i, "n1": d1.n, "n2": d2.n}
+
+    return case
 
 
-def _claim_bound_chain(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
-    rng = cfg.rng("bound-chain")
-    failures = []
-    instances = []
-    for i in range(BOUND_CHAIN_PAIRS):
-        d1 = random_digraph(rng, 1, DIGRAPH_PAIRS_MAX_N, ARC_PROBABILITY)
-        d2 = random_digraph(rng, 1, DIGRAPH_PAIRS_MAX_N, ARC_PROBABILITY)
-        report = arcshift.bound_chain_instance(d1, d2)
-        instances.append(
-            [
-                report.chi_product,
-                report.chi_product_reversed,
-                report.chi_underline_product,
-                report.passed,
-            ]
-        )
-        if not report.passed:
-            failures.append(
-                {
-                    "pair": i,
-                    "chi_product": report.chi_product,
-                    "chi_product_reversed": report.chi_product_reversed,
-                    "chi_underline_product": report.chi_underline_product,
-                }
-            )
-    ok = not failures
-    witness = {
-        "pairs_checked": BOUND_CHAIN_PAIRS,
-        "instances": instances,
-        "failures": failures,
+def _bound_chain_case(i: int, d1: Digraph, d2: Digraph) -> tuple[list, dict | None]:
+    report = arcshift.bound_chain_instance(d1, d2)
+    chis = {
+        "chi_product": report.chi_product,
+        "chi_product_reversed": report.chi_product_reversed,
+        "chi_underline_product": report.chi_underline_product,
     }
-    return {"pairs": BOUND_CHAIN_PAIRS, "max_n": DIGRAPH_PAIRS_MAX_N}, ok, witness
+    return [*chis.values(), report.passed], None if report.passed else {"pair": i, **chis}
 
 
 def _claim_frac_hedetniemi(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
@@ -514,21 +463,56 @@ def _claim_frac_hedetniemi(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
 
 
 _CLAIMS: dict[str, Callable[[SuiteConfig], tuple[dict, bool, Any]]] = {
-    "clm-clique": _claim_clm_clique,
-    "clm-ad": _claim_clm_ad,
+    "clm-clique": lambda cfg: _case_table(
+        {"center": 0},
+        [("heawood", q, False) for q in MU_CLIQUE_QS] + [("c5", 1, True), ("k4", 1, True)],
+        _clm_clique_case,
+    ),
+    "clm-ad": lambda cfg: _case_table(
+        {"graph": "heawood", "center": 0}, [(1,), (2,)], _clm_ad_case
+    ),
     "ob-image": _claim_ob_image,
-    "es-k3": _claim_es_k3,
-    "univ-prop": _claim_univ_prop,
-    "kneser-lovasz": _claim_kneser_lovasz,
-    "hedetniemi-min4": _claim_hedetniemi_min4,
-    "multiplicativity": _claim_multiplicativity,
+    "es-k3": lambda cfg: _case_table(
+        {"bases": list(ES_BASES)}, [(name,) for name in ES_BASES], _es_k3_case
+    ),
+    "univ-prop": lambda cfg: _case_table(
+        {"cases": 2}, [("k2", "k3", 2), ("c5", "c5", 3)], _univ_prop_case
+    ),
+    "kneser-lovasz": lambda cfg: _case_table(
+        {"cases": 3}, [(2, 2), (3, 2), (2, 3)], _kneser_lovasz_case
+    ),
+    "hedetniemi-min4": lambda cfg: _instance_table(
+        {"pairs": HEDETNIEMI_PAIRS, "max_n": HEDETNIEMI_MAX_N},
+        _hedetniemi_pairs(cfg),
+        _hedetniemi_case,
+    ),
+    "multiplicativity": lambda cfg: _case_table(
+        {"cases": 3},
+        [
+            ("k3", "k4", "k4", False),
+            ("c5", "k3", "k3", False),
+            ("k3", "k2", "k2", True),  # K2 -> K3 exists, so the implication is vacuous
+        ],
+        _multiplicativity_case,
+    ),
     "schelp": _claim_schelp,
     "lem-rel": _claim_lem_rel,
-    "functoriality": lambda cfg: _digraph_pair_claim(cfg, arcshift.functoriality_check),
-    "underline-decomp": lambda cfg: _digraph_pair_claim(
-        cfg, arcshift.underline_decomposition_check
+    # the two label-equality checks draw the same seeded digraph pairs
+    "functoriality": lambda cfg: _instance_table(
+        {"pairs": DIGRAPH_PAIRS, "max_n": DIGRAPH_PAIRS_MAX_N},
+        _digraph_pairs(cfg, "digraph-pairs", DIGRAPH_PAIRS),
+        _label_case(arcshift.functoriality_check),
     ),
-    "bound-chain": _claim_bound_chain,
+    "underline-decomp": lambda cfg: _instance_table(
+        {"pairs": DIGRAPH_PAIRS, "max_n": DIGRAPH_PAIRS_MAX_N},
+        _digraph_pairs(cfg, "digraph-pairs", DIGRAPH_PAIRS),
+        _label_case(arcshift.underline_decomposition_check),
+    ),
+    "bound-chain": lambda cfg: _instance_table(
+        {"pairs": BOUND_CHAIN_PAIRS, "max_n": DIGRAPH_PAIRS_MAX_N},
+        _digraph_pairs(cfg, "bound-chain", BOUND_CHAIN_PAIRS),
+        _bound_chain_case,
+    ),
     "frac-hedetniemi": _claim_frac_hedetniemi,
 }
 

@@ -146,7 +146,7 @@ def test_criterion_06_lemma_rel():
 
 def test_criterion_07_functoriality():
     crit = _Criterion(7, "functoriality", budget_seconds=2 * 60)
-    pairs = _digraph_pairs(SuiteConfig())
+    pairs = _digraph_pairs(SuiteConfig(), "digraph-pairs", 100)
     ok = len(pairs) == 100
     for d1, d2 in pairs:
         ok &= functoriality_check(d1, d2)
@@ -155,7 +155,7 @@ def test_criterion_07_functoriality():
 
 def test_criterion_08_underline_decomposition():
     crit = _Criterion(8, "underline-decomp", budget_seconds=2 * 60)
-    pairs = _digraph_pairs(SuiteConfig())
+    pairs = _digraph_pairs(SuiteConfig(), "digraph-pairs", 100)
     ok = len(pairs) == 100
     for d1, d2 in pairs:
         ok &= underline_decomposition_check(d1, d2)

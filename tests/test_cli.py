@@ -338,8 +338,15 @@ def test_malformed_json_input_exit_1(capsys, monkeypatch, tmp_path, argv, stdin,
         (["shift", "down"], None, "shift down needs --coloring FILE"),
         (["shift", "up"], None, "shift up needs --set-coloring FILE"),
         (["exp", "mu"], "5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n", "exp mu needs -t COLOR"),
+        (["gen", "complete", "x"], None, "gen complete needs an integer n"),
+        (["gen", "cycle", "5.0"], None, "gen cycle needs an integer n"),
+        (["gen", "kneser", "3", "x"], None, "gen kneser needs an integer k"),
+        (["gen", "circ", "x", "2"], None, "gen circ needs an integer p"),
+        (["gen", "blowup", "x"], None, "gen blowup needs an integer q"),
+        (["dgen", "complete", "x"], None, "dgen complete needs an integer n"),
     ],
-    ids=["dist-vertex", "adjacent-values", "down-coloring", "up-set-coloring", "mu-t"],
+    ids=["dist-vertex", "adjacent-values", "down-coloring", "up-set-coloring", "mu-t",
+         "complete-n", "cycle-n", "kneser-k", "circ-p", "blowup-q", "dcomplete-n"],
 )
 def test_bad_or_missing_option_value_exit_1(capsys, monkeypatch, argv, stdin, message):
     code, out, err = run(capsys, *argv, stdin=stdin, monkeypatch=monkeypatch)
@@ -510,6 +517,34 @@ def test_each_option_the_kind_uses_changes_its_outcome(capsys, tmp_path, command
     if "one_based" in uses and "obj" in formats:  # obj output is always 0-based
         code, out, err = outcome([*plain, "--format", "obj", "--one-based"])
         assert (code, out) == (1, "") and "--one-based" in err
+
+
+@pytest.mark.parametrize("dest", list(cli._OPTIONS))
+def test_every_option_has_help(dest):
+    assert cli._OPTIONS[dest][3].strip()
+
+
+_REQUIRED = [(c, k, d) for c, k in _KIND_PAIRS for d, req in cli._uses(c, k).items() if req]
+
+
+@pytest.mark.parametrize("command, kind, dest", _REQUIRED)
+def test_a_missing_value_is_named_as_help_names_it(capsys, tmp_path, command, kind, dest):
+    # the words after "needs" in the usage error, flag and value name, are
+    # those the command's --help lists for the option
+    import re
+
+    files = _files(tmp_path)
+    call = _without(_CALLS[command, kind], dest)
+    code, out, err = _outcome(capsys, [command, kind, *[files.get(a, a) for a in call]])
+    assert (code, out) == (1, "")
+    prefix = f"{command} {kind} needs "
+    assert err.startswith(prefix) and err.endswith("\n")
+    needs = err[len(prefix):-1]
+    assert needs == cli._OPTIONS[dest][0] and " " in needs
+    code, help_text, _ = _outcome(capsys, [command, "--help"])
+    assert code == ("SystemExit", 0)
+    # the option's own line in the listing, where argparse never wraps it
+    assert re.search(rf"^  {re.escape(needs)}(  |$)", help_text, re.M)
 
 
 def test_readme_command_table_matches_kinds():
