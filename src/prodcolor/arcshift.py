@@ -155,15 +155,23 @@ def _min_k_central(chi: int) -> int:
     return k
 
 
-def _lemma_rel(d: Digraph) -> tuple[LemmaRelReport, Callable[[], bool]]:
+def _lemma_rel(
+    d: Digraph, colorings: dict[Graph, Coloring] | None = None
+) -> tuple[LemmaRelReport, Callable[[], bool]]:
     """The bounds report on D, and the transforms check as a deferred call.
 
     Both share one shift of D and one optimal coloring per underline graph,
-    which gives its chromatic number too.
+    which gives its chromatic number too. colorings maps graphs to their
+    optimal colorings: a caller that checks many digraphs passes one dict, so
+    each distinct underline graph is colored once, as optimal_coloring is a
+    function of the graph's value. Both transforms still check the colorings.
     """
     under_d, under_shift = _underlines(d)
-    base_d = optimal_coloring(under_d)
-    base_shift = optimal_coloring(under_shift)
+    colorings = {} if colorings is None else colorings
+    for g in (under_d, under_shift):
+        if g not in colorings:
+            colorings[g] = optimal_coloring(g)
+    base_d, base_shift = colorings[under_d], colorings[under_shift]
     chi_d, chi_shift = base_d.k, base_shift.k
     lower = _min_k_power(chi_d)
     upper = _min_k_central(chi_d)

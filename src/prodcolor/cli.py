@@ -414,7 +414,10 @@ def _add_arguments(p: _Parser, command: str) -> None:
     kinds = _KINDS[command]
     if len(kinds) > 1:
         p.add_argument("kind", choices=list(kinds))
-        what = "; ".join(f"{kind}: {entry[2]}" for kind, entry in kinds.items())
+        by_text: dict[str, list[str]] = {}  # kinds with equal text are named once
+        for kind, entry in kinds.items():
+            by_text.setdefault(entry[2], []).append(kind)
+        what = "; ".join(f"{', '.join(names)}: {text}" for text, names in by_text.items())
     else:
         [(kind, entry)] = kinds.items()
         p.set_defaults(kind=kind)

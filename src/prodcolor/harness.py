@@ -367,11 +367,13 @@ def _digraph_classes_up_to(n_max: int) -> list[tuple[Digraph, int]]:
 
 def _claim_lem_rel(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
     # chi, the arc shift and both transforms commute with relabelling, so
-    # one digraph per isomorphism class decides the exhaustive part
+    # one digraph per isomorphism class decides the exhaustive part; the
+    # digraphs share few underline graphs, each colored once in this call
     failures = []
+    colorings: dict = {}
 
     def check(d: Digraph) -> list[int]:
-        report, transforms_hold = arcshift._lemma_rel(d)
+        report, transforms_hold = arcshift._lemma_rel(d, colorings)
         if not (report.passed and transforms_hold()):
             failures.append({"n": d.n, "arcs": sorted(d.arcs)})
         return [d.n, len(d.arcs), report.chi_d, report.chi_shift, report.lower, report.upper]

@@ -19,6 +19,7 @@ Coloring-type invariants are undefined on graphs with loops and reject them.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from functools import lru_cache
 
 from ._record import Record
@@ -66,8 +67,11 @@ def is_proper_coloring(g: Graph, coloring: Coloring) -> bool:
 
 def greedy_clique(g: Graph) -> list[int]:
     """Deterministic greedy clique: scan vertices by descending degree, keep compatibles."""
-    masks = g.neighbor_masks
-    order = sorted(range(g.n), key=lambda v: (-masks[v].bit_count(), v))
+    return _greedy_clique(g.neighbor_masks)
+
+
+def _greedy_clique(masks: Sequence[int]) -> list[int]:
+    order = sorted(range(len(masks)), key=lambda v: (-masks[v].bit_count(), v))
     clique: list[int] = []
     cmask = 0
     for v in order:
@@ -192,30 +196,46 @@ def k_colorable(g: Graph, k: int) -> Coloring | None:
     _require_loopless(g, "k-colorability")
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    clique = greedy_clique(g)
-    if len(clique) > k:
-        return None
-    rest = (1 << g.n) - 1 - sum(1 << v for v in clique)
-    holders = [rest | 1 << v for v in clique] + [rest] * (k - len(clique))
-    colors = _hom_search(g.neighbor_masks, [((1 << k) - 1) ^ (1 << c) for c in range(k)], holders)
+    colors = _k_coloring(g.neighbor_masks, k, greedy_clique(g))
     return None if colors is None else Coloring(tuple(colors), k)
 
 
-def _core_components(
-    g: Graph, adjacency: list[list[int]], k: int
-) -> tuple[list[int], list[tuple[list[int], Graph]]]:
-    """The vertices peeled off to reach the k-core of g, in peeling order, and
-    the connected components of the core, each as its vertices in increasing
-    order and the graph they induce, relabeled in that order.
+def _k_coloring(masks: Sequence[int], k: int, clique: list[int]) -> list[int] | None:
+    """k_colorable's search on the graph with these neighbour masks and clique."""
+    if len(clique) > k:
+        return None
+    rest = (1 << len(masks)) - 1 - sum(1 << v for v in clique)
+    holders = [rest | 1 << v for v in clique] + [rest] * (k - len(clique))
+    return _hom_search(masks, [((1 << k) - 1) ^ (1 << c) for c in range(k)], holders)
 
-    adjacency holds g's neighbour lists. Vertices of degree below k are peeled
-    off until none is left, so each has fewer than k neighbours in the core
-    or later in the order; g itself stands for a core that is all of g and
-    connected.
-    """
+
+def _core_input(g: Graph) -> tuple[list[int], list[list[int]]]:
+    """The vertices of g with an edge, in increasing order, and the neighbour
+    lists of the graph they induce, relabeled in that order. Each list is in
+    increasing order, so the peeling order is a function of g's value."""
+    touched = sorted(set().union(*g.edges))
+    index = {v: i for i, v in enumerate(touched)}
+    adjacency: list[list[int]] = [[] for _ in touched]
+    for u, v in g.edges:
+        u, v = index[u], index[v]
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    for nbrs in adjacency:
+        nbrs.sort()
+    return touched, adjacency
+
+
+def _core_components(adjacency: list[list[int]], k: int) -> tuple[list, list]:
+    """The vertices peeled off to reach the k-core of the graph with these
+    neighbour lists, in peeling order (each has fewer than k neighbours in
+    the core or later in the order), and the connected components of the
+    core: each as its vertices in increasing order, the neighbour masks of
+    the graph they induce, relabeled in that order, and that graph's greedy
+    clique."""
+    n = len(adjacency)
     degree = [len(nbrs) for nbrs in adjacency]
     alive = [d >= k for d in degree]
-    peeled = [v for v in range(g.n) if not alive[v]]
+    peeled = [v for v in range(n) if not alive[v]]
     for v in peeled:  # grows while it is scanned
         for u in adjacency[v]:
             if alive[u]:
@@ -223,8 +243,11 @@ def _core_components(
                 if degree[u] < k:
                     alive[u] = False
                     peeled.append(u)
+    # a core vertex's bit in its component's masks, 0 when peeled: a core
+    # vertex's neighbours are peeled or in its own component
+    bit = [0] * n
     parts = []
-    for root in range(g.n):
+    for root in range(n):
         if not alive[root]:
             continue
         alive[root] = False
@@ -234,53 +257,32 @@ def _core_components(
                 if alive[u]:
                     alive[u] = False
                     component.append(u)
-        if len(component) == g.n:
-            return peeled, [(list(range(g.n)), g)]
         component.sort()
-        index = {v: i for i, v in enumerate(component)}
-        edges = frozenset(
-            (index[v], index[u]) for v in component for u in adjacency[v] if v < u and u in index
-        )
-        parts.append((component, Graph._built(len(component), edges, frozenset())))
+        for i, v in enumerate(component):
+            bit[v] = 1 << i
+        part = [sum(map(bit.__getitem__, adjacency[v])) for v in component]
+        parts.append((component, part, _greedy_clique(part)))
     return peeled, parts
 
 
-def _chromatic_search(
-    g: Graph, adjacency: list[list[int]]
-) -> tuple[int, list[int], list[tuple[list[int], Coloring]]]:
-    """The search of chromatic_number on a g with edges: chi(g), the vertices
-    peeled off to reach the chi-core, and a chi-coloring of each component of
-    that core, each with the core vertices it colors."""
-    _, parts = _core_components(g, adjacency, 2)
-    k = max([2] + [len(greedy_clique(part)) for _, part in parts])
+def _chromatic_search(adjacency: list[list[int]]) -> tuple[int, list, list]:
+    """chromatic_number's search on a graph with edges: chi, the vertices
+    peeled off to reach the chi-core, and each vertex's color in a
+    chi-coloring of that core (-1 for the peeled vertices)."""
+    core = _core_components(adjacency, 2)
+    k = max([2] + [len(clique) for _, _, clique in core[1]])
     while True:
-        peeled, parts = _core_components(g, adjacency, k)
-        colorings = []
-        for vertices, part in parts:
-            coloring = k_colorable(part, k)
-            if coloring is None:
+        peeled, parts = core if k == 2 else _core_components(adjacency, k)
+        colors = [-1] * len(adjacency)
+        for vertices, part, clique in parts:
+            part_colors = _k_coloring(part, k, clique)
+            if part_colors is None:
                 break
-            colorings.append((vertices, coloring))
+            for v, c in zip(vertices, part_colors):
+                colors[v] = c
         else:
-            return k, peeled, colorings
+            return k, peeled, colors
         k += 1
-
-
-def _core_input(g: Graph) -> tuple[list[int], Graph, list[list[int]]]:
-    """The vertices of g with an edge, in increasing order, the graph they
-    induce relabeled in that order, and its neighbour lists in the order of
-    g's edge set, so that peeling meets the vertices as it would in g."""
-    touched = sorted(set().union(*g.edges))
-    pairs = g.edges
-    if len(touched) < g.n:
-        index = {v: i for i, v in enumerate(touched)}
-        pairs = [(index[u], index[v]) for u, v in pairs]
-        g = Graph._built(len(touched), frozenset(pairs), frozenset())
-    adjacency: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in pairs:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    return touched, g, adjacency
 
 
 def chromatic_number(g: Graph) -> int:
@@ -289,38 +291,34 @@ def chromatic_number(g: Graph) -> int:
     g is k-colorable iff its k-core is: a vertex of degree below k takes a
     color its neighbours leave free, so the peeled vertices are colored last,
     in reverse peeling order. For each k the search therefore runs
-    k_colorable on each connected component of the k-core only (Matula-Beck
-    1983). k starts at the largest greedy clique found in the components of
-    the 2-core, and the first k at which every component is k-colorable is
-    the answer. Every core is peeled from one set of adjacency lists over
-    the vertices with an edge (the others take color 0). optimal_coloring
-    runs the same search and also returns a coloring with that many colors.
+    k_colorable's search on each connected component of the k-core only
+    (Matula-Beck 1983). k starts at the largest greedy clique of the 2-core's
+    components, whose split also serves k = 2, and the first k at which every
+    component is k-colorable is the answer. Every core is peeled from one set
+    of neighbour lists, in increasing order, over the vertices with an edge
+    (the others take color 0). optimal_coloring runs the same search.
     """
     _require_loopless(g, "chromatic number")
-    if g.n == 0:
-        return 0
     if not g.edges:
-        return 1
-    return _chromatic_search(*_core_input(g)[1:])[0]
+        return min(g.n, 1)
+    return _chromatic_search(_core_input(g)[1])[0]
 
 
 def optimal_coloring(g: Graph) -> Coloring:
     """A proper coloring of g with chi(g) colors, so its k is chi(g).
 
     Isolated vertices take color 0. The search of chromatic_number leaves a
-    chi-coloring of each component of the chi-core of the other vertices;
-    each peeled vertex, in reverse peeling order, then takes the lowest color
-    its colored neighbours leave free, and one is always free.
+    chi-coloring of the chi-core of the other vertices; each peeled vertex,
+    in reverse peeling order, then takes the lowest color its colored
+    neighbours leave free, and one is always free. The coloring is a function
+    of g's value: equal graphs get equal colorings, whatever order their
+    edges were given in.
     """
     _require_loopless(g, "optimal coloring")
     if not g.edges:
         return Coloring((0,) * g.n, min(g.n, 1))
-    touched, core, adjacency = _core_input(g)
-    k, peeled, colorings = _chromatic_search(core, adjacency)
-    colors = [-1] * core.n
-    for vertices, coloring in colorings:
-        for v, c in zip(vertices, coloring.colors):
-            colors[v] = c
+    touched, adjacency = _core_input(g)
+    k, peeled, colors = _chromatic_search(adjacency)
     for v in reversed(peeled):
         taken = {colors[u] for u in adjacency[v]}
         colors[v] = next(c for c in range(k) if c not in taken)

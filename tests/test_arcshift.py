@@ -210,7 +210,8 @@ def test_lem_rel_shifts_each_digraph_once(monkeypatch):
 def test_lem_rel_claim_reuses_the_chromatic_searches(monkeypatch):
     # chi and the colorings both transforms start from come from one search
     # per underline graph: 820 homomorphism searches when the transforms
-    # re-solved their inputs, 170 now
+    # re-solved their inputs, 170 with one search per digraph's graph, and
+    # 145 with one per distinct graph
     search = solvers._hom_search
     calls = []
 

@@ -53,6 +53,22 @@ def test_invariant_chif(capsys, monkeypatch):
     assert out.strip() == "5/2"
 
 
+def test_invariant_chi_witness_ignores_edge_line_order(capsys, monkeypatch):
+    # one edge set in two line orders parses to equal graphs, so it gets one
+    # coloring; peeling in the edge set's order once gave these two
+    body = ["0 2", "2 5", "2 6", "2 7", "3 5", "3 6", "4 6", "4 7", "4 8", "6 8", "7 8"]
+    outs = []
+    for lines in (body, body[::-1]):
+        text = "\n".join(["9 11", *lines]) + "\n"
+        code, out, _ = run(capsys, "invariant", "chi", "--format", "obj",
+                           stdin=text, monkeypatch=monkeypatch)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] == (
+        '{"coloring": {"colors": [1, 0, 0, 0, 1, 1, 2, 2, 0], "k": 3}, "value": 3}\n'
+    )
+
+
 def test_invariant_alpha_girth_dist(capsys, monkeypatch, tmp_path):
     gfile = tmp_path / "petersen.txt"
     gfile.write_text(serialize_graph(named("petersen")))
@@ -571,6 +587,15 @@ def test_readme_command_table_matches_kinds():
         formats = [cli._KINDS[command][kind][3].split()] if "format" in uses else []
         expected[command, kind] = ({_flag(d): required for d, required in uses.items()}, formats)
     assert table == expected
+
+
+def test_help_names_kinds_with_equal_positionals_once(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "400")  # argparse wraps help at hyphens too
+    code, out, _ = _outcome(capsys, ["exp", "--help"])
+    assert code == ("SystemExit", 0)
+    text = " ".join(out.split())
+    assert "materialize, adjacent, mu, theta, verify-mu-clique: an optional input file" in text
+    assert text.count("an optional input file") == 1
 
 
 @pytest.mark.parametrize(

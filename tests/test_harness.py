@@ -159,6 +159,26 @@ def test_lem_rel_witness_counts_classes_and_labelled_digraphs():
     assert witness["labelled_covered"] == 1 + 4 + 64 + 4096
 
 
+def test_lem_rel_colors_each_distinct_graph_once(monkeypatch):
+    # the classes and random digraphs share few underline graphs: 676
+    # colorings when each digraph colored its own two, 275 distinct graphs
+    met, colored = [], []
+    underlines, optimal = arcshift._underlines, arcshift.optimal_coloring
+    monkeypatch.setattr(arcshift, "_underlines",
+                        lambda d: met.extend(underlines(d)) or underlines(d))
+    monkeypatch.setattr(arcshift, "optimal_coloring", lambda g: colored.append(g) or optimal(g))
+    _, ok, _ = _claim_lem_rel(SuiteConfig(seed=7))
+    assert ok
+    assert len(colored) == len(set(colored)) == len(set(met)) == 275
+    # nothing is kept between calls: each run colors every graph again
+    counts = []
+    for _ in range(2):
+        colored.clear()
+        assert all(report.passed for report in run_suite("arc-shift", SuiteConfig(seed=7)))
+        counts.append(len(colored))
+    assert counts[0] == counts[1] == 275
+
+
 def test_lem_rel_fails_on_a_broken_up_transform(monkeypatch):
     # coloring_up's output gives every arc colour 0: its own check, the one
     # check of that output, must fail the claim, also under python -O

@@ -244,12 +244,42 @@ def test_chi_and_optimal_coloring_with_isolated_vertices(g, data):
     assert is_proper_coloring(spread, coloring)
     touched = {v for e in spread.edges for v in e}
     assert all(coloring.colors[v] == 0 for v in range(n) if v not in touched)
-    # the trusted graphs of the search equal the checked ones
-    _, core, adjacency = solvers._core_input(spread)
-    assert core.n == len(touched)
-    for part in [core] + [part for _, part in solvers._core_components(core, adjacency, 2)[1]]:
-        checked = Graph.from_edges(part.n, part.edges)
-        assert part == checked and hash(part) == hash(checked)
+    # the unchecked lists and masks of the search equal those of the checked
+    # graphs: the graph on the vertices with an edge, and each 2-core component
+    order, adjacency = solvers._core_input(spread)
+    assert order == sorted(touched)
+    index = {v: i for i, v in enumerate(order)}
+    core = Graph.from_edges(len(order), [(index[u], index[v]) for u, v in spread.edges])
+    assert adjacency == [core.neighbors(v) for v in range(core.n)]
+    for vertices, part, _ in solvers._core_components(adjacency, 2)[1]:
+        index = {v: i for i, v in enumerate(vertices)}
+        induced = [(index[u], index[v]) for u, v in core.edges if u in index and v in index]
+        assert part == list(Graph.from_edges(len(vertices), induced).neighbor_masks)
+
+
+def test_equal_graphs_give_equal_witnesses():
+    # a frozenset iterates in an order set by its insertion history, so the
+    # same edges given in another order may iterate differently; the witnesses
+    # are functions of the graph's value. This seed found 4 rebuilt graphs
+    # whose coloring moved when peeling followed the edge set's order
+    rng = random.Random(3)
+    reordered = 0
+    for _ in range(200):
+        n = rng.randint(2, 40)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.1]
+        g = Graph.from_edges(n, edges)
+        coloring = optimal_coloring(g)
+        colors = k_colorable(g, coloring.k)
+        hom = find_homomorphism(g, complete_graph(3))
+        for _ in range(3):
+            rng.shuffle(edges)
+            h = Graph.from_edges(n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges])
+            assert h == g
+            reordered += list(h.edges) != list(g.edges)
+            assert optimal_coloring(h) == coloring
+            assert k_colorable(h, coloring.k) == colors
+            assert find_homomorphism(h, complete_graph(3)) == hom
+    assert reordered > 300
 
 
 def test_optimal_coloring_extends_over_the_peeled_vertices():
@@ -504,14 +534,25 @@ def test_chromatic_number_colorings_match_the_reference(monkeypatch, name):
         "exp-3-k7": lambda: materialize_exponential(ExpContext(complete_graph(7), 3)),
     }[name]()
     tried = []
-    real = solvers.k_colorable
-    monkeypatch.setattr(solvers, "k_colorable", lambda part, k: tried.append((part, k)) or real(part, k))
+    real = solvers._k_coloring
+
+    def spy(masks, k, clique):
+        colors = real(masks, k, clique)
+        tried.append((masks, k, clique, None if colors is None else tuple(colors)))
+        return colors
+
+    monkeypatch.setattr(solvers, "_k_coloring", spy)
     chi = chromatic_number(g)
     monkeypatch.undo()
     assert chi == {"kneser-9-3": 5, "grotzsch2": 4, "exp-3-k7": 3}[name]
     # K_3^{K7} has an empty 3-core, so chromatic_number searches nothing there
-    for part, k in tried + [(g, chi)]:
-        assert _colors(part, k) == _reference_k_colorable(part, k)
+    assert bool(tried) == (name != "exp-3-k7")
+    for masks, k, clique, colors in tried:
+        edges = [(u, v) for u, m in enumerate(masks) for v in range(u) if m >> v & 1]
+        part = Graph.from_edges(len(masks), edges)
+        assert list(part.neighbor_masks) == masks and clique == greedy_clique(part)
+        assert colors == _colors(part, k) == _reference_k_colorable(part, k)
+    assert _colors(g, chi) == _reference_k_colorable(g, chi)
 
 
 @pytest.mark.parametrize(
