@@ -158,7 +158,9 @@ def _min_k_central(chi: int) -> int:
 def _lemma_rel(
     d: Digraph, colorings: dict[Graph, Coloring] | None = None
 ) -> tuple[LemmaRelReport, Callable[[], bool]]:
-    """The bounds report on D, and the transforms check as a deferred call.
+    """The bounds report on D, and the transforms check as a deferred call:
+    True iff both transforms, run from solver-found colorings, give proper
+    outputs and the down-transform uses at most 2^chi(shift(D)) distinct sets.
 
     Both share one shift of D and one optimal coloring per underline graph,
     which gives its chromatic number too. colorings maps graphs to their
@@ -206,15 +208,6 @@ def _uniform_set_coloring(base: Coloring) -> SetColoring:
     subsets = list(combinations(range(k), s))[: base.k]
     sets = tuple(frozenset(subsets[c]) for c in base.colors)
     return SetColoring(sets, k, s)
-
-
-def lemma_rel_transforms_check(d: Digraph) -> bool:
-    """Exercise both transforms on D with solver-found inputs; True iff both verify.
-
-    Each transform checks its output for properness once, and the
-    down-transform must also use at most 2^k distinct sets.
-    """
-    return _lemma_rel(d)[1]()
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,9 @@ import argparse
 import sys
 from pathlib import Path
 
-# graphs and serialize carry every command's input and output; each handler
-# imports the layers it computes with, so a stage loads only what it runs
+# graphs and serialize carry every command's text input and output; objects,
+# and each layer a handler computes with, are imported where they are used, so
+# a stage loads only what it runs
 from . import graphs, serialize
 from .errors import (
     DEFAULT_MAX_EXP_EDGES,
@@ -63,21 +64,25 @@ def _parse_obj(text: str):
 def _load_graph(path: str) -> graphs.Graph:
     text = _read_text(path)
     if text.lstrip().startswith("{"):
-        return serialize.graph_from_obj(_parse_obj(text))
+        from . import objects
+
+        return objects.graph_from_obj(_parse_obj(text))
     return serialize.parse_graph(text)
 
 
 def _load_digraph(path: str) -> graphs.Digraph:
     text = _read_text(path)
     if text.lstrip().startswith("{"):
-        return serialize.digraph_from_obj(_parse_obj(text))
+        from . import objects
+
+        return objects.digraph_from_obj(_parse_obj(text))
     return serialize.parse_digraph(text)
 
 
 def _emit_obj(value) -> None:
-    import json
+    from . import objects
 
-    print(json.dumps(serialize.to_obj(value), sort_keys=True))
+    print(objects.dumps(value))
 
 
 def _emit_graph(g, args) -> None:
@@ -355,10 +360,14 @@ def _cmd_shift(args) -> int:
         else:
             _emit_graph(shifted, args)
     elif args.kind == "down":
-        coloring = serialize.coloring_from_obj(_parse_obj(_read_text(args.coloring)))
+        from . import objects
+
+        coloring = objects.coloring_from_obj(_parse_obj(_read_text(args.coloring)))
         _emit_obj(arcshift.coloring_down(d, coloring))
     elif args.kind == "up":
-        sc = serialize.set_coloring_from_obj(_parse_obj(_read_text(args.set_coloring)))
+        from . import objects
+
+        sc = objects.set_coloring_from_obj(_parse_obj(_read_text(args.set_coloring)))
         _emit_obj(arcshift.coloring_up(d, sc))
     elif args.kind == "functoriality":
         print("true" if arcshift.functoriality_check(d, _load_digraph(_file(p, 1))) else "false")

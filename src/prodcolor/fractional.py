@@ -42,9 +42,10 @@ The value is exact and certified without trusting the pivoting path
 (Held-Cook-Sewell 2012, here in integer arithmetic), each part checked once:
 the primal witness covers every orbit row, the duals are nonnegative, the
 last search is the proof that they form a feasible fractional clique, and
-``CoverLp.solution`` checks that both sides have the LP's value. The
-generators, found or given, are checked once, before the LP, and the final
-cover check reuses their orbits. The proof holds up to Gamma: the last
+``CoverLp.solution`` checks that both sides have the LP's value. Each
+generator is checked once: ``symmetry`` checks those it finds as it finds
+them, given ones are checked here before the LP, and the final cover check
+reuses their orbits. The proof holds up to Gamma: the last
 search ran with the lifted weights y_v = y_O(v), but its branches reach each
 independent set only through an image under Gamma. So it proves that no
 independent set of G weighs more than 1 because every generator passed the
@@ -193,8 +194,9 @@ def fractional_chromatic(
     LP then has one row per orbit of the group they generate, and the witness
     carries them. None (the default) takes them from
     ``symmetry.automorphism_generators``, and () gives the LP with one row per
-    vertex. A generator, given or found, that is not an automorphism raises
-    ValueError. The cap counts g's vertices, not its orbits.
+    vertex. A given generator that is not an automorphism raises ValueError;
+    found ones passed that check in ``symmetry``. The cap counts g's
+    vertices, not its orbits.
 
     Optimality is certified here: the witness covers g, and the LP's dual
     solution is a fractional clique of equal value whose feasibility the last
@@ -212,9 +214,9 @@ def fractional_chromatic(
     else:
         generators = tuple(tuple(p) for p in generators)
         base, leveled = [], [(0, p) for p in generators]
-    for i, p in enumerate(generators):
-        if not _is_automorphism(g, p):
-            raise ValueError(f"generator {i} is not an automorphism of the graph: {p!r}")
+        for i, p in enumerate(generators):
+            if not _is_automorphism(g, p):
+                raise ValueError(f"generator {i} is not an automorphism of the graph: {p!r}")
     if g.n == 0:
         return Fraction(0), FractionalColoring((), (), generators)
 

@@ -20,7 +20,6 @@ instance.
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from fractions import Fraction
@@ -31,7 +30,6 @@ from . import arcshift, exponential, fractional, graphs, solvers, symmetry
 from ._record import Record
 from .errors import DEFAULT_MAX_LP_VERTICES, CapExceeded
 from .graphs import Digraph, Graph
-from .serialize import to_obj
 
 
 class SuiteConfig(Record):
@@ -60,7 +58,9 @@ OUT_OF_SCOPE = "out-of-scope: scale"
 def serialize_reports(reports: list[ClaimReport], mask_timing: bool = False) -> str:
     if mask_timing:
         reports = [r._replace(elapsed=0.0) for r in reports]
-    return json.dumps(to_obj(reports), sort_keys=True, indent=2) + "\n"
+    from . import objects
+
+    return objects.dumps(reports, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

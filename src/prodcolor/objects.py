@@ -1,13 +1,20 @@
-"""The structured-object forms behind ``serialize``.
+"""The structured-object form of graphs, colorings and reports.
 
-to_obj turns any value into plain JSON-ready data, and the ``*_from_obj``
-readers take such data back through the validating type constructors. The
-public functions stay in ``serialize``, which imports this module on their
-first call, so a stage that reads and writes only text does not compile it.
+``to_obj`` turns any value into plain JSON-ready data, the same on every run:
+a record becomes a dict of its fields, a Fraction ``[num, den]``, a set a
+sorted list, a tuple a list, and a dict key a string. Anything else (int,
+bool, str, float, None) passes through. ``dumps`` writes that data as JSON
+text with sorted keys. The ``*_from_obj`` readers take such data back
+through the validating type constructors, so round trips are stable. The
+form is always 0-based.
+
+Only the stages that read or write an object import this module; a stage
+that reads and writes only text does not compile it.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 from typing import Any
 
@@ -17,7 +24,7 @@ from .graphs import Digraph, Graph
 
 
 def to_obj(value: Any) -> Any:
-    """The body of ``serialize.to_obj``, which states the rules."""
+    """The JSON-ready form of value, by the rules above."""
     if isinstance(value, Record):
         return {f: to_obj(getattr(value, f)) for f in value._fields}
     fractions = sys.modules.get("fractions")  # a Fraction implies its module is loaded
@@ -30,6 +37,11 @@ def to_obj(value: Any) -> Any:
     if isinstance(value, (set, frozenset)):
         return sorted(to_obj(v) for v in value)
     return value
+
+
+def dumps(value: Any, indent: int | None = None) -> str:
+    """The JSON text of ``to_obj(value)``, with sorted keys."""
+    return json.dumps(to_obj(value), sort_keys=True, indent=indent)
 
 
 def _key(obj: Any, key: str, default: Any = ...) -> Any:

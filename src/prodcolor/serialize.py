@@ -1,23 +1,16 @@
-"""Text and structured-object serialization for graphs, digraphs, and colorings.
+"""Edge-list text and dot for graphs and digraphs.
 
-Two interchange formats:
-
-* edge-list text: a header line ``<n> <count>`` optionally followed by
-  ``loops: v1 v2 ...`` on the same line, then one ``u v`` line per edge
-  (``u -> v`` for digraph arcs). Blank lines and ``#`` comments are skipped.
-* structured objects: ``to_obj`` turns any value into plain JSON-ready
-  data; a record becomes a dict of its fields. The ``*_from_obj``
-  parsers read those dicts back through the validating type constructors.
-  Round trips are stable; serialization output is sorted. Their bodies live
-  in the private ``_obj_forms``, imported on first use.
+The edge-list text has a header line ``<n> <count>``, optionally followed by
+``loops: v1 v2 ...`` on the same line, then one ``u v`` line per edge
+(``u -> v`` for digraph arcs). Blank lines and ``#`` comments are skipped.
+Output lists edges and arcs in sorted order. The structured-object form
+lives in ``objects``.
 
 Parsing is always 0-based. ``one_based=True`` shifts displayed indices up by
 one for side-by-side reading with 1-based notation; it is display-only.
 """
 
 from __future__ import annotations
-
-from typing import Any
 
 from .errors import ParseError
 from .graphs import Digraph, Graph
@@ -124,52 +117,6 @@ def parse_digraph(text: str) -> Digraph:
         if first != line_no:
             raise ParseError(line_no, f"arc {x} -> {y} repeats the arc of line {first}")
     return Digraph.from_arcs(n, arcs)
-
-
-# ---------------------------------------------------------------------------
-# structured-object format
-
-
-def to_obj(value: Any) -> Any:
-    """The JSON-ready form of a value, the same on every run.
-
-    A record becomes a dict of its fields, a Fraction ``[num, den]``, a set
-    a sorted list, a tuple a list, and a dict key a string. Anything else
-    (int, bool, str, float, None) passes through.
-    """
-    from ._obj_forms import to_obj
-
-    return to_obj(value)
-
-
-def graph_from_obj(obj: Any) -> Graph:
-    from ._obj_forms import graph_from_obj
-
-    return graph_from_obj(obj)
-
-
-def digraph_from_obj(obj: Any) -> Digraph:
-    from ._obj_forms import digraph_from_obj
-
-    return digraph_from_obj(obj)
-
-
-def coloring_from_obj(obj: Any):
-    from ._obj_forms import coloring_from_obj
-
-    return coloring_from_obj(obj)
-
-
-def set_coloring_from_obj(obj: Any):
-    from ._obj_forms import set_coloring_from_obj
-
-    return set_coloring_from_obj(obj)
-
-
-def fractional_coloring_from_obj(obj: Any):
-    from ._obj_forms import fractional_coloring_from_obj
-
-    return fractional_coloring_from_obj(obj)
 
 
 def graph_to_dot(g: Graph, one_based: bool = False) -> str:

@@ -14,10 +14,9 @@ from prodcolor.arcshift import (
     arc_shift,
     bound_chain_instance,
     functoriality_check,
-    lemma_rel_bounds_check,
-    lemma_rel_transforms_check,
     schelp_coloring,
     underline_decomposition_check,
+    _lemma_rel,
 )
 from prodcolor.exponential import exp_adjacent, shitov_mu, shitov_theta, verify_mu_clique
 from prodcolor.fractional import fractional_chromatic
@@ -133,14 +132,14 @@ def test_criterion_06_lemma_rel():
     count = 0
     for d in all_labelled_digraphs(4):
         count += 1
-        ok &= lemma_rel_bounds_check(d).passed
-        ok &= lemma_rel_transforms_check(d)
+        report, transforms_hold = _lemma_rel(d)
+        ok &= report.passed and transforms_hold()
     ok &= count == 1 + 4 + 64 + 4096
     rng = cfg.rng("acceptance-lem-rel")
     for _ in range(100):
         d = random_digraph(rng, 1, 6, ARC_PROBABILITY)
-        ok &= lemma_rel_bounds_check(d).passed
-        ok &= lemma_rel_transforms_check(d)
+        report, transforms_hold = _lemma_rel(d)
+        ok &= report.passed and transforms_hold()
     crit.finish(ok)
 
 

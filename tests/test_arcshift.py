@@ -14,7 +14,6 @@ from prodcolor.arcshift import (
     functoriality_check,
     is_proper_set_coloring,
     lemma_rel_bounds_check,
-    lemma_rel_transforms_check,
     schelp_coloring,
     schelp_triples,
     underline_decomposition_check,
@@ -185,8 +184,8 @@ def test_lemma_rel_random():
     rng = random.Random(37)
     for _ in range(30):
         d = _rand_digraph(rng, 6)
-        assert lemma_rel_bounds_check(d).passed
-        assert lemma_rel_transforms_check(d)
+        report, transforms_hold = arcshift._lemma_rel(d)
+        assert report.passed and transforms_hold()
 
 
 def test_lem_rel_shifts_each_digraph_once(monkeypatch):
@@ -240,7 +239,7 @@ arcshift.SetColoring = lambda sets, k, size: real(
 )
 d = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
 try:
-    print(arcshift.lemma_rel_transforms_check(d))
+    print(arcshift._lemma_rel(d)[1]())
 except RuntimeError as exc:
     print("raised", exc)
 """

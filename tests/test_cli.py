@@ -8,13 +8,8 @@ import pytest
 
 from prodcolor import cli, simplex
 from prodcolor.graphs import kneser, named
-from prodcolor.serialize import (
-    coloring_from_obj,
-    fractional_coloring_from_obj,
-    parse_digraph,
-    parse_graph,
-    serialize_graph,
-)
+from prodcolor.objects import coloring_from_obj, fractional_coloring_from_obj
+from prodcolor.serialize import parse_digraph, parse_graph, serialize_graph
 from prodcolor.solvers import is_proper_coloring
 
 

@@ -674,6 +674,18 @@ def test_given_generators_are_checked_once_with_one_orbit_computation(monkeypatc
     assert (len(checked), len(orbits)) == (18, 1)
 
 
+def test_found_generators_are_not_checked_again(monkeypatch):
+    # symmetry checks each generator as it finds it, so fractional_chromatic
+    # checks only given ones
+    p = named("petersen")
+    g = tensor_product(p, p)
+    checked = []
+    check = fractional._is_automorphism
+    monkeypatch.setattr(fractional, "_is_automorphism", lambda *a: checked.append(a) or check(*a))
+    value, witness = fractional_chromatic(g, max_vertices=100)
+    assert value == Fraction(5, 2) and witness.generators and checked == []
+
+
 def test_a_solution_that_drops_a_set_is_refused(monkeypatch):
     # the cover check on the final witness is the one primal check
     real_solution = simplex.CoverLp.solution

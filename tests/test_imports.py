@@ -28,12 +28,14 @@ print(code, *stdlib, *loaded, file=sys.stderr)
 
 GEN = {"_record", "cli", "errors", "graphs", "serialize"}
 CHI = GEN | {"solvers"}
-# the private modules that serialize and solvers import on first use
-OBJ = "_obj_forms"
+# the object form, which only a stage that reads or writes an object imports,
+# and the private module that solvers import on first use
+OBJ = "objects"
 MIS = "_independent_sets"
 ALL = {p.stem for p in Path(prodcolor.__file__).parent.glob("*.py")} - {"__init__", "__main__"}
 
 C5 = "5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n"
+C5_OBJ = '{"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]]}'
 DIGON = "2 2\n0 -> 1\n1 -> 0\n"
 
 
@@ -57,16 +59,17 @@ def test_import_loads_no_layer():
         (["gen", "named", "petersen"], "", GEN, False, False),
         (["invariant", "chi"], C5, CHI, False, False),
         (["invariant", "chi", "--format", "obj"], C5, CHI | {OBJ}, False, True),
+        (["invariant", "chi"], C5_OBJ, CHI | {OBJ}, False, True),  # a JSON graph in
         (["invariant", "alpha"], C5, CHI | {MIS}, False, False),  # alpha never looks for symmetry
         (["invariant", "girth"], C5, CHI, False, False),
         (["hom", "C5", "C5"], "", CHI, False, False),
         (["invariant", "chif"], C5, CHI | {MIS, "fractional", "simplex", "symmetry"}, True, False),
         (["exp", "materialize", "-c", "2"], C5, CHI | {"exponential"}, False, False),
         (["shift", "build"], DIGON, CHI | {"arcshift"}, False, False),
-        # a text report encodes no object
-        (["verify", "suite", "products"], "", ALL - {OBJ}, True, True),
+        # a text report encodes no object and writes no JSON
+        (["verify", "suite", "products"], "", ALL - {OBJ}, True, False),
     ],
-    ids=["gen", "chi", "chi-obj", "alpha", "girth", "hom", "chif", "exp", "shift", "verify"],
+    ids=["gen", "chi", "chi-obj", "chi-obj-in", "alpha", "girth", "hom", "chif", "exp", "shift", "verify"],
 )
 def test_cli_stage_loads_only_its_layers(tmp_path, argv, stdin, expected, fractions, json):
     # text stages parse and print no JSON, so they load no json and no object

@@ -11,19 +11,21 @@ from prodcolor.arcshift import SetColoring
 from prodcolor.errors import ParseError
 from prodcolor.fractional import FractionalColoring
 from prodcolor.graphs import CATALOG, Digraph, Graph, add_loops, complete_digraph, named
-from prodcolor.serialize import (
+from prodcolor.objects import (
     coloring_from_obj,
     digraph_from_obj,
-    digraph_to_dot,
     fractional_coloring_from_obj,
     graph_from_obj,
+    set_coloring_from_obj,
+    to_obj,
+)
+from prodcolor.serialize import (
+    digraph_to_dot,
     graph_to_dot,
     parse_digraph,
     parse_graph,
     serialize_digraph,
     serialize_graph,
-    set_coloring_from_obj,
-    to_obj,
 )
 from prodcolor.solvers import Coloring
 

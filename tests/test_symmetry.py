@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prodcolor import fractional, symmetry
+from prodcolor import symmetry
 from prodcolor.fractional import _orbital_roots, fractional_chromatic
 from prodcolor.graphs import CATALOG, Graph, cycle, kneser, named, tensor_product
 from prodcolor._independent_sets import heaviest_independent_set
@@ -105,9 +105,23 @@ def test_out_of_nodes_gives_a_subgroup_and_the_same_chi_f(monkeypatch):
 
 
 def test_found_generators_are_checked_before_the_lp(monkeypatch):
-    monkeypatch.setattr(fractional, "_leveled_generators", lambda g: ([0], [(0, (2, 1, 0, 3, 4))]))
-    with pytest.raises(ValueError, match="generator 0 is not an automorphism"):
-        fractional_chromatic(cycle(5))
+    # symmetry keeps only the candidates that pass its automorphism check, so
+    # the LP gets no found generator unchecked, and a refused one is dropped
+    check, passed = symmetry._is_automorphism, []
+
+    def spy(g, p):
+        ok = check(g, p)
+        if ok:
+            passed.append(p)
+        return ok
+
+    monkeypatch.setattr(symmetry, "_is_automorphism", spy)
+    value, witness = fractional_chromatic(cycle(5))
+    assert value == Fraction(5, 2) and witness.generators
+    assert set(witness.generators) <= set(passed)
+    monkeypatch.setattr(symmetry, "_is_automorphism", lambda g, p: False)
+    value, witness = fractional_chromatic(cycle(5))
+    assert value == Fraction(5, 2) and witness.generators == ()
 
 
 def test_chi_f_of_a_vertex_transitive_product_has_one_orbit_row():
