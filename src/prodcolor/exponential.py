@@ -6,12 +6,17 @@ predicate at f = g decides whether the map carries a loop, which happens
 exactly when the map is a proper coloring of a loopless base.
 
 Map index t assigns vertex v the base-c digit (t // c**v) % c,
-least-significant digit first. Materialization visits only the maps with a
-neighbour, the others being isolated vertices, and enumerates each of
-their neighbourhoods directly, so the work follows those maps and the edges,
-not all c^|V| maps or the map pairs. Hard caps on the map and edge counts
-make the astronomically large instances fail loudly instead of running
-forever.
+least-significant digit first. Materialization splits the base vertices
+into two halves at h = n // 2 and tabulates, per assignment of one half's
+digits, the colours those digits take on each neighbourhood; a half that
+already fills a neighbourhood is dropped, and each remaining pair of
+halves gives a map's free colours by one OR per half. Only the maps with a
+neighbour are kept, the others being isolated vertices, and each of their
+neighbourhoods is enumerated directly, so the work follows the half tables,
+the pairs of kept halves and the edges, not the map pairs. Hard caps on the
+map and edge counts make the astronomically large instances fail loudly
+instead of running forever. The solvers are imported only by the two
+functions that search or recolour, so materializing loads none of them.
 
 The blow-up machinery hosts the two special map families used to analyze
 K_c^{G[K_q]} with palette c = 4q+2: the radial maps mu_t (value i, q+i, or t
@@ -25,13 +30,16 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from functools import cached_property, reduce
 from itertools import chain, combinations, compress, repeat
-from operator import add, and_, lshift, mul, not_, or_
-from typing import Iterator
+from math import prod
+from operator import and_, lshift, mul, or_
+from typing import TYPE_CHECKING, Iterator
 
 from ._record import Record
 from .errors import DEFAULT_MAX_EXP_EDGES, DEFAULT_MAX_EXP_VERTICES, CapExceeded
 from .graphs import Graph, blowup, distances, tensor_product
-from .solvers import Coloring, HomMap, is_homomorphism, k_colorable
+
+if TYPE_CHECKING:
+    from .solvers import Coloring
 
 
 class NormalizationError(ValueError):
@@ -149,6 +157,46 @@ def constant_map(ctx: ExpContext, i: int) -> ExpMap:
     return ExpMap(ctx, (i,) * ctx.base.n)
 
 
+def _half_tables(ctx: ExpContext, start: int, stop: int) -> tuple[list[int], ...]:
+    """One half of the maps' digits, the base vertices start..stop-1, as four
+    columns over its digit assignments s that fill no N(b), in index order.
+
+    N(b) is as in _neighbour_columns. With h = n // 2, the columns are s
+    itself; the colours the digits of s take on N(b) at each low base
+    vertex b < h, packed into one int with b at bit c*b; the same at each
+    high base vertex h + i, packed with it at bit c*i; and the one-hot
+    digits of s, packed as their own half is. Digit i of s, the value at
+    base vertex start + i, cycles with period c**(i+1).
+    """
+    nb, c = ctx.base.n, ctx.c
+    k, h, full = stop - start, nb // 2, (1 << c) - 1
+    # per base vertex b, the digits of s at the vertices of N(b) in the half
+    inside: list[list[int]] = [[] for _ in range(nb)]
+    for a, b in ctx.directed_checks:
+        if start <= a < stop:
+            inside[b].append(a - start)
+    onehot = [[1 << d for d in range(c) for _ in range(c**i)] * c ** (k - 1 - i) for i in range(k)]
+    zero = [0] * c**k
+    taken = [reduce(lambda acc, i: list(map(or_, acc, onehot[i])), ins, zero) for ins in inside]
+    # the half's own digits fill N(b) only if c of its vertices lie in it
+    fillable = (col for col, ins in zip(taken, inside) if len(ins) >= c)
+    keep = reduce(
+        lambda acc, col: list(map(and_, acc, map(full.__ne__, col))), fillable, [True] * len(zero)
+    )
+    # Horner's rule from the last field down to the first
+    pack = lambda cols: reduce(
+        lambda acc, col: list(map(or_, map(lshift, acc, repeat(c)), col)), reversed(cols), zero
+    )
+    columns = (range(len(zero)), pack(taken[:h]), pack(taken[h:]), pack(onehot))
+    return tuple(list(compress(col, keep)) for col in columns)
+
+
+def _free_count(key: int, n: int, c: int) -> int:
+    """The product of the popcounts of the n c-bit fields of key."""
+    full = (1 << c) - 1
+    return prod((key >> c * i & full).bit_count() for i in range(n))
+
+
 def _neighbour_columns(ctx: ExpContext) -> tuple[list[int], ...]:
     """The maps with a neighbour, in index order, and per such map the palette
     masks it leaves free for a neighbour, packed per half.
@@ -156,61 +204,46 @@ def _neighbour_columns(ctx: ExpContext) -> tuple[list[int], ...]:
     A map g is adjacent to f iff g(b) lies outside f(N(b)) at every base
     vertex b, where N(b) holds the vertices a with (a, b) a directed check
     (b itself when b carries a loop), so f has a neighbour iff no f(N(b)) is
-    the whole palette. The maps are assigned from the most significant base
-    vertex down, and a partial map is dropped once a full N(b) is assigned.
-    With h = n // 2, the free masks of f at the low base vertices 0..h-1 are
-    packed into one int, vertex i at bit c*i, and those at the high ones
-    h..n-1 into another, vertex h+i at bit c*i. Besides the maps and the
-    packed masks, this returns each map's neighbour count with itself
-    included (the product of the free-set sizes) and the maps that are their
-    own neighbours. The work is O(checks) per partial map kept.
+    the whole palette. With h = n // 2, map index t splits as
+    t_hi * c**h + t_lo: t_lo holds the digits at the low base vertices
+    0..h-1 and t_hi those at the high ones h..n-1. The colours f takes on
+    N(b) are those its low digits take there joined with those its high
+    digits take, so per half one table indexed by t_lo and one by t_hi (see
+    _half_tables) give f's free masks by one OR each: at the low base
+    vertices packed into one int, vertex i at bit c*i, and at the high ones
+    into another, vertex h+i at bit c*i. A t_lo or t_hi whose own digits
+    already fill some N(b) is dropped before the halves are combined, since
+    no map holding it has a neighbour.
+
+    Besides the maps and the packed masks, this returns each map's neighbour
+    count with itself included (the product of the free-set sizes, taken
+    once per distinct packed mask) and the maps that are their own
+    neighbours (each digit free at its own vertex). The work is
+    O(checks * c**(n-h)) for the tables and O(1) per pair of kept halves.
     """
     nb, c = ctx.base.n, ctx.c
-    full = (1 << c) - 1
-    into: list[list[int]] = [[] for _ in range(nb)]
-    for a, b in ctx.directed_checks:
-        into[b].append(a)
-    # N(b) is assigned from step min N(b) on; fewer than c vertices never fill it
-    due: dict[int, list[int]] = {}
-    for b in filter(lambda b: len(into[b]) >= c, range(nb)):
-        due.setdefault(min(into[b]), []).append(b)
-    maps, bits, level = [0], [[]] * nb, nb
-    used = lambda b: reduce(lambda acc, a: list(map(or_, acc, bits[a])), into[b], [0] * len(maps))
-    for v in sorted({*due, 0}, reverse=True):
-        # each kept partial map takes every digit at v..level-1; bits[a] holds f(a)
-        k = c ** (level - v)
-        spread = lambda col: list(chain.from_iterable(zip(*repeat(col, k))))
-        digits = list(range(0, c**level, c**v))
-        maps = list(map(add, spread(maps), digits * len(maps))) if level < nb else digits
-        bits[level:] = map(spread, bits[level:])
-        for a in range(v, level):  # digit a cycles with period c**(a - v + 1)
-            period = c ** (a - v)
-            bits[a] = [1 << d for d in range(c) for _ in range(period)] * (len(maps) // period // c)
-        level = v
-        for b in due.get(v, ()):
-            keep = list(map(full.__ne__, used(b)))
-            maps = list(compress(maps, keep))
-            bits = [list(compress(col, keep)) for col in bits]
-    zero = [0] * len(maps)
-    taken = list(map(used, range(nb)))
-    free = [[full ^ m for m in col] for col in taken]
-    popcount = [m.bit_count() for m in range(full + 1)]
-    sizes = reduce(
-        lambda acc, col: list(map(mul, acc, map(popcount.__getitem__, col))), free, [1] * len(maps)
-    )
-    clash = reduce(
-        lambda acc, b: list(map(or_, acc, map(and_, taken[b], bits[b]))), range(nb), zero
-    )
-    loops = list(compress(maps, map(not_, clash)))
     h = nb // 2
-    # one int per map and half keys the half tables in less memory than a
-    # tuple; Horner's rule from the last vertex of each half down to its first
-    low, high = (
-        reduce(
-            lambda acc, col: list(map(or_, map(lshift, acc, repeat(c)), col)), reversed(half), zero
-        )
-        for half in (free[:h], free[h:])
-    )
+    low_half = list(zip(*_half_tables(ctx, 0, h)))
+    full_low, full_high, step = (1 << c * h) - 1, (1 << c * (nb - h)) - 1, c**h
+    # a packed mask x has an empty field iff (x - ones) & ~x & tops is not 0:
+    # the subtraction borrows through a field only out of an empty one
+    ones_low, ones_high = sum(1 << c * i for i in range(h)), sum(1 << c * i for i in range(nb - h))
+    tops_low, tops_high = ones_low << c - 1, ones_high << c - 1
+    maps, low, high, loops = [], [], [], []
+    for t_hi, b_low, b_high, b_own in zip(*_half_tables(ctx, h, nb)):
+        for t_lo, a_low, a_high, a_own in low_half:
+            x, y = full_low ^ (a_low | b_low), full_high ^ (a_high | b_high)
+            if (x - ones_low) & ~x & tops_low or (y - ones_high) & ~y & tops_high:
+                continue
+            t = t_hi * step + t_lo
+            maps.append(t)
+            low.append(x)
+            high.append(y)
+            if x & a_own == a_own and y & b_own == b_own:
+                loops.append(t)
+    low_count = {m: _free_count(m, h, c) for m in set(low)}
+    high_count = {m: _free_count(m, nb - h, c) for m in set(high)}
+    sizes = list(map(mul, map(low_count.__getitem__, low), map(high_count.__getitem__, high)))
     return maps, low, high, sizes, loops
 
 
@@ -268,14 +301,18 @@ def materialize_exponential(
     The construction is output-sensitive: the neighbours of a map f are the
     maps g with g(b) outside f(N(b)) at every base vertex b, so each
     neighbourhood is the product of the free digits at each b, read off as
-    indices sum(g(b) * c**b). Only the maps with a neighbour are visited (see
-    _neighbour_columns); the rest are isolated. The edge count, half of the
-    sum over maps of the free-set sizes' product less the loops, is exact
-    and is checked against max_edges before any edge is built, after the
-    vertex cap. Time and memory are O(checks) per partial map kept + edges.
+    indices sum(g(b) * c**b). The free masks come from half tables over the
+    digits at base vertices below and from h = n // 2, each half pruned of
+    the digit assignments that fill some N(b) on their own, and only the
+    maps with a neighbour are kept (see _neighbour_columns); the rest are
+    isolated. The edge count, half of the sum over maps of the free-set
+    sizes' product less the loops, is exact and is checked against
+    max_edges before any edge is built, after the vertex cap. Time and
+    memory are O(checks * c**(n-h)) for the tables, O(1) per pair of kept
+    halves, and O(1) per edge.
 
     The product is taken in two halves split at base vertex h = n // 2 (see
-    _edges_above). The half tables hold one sorted tuple of sums per
+    _edges_above). Its sum tables hold one sorted tuple of sums per
     distinct packed mask among the maps with a neighbour: at most one low
     entry of at most c**h sums and one high entry of at most c**(n-h) sums
     per such map. No entry is longer than the neighbourhood of a map that
@@ -309,6 +346,8 @@ def universal_property_check(g: Graph, h: Graph, c: int) -> bool:
     it: f(x) != f'(y) and f(y) != f'(x) for each edge or loop ff' of the
     exponential graph and xy of g, which are the product's edges.
     """
+    from .solvers import HomMap, is_homomorphism, k_colorable
+
     product = tensor_product(g, h)
     coloring = k_colorable(product, c)
     if coloring is None:
@@ -506,6 +545,8 @@ def normalize_on_constants(ctx: ExpContext, coloring: Coloring) -> Coloring:
     c-clique, so their colors are pairwise distinct. Two constant maps that
     share a color raise NormalizationError.
     """
+    from .solvers import Coloring
+
     if coloring.k != ctx.c:
         raise ValueError(f"need palette {ctx.c}, coloring has {coloring.k}")
     perm = [-1] * ctx.c

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from itertools import chain, combinations, product
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodcolor import exponential
+from prodcolor import exponential, solvers
 from prodcolor.errors import CapExceeded
 from prodcolor.exponential import (
     BlowupExpMap,
@@ -36,6 +37,7 @@ from prodcolor.graphs import (
     distances,
     named,
 )
+from prodcolor.serialize import serialize_graph
 from prodcolor.solvers import (
     Coloring,
     chromatic_number,
@@ -196,13 +198,15 @@ def test_materialize_matches_pairwise_predicate():
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_materialize_matches_brute_over_all_pairs(data):
-    # isolated vertices, loops and c = 1 included
+    # isolated vertices, loops and c = 1 included; palettes up to 5 on bases
+    # of up to 3 vertices, where the c-bit fields of the packed masks are the
+    # widest the brute force reaches
     n = data.draw(st.integers(1, 4))
     pairs = list(combinations(range(n), 2))
     emask = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     loops = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
     base = Graph.from_edges(n, [e for e, k in zip(pairs, emask) if k], loops)
-    ctx = ExpContext(base, data.draw(st.integers(1, 3)))
+    ctx = ExpContext(base, data.draw(st.integers(1, 5 if n <= 3 else 3)))
     expo = materialize_exponential(ctx)
     values = [m.values for m in _all_maps(ctx)]
     assert expo.n == len(values)
@@ -271,6 +275,9 @@ def test_grotzsch_exponential_keeps_only_the_maps_with_a_neighbour():
     # 6,927 of its 177,147 maps have a neighbour, the rest are isolated
     ctx = ExpContext(named("grotzsch"), 3)
     assert len(exponential._neighbour_columns(ctx)[0]) == 6_927
+    # the digits at base vertices 5..10 alone fill some N(b) in 450 of their
+    # 729 assignments, so 243 * 279 pairs of halves are combined, not 3^11
+    assert len(exponential._half_tables(ctx, 5, 11)[0]) == 279
     expo = materialize_exponential(ctx)
     assert (expo.n, len(expo.edges), len(expo.loops)) == (177_147, 32_598, 0)
     coloring = optimal_coloring(expo)
@@ -284,6 +291,10 @@ def test_materialize_empty_and_single_vertex_bases_by_hand():
     # an isolated vertex: every map meets every other one, loops everywhere
     expo = materialize_exponential(ExpContext(Graph(1), 3))
     assert expo.edges == {(0, 1), (0, 2), (1, 2)} and expo.loops == {0, 1, 2}
+    # so too with 40 colours: the free-set sizes are counted per packed
+    # mask, with no table over all 2^c masks of one vertex
+    expo = materialize_exponential(ExpContext(Graph(1), 40))
+    assert expo.edges == set(combinations(range(40), 2)) and expo.loops == set(range(40))
     # a looped vertex: the constant maps, all distinct, form K_c without loops
     expo = materialize_exponential(ExpContext(Graph.from_edges(1, [], [0]), 3))
     assert expo.edges == {(0, 1), (0, 2), (1, 2)} and not expo.loops
@@ -305,10 +316,19 @@ def test_materialize_caps():
 
 def test_materialize_petersen_within_default_caps():
     # 3^10 maps: far beyond any n_maps x n_maps matrix, but only 21,069
-    # edges; K_3^{C8}, with its 258 loops, the 3-colorings of C8
-    for name, counts in (("petersen", (59_049, 21_069, 120)), ("c8", (6_561, 33_153, 258))):
-        expo = materialize_exponential(ExpContext(named(name), 3))
+    # edges; K_3^{C8}, with its 258 loops, the 3-colorings of C8; and the
+    # sha256 of each graph's edge-list text, so every edge and loop is pinned
+    for name, c, counts, digest in (
+        ("petersen", 3, (59_049, 21_069, 120),
+         "8b7dda28279df63f43e640e026a20a747d4320d36baf1227c2a501e252b84261"),
+        ("c8", 3, (6_561, 33_153, 258),
+         "42a2e0933075ba13e6f9e3819b211be664906273355ae977560981d39ce19aad"),
+        ("w5", 4, (4_096, 42_354, 120),
+         "3f7024c759972a04e8691c9a05231f322302de5162226e586f8bb0d110c8d4eb"),
+    ):
+        expo = materialize_exponential(ExpContext(named(name), c))
         assert (expo.n, len(expo.edges), len(expo.loops)) == counts
+        assert hashlib.sha256(serialize_graph(expo).encode()).hexdigest() == digest
 
 
 def test_index_round_trip():
@@ -367,9 +387,7 @@ def test_universal_property_evaluation_negative_controls(monkeypatch):
     checked = []
     with monkeypatch.context() as m:
         m.setattr(exponential, "materialize_exponential", lambda *args: Graph(expo.n))
-        m.setattr(
-            exponential, "is_homomorphism", lambda *a: checked.append(a) or is_homomorphism(*a)
-        )
+        m.setattr(solvers, "is_homomorphism", lambda *a: checked.append(a) or is_homomorphism(*a))
         assert not universal_property_check(g, h, c)
     assert len(checked) == 1
     # one corrupted map value: f_s(x) made equal to f_t(y) across an edge st

@@ -64,7 +64,7 @@ def test_import_loads_no_layer():
         (["invariant", "girth"], C5, CHI, False, False),
         (["hom", "C5", "C5"], "", CHI, False, False),
         (["invariant", "chif"], C5, CHI | {MIS, "fractional", "simplex", "symmetry"}, True, False),
-        (["exp", "materialize", "-c", "2"], C5, CHI | {"exponential"}, False, False),
+        (["exp", "materialize", "-c", "2"], C5, GEN | {"exponential"}, False, False),
         (["shift", "build"], DIGON, CHI | {"arcshift"}, False, False),
         # a text report encodes no object and writes no JSON
         (["verify", "suite", "products"], "", ALL - {OBJ}, True, False),
