@@ -27,8 +27,8 @@ _HOME = {
         "fractional": ("FractionalColoring", "fractional_chromatic"),
         "symmetry": ("automorphism_generators",),
         "exponential": (
-            "BlowupExpMap", "ExpContext", "ExpMap", "NormalizationError", "constant_map",
-            "exp_adjacent", "index_to_map", "materialize_exponential", "observation_image_check",
+            "ExpContext", "ExpMap", "NormalizationError", "constant_map", "exp_adjacent",
+            "index_to_map", "is_simple", "materialize_exponential", "observation_image_check",
             "shitov_mu", "shitov_theta", "universal_property_check", "verify_mu_clique",
         ),
         "arcshift": (

@@ -25,7 +25,7 @@ from .graphs import Graph, _bits
 def heaviest_independent_set(
     g: Graph,
     weights: list[int],
-    roots: Callable[[int, list[int]], list[tuple[int, int]] | None] | None = None,
+    roots: Callable[[int, list[int]], list[tuple[int, int]]] | None = None,
 ) -> tuple[int, tuple[int, ...]]:
     """The one independent-set search behind alpha and LP pricing.
 
@@ -37,9 +37,10 @@ def heaviest_independent_set(
     are taken in g, so on a regular graph the order is by weight alone.
 
     roots, from LP pricing, maps a component's mask and its vertices in that
-    order to the root's children, as (taken, candidates) masks of g, or to
-    None for the plain search (see ``fractional._orbital_roots``). Returns
-    the weight and the set's vertices in increasing order.
+    order to the root's children, as (taken, candidates) masks of g, found
+    by orbital branching over the component's stabiliser (see
+    ``fractional._orbital_roots``). Returns the weight and the set's
+    vertices in increasing order.
     """
     masks = g.neighbor_masks
     n = g.n
@@ -78,10 +79,9 @@ def heaviest_independent_set(
             local.append(own)
             index[v] = i
             placed |= 1 << v
-        nodes = roots and roots(comp, verts)
         starts = [
             (_relabel(p, index), sum(weights[v] for v in _bits(t)), _relabel(t, index))
-            for t, p in nodes or ()
+            for t, p in (roots(comp, verts) if roots else ())
         ]
         weight, taken = _independence_search(local, [weights[v] for v in verts], starts)
         total += weight

@@ -322,11 +322,12 @@ def _cmd_exp(args) -> int:
             m = exponential.shitov_theta(g, args.vertex, args.q, b=args.b, t=args.t)
         if args.format == "obj":
             _emit_obj(
-                {"base": g, "q": args.q, "c": m.ctx.c, "values": m.exp.values, "simple": m.simple}
+                {"base": g, "q": args.q, "c": m.ctx.c, "values": m.values,
+                 "simple": exponential.is_simple(m, args.q)}
             )
         else:
             off = 1 if args.one_based else 0
-            print(" ".join(str(v + off) for v in m.exp.values))
+            print(" ".join(str(v + off) for v in m.values))
         return 0
     # verify-mu-clique
     report = exponential.verify_mu_clique(g, args.vertex, args.q)

@@ -1,9 +1,11 @@
 """Exponential graphs: maps V(G) -> palette with the conflict-free adjacency.
 
 Two maps f, g are adjacent iff for every edge xy of the base (and every loop
-x, taken as the edge xx), f(x) != g(y) and g(x) != f(y). Evaluating the
-predicate at f = g decides whether the map carries a loop, which happens
-exactly when the map is a proper coloring of a loopless base.
+x, taken as the edge xx), f(x) != g(y) and g(x) != f(y). The directed
+checks list both orders of every edge and each loop once, so the rule reads
+f(a) != g(b) over the checks (a, b). Evaluating the predicate at f = g
+decides whether the map carries a loop, which happens exactly when the map
+is a proper coloring of a loopless base.
 
 Map index t assigns vertex v the base-c digit (t // c**v) % c,
 least-significant digit first. Materialization splits the base vertices
@@ -18,11 +20,13 @@ map and edge counts make the astronomically large instances fail loudly
 instead of running forever. The solvers are imported only by the two
 functions that search or recolour, so materializing loads none of them.
 
-The blow-up machinery hosts the two special map families used to analyze
-K_c^{G[K_q]} with palette c = 4q+2: the radial maps mu_t (value i, q+i, or t
-by distance from a center vertex) and the two-valued simple maps theta.
-Palette bookkeeping is 0-based: the "first block" is {0..2q-1} and the
-"secondary block" is {2q..4q+1}.
+The two special map families used to analyze K_c^{G[K_q]} with palette
+c = 4q+2, the radial maps mu_t (value i, q+i, or t by distance from a
+center vertex) and the two-valued simple maps theta, are plain ExpMaps on
+ExpContext(blowup(G, q), 4q+2), with fiber vertex (x, i) at x*q + i;
+is_simple(m, q) tells whether a map is constant on every fiber. Palette
+bookkeeping is 0-based: the "first block" is {0..2q-1} and the "secondary
+block" is {2q..4q+1}.
 """
 
 from __future__ import annotations
@@ -58,7 +62,8 @@ class ExpContext(Record):
 
     @cached_property
     def directed_checks(self) -> tuple[tuple[int, int], ...]:
-        """Ordered vertex pairs (a, b) over which adjacency demands f(a) != g(b)."""
+        """Ordered vertex pairs (a, b) over which adjacency demands f(a) != g(b):
+        both orders of every edge, and each loop once."""
         checks = []
         for x, y in self.base.sorted_edges:
             checks.append((x, y))
@@ -100,42 +105,21 @@ class ExpMap(Record):
         return t
 
 
-class BlowupExpMap(Record):
-    """A map on blowup(base, q) with fiber indexing (x, i) -> x*q + i."""
-
-    base: Graph
-    q: int
-    exp: ExpMap
-
-    @property
-    def ctx(self) -> ExpContext:
-        return self.exp.ctx
-
-    def value(self, x: int, i: int) -> int:
-        return self.exp.values[x * self.q + i]
-
-    @cached_property
-    def simple(self) -> bool:
-        """True iff the map is constant on every fiber clique."""
-        vals = self.exp.values
-        return all(
-            vals[x * self.q] == vals[x * self.q + i]
-            for x in range(self.base.n)
-            for i in range(1, self.q)
-        )
+def is_simple(m: ExpMap, q: int) -> bool:
+    """True iff m is constant on every fiber of a blow-up by q, that is on
+    each run of q consecutive vertices (fiber vertex (x, i) is x*q + i)."""
+    if q < 1:
+        raise ValueError(f"q must be >= 1, got {q}")
+    vals = m.values
+    return all(vals[a] == vals[a - a % q] for a in range(len(vals)))
 
 
-def _unwrap(m: ExpMap | BlowupExpMap) -> ExpMap:
-    return m.exp if isinstance(m, BlowupExpMap) else m
-
-
-def exp_adjacent(f: ExpMap | BlowupExpMap, g: ExpMap | BlowupExpMap) -> bool:
+def exp_adjacent(f: ExpMap, g: ExpMap) -> bool:
     """Adjacency of two maps in the same exponential graph (f = g decides the loop)."""
-    fm, gm = _unwrap(f), _unwrap(g)
-    if fm.ctx != gm.ctx:
+    if f.ctx != g.ctx:
         raise ValueError("maps belong to different exponential graphs")
-    fv, gv = fm.values, gm.values
-    return all(fv[a] != gv[b] and gv[a] != fv[b] for a, b in fm.ctx.directed_checks)
+    fv, gv = f.values, g.values
+    return all(fv[a] != gv[b] for a, b in f.ctx.directed_checks)
 
 
 def index_to_map(ctx: ExpContext, t: int) -> ExpMap:
@@ -307,7 +291,10 @@ def materialize_exponential(
     maps with a neighbour are kept (see _neighbour_columns); the rest are
     isolated. The edge count, half of the sum over maps of the free-set
     sizes' product less the loops, is exact and is checked against
-    max_edges before any edge is built, after the vertex cap. Time and
+    max_edges before any edge is built. Before that, after the vertex cap,
+    a lower bound on the edges is checked, from the at least c - |N(b)|
+    colours every map leaves free at each b, so a palette far over the cap
+    is refused before the half tables, whose masks take c bits. Time and
     memory are O(checks * c**(n-h)) for the tables, O(1) per pair of kept
     halves, and O(1) per edge.
 
@@ -325,6 +312,12 @@ def materialize_exponential(
         raise CapExceeded(
             f"{n_maps} maps exceed the max_vertices cap of {max_vertices}"
         )
+    # every map leaves at least c - |N(b)| colours free at each base vertex
+    # b, so this bounds the edges from below before any table grows with c
+    base, c = ctx.base, ctx.c
+    free = prod(max(0, c - base.degree(b) - (b in base.loops)) for b in range(base.n))
+    if (least := (n_maps * free - n_maps) // 2) > max_edges:
+        raise CapExceeded(f"at least {least} edges exceed the max_edges cap of {max_edges}")
     maps, low, high, sizes, loops = _neighbour_columns(ctx)
     n_edges = (sum(sizes) - len(loops)) // 2
     if n_edges > max_edges:
@@ -343,8 +336,8 @@ def universal_property_check(g: Graph, h: Graph, c: int) -> bool:
     f_u(v) = Psi(v, u) is a homomorphism from h into the materialized
     exponential graph, and that the evaluation coloring (x, f) -> f(x) is a
     proper coloring of the product of g with that graph, without building
-    it: f(x) != f'(y) and f(y) != f'(x) for each edge or loop ff' of the
-    exponential graph and xy of g, which are the product's edges.
+    it: f(a) != f'(b) for each edge or loop ff' of the exponential graph
+    and each directed check (a, b) of g, which are the product's edges.
     """
     from .solvers import HomMap, is_homomorphism, k_colorable
 
@@ -364,12 +357,10 @@ def universal_property_check(g: Graph, h: Graph, c: int) -> bool:
         return False
 
     # the evaluation map is a proper coloring of g x K_c^g
-    g_pairs = [*g.edges, *((x, x) for x in g.loops)]
     expo_pairs = [*expo.edges, *((f, f) for f in expo.loops)]
     value = {t: index_to_map(ctx, t).values for t in set(chain.from_iterable(expo_pairs))}
     return all(
-        value[f][x] != value[fp][y] and value[f][y] != value[fp][x]
-        for f, fp in expo_pairs for x, y in g_pairs
+        value[f][a] != value[fp][b] for f, fp in expo_pairs for a, b in ctx.directed_checks
     )
 
 
@@ -406,8 +397,8 @@ def _mu_values(dist: list[int | float], q: int, t: int) -> tuple[int, ...]:
     return tuple(values)
 
 
-def shitov_mu(g: Graph, v: int, q: int, t: int) -> BlowupExpMap:
-    """The radial map mu_{v,t} on blowup(g, q) with palette 4q+2.
+def shitov_mu(g: Graph, v: int, q: int, t: int) -> ExpMap:
+    """The radial map mu_{v,t}: an ExpMap on ExpContext(blowup(g, q), 4q+2).
 
     Value at fiber vertex (x, i): i if dist(x, v) is 0 or 2; q+i if
     dist(x, v) = 1; t if dist(x, v) >= 3 (unreachable vertices included).
@@ -417,17 +408,17 @@ def shitov_mu(g: Graph, v: int, q: int, t: int) -> BlowupExpMap:
         raise ValueError(
             f"t={t} outside the secondary block {2 * q}..{4 * q + 1} for q={q}"
         )
-    ctx = ExpContext(blowup(g, q), 4 * q + 2)
-    return BlowupExpMap(g, q, ExpMap(ctx, _mu_values(dist, q, t)))
+    return ExpMap(ExpContext(blowup(g, q), 4 * q + 2), _mu_values(dist, q, t))
 
 
 def shitov_theta(
     g: Graph, v: int, q: int, b: int | None = None, t: int | None = None
-) -> BlowupExpMap:
+) -> ExpMap:
     """The simple two-valued map theta: t inside the radius-1 ball of v, b outside.
 
-    b and t must be distinct colors from the secondary block; the defaults
-    are b = 2q+1 and t = 2q.
+    An ExpMap on ExpContext(blowup(g, q), 4q+2) that is constant on every
+    fiber, so is_simple(theta, q) holds. b and t must be distinct colors
+    from the secondary block; the defaults are b = 2q+1 and t = 2q.
     """
     dist = _mu_distances(g, v, q)
     if t is None:
@@ -441,12 +432,8 @@ def shitov_theta(
             raise ValueError(
                 f"{name}={color} outside the secondary block {2 * q}..{4 * q + 1}"
             )
-    values = []
-    for x in range(g.n):
-        val = t if dist[x] <= 1 else b
-        values.extend([val] * q)
-    ctx = ExpContext(blowup(g, q), 4 * q + 2)
-    return BlowupExpMap(g, q, ExpMap(ctx, tuple(values)))
+    values = tuple(t if d <= 1 else b for d in dist for _ in range(q))
+    return ExpMap(ExpContext(blowup(g, q), 4 * q + 2), values)
 
 
 class MuCliqueReport(Record):

@@ -33,7 +33,7 @@ refinement, say, are no orbits, and on C6 plus two triangles they would give
 Pricing uses the group too (orbital branching; Ostrowski-Linderoth-Rossi-
 Smriglio 2011, Margot 2010). The weights are constant on orbits, so Gamma
 maps a heaviest set to a heaviest set, and the search starts from one
-branch per orbit of each component that Gamma maps to itself. Generators
+branch per orbit of each component's stabiliser in Gamma. Generators
 that ``symmetry`` found carry levels: those of level d or more fix the first
 d vertices of its first path and span a group of their own, so a branch
 that takes such a vertex branches again over that group's orbits.
@@ -130,25 +130,27 @@ def _orbit_masks(labels: list[int]) -> list[int]:
 
 def _orbital_roots(
     g: Graph, orbit: list[int], base: list[int], leveled: list[tuple[int, tuple[int, ...]]]
-) -> Callable[[int, list[int]], list[tuple[int, int]] | None] | None:
+) -> Callable[[int, list[int]], list[tuple[int, int]]] | None:
     """The pricing search's start nodes on a component, by orbital branching
     (Ostrowski-Linderoth-Rossi-Smriglio 2011).
 
     Gamma_d is the group of the generators of level >= d, which fix base[:d];
-    orbit gives the Gamma_0-orbit of each vertex. A node takes a set T and
-    leaves candidates P, a union of Gamma_d-orbits that Gamma_d maps to
-    itself while fixing T. Let O_1, O_2, ... be those orbits in the search's
-    order. Child i takes a representative r_i of O_i and drops O_1 ... O_i-1
-    and r_i's closed neighbourhood: a heaviest set with more than T meets
-    some first O_i, and an element of Gamma_d maps it to one of equal weight
+    orbit gives the Gamma_0-orbit of each vertex. On a component C the
+    search uses C's stabiliser in Gamma_d: an element that maps a vertex of C
+    into C maps C onto itself, so the stabiliser's orbits are the
+    Gamma_d-orbits cut down to C. A node takes a set T and leaves candidates
+    P, a union of such orbits that the stabiliser maps to itself while
+    fixing T. Let O_1, O_2, ... be those orbits in the search's order. Child
+    i takes a representative r_i of O_i and drops O_1 ... O_i-1 and r_i's
+    closed neighbourhood: a heaviest set with more than T meets some first
+    O_i, and an element of the stabiliser maps it to one of equal weight
     through r_i in child i. Where r_i is base[d], the child branches again
-    over Gamma_d+1, which fixes r_i; every other node, and a node whose
-    orbits are all single vertices, is a start node.
+    over Gamma_d+1, which fixes r_i and so maps C onto itself; every other
+    node, and a node whose orbits are all single vertices, is a start node.
 
     Returns None without generators, else a function of a component (a mask)
     and its vertices in the search's order: the start nodes, as (taken,
-    candidates) masks in that order, or None when some generator moves the
-    component.
+    candidates) masks in that order.
     """
     if not leveled:
         return None
@@ -159,24 +161,22 @@ def _orbital_roots(
         if groups[d][base[d - 1]] != 1 << base[d - 1]:
             raise RuntimeError(f"a generator of level {d} or more moves base vertex {base[d - 1]}")
 
-    def roots(comp: int, verts: list[int]) -> list[tuple[int, int]] | None:
-        if any(groups[0][v] & ~comp for v in verts):
-            return None
+    def roots(comp: int, verts: list[int]) -> list[tuple[int, int]]:
         nodes: list[tuple[int, int]] = []
         stack = [(0, 0, comp)]  # (d, T, P); d == len(groups) for a start node
         while stack:
             d, taken, p = stack.pop()
-            if d == len(groups) or all(groups[d][v] == 1 << v for v in verts if p >> v & 1):
+            if d == len(groups) or all(groups[d][v] & comp == 1 << v for v in verts if p >> v & 1):
                 nodes.append((taken, p))
                 continue
             children, seen = [], 0
             for v in verts:
                 if (p & ~seen) >> v & 1:
-                    r, deeper = v, len(groups)
-                    if d < len(base) and groups[d][v] >> base[d] & 1:
+                    r, deeper, own = v, len(groups), groups[d][v] & comp
+                    if d < len(base) and own >> base[d] & 1:
                         r, deeper = base[d], d + 1
                     children.append((deeper, taken | 1 << r, p & ~seen & ~(masks[r] | 1 << r)))
-                    seen |= groups[d][v]
+                    seen |= own
             stack += reversed(children)
         return nodes
 

@@ -217,7 +217,7 @@ def _clm_ad_case(q: int) -> dict:
     mu = exponential.shitov_mu(heawood, 0, q, t)
     theta = exponential.shitov_theta(heawood, 0, q, b=b, t=t)
     adjacent = exponential.exp_adjacent(theta, mu)
-    shared = theta.exp.image & mu.exp.image
+    shared = theta.image & mu.image
     return {
         "q": q,
         "b": b,

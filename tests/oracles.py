@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from prodcolor.exponential import BlowupExpMap
+from prodcolor.exponential import ExpMap, is_simple
 from prodcolor.graphs import Digraph, Graph
 
 
@@ -107,18 +107,17 @@ def brute_exp_adjacent(base: Graph, f: tuple[int, ...], g: tuple[int, ...]) -> b
     return True
 
 
-def simple_maps_adjacent(g: Graph, phi: BlowupExpMap, psi: BlowupExpMap) -> bool:
+def simple_maps_adjacent(g: Graph, q: int, phi: ExpMap, psi: ExpMap) -> bool:
     """The simple-map adjacency characterization over the original base.
 
     For simple maps over blowup(g, q) with q >= 2 this equals exp_adjacent:
     per base edge xy both cross conditions, plus phi(x) != psi(x) at every
     vertex (from the intra-fiber edges).
     """
-    if not (phi.simple and psi.simple):
+    if not (is_simple(phi, q) and is_simple(psi, q)):
         raise ValueError("characterization applies to simple maps only")
-    q = phi.q
-    pv = tuple(phi.exp.values[x * q] for x in range(g.n))
-    sv = tuple(psi.exp.values[x * q] for x in range(g.n))
+    pv = tuple(phi.values[x * q] for x in range(g.n))
+    sv = tuple(psi.values[x * q] for x in range(g.n))
     for x, y in g.edges:
         if pv[x] == sv[y] or sv[x] == pv[y]:
             return False

@@ -835,6 +835,13 @@ def test_exp_mu_theta_obj_bytes(capsys, tmp_path):
     assert out == (
         '{"base": ' + C5_OBJ + ', "c": 6, "q": 1, "simple": true, "values": [2, 2, 3, 3, 2]}\n'
     )
+    # fibers of two vertices each: "simple" reads every vertex of a fiber
+    code, out, _ = run(capsys, "exp", "theta", f["c5"], "-q", "2", "--format", "obj")
+    assert code == 0
+    assert out == (
+        '{"base": ' + C5_OBJ + ', "c": 10, "q": 2, "simple": true, '
+        '"values": [4, 4, 4, 4, 5, 5, 5, 5, 4, 4]}\n'
+    )
 
 
 def test_exp_verify_mu_clique_obj_bytes(capsys, tmp_path):

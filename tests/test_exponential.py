@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from prodcolor import exponential, solvers
 from prodcolor.errors import CapExceeded
 from prodcolor.exponential import (
-    BlowupExpMap,
     ExpContext,
     ExpMap,
     MuCliqueReport,
@@ -19,6 +18,7 @@ from prodcolor.exponential import (
     constant_map,
     exp_adjacent,
     index_to_map,
+    is_simple,
     materialize_exponential,
     normalize_on_constants,
     observation_image_check,
@@ -300,7 +300,7 @@ def test_materialize_empty_and_single_vertex_bases_by_hand():
     assert expo.edges == {(0, 1), (0, 2), (1, 2)} and not expo.loops
 
 
-def test_materialize_caps():
+def test_materialize_caps(monkeypatch):
     with pytest.raises(CapExceeded, match="max_vertices"):
         materialize_exponential(ExpContext(cycle(5), 3), max_vertices=100)
     # K_3^{C5} has 498 edges: the exact count is taken before any edge is built
@@ -312,6 +312,15 @@ def test_materialize_caps():
         assert materialize_exponential(ctx, max_edges=n_edges).edges
         with pytest.raises(CapExceeded, match=f"^{n_edges} edges exceed"):
             materialize_exponential(ctx, max_edges=n_edges - 1)
+    # K_20000^{K1}: its 20,000 maps pass the vertex cap, and each leaves all
+    # 20,000 colours free, so the edge cap refuses it before any c-bit table
+    calls = []
+    monkeypatch.setattr(exponential, "_half_tables", lambda *args: calls.append(args))
+    with pytest.raises(
+        CapExceeded, match="^at least 199990000 edges exceed the max_edges cap of 25000000$"
+    ):
+        materialize_exponential(ExpContext(complete_graph(1), 20_000))
+    assert calls == []
 
 
 def test_materialize_petersen_within_default_caps():
@@ -422,8 +431,8 @@ def test_mu_values_path4():
     # distances from 0 are [0, 1, 2, 3]: branches i, q+i, i, t
     path4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     mu = shitov_mu(path4, 0, 1, 2)
-    assert mu.exp.values == (0, 1, 0, 2)
-    assert mu.q == 1 and mu.ctx.c == 6
+    assert mu.values == (0, 1, 0, 2)
+    assert mu.ctx == ExpContext(blowup(path4, 1), 6)
 
 
 def test_mu_follows_distance_classes():
@@ -435,7 +444,7 @@ def test_mu_follows_distance_classes():
             for x in range(hw.n):
                 for i in range(q):
                     expected = i if dist[x] in (0, 2) else q + i if dist[x] == 1 else t
-                    assert mu.value(x, i) == expected
+                    assert mu.values[x * q + i] == expected
 
 
 def test_mu_image_contained_in_first_block_plus_t():
@@ -443,20 +452,20 @@ def test_mu_image_contained_in_first_block_plus_t():
     for q in (1, 2):
         for t in secondary_block(q):
             mu = shitov_mu(hw, 0, q, t)
-            assert mu.exp.image <= frozenset(range(2 * q)) | {t}
+            assert mu.image <= frozenset(range(2 * q)) | {t}
 
 
 def test_mu_unreachable_uses_t():
     g = Graph.from_edges(3, [(0, 1)])  # vertex 2 unreachable from 0
     mu = shitov_mu(g, 0, 1, 3)
-    assert mu.exp.values[2] == 3
+    assert mu.values[2] == 3
 
 
 def test_mu_not_simple_for_q_at_least_2():
-    assert not shitov_mu(named("heawood"), 0, 2, 5).simple
-    assert not shitov_mu(named("heawood"), 0, 3, 7).simple
+    assert not is_simple(shitov_mu(named("heawood"), 0, 2, 5), 2)
+    assert not is_simple(shitov_mu(named("heawood"), 0, 3, 7), 3)
     # q = 1 fibers are singletons, so constancy per fiber holds vacuously
-    assert shitov_mu(named("heawood"), 0, 1, 2).simple
+    assert is_simple(shitov_mu(named("heawood"), 0, 1, 2), 1)
 
 
 def test_mu_validation():
@@ -474,13 +483,17 @@ def test_mu_validation():
 def test_theta_image_and_simplicity():
     hw = named("heawood")
     th = shitov_theta(hw, 0, 2)
-    assert th.exp.image == frozenset({4, 5})
-    assert th.simple
+    assert th.image == frozenset({4, 5})
+    assert th.ctx == ExpContext(blowup(hw, 2), 10)
+    assert is_simple(th, 2)
+    for q in (0, -2):
+        with pytest.raises(ValueError, match="q must be >= 1"):
+            is_simple(th, q)
 
 
 def test_theta_defaults_and_validation():
     th = shitov_theta(named("heawood"), 0, 2)
-    assert th.exp.values[0] == 4  # t = 2q at the center
+    assert th.values[0] == 4  # t = 2q at the center
     with pytest.raises(ValueError, match="differ"):
         shitov_theta(named("heawood"), 0, 1, b=2, t=2)
     with pytest.raises(ValueError, match="secondary block"):
@@ -505,7 +518,7 @@ def test_theta_adjacent_to_mu():
         mu = shitov_mu(hw, 0, q, t)
         th = shitov_theta(hw, 0, q, b=b, t=t)
         assert exp_adjacent(th, mu)
-        assert th.exp.image & mu.exp.image == frozenset({t})
+        assert th.image & mu.image == frozenset({t})
 
 
 def test_theta_spec_example_q1():
@@ -563,7 +576,7 @@ def _mu_clique_reference(g: Graph, v: int, q: int) -> MuCliqueReport:
     pairs = list(combinations(mus, 2))
     violations = []
     for t, tp in pairs:
-        f, fp = mus[t].exp.values, mus[tp].exp.values
+        f, fp = mus[t].values, mus[tp].values
         hits = [(a, b) for a, b in checks if f[a] == fp[b]]
         assert exp_adjacent(mus[t], mus[tp]) == (not hits)
         if hits:
@@ -654,8 +667,7 @@ def _random_simple_map(rng, g, q, c):
     values = []
     for x in range(g.n):
         values.extend([base_values[x]] * q)
-    ctx = ExpContext(blowup(g, q), c)
-    return BlowupExpMap(g, q, ExpMap(ctx, tuple(values)))
+    return ExpMap(ExpContext(blowup(g, q), c), tuple(values))
 
 
 def test_simple_map_characterization_matches_raw():
@@ -665,7 +677,7 @@ def test_simple_map_characterization_matches_raw():
             for _ in range(15):
                 phi = _random_simple_map(rng, g, q, 5)
                 psi = _random_simple_map(rng, g, q, 5)
-                assert simple_maps_adjacent(g, phi, psi) == exp_adjacent(phi, psi)
+                assert simple_maps_adjacent(g, q, phi, psi) == exp_adjacent(phi, psi)
 
 
 def test_simple_map_characterization_diverges_at_q1():
@@ -673,10 +685,9 @@ def test_simple_map_characterization_diverges_at_q1():
     # phi(x) != psi(x) is not part of raw adjacency; K2 with equal proper
     # colorings separates the two predicates
     g = complete_graph(2)
-    ctx = ExpContext(blowup(g, 1), 2)
-    phi = BlowupExpMap(g, 1, ExpMap(ctx, (0, 1)))
+    phi = ExpMap(ExpContext(blowup(g, 1), 2), (0, 1))
     assert exp_adjacent(phi, phi)
-    assert not simple_maps_adjacent(g, phi, phi)
+    assert not simple_maps_adjacent(g, 1, phi, phi)
 
 
 def test_simple_subgraph_isomorphic_to_looped_exponential():

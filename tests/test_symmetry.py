@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prodcolor import symmetry
+from prodcolor import _independent_sets, symmetry
 from prodcolor.fractional import _orbital_roots, fractional_chromatic
 from prodcolor.graphs import CATALOG, Graph, cycle, kneser, named, tensor_product
 from prodcolor._independent_sets import heaviest_independent_set
@@ -124,14 +124,29 @@ def test_found_generators_are_checked_before_the_lp(monkeypatch):
     assert value == Fraction(5, 2) and witness.generators == ()
 
 
-def test_chi_f_of_a_vertex_transitive_product_has_one_orbit_row():
-    # and so has the vertex-transitive Kneser graph K(10, 4), with n/alpha = 210/84
-    p = named("petersen")
-    for g in (tensor_product(p, p), kneser(10, 4)):
+def test_chi_f_of_a_vertex_transitive_product_has_one_orbit_row(monkeypatch):
+    # and so has the vertex-transitive Kneser graph K(10, 4), with n/alpha =
+    # 210/84; Heawood x Heawood has two components that the group swaps, and
+    # its pricing still starts from the orbital branches of each
+    search, starts = _independent_sets._independence_search, []
+
+    def spy(masks, weights, nodes):
+        starts.append(len(nodes))
+        return search(masks, weights, nodes)
+
+    monkeypatch.setattr(_independent_sets, "_independence_search", spy)
+    p, hw = named("petersen"), named("heawood")
+    for g, chi_f in (
+        (tensor_product(p, p), Fraction(5, 2)),
+        (kneser(10, 4), Fraction(5, 2)),
+        (tensor_product(hw, hw), Fraction(2)),
+    ):
+        starts.clear()
         value, witness = fractional_chromatic(g, max_vertices=g.n)
-        assert value == Fraction(5, 2) and witness.generators
+        assert value == chi_f and witness.generators
         assert _orbits(g.n, witness.generators)[1] == [g.n]
         assert witness.covers(g)
+        assert any(starts)
 
 
 @settings(max_examples=60, deadline=None)
@@ -158,13 +173,18 @@ def _orbital_cases(draw):
     """A graph at a drawn density, a first path with level-tagged generators,
     and weights 0..9 constant on their orbits (a 0 splits components): the
     found generators on up to 9 vertices, or a random subset of Aut(g), all
-    at level 0 with no path, on up to 7."""
-    found = draw(st.booleans())
-    n = draw(st.integers(0, 9 if found else 7))
+    at level 0 with no path, on up to 7. The graph may be two disjoint
+    copies of one on half as many vertices, so that the group swaps
+    components."""
+    found, copies = draw(st.booleans()), draw(st.integers(1, 2))
+    n = draw(st.integers(0, (9 if found else 7) // copies))
     pairs = list(combinations(range(n), 2))
     density = draw(st.integers(1, 9))
     keep = draw(st.lists(st.integers(0, 9), min_size=len(pairs), max_size=len(pairs)))
-    g = Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k < density])
+    edges = [e for e, k in zip(pairs, keep) if k < density]
+    g = Graph.from_edges(
+        n * copies, [(u + i * n, v + i * n) for i in range(copies) for u, v in edges]
+    )
     if found:
         base, leveled = _leveled_generators(g)
     else:
