@@ -6,9 +6,11 @@ always mean the chromatic number of its underline graph.
 
 The two constructive transforms relate colorings across one shift level:
 downward, a proper coloring of shift(D) yields a proper set-coloring of D
-(color each vertex by the set of colors on its out-arcs); upward, a proper
-equal-size set-coloring of D yields a proper coloring of shift(D) (color each
-arc (x, y) by the smallest element of set(y) - set(x)).
+(color each vertex by the set of colors on its out-arcs); upward, a
+set-coloring of D with set(y) - set(x) nonempty on every arc (x, y) yields a
+proper coloring of shift(D) (color each arc (x, y) by the smallest element of
+set(y) - set(x)). Both check shift colorings on D's own arcs and build no
+shift.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate, combinations
 from math import comb
-from typing import Callable
 
 from ._record import Record
 from .graphs import (
@@ -29,29 +30,20 @@ from .graphs import (
     tensor_product,
     underline,
 )
-from .solvers import Coloring, chromatic_number, is_proper_coloring, optimal_coloring
+from .solvers import Coloring, chromatic_number, optimal_coloring
 
 
 class SetColoring(Record):
-    """Total map vertex -> subset of {0..k-1}; adjacent vertices get distinct sets.
-
-    size fixes the required subset cardinality; None means any size
-    (including empty) is acceptable.
-    """
+    """Total map vertex -> subset of {0..k-1}; adjacent vertices get distinct sets."""
 
     sets: tuple[frozenset[int], ...]
     k: int
-    size: int | None = None
 
     def __post_init__(self) -> None:
         for v, s in enumerate(self.sets):
             for color in s:
                 if not (0 <= color < self.k):
                     raise ValueError(f"vertex {v} uses color {color} outside palette {self.k}")
-            if self.size is not None and len(s) != self.size:
-                raise ValueError(
-                    f"vertex {v} has a set of size {len(s)}, required size is {self.size}"
-                )
 
 
 def is_proper_set_coloring(g: Graph, sc: SetColoring) -> bool:
@@ -79,11 +71,17 @@ def arc_shift(d: Digraph) -> tuple[Digraph, tuple[tuple[int, int], ...]]:
     return Digraph._built(len(arcs), shift_arcs), arcs
 
 
-@lru_cache(maxsize=1)
-def _underlines(d: Digraph) -> tuple[Graph, Graph]:
-    """underline(D) and underline(shift(D)), so lem-rel and both transforms
-    on one digraph share one shift."""
-    return underline(d), underline(arc_shift(d)[0])
+def _proper_on_arcs(d: Digraph, colors: tuple[int, ...]) -> bool:
+    """True iff colors, one per arc of d.sorted_arcs, properly color shift(D).
+
+    Two arcs are adjacent in underline(shift(D)) iff one ends where the other
+    starts, so the coloring is proper iff no vertex of D has a color on both
+    an in-arc and an out-arc.
+    """
+    into: list[set[int]] = [set() for _ in range(d.n)]
+    for (_, y), color in zip(d.sorted_arcs, colors):
+        into[y].add(color)
+    return all(color not in into[x] for (x, _), color in zip(d.sorted_arcs, colors))
 
 
 def coloring_down(d: Digraph, shift_coloring: Coloring) -> SetColoring:
@@ -93,40 +91,39 @@ def coloring_down(d: Digraph, shift_coloring: Coloring) -> SetColoring:
     any arc (x, y) the input color of that arc lies in psi(x) - psi(y), so
     adjacent vertices of underline(D) always receive distinct sets.
     """
-    under_d, under_shift = _underlines(d)
-    if not is_proper_coloring(under_shift, shift_coloring):
+    arcs = d.sorted_arcs
+    if len(shift_coloring.colors) != len(arcs):
+        raise ValueError(f"coloring covers {len(shift_coloring.colors)} arcs, D has {len(arcs)}")
+    if not _proper_on_arcs(d, shift_coloring.colors):
         raise ValueError("input is not a proper coloring of underline(shift(D))")
     out_colors: list[set[int]] = [set() for _ in range(d.n)]
-    for (x, _), color in zip(d.sorted_arcs, shift_coloring.colors):
+    for (x, _), color in zip(arcs, shift_coloring.colors):
         out_colors[x].add(color)
-    result = SetColoring(tuple(map(frozenset, out_colors)), shift_coloring.k, None)
-    if not is_proper_set_coloring(under_d, result):
+    result = SetColoring(tuple(map(frozenset, out_colors)), shift_coloring.k)
+    if any(result.sets[x] == result.sets[y] for x, y in arcs):
         raise RuntimeError("down-transform produced an improper set-coloring of underline(D)")
     return result
 
 
 def coloring_up(d: Digraph, set_coloring: SetColoring) -> Coloring:
-    """Proper coloring of shift(D) from a proper equal-size set-coloring of D.
+    """Proper coloring of shift(D) from a set-coloring psi of D with
+    psi(y) - psi(x) nonempty on every arc (x, y).
 
-    phi(x, y) = min(psi(y) - psi(x)), which is well defined because distinct
-    equal-size sets have nonempty differences. Consecutive arcs (x, y), (y, z)
-    then get phi(x, y) in psi(y) and phi(y, z) outside psi(y).
+    phi(x, y) = min(psi(y) - psi(x)). Consecutive arcs (x, y), (y, z) then get
+    phi(x, y) in psi(y) and phi(y, z) outside psi(y). Distinct equal-size sets
+    meet the precondition.
     """
-    under_d, under_shift = _underlines(d)
-    if set_coloring.size is None:
-        sizes = {len(s) for s in set_coloring.sets}
-        if len(sizes) > 1:
-            raise ValueError(f"set sizes must all be equal, got sizes {sorted(sizes)}")
-    if not is_proper_set_coloring(under_d, set_coloring):
-        raise ValueError("input is not a proper set-coloring of underline(D)")
+    sets = set_coloring.sets
+    if len(sets) != d.n:
+        raise ValueError(f"set coloring covers {len(sets)} vertices, graph has {d.n}")
     colors = []
     for x, y in d.sorted_arcs:
-        diff = set_coloring.sets[y] - set_coloring.sets[x]
+        diff = sets[y] - sets[x]
         if not diff:
             raise ValueError(f"arc ({x}, {y}) has an empty set difference")
         colors.append(min(diff))
     result = Coloring(tuple(colors), set_coloring.k)
-    if not is_proper_coloring(under_shift, result):
+    if not _proper_on_arcs(d, result.colors):
         raise RuntimeError("up-transform produced an improper coloring of underline(shift(D))")
     return result
 
@@ -157,18 +154,18 @@ def _min_k_central(chi: int) -> int:
 
 def _lemma_rel(
     d: Digraph, colorings: dict[Graph, Coloring] | None = None
-) -> tuple[LemmaRelReport, Callable[[], bool]]:
-    """The bounds report on D, and the transforms check as a deferred call:
-    True iff both transforms, run from solver-found colorings, give proper
-    outputs and the down-transform uses at most 2^chi(shift(D)) distinct sets.
+) -> tuple[LemmaRelReport, bool]:
+    """The bounds report on D, and whether both transforms, run from
+    solver-found colorings, give proper outputs and the down-transform uses
+    at most 2^chi(shift(D)) distinct sets.
 
-    Both share one shift of D and one optimal coloring per underline graph,
+    D is shifted once, and each underline graph gets one optimal coloring,
     which gives its chromatic number too. colorings maps graphs to their
     optimal colorings: a caller that checks many digraphs passes one dict, so
     each distinct underline graph is colored once, as optimal_coloring is a
     function of the graph's value. Both transforms still check the colorings.
     """
-    under_d, under_shift = _underlines(d)
+    under_d, under_shift = underline(d), underline(arc_shift(d)[0])
     colorings = {} if colorings is None else colorings
     for g in (under_d, under_shift):
         if g not in colorings:
@@ -178,16 +175,12 @@ def _lemma_rel(
     lower = _min_k_power(chi_d)
     upper = _min_k_central(chi_d)
     report = LemmaRelReport(chi_d, chi_shift, lower, upper, lower <= chi_shift <= upper)
-
-    def transforms_hold() -> bool:
-        try:  # each transform raises RuntimeError on an improper output
-            if under_shift.n and len(set(coloring_down(d, base_shift).sets)) > 2**chi_shift:
-                return False
-            coloring_up(d, _uniform_set_coloring(base_d))
-        except RuntimeError:
-            return False
-        return True
-
+    try:  # each transform raises RuntimeError on an improper output
+        # an arcless D has one set, the empty one, and 2^0 = 1
+        transforms_hold = len(set(coloring_down(d, base_shift).sets)) <= 2**chi_shift
+        coloring_up(d, _uniform_set_coloring(base_d))
+    except RuntimeError:
+        transforms_hold = False
     return report, transforms_hold
 
 
@@ -206,8 +199,7 @@ def _uniform_set_coloring(base: Coloring) -> SetColoring:
     k = _min_k_central(base.k)
     s = -(-k // 2)
     subsets = list(combinations(range(k), s))[: base.k]
-    sets = tuple(frozenset(subsets[c]) for c in base.colors)
-    return SetColoring(sets, k, s)
+    return SetColoring(tuple(frozenset(subsets[c]) for c in base.colors), k)
 
 
 # ---------------------------------------------------------------------------

@@ -246,12 +246,9 @@ def _cmd_invariant(args) -> int:
     from . import solvers
 
     p = _params(args)
-    vertex = 0
     if args.kind == "dist":
         vertex = _int(args, 0, "source vertex")
         p.pop(0)
-        if args.one_based:
-            vertex -= 1
     g = _load_graph(_file(p))
     if args.kind == "chi":
         if args.format == "obj":
@@ -273,7 +270,10 @@ def _cmd_invariant(args) -> int:
         gg = solvers.girth(g)
         print("inf" if gg == float("inf") else gg)
     elif args.kind == "dist":
-        dist = graphs.distances(g, vertex)
+        off = 1 if args.one_based else 0
+        if not 0 <= vertex - off < g.n:  # named as given, not as shifted
+            raise ValueError(f"vertex {vertex} out of range for n={g.n}" + " (1-based)" * off)
+        dist = graphs.distances(g, vertex - off)
         print(" ".join("inf" if d == float("inf") else str(d) for d in dist))
     return 0
 

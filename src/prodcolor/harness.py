@@ -374,7 +374,7 @@ def _claim_lem_rel(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
 
     def check(d: Digraph) -> list[int]:
         report, transforms_hold = arcshift._lemma_rel(d, colorings)
-        if not (report.passed and transforms_hold()):
+        if not (report.passed and transforms_hold):
             failures.append({"n": d.n, "arcs": sorted(d.arcs)})
         return [d.n, len(d.arcs), report.chi_d, report.chi_shift, report.lower, report.upper]
 

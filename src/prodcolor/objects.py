@@ -98,12 +98,7 @@ def coloring_from_obj(obj: Any):
 def set_coloring_from_obj(obj: Any):
     from .arcshift import SetColoring
 
-    size = _key(obj, "size", None)
-    return SetColoring(
-        tuple(frozenset(s) for s in _rows(obj, "sets")),
-        _int(_key(obj, "k"), "k"),
-        None if size is None else _int(size, "size"),
-    )
+    return SetColoring(tuple(frozenset(s) for s in _rows(obj, "sets")), _int(_key(obj, "k"), "k"))
 
 
 def fractional_coloring_from_obj(obj: Any):

@@ -133,13 +133,13 @@ def test_criterion_06_lemma_rel():
     for d in all_labelled_digraphs(4):
         count += 1
         report, transforms_hold = _lemma_rel(d)
-        ok &= report.passed and transforms_hold()
+        ok &= report.passed and transforms_hold
     ok &= count == 1 + 4 + 64 + 4096
     rng = cfg.rng("acceptance-lem-rel")
     for _ in range(100):
         d = random_digraph(rng, 1, 6, ARC_PROBABILITY)
         report, transforms_hold = _lemma_rel(d)
-        ok &= report.passed and transforms_hold()
+        ok &= report.passed and transforms_hold
     crit.finish(ok)
 
 

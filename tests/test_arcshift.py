@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
@@ -92,7 +93,7 @@ def test_coloring_down_k2():
     d = complete_digraph(2)
     sc = coloring_down(d, Coloring((0, 1), 2))
     assert sc.sets == (frozenset({0}), frozenset({1}))
-    assert sc.size is None
+    assert sc.k == 2
 
 
 def test_coloring_down_sink_gets_empty_set():
@@ -106,6 +107,8 @@ def test_coloring_down_rejects_improper():
     d = complete_digraph(2)
     with pytest.raises(ValueError, match="not a proper coloring"):
         coloring_down(d, Coloring((0, 0), 2))
+    with pytest.raises(ValueError, match="coloring covers 1 arcs, D has 2"):
+        coloring_down(d, Coloring((0,), 1))
 
 
 def test_coloring_down_set_count_bound():
@@ -121,7 +124,7 @@ def test_coloring_down_set_count_bound():
 
 def test_coloring_up_k2():
     d = complete_digraph(2)
-    sc = SetColoring((frozenset({0}), frozenset({1})), 2, 1)
+    sc = SetColoring((frozenset({0}), frozenset({1})), 2)
     up = coloring_up(d, sc)
     # arc order is (0,1), (1,0): colors min({1}-{0}) = 1 and min({0}-{1}) = 0
     assert up.colors == (1, 0)
@@ -130,10 +133,40 @@ def test_coloring_up_k2():
 
 def test_coloring_up_rejects_bad_inputs():
     d = complete_digraph(2)
-    with pytest.raises(ValueError, match="equal"):
-        coloring_up(d, SetColoring((frozenset({0}), frozenset({0, 1})), 2, None))
-    with pytest.raises(ValueError, match="not a proper set-coloring"):
-        coloring_up(d, SetColoring((frozenset({0}), frozenset({0})), 2, 1))
+    # {0} is inside {0, 1}, so the arc (1, 0) has no color to take
+    with pytest.raises(ValueError, match=r"arc \(1, 0\) has an empty set difference"):
+        coloring_up(d, SetColoring((frozenset({0}), frozenset({0, 1})), 2))
+    with pytest.raises(ValueError, match=r"arc \(0, 1\) has an empty set difference"):
+        coloring_up(d, SetColoring((frozenset({0}), frozenset({0})), 2))
+    with pytest.raises(ValueError, match="set coloring covers 1 vertices, graph has 2"):
+        coloring_up(d, SetColoring((frozenset({0}),), 2))
+
+
+def test_shift_colorings_are_checked_on_the_digraphs_own_arcs():
+    # on every labelled digraph of up to 3 vertices: the on-arcs rule agrees
+    # with the built shift on every arc coloring from 3 colors, and coloring_up
+    # takes a set coloring over subsets of {0, 1, 2} iff psi(y) is not inside
+    # psi(x) on every arc (x, y), with a proper output
+    subsets = [frozenset(c for c in range(3) if mask >> c & 1) for mask in range(8)]
+    shift_colorings = set_colorings = 0
+    for d in all_labelled_digraphs(3):
+        under_shift = underline(arc_shift(d)[0])
+        for colors in product(range(3), repeat=len(d.arcs)):
+            shift_colorings += 1
+            coloring = Coloring(colors, 3)
+            assert arcshift._proper_on_arcs(d, colors) == is_proper_coloring(under_shift, coloring)
+        for sets in product(subsets, repeat=d.n):
+            set_colorings += 1
+            sc = SetColoring(sets, 3)
+            if all(not sets[y] <= sets[x] for x, y in d.arcs):
+                assert is_proper_coloring(under_shift, coloring_up(d, sc))
+            else:
+                with pytest.raises(ValueError, match="empty set difference"):
+                    coloring_up(d, sc)
+    assert (shift_colorings, set_colorings) == (4113, 33032)
+    # sets of unequal sizes are taken too
+    sc = SetColoring((frozenset({0}), frozenset({1, 2}), frozenset({1, 3})), 4)
+    assert coloring_up(complete_digraph(3), sc) == Coloring((1, 1, 0, 3, 0, 2), 4)
 
 
 def test_coloring_up_random_proper():
@@ -185,11 +218,11 @@ def test_lemma_rel_random():
     for _ in range(30):
         d = _rand_digraph(rng, 6)
         report, transforms_hold = arcshift._lemma_rel(d)
-        assert report.passed and transforms_hold()
+        assert report.passed and transforms_hold
 
 
 def test_lem_rel_shifts_each_digraph_once(monkeypatch):
-    # the bounds and both transforms of one digraph share one arc shift
+    # the bounds shift each digraph once, and neither transform builds a shift
     calls = []
 
     def counting(d):
@@ -197,12 +230,11 @@ def test_lem_rel_shifts_each_digraph_once(monkeypatch):
         return arc_shift(d)
 
     monkeypatch.setattr(arcshift, "arc_shift", counting)
-    arcshift._underlines.cache_clear()
     rng = random.Random(47)
     digraphs = [complete_digraph(4), Digraph(3)] + [_rand_digraph(rng, 5) for _ in range(5)]
     for i, d in enumerate(digraphs):
         report, transforms_hold = arcshift._lemma_rel(d)
-        assert report.passed and transforms_hold()
+        assert report.passed and transforms_hold
         assert calls == digraphs[: i + 1]
 
 
@@ -232,14 +264,20 @@ from prodcolor.graphs import Digraph
 if not sys.flags.optimize:
     sys.exit("needs python -O")
 # a down-transform that drops every out-arc color gives every vertex the empty
-# set: an improper set coloring (only the down-transform builds sets of no fixed size)
+# set: an improper set coloring. Only the sets coloring_down builds are emptied
 real = arcshift.SetColoring
-arcshift.SetColoring = lambda sets, k, size: real(
-    tuple(frozenset() for _ in sets) if size is None else sets, k, size
-)
+
+
+def dropped(sets, k):
+    if sys._getframe(1).f_code.co_name == "coloring_down":
+        sets = tuple(frozenset() for _ in sets)
+    return real(sets, k)
+
+
+arcshift.SetColoring = dropped
 d = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
 try:
-    print(arcshift._lemma_rel(d)[1]())
+    print(arcshift._lemma_rel(d)[1])
 except RuntimeError as exc:
     print("raised", exc)
 """
@@ -268,15 +306,13 @@ def test_lemma_rel_transforms_check_survives_python_O():
 def test_uniform_set_coloring_shape():
     d = complete_digraph(4)
     sc = _uniform(d)
-    assert sc.k == 4 and sc.size == 2
+    assert sc.k == 4 and {len(s) for s in sc.sets} == {2}
     assert is_proper_set_coloring(underline(d), sc)
 
 
 def test_set_coloring_validation():
     with pytest.raises(ValueError, match="vertex 1 uses color 2 outside palette 2"):
         SetColoring((frozenset({0}), frozenset({2})), 2)
-    with pytest.raises(ValueError, match="vertex 0 has a set of size 1, required size is 2"):
-        SetColoring((frozenset({0}),), 2, 2)
     with pytest.raises(ValueError, match="set coloring covers 1 vertices, graph has 2"):
         is_proper_set_coloring(underline(complete_digraph(2)), SetColoring((frozenset(),), 1))
 

@@ -74,8 +74,14 @@ def test_invariant_alpha_girth_dist(capsys, monkeypatch, tmp_path):
     code, out, _ = run(capsys, "invariant", "dist", "0", str(gfile))
     assert code == 0
     assert out == "0 1 2 2 1 1 2 2 2 2\n"
-    # a 1-based source vertex 1 is vertex 0
+    # a 1-based source vertex 1 is vertex 0; an out-of-range one is named as given
     assert run(capsys, "invariant", "dist", "1", "--one-based", str(gfile)) == (0, out, "")
+    for argv, err in [
+        (["0", "--one-based"], "vertex 0 out of range for n=10 (1-based)"),
+        (["11", "--one-based"], "vertex 11 out of range for n=10 (1-based)"),
+        (["10"], "vertex 10 out of range for n=10"),
+    ]:
+        assert run(capsys, "invariant", "dist", *argv, str(gfile)) == (1, "", f"error: {err}\n")
 
 
 def test_gen_product_and_blowup(capsys, monkeypatch, tmp_path):
@@ -202,7 +208,7 @@ def test_shift_down_and_up(capsys, monkeypatch, tmp_path):
     obj = json.loads(out)
     assert obj["sets"] == [[0], [1]]
     sets = tmp_path / "sets.json"
-    sets.write_text(json.dumps({"k": 2, "size": 1, "sets": [[0], [1]]}))
+    sets.write_text(json.dumps({"k": 2, "sets": [[0], [1]]}))
     code, out, _ = run(capsys, "shift", "up", str(dfile), "--set-coloring", str(sets))
     assert code == 0
     assert json.loads(out) == {"k": 2, "colors": [1, 0]}
@@ -756,7 +762,8 @@ def _files(tmp_path) -> dict[str, str]:
         "k3d": "3 6\n0 -> 1\n0 -> 2\n1 -> 0\n1 -> 2\n2 -> 0\n2 -> 1\n",
         "dx": "4 5\n0 -> 1\n1 -> 2\n2 -> 0\n2 -> 3\n3 -> 2\n",
         "col": '{"k": 3, "colors": [1, 2, 0, 2, 0, 1]}',
-        "sets": '{"k": 3, "size": 1, "sets": [[0], [1], [2]]}',
+        "sets": '{"k": 3, "sets": [[0], [1], [2]]}',
+        "unequal": '{"k": 4, "sets": [[0], [1, 2], [1, 3]]}',
     }
     paths = {}
     for name, text in texts.items():
@@ -806,11 +813,16 @@ def test_shift_obj_bytes(capsys, tmp_path):
     code, out, _ = run(capsys, "shift", "down", f["k3d"], "--coloring", f["col"],
                        "--format", "obj")
     assert code == 0
-    assert out == '{"k": 3, "sets": [[1, 2], [0, 2], [0, 1]], "size": null}\n'
+    assert out == '{"k": 3, "sets": [[1, 2], [0, 2], [0, 1]]}\n'
     code, out, _ = run(capsys, "shift", "up", f["k3d"], "--set-coloring", f["sets"],
                        "--format", "obj")
     assert code == 0
     assert out == '{"colors": [1, 2, 0, 2, 0, 1], "k": 3}\n'
+    # sets of unequal sizes, each arc's head set not inside its tail set
+    code, out, _ = run(capsys, "shift", "up", f["k3d"], "--set-coloring", f["unequal"],
+                       "--format", "obj")
+    assert code == 0
+    assert out == '{"colors": [1, 1, 0, 3, 0, 2], "k": 4}\n'
     code, out, _ = run(capsys, "shift", "bounds", f["dx"], "--format", "obj")
     assert code == 0
     assert out == '{"chi_d": 3, "chi_shift": 3, "lower": 2, "passed": true, "upper": 3}\n'

@@ -137,9 +137,9 @@ def test_dot_output():
 def test_coloring_objects():
     c = Coloring((0, 1, 2, 0), 3)
     assert coloring_from_obj(to_obj(c)) == c
-    sc = SetColoring((frozenset({0, 1}), frozenset({2, 3})), 4, 2)
+    sc = SetColoring((frozenset({0, 1}), frozenset({2, 3})), 4)
     assert set_coloring_from_obj(to_obj(sc)) == sc
-    sc_any = SetColoring((frozenset(), frozenset({1})), 2, None)
+    sc_any = SetColoring((frozenset(), frozenset({1})), 2)
     assert set_coloring_from_obj(to_obj(sc_any)) == sc_any
     with pytest.raises(ParseError, match="^expected a JSON object, got list$"):
         coloring_from_obj([0, 1])
@@ -187,7 +187,7 @@ def test_to_obj_encoding_rules():
         "edges": [[0, 1], [1, 2]],
         "loops": [2],
     }
-    assert to_obj(SetColoring((frozenset({1, 0}),), 2)) == {"sets": [[0, 1]], "k": 2, "size": None}
+    assert to_obj(SetColoring((frozenset({1, 0}),), 2)) == {"sets": [[0, 1]], "k": 2}
 
 
 @settings(max_examples=40, deadline=None)
