@@ -1,10 +1,12 @@
 """Exact fractional chromatic number via the independent-set covering LP.
 
-chi_f(G) is the optimum of: minimize total weight over maximal independent
-sets such that every vertex is covered with weight >= 1. The sets are not
-listed up front but generated (Mehrotra-Trick 1996). The restricted master
-LP starts from the classes of a first-fit coloring in vertex order, each
-extended to a maximal set, so the only search is the pricing one. Each round
+chi_f(G) is the optimum of: minimize total weight over independent sets
+such that every vertex is covered with weight >= 1. The sets are not listed
+up front but generated (Mehrotra-Trick 1996). The restricted master LP's
+columns are the classes of a first-fit coloring in vertex order, each
+extended to a maximal set (so the only search is the pricing one), the
+priced sets, and the simplex's unit columns, each the singleton of the least
+vertex of its row's orbit. Each round
 prices the master's integer duals den * y with one exact maximum-weight
 independent-set search: a set whose duals sum to more than den would lower
 the objective, so the heaviest set, extended to a maximal one, is appended
@@ -217,9 +219,6 @@ def fractional_chromatic(
         for i, p in enumerate(generators):
             if not _is_automorphism(g, p):
                 raise ValueError(f"generator {i} is not an automorphism of the graph: {p!r}")
-    if g.n == 0:
-        return Fraction(0), FractionalColoring((), (), generators)
-
     orbit, sizes = _orbits(g.n, generators)
     masks = g.neighbor_masks
     classes: list[int] = []  # first fit: v joins the lowest class holding none of its neighbours
@@ -236,7 +235,7 @@ def fractional_chromatic(
     lp = open_covering_lp(len(sizes), [tuple(orbit[v] for v in s) for s in sets], sizes)
     while True:
         prices = lp.prices()
-        if min(prices) < 0:
+        if any(y < 0 for y in prices):
             raise RuntimeError("negative dual price; certificate invalid")
         weight, heaviest = heaviest_independent_set(g, [prices[o] for o in orbit], roots)
         if weight <= lp.den:  # every independent set has dual sum <= 1
@@ -244,10 +243,11 @@ def fractional_chromatic(
         sets.append(_maximal(masks, sum(1 << v for v in heaviest)))
         add_covering_columns(lp, [tuple(orbit[v] for v in sets[-1])])
     solution = lp.solution()
-
+    ns, ids = lp.ns, sorted(solution.primal)
+    # a basic unit column ns + m + i is the singleton of orbit i's least vertex
     witness = FractionalColoring(
-        tuple(frozenset(sets[j]) for j in sorted(solution.primal)),
-        tuple(solution.primal[j] for j in sorted(solution.primal)),
+        tuple(frozenset(sets[j] if j < ns else (orbit.index(j - ns - lp.m),)) for j in ids),
+        tuple(solution.primal[j] for j in ids),
         generators,
     )
     # primal feasibility and dual feasibility, with the equal values that

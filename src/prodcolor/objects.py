@@ -5,8 +5,8 @@ a record becomes a dict of its fields, a Fraction ``[num, den]``, a set a
 sorted list, a tuple a list, and a dict key a string. Anything else (int,
 bool, str, float, None) passes through. ``dumps`` writes that data as JSON
 text with sorted keys. The ``*_from_obj`` readers take such data back
-through the validating type constructors, so round trips are stable. The
-form is always 0-based.
+through the validating type constructors, so round trips are stable, and
+refuse any key they do not read. The form is always 0-based.
 
 Only the stages that read or write an object import this module; a stage
 that reads and writes only text does not compile it.
@@ -44,10 +44,18 @@ def dumps(value: Any, indent: int | None = None) -> str:
     return json.dumps(to_obj(value), sort_keys=True, indent=indent)
 
 
-def _key(obj: Any, key: str, default: Any = ...) -> Any:
-    """``obj[key]``, or ``default`` when given and the key is absent."""
+def _fields(obj: Any, *keys: str) -> dict:
+    """obj, refused unless it is a JSON object with no key outside ``keys``."""
     if not isinstance(obj, dict):
         raise ParseError(None, f"expected a JSON object, got {type(obj).__name__}")
+    for key in obj:
+        if key not in keys:
+            raise ParseError(None, f"unknown key {key!r}")
+    return obj
+
+
+def _key(obj: dict, key: str, default: Any = ...) -> Any:
+    """``obj[key]``, or ``default`` when given and the key is absent."""
     if key in obj:
         return obj[key]
     if default is ...:
@@ -69,7 +77,7 @@ def _ints(value: Any, where: str, length: int | None = None) -> tuple[int, ...]:
     return tuple(_int(x, f"{where}[{i}]") for i, x in enumerate(value))
 
 
-def _rows(obj: Any, key: str, length: int | None = None, default: Any = ...) -> list:
+def _rows(obj: dict, key: str, length: int | None = None, default: Any = ...) -> list:
     """``obj[key]`` read as a list of integer lists."""
     value = _key(obj, key, default)
     if not isinstance(value, list):
@@ -78,6 +86,7 @@ def _rows(obj: Any, key: str, length: int | None = None, default: Any = ...) -> 
 
 
 def graph_from_obj(obj: Any) -> Graph:
+    obj = _fields(obj, "n", "edges", "loops")
     return Graph.from_edges(
         _int(_key(obj, "n"), "n"),
         _rows(obj, "edges", 2, []),
@@ -86,18 +95,21 @@ def graph_from_obj(obj: Any) -> Graph:
 
 
 def digraph_from_obj(obj: Any) -> Digraph:
+    obj = _fields(obj, "n", "arcs")
     return Digraph.from_arcs(_int(_key(obj, "n"), "n"), _rows(obj, "arcs", 2, []))
 
 
 def coloring_from_obj(obj: Any):
     from .solvers import Coloring
 
+    obj = _fields(obj, "colors", "k")
     return Coloring(_ints(_key(obj, "colors"), "colors"), _int(_key(obj, "k"), "k"))
 
 
 def set_coloring_from_obj(obj: Any):
     from .arcshift import SetColoring
 
+    obj = _fields(obj, "sets", "k")
     return SetColoring(tuple(frozenset(s) for s in _rows(obj, "sets")), _int(_key(obj, "k"), "k"))
 
 
@@ -106,6 +118,7 @@ def fractional_coloring_from_obj(obj: Any):
 
     from .fractional import FractionalColoring
 
+    obj = _fields(obj, "sets", "weights", "generators")
     sets = tuple(frozenset(s) for s in _rows(obj, "sets"))
     weights = _rows(obj, "weights", 2)
     for i, (_, den) in enumerate(weights):

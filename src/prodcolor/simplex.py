@@ -18,19 +18,24 @@ while |v| < 2^(W-1), so a running bound E on |entries|, E' = max(max|b|,
 (piv E + max|d| max|b|) // den), repacks at twice the width (from 64; E reset
 to the true maximum) before a new entry or a transformed column (at most
 len(column) E) could reach that. The pivot updates the duals den * y,
-p_i' = (piv p_i - f b_i) // den with f = p.a_e - c_e den; phase 2 rebuilds
-them once. Only results become Fractions.
+p_i' = (piv p_i - f b_i) // den with f = p.a_e - c_e den. Only results
+become Fractions.
 
 Column generation: ``open_covering_lp`` keeps the optimal basis in its
 ``CoverLp``; ``add_covering_columns`` appends columns nonbasic at zero and
-continues phase 2 from it. A column is worth adding iff its duals
-``den * y``, counted once per entry, sum to more than ``den``.
+pivots on from it. A column is worth adding iff its duals ``den * y``,
+counted once per entry, sum to more than ``den``.
 
-One pivot rule: Dantzig pricing (lowest id on ties) and the lexicographic
-ratio test (Dantzig-Orden-Wolfe 1955). The first basis is the artificials,
-B = I, x_B = b >= 1, so every row of [x_B | B^-1] is lexicographically
-positive; each lexicographic pivot keeps it so, and within a phase
-[c_B x_B | c_B B^-1] strictly decreases, so no basis repeats.
+One phase, one pivot rule. Each row i also has a unit column e_i at cost 1,
+which any column that meets row i dominates: the units change no feasible
+LP's value, and a row that no column meets takes its unit at weight b_i.
+They are the first basis, B = I, x_B = b >= 1, den * y = 1, and stay priced
+for the LP's whole life, each in O(1) from its dual. Dantzig pricing (lowest
+id on ties) and the lexicographic ratio test (Dantzig-Orden-Wolfe 1955):
+every row of [x_B | B^-1] starts lexicographically positive, each
+lexicographic pivot keeps it so, and [c_B x_B | c_B B^-1] strictly
+decreases, also across added columns, so no basis repeats over the LP's
+whole life.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ class CoverLpSolution(Record):
     """Optimal primal weights, dual row prices, and the common objective value."""
 
     value: Fraction
-    primal: dict[int, Fraction]  # column index -> weight (only nonzero entries)
+    primal: dict[int, Fraction]  # column or unit id -> weight (only nonzero entries)
     dual: tuple[Fraction, ...]  # one price per row
     iterations: int
 
@@ -67,8 +72,8 @@ class CoverLp:
         _set_width(self, 64)
         self.cols = [1 << 64 * i for i in range(m)]
         self.xb = list(rhs)
-        self.p = [1] * m  # den * y for the phase-1 costs
-        # variable ids: 0..ns-1 columns, ns..ns+m-1 surplus, ns+m.. artificial
+        self.p = [1] * m  # den * y
+        # variable ids: 0..ns-1 columns, ns..ns+m-1 surplus, ns+m+i the unit e_i
         self.basis = list(range(self.ns + m, self.ns + 2 * m))
 
     @property
@@ -89,9 +94,8 @@ class CoverLp:
     def solution(self) -> CoverLpSolution:
         den = self.den
         dual = tuple(Fraction(v, den) for v in self.p)
-        primal = {
-            b: Fraction(x, den) for b, x in zip(self.basis, self.xb) if b < self.ns and x != 0
-        }
+        surplus = range(self.ns, self.ns + self.m)
+        primal = {b: Fraction(x, den) for b, x in zip(self.basis, self.xb) if x and b not in surplus}
         value = sum(primal.values(), Fraction(0))
         if value != sum(map(mul, dual, self.rhs), Fraction(0)):
             raise RuntimeError("primal/dual value mismatch; simplex invariant broken")
@@ -101,7 +105,8 @@ class CoverLp:
 def open_covering_lp(
     num_rows: int, columns: list[tuple[int, ...]], rhs: list[int] | None = None
 ) -> CoverLp:
-    """The covering LP over the given columns, solved to optimality by both phases.
+    """The covering LP over the given columns and the unit columns, solved to
+    optimality from the unit basis.
 
     ``rhs`` holds one positive integer per row and defaults to all ones.
     """
@@ -111,22 +116,7 @@ def open_covering_lp(
         raise ValueError(f"rhs must be {m} positive integers, got {rhs!r}")
     lp = CoverLp(m, list(columns), rhs)
     _check_columns(m, lp.columns)
-    if m == 0:
-        return lp
-    covered = set().union(*lp.columns)
-    if covered != set(range(m)):
-        missing = sorted(set(range(m)) - covered)
-        raise ValueError(f"rows {missing} are covered by no column; LP infeasible")
-
-    _iterate(lp, phase1=True)
-    # At a phase-1 optimum the surplus columns force y >= 0 and the zero
-    # objective forces y.b = 0 with b >= 1, so y = c_B B^-1 = 0 and no artificial
-    # (cost 1) can still be basic: phase 2 starts from a basis of real columns.
-    if any(b >= lp.ns + m for b in lp.basis):
-        raise RuntimeError("phase 1 ended with an artificial in the basis; simplex invariant broken")
-    costs = [b < lp.ns for b in lp.basis]  # phase 2: c = 1 on the columns
-    lp.p = [sum(map(mul, lp._unpack(c), costs)) for c in lp.cols]
-    _iterate(lp, phase1=False)
+    _iterate(lp)
     return lp
 
 
@@ -134,14 +124,14 @@ def add_covering_columns(lp: CoverLp, columns: list[tuple[int, ...]]) -> None:
     """Append columns to an optimal covering LP and re-optimize from its basis.
 
     The new columns enter nonbasic at zero, so the basis stays primal feasible
-    and phase 2 continues from it; phase 1 is not run again.
+    and the pivots go on from it.
     """
     _check_columns(lp.m, columns)
     k, ns = len(columns), lp.ns
-    lp.basis = [b + k if b >= ns else b for b in lp.basis]  # slack ids move up
+    lp.basis = [b + k if b >= ns else b for b in lp.basis]  # surplus and unit ids move up
     lp.columns += columns
     lp.ns += k
-    _iterate(lp, phase1=False)
+    _iterate(lp)
 
 
 def _check_columns(m: int, columns: list[tuple[int, ...]]) -> None:
@@ -165,9 +155,9 @@ def _widen(st: CoverLp) -> None:
     st.cols[:] = (sum(v << st.w * r for r, v in enumerate(f)) for f in fields)
 
 
-def _iterate(st: CoverLp, phase1: bool) -> None:
-    """Pivot to the phase's optimum; the guard bounds the LP's running total
-    of iterations over both phases and every added batch of columns."""
+def _iterate(st: CoverLp) -> None:
+    """Pivot to the optimum; the guard bounds the LP's running total of
+    iterations over its opening solve and every added batch of columns."""
     while True:
         st.iterations += 1
         if st.iterations > _ITERATION_GUARD:
@@ -175,28 +165,24 @@ def _iterate(st: CoverLp, phase1: bool) -> None:
                 f"simplex LP reached iteration {st.iterations}, above the"
                 f" _ITERATION_GUARD cap of {_ITERATION_GUARD}"
             )
-        entering = _price(st, phase1)
+        entering = _price(st)
         if entering is None:
             return
         _pivot(st, *entering)
 
 
-def _price(st: CoverLp, phase1: bool) -> tuple[int, int] | None:
+def _price(st: CoverLp) -> tuple[int, int] | None:
     """(den * r_j, j) for the entering variable j, or None at optimality."""
     m, ns, q, p = st.m, st.ns, st.den, st.p
-    candidates: list[tuple[int, int]] = []  # (z_j, variable id)
-    struct_cost = 0 if phase1 else q
     price = p.__getitem__
-    z = [struct_cost - sum(map(price, col)) for col in st.columns]
+    z = [q - sum(map(price, col)) for col in st.columns]
     low = min(z, default=0)  # no columns, no structural candidate
+    # (z_j, variable id): surplus A = -e_i at cost 0, unit A = e_i at cost 1
+    candidates = [(y, ns + i) for i, y in enumerate(p) if y < 0]
+    candidates += [(q - y, ns + m + i) for i, y in enumerate(p) if q < y]
     if low < 0:
         candidates.append((low, z.index(low)))
-    for i, y in enumerate(p):  # surplus A = -e_i, cost 0; artificial A = e_i, cost 1
-        if y < 0:
-            candidates.append((y, ns + i))
-        if phase1 and q < y:
-            candidates.append((q - y, ns + m + i))
-    return min(candidates) if candidates else None
+    return min(candidates, default=None)
 
 
 def _pivot(st: CoverLp, z: int, enter: int) -> None:
@@ -205,7 +191,7 @@ def _pivot(st: CoverLp, z: int, enter: int) -> None:
     ns, m, cols = st.ns, st.m, st.cols
     if enter < ns:
         rows, sign = st.columns[enter], 1
-    else:  # surplus A = -e_i, artificial A = e_i
+    else:  # surplus A = -e_i, unit A = e_i
         rows, sign = ((enter - ns) % m,), 1 if enter >= ns + m else -1
     while len(rows) * st.bound >> st.w - 1:  # d must fit its fields
         _widen(st)

@@ -204,12 +204,12 @@ class FractionTableau:
     """A dense Fraction tableau for the covering LP min sum x, A x >= b, x >= 0,
     with the pivot rules of ``prodcolor.simplex`` and none of its code.
 
-    Variable ids: 0..ns-1 the columns, then one surplus (-e_i) and one
-    artificial (e_i) per row. Phase 1 minimises the artificials from the
-    artificial basis, phase 2 the columns; ``add`` appends columns and runs
-    phase 2 again. The entering variable has the least reduced cost, lowest id
-    on ties; the leaving row has the lexicographically least
-    [x_B | B^-1] row over its pivot entry. ``iterations`` counts pricing passes.
+    Variable ids: 0..ns-1 the columns, then one surplus (-e_i, cost 0) and one
+    unit column (e_i, cost 1) per row. One phase minimises the total cost from
+    the unit basis; ``add`` appends columns and pivots on. The entering
+    variable has the least reduced cost, lowest id on ties; the leaving row
+    has the lexicographically least [x_B | B^-1] row over its pivot entry.
+    ``iterations`` counts pricing passes.
     """
 
     def __init__(self, m: int, columns: list[tuple[int, ...]], rhs: list[int]):
@@ -221,33 +221,29 @@ class FractionTableau:
             for r in range(m)
         ]
         self.basis = list(range(m, 2 * m))
-        self.add(columns, phase1=True)
+        self.add(columns)
 
-    def _cost(self, j: int, phase1: bool) -> int:
-        artificial = j >= self.ns + self.m
-        return int(artificial) if phase1 else int(j < self.ns)
+    def _cost(self, j: int) -> int:
+        surplus = self.ns <= j < self.ns + self.m
+        return int(not surplus)
 
-    def add(self, columns: list[tuple[int, ...]], phase1: bool = False) -> None:
+    def add(self, columns: list[tuple[int, ...]]) -> None:
         m, k = self.m, len(columns)
-        for row in self.rows:  # B^-1 a for each new column, read off the artificial block
+        for row in self.rows:  # B^-1 a for each new column, read off the unit block
             binv = row[self.ns + m : self.ns + 2 * m]
             row[self.ns : self.ns] = [sum(binv[i] for i in col) for col in columns]
         self.basis = [b + k if b >= self.ns else b for b in self.basis]
         self.ns += k
-        if phase1:
-            self._run(True)
-            assert all(b < self.ns + m for b in self.basis), "phase 1 left an artificial"
-        self._run(False)
+        self._run()
 
-    def _run(self, phase1: bool) -> None:
+    def _run(self) -> None:
         m, ns = self.m, self.ns
         while True:
             self.iterations += 1
-            cb = [self._cost(b, phase1) for b in self.basis]
-            allowed = ns + 2 * m if phase1 else ns + m
+            cb = [self._cost(b) for b in self.basis]
             reduced = [
-                (self._cost(j, phase1) - sum(c * row[j] for c, row in zip(cb, self.rows)), j)
-                for j in range(allowed)
+                (self._cost(j) - sum(c * row[j] for c, row in zip(cb, self.rows)), j)
+                for j in range(ns + 2 * m)
             ]
             r, enter = min(reduced)
             if r >= 0:
@@ -266,12 +262,13 @@ class FractionTableau:
             self.basis[leave] = enter
 
     def primal(self) -> dict[int, Fraction]:
-        return {b: row[-1] for b, row in zip(self.basis, self.rows) if b < self.ns and row[-1]}
+        """The nonzero weights of the basic columns and unit columns."""
+        return {b: row[-1] for b, row in zip(self.basis, self.rows) if self._cost(b) and row[-1]}
 
     def dual(self) -> list[Fraction]:
-        """y = c_B B^-1 for the phase-2 costs."""
+        """y = c_B B^-1."""
         ns, m = self.ns, self.m
-        cb = [self._cost(b, False) for b in self.basis]
+        cb = [self._cost(b) for b in self.basis]
         return [sum(c * row[ns + m + i] for c, row in zip(cb, self.rows)) for i in range(m)]
 
 

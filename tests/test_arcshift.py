@@ -398,6 +398,40 @@ def test_functoriality_random():
         assert functoriality_check(_rand_digraph(rng), _rand_digraph(rng))
 
 
+_real_digraph_product, _real_pair_index, _real_reverse = (
+    arcshift.digraph_product, arcshift.pair_index, arcshift.reverse
+)
+_D1, _D2 = complete_digraph(2), complete_digraph(3)
+
+
+def _product_with_a_stray_arc(a: Digraph, b: Digraph) -> Digraph:
+    """D1 x D2 plus an arc between two new vertices, which no other arc meets;
+    every other product, such as that of the shifts, is left alone."""
+    d = _real_digraph_product(a, b)
+    return Digraph.from_arcs(d.n + 2, sorted(d.arcs) + [(d.n, d.n + 1)]) if b is _D2 else d
+
+
+@pytest.mark.parametrize(
+    "builder, broken",
+    [
+        # D1 x D2 gains a stray arc: its shift gains a vertex on no shift arc,
+        # so the shift arcs still match and only the arc count tells
+        ("digraph_product", _product_with_a_stray_arc),
+        # the arc bijection is off by one, so the shifts' products differ
+        ("pair_index", lambda i, j, n: _real_pair_index(i, j, n) + 1),
+        # the reverse loses its last arc, so the reversed shifts differ
+        ("reverse", lambda d: Digraph.from_arcs(d.n, sorted(_real_reverse(d).arcs)[:-1])),
+    ],
+    ids=["arc-count", "product-shift", "reversed-shift"],
+)
+def test_functoriality_fails_on_a_broken_builder(monkeypatch, builder, broken):
+    # one negative control per return False of functoriality_check; each
+    # breaks one builder, and the later checks would pass it
+    assert functoriality_check(_D1, _D2)
+    monkeypatch.setattr(arcshift, builder, broken)
+    assert functoriality_check(_D1, _D2) is False
+
+
 # ---------------------------------------------------------------------------
 # products of digraphs: decomposition and the bound chain
 

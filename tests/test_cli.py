@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from prodcolor import cli, simplex
-from prodcolor.graphs import kneser, named
+from prodcolor import cli, objects, simplex
+from prodcolor.graphs import complete_digraph, kneser, named
 from prodcolor.objects import coloring_from_obj, fractional_coloring_from_obj
-from prodcolor.serialize import parse_digraph, parse_graph, serialize_graph
+from prodcolor.serialize import parse_digraph, parse_graph, serialize_digraph, serialize_graph
 from prodcolor.solvers import is_proper_coloring
 
 
@@ -334,16 +334,63 @@ def test_parse_error_exit_1(capsys, monkeypatch):
         (["invariant", "chi"], '{"n": 3, "edges": [[0, 1, 2]]}',
          "edges[0] must be a list of 2 integers, got [0, 1, 2]"),
         (["invariant", "chi"], '{"n": 3, "edges": 5}', "edges must be a list, got int"),
+        # a misspelt key is refused, not dropped: read as no loops, this graph has chi 2
+        (["invariant", "chi"], '{"n": 2, "edges": [[0, 1]], "loop": [0]}', "unknown key 'loop'"),
+        (["shift", "up", "--set-coloring", "SIZED"], "2 0\n", "unknown key 'size'"),
     ],
-    ids=["graph-without-n", "set-coloring-without-sets", "edge-of-three", "edges-not-a-list"],
+    ids=[
+        "graph-without-n", "set-coloring-without-sets", "edge-of-three", "edges-not-a-list",
+        "misspelt-loops", "set-coloring-with-size",
+    ],
 )
 def test_malformed_json_input_exit_1(capsys, monkeypatch, tmp_path, argv, stdin, message):
-    sets = tmp_path / "sets.json"
+    sets, sized = tmp_path / "sets.json", tmp_path / "sized.json"
     sets.write_text('{"k": 2}')
-    argv = [str(sets) if a == "SETS" else a for a in argv]
+    sized.write_text('{"k": 2, "sets": [[0], [1]], "size": 1}')
+    argv = [{"SETS": str(sets), "SIZED": str(sized)}.get(a, a) for a in argv]
     code, _, err = run(capsys, *argv, stdin=stdin, monkeypatch=monkeypatch)
     assert code == 1
     assert err == f"input error: {message}\n"
+
+
+_PETERSEN, _K3_ARCS = serialize_graph(named("petersen")), serialize_digraph(complete_digraph(3))
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, key, read",
+    [
+        (["gen", "named", "grotzsch", "--format", "obj"], None, None, objects.graph_from_obj),
+        (["gen", "loops", "--format", "obj"], serialize_graph(named("k3")), None,
+         objects.graph_from_obj),
+        (["shift", "build", "--format", "obj"], _K3_ARCS, "shift", objects.digraph_from_obj),
+        (["exp", "mu", "-v", "0", "-q", "1", "-t", "2", "--format", "obj"],
+         serialize_graph(named("heawood")), "base", objects.graph_from_obj),
+        (["dgen", "complete", "3", "--format", "obj"], None, None, objects.digraph_from_obj),
+        (["invariant", "chi", "--format", "obj"], _PETERSEN, "coloring", coloring_from_obj),
+        (["shift", "up", "--set-coloring", "SETS"], _K3_ARCS, None, coloring_from_obj),
+        (["shift", "down", "--coloring", "COLORS"], _K3_ARCS, None, objects.set_coloring_from_obj),
+        (["invariant", "chif", "--format", "obj"], _PETERSEN, "coloring",
+         fractional_coloring_from_obj),
+    ],
+    ids=[
+        "gen", "gen-loops", "shift-build", "exp-mu-base", "dgen", "chi-coloring", "shift-up",
+        "shift-down", "chif-coloring",
+    ],
+)
+def test_objects_the_cli_writes_read_back(capsys, monkeypatch, tmp_path, argv, stdin, key, read):
+    # the readers refuse unknown keys, so each of the five types reads back
+    # from what the CLI writes, to the same object
+    files = {
+        "SETS": '{"k": 4, "sets": [[0], [1, 2], [1, 3]]}',
+        "COLORS": '{"k": 3, "colors": [1, 2, 0, 2, 0, 1]}',
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    code, out, _ = run(capsys, *argv, stdin=stdin, monkeypatch=monkeypatch)
+    obj = json.loads(out)
+    obj = obj if key is None else obj[key]
+    assert code == 0 and objects.to_obj(read(obj)) == obj
 
 
 @pytest.mark.parametrize(
@@ -668,15 +715,15 @@ def test_edge_cap_exit_2(capsys, monkeypatch):
 
 def test_simplex_iteration_guard_exit_2(capsys, monkeypatch):
     # invariant chif finds K(7,3)'s automorphisms, so its LP has one orbit row
-    # and needs 3 iterations in all; a guard of 2 stops it at the third
-    monkeypatch.setattr(simplex, "_ITERATION_GUARD", 2)
+    # and needs 2 iterations in all; a guard of 1 stops it at the second
+    monkeypatch.setattr(simplex, "_ITERATION_GUARD", 1)
     code, out, err = run(
         capsys, "invariant", "chif", "--max-lp-vertices", "35",
         stdin=serialize_graph(kneser(7, 3)), monkeypatch=monkeypatch,
     )
     assert (code, out) == (2, "")
     assert err == (
-        "cap exceeded: simplex LP reached iteration 3, above the _ITERATION_GUARD cap of 2\n"
+        "cap exceeded: simplex LP reached iteration 2, above the _ITERATION_GUARD cap of 1\n"
     )
 
 

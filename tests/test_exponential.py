@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 from itertools import chain, combinations, product
 
 import pytest
@@ -161,6 +162,25 @@ def test_constant_adjacent_to_map_missing_its_color():
 def test_constant_map_range_check():
     with pytest.raises(ValueError):
         constant_map(ExpContext(cycle(5), 3), 3)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: ExpContext(cycle(5), 0), ValueError, "palette size must be >= 1, got 0"),
+        (lambda: ExpMap(ExpContext(cycle(5), 3), (0, 1, 2)), ValueError,
+         "map covers 3 vertices, base has 5"),
+        # K_2^{K_2} has 4 maps; a 3-coloring of them has the wrong palette
+        (lambda: observation_image_check(ExpContext(complete_graph(2), 2), Coloring((0, 1, 2, 0), 3)),
+         NormalizationError, "palette is 3, expected 2"),
+        (lambda: normalize_on_constants(ExpContext(complete_graph(2), 2), Coloring((0, 1, 2, 0), 3)),
+         ValueError, "need palette 2, coloring has 3"),
+    ],
+    ids=["palette-below-1", "map-of-wrong-length", "observation-palette", "normalize-palette"],
+)
+def test_exponential_refuses_malformed_inputs(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_exp_chromatic_at_least_c():

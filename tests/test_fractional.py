@@ -30,6 +30,7 @@ from prodcolor.graphs import (
     underline,
 )
 from prodcolor.harness import FRAC_CATALOG
+from prodcolor.objects import fractional_coloring_from_obj
 from prodcolor.simplex import add_covering_columns, open_covering_lp
 from prodcolor.solvers import chromatic_number, independence_number
 from prodcolor.symmetry import _orbits, automorphism_generators
@@ -89,16 +90,21 @@ def test_simplex_iteration_guard_raises_cap_exceeded(monkeypatch):
 
 
 def test_simplex_iteration_guard_bounds_the_whole_lp(monkeypatch):
-    # the plain K(7,3) LP takes 529 iterations over both phases and its
+    # the plain K(7,3) LP takes 526 iterations over its opening solve and its
     # pricing rounds, no one call of which reaches 60; the running total does
     monkeypatch.setattr(simplex, "_ITERATION_GUARD", 60)
     with pytest.raises(CapExceeded, match="simplex LP reached iteration 61, above the"):
         fractional_chromatic(kneser(7, 3), max_vertices=35, generators=())
 
 
+def test_an_uncovered_row_takes_its_unit_column():
+    # row 1 meets no column, so its unit column e_1, id ns + m + 1 = 4, covers
+    # it at weight b_1; (0, 0) covers row 0 twice and replaces unit e_0
+    sol = open_covering_lp(2, [(0, 0)], [2, 3]).solution()
+    assert sol.primal == {0: 1, 4: 3} and sol.value == 4 and sol.dual == (Fraction(1, 2), 1)
+
+
 def test_simplex_rejects_uncoverable_rows():
-    with pytest.raises(ValueError, match="covered by no column"):
-        open_covering_lp(2, [(0,)]).solution()
     with pytest.raises(ValueError, match=r"column 1 \(\) is empty"):
         open_covering_lp(1, [(0,), ()]).solution()
     with pytest.raises(ValueError, match=r"column 0 \(0, 1, 5\) .*outside 0\.\.1"):
@@ -126,7 +132,7 @@ def test_simplex_integer_coefficients_and_rhs():
 
 def test_simplex_degenerate_instances():
     # one column covering several rows leaves several basic variables at zero
-    # after phase 1; phase 2 must still end at the optimum
+    # once it enters; the pivots must still end at the optimum
     sol = open_covering_lp(4, [(0, 1, 2, 3)]).solution()
     assert sol.value == 1 and sum(sol.dual) == 1
     sol = open_covering_lp(3, [(0, 1, 2), (0, 1, 2), (0, 1)]).solution()
@@ -157,14 +163,14 @@ def _covering_lps(draw):
 def _check_certificate(m, cols, rhs, sol):
     """Primal covers every row to its right-hand side, the duals are a feasible
     dual solution, and the three values agree; a column adds its weight to a
-    row once per listing."""
-    cover = [Fraction(0)] * m
+    row once per listing, and the unit column ns + m + i to row i."""
+    cover, ns = [Fraction(0)] * m, len(cols)
     for j, w in sol.primal.items():
         assert w > 0
-        for i in cols[j]:
+        for i in cols[j] if j < ns else (j - ns - m,):
             cover[i] += w
     assert all(c >= b for c, b in zip(cover, rhs))
-    assert len(sol.dual) == m and all(y >= 0 for y in sol.dual)
+    assert len(sol.dual) == m and all(0 <= y <= 1 for y in sol.dual)
     assert all(sum(sol.dual[i] for i in c) <= 1 for c in cols)
     assert sol.value == sum(sol.primal.values()) == sum(y * b for y, b in zip(sol.dual, rhs))
 
@@ -212,7 +218,7 @@ def test_added_columns_continue_from_the_basis(lp, data):
 @given(_covering_lps(), st.data())
 def test_basis_rows_stay_lexicographically_positive(lp, data):
     # the termination argument of the simplex: every row of [x_B | B^-1] is
-    # lexicographically positive at the first (artificial) basis, and each
+    # lexicographically positive at the first (unit) basis, and each
     # lexicographic pivot keeps it so, also across added columns
     m, cols, rhs = lp
     for master in _warm_starts(m, cols, rhs, data):
@@ -320,14 +326,14 @@ def test_packed_columns_repack_before_a_steep_pivot():
 
 
 def test_added_columns_that_price_out_keep_the_basis():
-    # weight 1 on (0, 1) and on (1, 2) is optimal and over-covers row 1, so a
-    # surplus is basic; (0,) and (2,) have reduced cost 0, so one pricing pass
-    # confirms the optimum without a pivot
+    # weight 1 on (0, 1) and on the unit column of row 2 (id 2 + 3 + 2) is
+    # optimal; (0,) and (2,) price like the units of rows 0 and 2, at reduced
+    # cost 0, so one pricing pass confirms the optimum without a pivot
     master = open_covering_lp(3, [(0, 1), (1, 2)])
     before = master.solution()
     add_covering_columns(master, [(0,), (2,)])
     after = master.solution()
-    assert after.primal == before.primal == {0: 1, 1: 1}
+    assert before.primal == {0: 1, 7: 1} and after.primal == {0: 1, 9: 1}
     assert after.dual == before.dual
     assert after.iterations == before.iterations + 1
 
@@ -392,6 +398,25 @@ def test_chi_f_petersen_squared_beyond_the_default_cap():
     value, witness = fractional_chromatic(tensor_product(p, p), max_vertices=100)
     assert value == Fraction(5, 2) and witness.value == value
     assert witness.covers(tensor_product(p, p))
+
+
+@pytest.mark.parametrize(
+    "sets, weights, message",
+    [
+        ([[0, 2], [1, 3]], [[1, 2]], "sets and weights must have equal length"),
+        ([[0, 2]], [[-1, 2]], "weights must be nonnegative"),
+        ([[0, 2], [1, 3]], [[1, 2], [1, -2]], "weights must be nonnegative"),
+    ],
+    ids=["unequal-lengths", "negative-numerator", "negative-denominator"],
+)
+def test_fractional_coloring_refuses_malformed_weights(sets, weights, message):
+    # built directly and read from its object form, the same check refuses it
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FractionalColoring(
+            tuple(map(frozenset, sets)), tuple(Fraction(num, den) for num, den in weights)
+        )
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fractional_coloring_from_obj({"sets": sets, "weights": weights})
 
 
 def test_chi_f_edgeless_and_empty():
@@ -595,13 +620,13 @@ def test_chi_f_of_products_with_product_generators(gname, hname, expected, monke
 
 def test_chi_f_kneser_7_3_without_generators_keeps_its_pivots(monkeypatch):
     # the no-generator LP is the one-row-per-vertex LP, opened from the
-    # first-fit classes: 529 simplex iterations over 55 columns, and the
+    # first-fit classes: 526 simplex iterations over 55 columns, and the
     # witness is the seven stars
     opened = _opened_lps(monkeypatch)
     value, witness = fractional_chromatic(kneser(7, 3), max_vertices=35, generators=())
     assert value == Fraction(7, 3)
     (lp,) = opened
-    assert (lp.iterations, len(lp.columns)) == (529, 55)
+    assert (lp.iterations, len(lp.columns)) == (526, 55)
     subsets = kneser_subsets(7, 3)
     stars = [frozenset(v for v, s in enumerate(subsets) if i in s) for i in (0, 1, 3, 4, 6, 5, 2)]
     assert witness.sets == tuple(stars)
@@ -610,7 +635,7 @@ def test_chi_f_kneser_7_3_without_generators_keeps_its_pivots(monkeypatch):
 
 @pytest.mark.parametrize(
     "g, path",
-    [(kneser(8, 3), (725, 79)), (tensor_product(cycle(5), named("petersen")), (521, 63))],
+    [(kneser(8, 3), (747, 79)), (tensor_product(cycle(5), named("petersen")), (520, 63))],
     ids=["kneser-8-3", "c5-petersen"],
 )
 def test_regular_graphs_without_generators_keep_their_pivots(g, path, monkeypatch):
@@ -621,6 +646,19 @@ def test_regular_graphs_without_generators_keep_their_pivots(g, path, monkeypatc
     assert len({g.degree(v) for v in range(g.n)}) == 1
     assert value == Fraction(g.n, independence_number(g)) and witness.covers(g)
     assert [(lp.iterations, len(lp.columns)) for lp in opened] == [path]
+
+
+@pytest.mark.parametrize("generators, unit, rows", [((), 17, 6), (None, 7, 2)], ids=["plain", "found"])
+def test_a_basic_unit_column_reads_as_its_orbits_least_vertex(monkeypatch, generators, unit, rows):
+    # W5's hub is a first-fit class of its own, which prices like the hub's
+    # unit column, so the unit stays basic at weight 1; with found generators
+    # the hub's orbit is row 1 of 2, and its least (only) vertex is 5
+    opened = _opened_lps(monkeypatch)
+    value, witness = fractional_chromatic(named("w5"), generators=generators)
+    (lp,) = opened
+    assert lp.m == rows and lp.solution().primal[unit] == 1
+    assert value == Fraction(7, 2) and witness.covers(named("w5"))
+    assert dict(zip(witness.sets, witness.weights))[frozenset({5})] == 1
 
 
 def test_chi_f_double_shift_of_k7_is_3_from_the_first_fit_start():

@@ -179,6 +179,24 @@ def test_fractional_coloring_generators_round_trip_and_are_checked():
             fractional_coloring_from_obj({**obj, "generators": bad})
 
 
+@pytest.mark.parametrize(
+    "read, obj, key",
+    [
+        (graph_from_obj, {"n": 2, "edges": [[0, 1]], "loop": [0]}, "loop"),
+        (digraph_from_obj, {"n": 2, "arcs": [[0, 1]], "edges": []}, "edges"),
+        (coloring_from_obj, {"colors": [0, 1], "k": 2, "size": 2}, "size"),
+        # SetColoring has had no size field since its equal-size rule went
+        (set_coloring_from_obj, {"sets": [[0], [1]], "k": 2, "size": 1}, "size"),
+        (fractional_coloring_from_obj, {"sets": [[0]], "weights": [[1, 1]], "value": [1, 1]}, "value"),
+    ],
+    ids=["graph", "digraph", "coloring", "set-coloring", "fractional-coloring"],
+)
+def test_object_readers_refuse_unknown_keys(read, obj, key):
+    with pytest.raises(ParseError, match=f"^unknown key '{key}'$"):
+        read(obj)
+    read({k: v for k, v in obj.items() if k != key})  # the rest of the object reads
+
+
 def test_to_obj_encoding_rules():
     obj = to_obj({3: (Fraction(-1, 3), {2, 0, 1}), "k": [frozenset({(1, 0), (0, 2)}), None]})
     assert obj == {"3": [[-1, 3], [0, 1, 2]], "k": [[[0, 2], [1, 0]], None]}

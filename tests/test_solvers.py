@@ -454,6 +454,22 @@ def test_hom_c5_petersen_to_c5_relabelled(seed):
     assert hom is not None and is_homomorphism(g, h, hom)
 
 
+@pytest.mark.parametrize(
+    "mapping, why",
+    [
+        ((0, 1, 0, 1, 2, 0), "the mapping has 6 entries for the 5 vertices of C5"),
+        ((0, 1, 0, 1), "the mapping has 4 entries for the 5 vertices of C5"),
+        ((0, 1, 0, 1, 3), "vertex 4 maps to 3, outside K3"),
+        ((0, 1, 0, 1, -1), "vertex 4 maps to -1, outside K3"),
+    ],
+    ids=["too-long", "too-short", "image-above-h", "image-below-h"],
+)
+def test_is_homomorphism_refuses_malformed_maps(mapping, why):
+    # (0, 1, 0, 1, 2) is a 3-coloring of C5; each row breaks its shape
+    assert is_homomorphism(cycle(5), complete_graph(3), HomMap((0, 1, 0, 1, 2)))
+    assert not is_homomorphism(cycle(5), complete_graph(3), HomMap(mapping)), why
+
+
 def test_hom_composition():
     g, h, q = cycle(5), complete_graph(3), complete_graph(4)
     first = find_homomorphism(g, h)
