@@ -199,8 +199,6 @@ def _independence_search(
 def maximal_sets(g: Graph) -> list[tuple[int, ...]]:
     """The body of ``solvers.maximal_independent_sets``, for a loopless g."""
     n = g.n
-    if n == 0:
-        return []
     masks = g.neighbor_masks
     fullmask = (1 << n) - 1
     compat = [fullmask & ~masks[v] & ~(1 << v) for v in range(n)]

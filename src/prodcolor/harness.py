@@ -1,21 +1,22 @@
 """Verification suites: each registered claim maps to an executable check.
 
-A suite run produces one ClaimReport per claim id, with parameters, a pass
-flag, a witness payload, and elapsed time. Reports are deterministic
-functions of the SuiteConfig's seed (timing aside): random instances come
-from seeded generators with a documented distribution (n uniform in its
-range, each edge or arc present independently with a fixed probability),
-and all collections are emitted in sorted order. The claims run at the
-default size caps of ``errors``.
+One table, ``_CLAIMS``, registers every claim: its row names the suite that
+runs it and the runner. A suite run produces one ClaimReport per claim id,
+with parameters, a pass flag, a witness payload, and elapsed time. Reports
+are deterministic functions of the SuiteConfig's seed (timing aside): random
+instances come from seeded generators with a documented distribution (n
+uniform in its range, each edge or arc present independently with a fixed
+probability), and all collections are emitted in sorted order. The claims
+run at the default size caps of ``errors``.
 
 Negative controls are part of the contract: the shitov suite always includes
 girth-below-6 bases on which the mu-clique check must fail with an explicit
 witness, and those instances are labeled as negative controls in the report.
 
-Two headline constructions are registered with status "out-of-scope: scale"
-instead of being silently omitted: their hypotheses need blow-up factors of
-order 2^(p-1) * p^2 for p in the hundreds, far beyond any materializable
-instance.
+Two headline constructions are rows with no suite and no runner: only the
+suite "all" reports them, with status "out-of-scope: scale", instead of
+silently omitting them. Their hypotheses need blow-up factors of order
+2^(p-1) * p^2 for p in the hundreds, far beyond any materializable instance.
 """
 
 from __future__ import annotations
@@ -450,9 +451,7 @@ def _claim_frac_hedetniemi(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
                     {"g": gname, "h": hname, "expected": expected, "actual": actual}
                 )
     pinned = {"c5": Fraction(5, 2), "petersen": Fraction(5, 2)}
-    exact_ok = all(
-        singles[name] == value for name, value in pinned.items() if name in singles
-    )
+    exact_ok = all(singles[name] == value for name, value in pinned.items())
     ok = not failures and exact_ok
     witness = {
         "singles": singles,
@@ -464,31 +463,33 @@ def _claim_frac_hedetniemi(cfg: SuiteConfig) -> tuple[dict, bool, Any]:
     return {"catalog": list(names), "cap": DEFAULT_MAX_LP_VERTICES}, ok, witness
 
 
-_CLAIMS: dict[str, Callable[[SuiteConfig], tuple[dict, bool, Any]]] = {
-    "clm-clique": lambda cfg: _case_table(
+# each claim id maps to its suite and its runner; the two headline
+# constructions have neither, and only "all" reports them, as out of scope
+_CLAIMS: dict[str, tuple[str | None, Callable[[SuiteConfig], tuple[dict, bool, Any]] | None]] = {
+    "clm-clique": ("shitov", lambda cfg: _case_table(
         {"center": 0},
         [("heawood", q, False) for q in MU_CLIQUE_QS] + [("c5", 1, True), ("k4", 1, True)],
         _clm_clique_case,
-    ),
-    "clm-ad": lambda cfg: _case_table(
+    )),
+    "clm-ad": ("shitov", lambda cfg: _case_table(
         {"graph": "heawood", "center": 0}, [(1,), (2,)], _clm_ad_case
-    ),
-    "ob-image": _claim_ob_image,
-    "es-k3": lambda cfg: _case_table(
+    )),
+    "ob-image": ("shitov", _claim_ob_image),
+    "es-k3": ("exponential", lambda cfg: _case_table(
         {"bases": list(ES_BASES)}, [(name,) for name in ES_BASES], _es_k3_case
-    ),
-    "univ-prop": lambda cfg: _case_table(
+    )),
+    "univ-prop": ("exponential", lambda cfg: _case_table(
         {"cases": 2}, [("k2", "k3", 2), ("c5", "c5", 3)], _univ_prop_case
-    ),
-    "kneser-lovasz": lambda cfg: _case_table(
+    )),
+    "kneser-lovasz": ("products", lambda cfg: _case_table(
         {"cases": 3}, [(2, 2), (3, 2), (2, 3)], _kneser_lovasz_case
-    ),
-    "hedetniemi-min4": lambda cfg: _instance_table(
+    )),
+    "hedetniemi-min4": ("products", lambda cfg: _instance_table(
         {"pairs": HEDETNIEMI_PAIRS, "max_n": HEDETNIEMI_MAX_N},
         _hedetniemi_pairs(cfg),
         _hedetniemi_case,
-    ),
-    "multiplicativity": lambda cfg: _case_table(
+    )),
+    "multiplicativity": ("products", lambda cfg: _case_table(
         {"cases": 3},
         [
             ("k3", "k4", "k4", False),
@@ -496,26 +497,28 @@ _CLAIMS: dict[str, Callable[[SuiteConfig], tuple[dict, bool, Any]]] = {
             ("k3", "k2", "k2", True),  # K2 -> K3 exists, so the implication is vacuous
         ],
         _multiplicativity_case,
-    ),
-    "schelp": _claim_schelp,
-    "lem-rel": _claim_lem_rel,
+    )),
+    "schelp": ("arc-shift", _claim_schelp),
+    "lem-rel": ("arc-shift", _claim_lem_rel),
     # the two label-equality checks draw the same seeded digraph pairs
-    "functoriality": lambda cfg: _instance_table(
+    "functoriality": ("arc-shift", lambda cfg: _instance_table(
         {"pairs": DIGRAPH_PAIRS, "max_n": DIGRAPH_PAIRS_MAX_N},
         _digraph_pairs(cfg, "digraph-pairs", DIGRAPH_PAIRS),
         _label_case(arcshift.functoriality_check),
-    ),
-    "underline-decomp": lambda cfg: _instance_table(
+    )),
+    "underline-decomp": ("arc-shift", lambda cfg: _instance_table(
         {"pairs": DIGRAPH_PAIRS, "max_n": DIGRAPH_PAIRS_MAX_N},
         _digraph_pairs(cfg, "digraph-pairs", DIGRAPH_PAIRS),
         _label_case(arcshift.underline_decomposition_check),
-    ),
-    "bound-chain": lambda cfg: _instance_table(
+    )),
+    "bound-chain": ("arc-shift", lambda cfg: _instance_table(
         {"pairs": BOUND_CHAIN_PAIRS, "max_n": DIGRAPH_PAIRS_MAX_N},
         _digraph_pairs(cfg, "bound-chain", BOUND_CHAIN_PAIRS),
         _bound_chain_case,
-    ),
-    "frac-hedetniemi": _claim_frac_hedetniemi,
+    )),
+    "frac-hedetniemi": ("fractional", _claim_frac_hedetniemi),
+    "thm-main": (None, None),
+    "thm-shitov": (None, None),
 }
 
 _OOS_NOTE = (
@@ -523,46 +526,34 @@ _OOS_NOTE = (
     "instance checks cover the desk-scale constructions instead"
 )
 
-SUITES: dict[str, tuple[str, ...]] = {
-    "shitov": ("clm-ad", "clm-clique", "ob-image"),
-    "exponential": ("es-k3", "univ-prop"),
-    "products": ("hedetniemi-min4", "kneser-lovasz", "multiplicativity"),
-    "arc-shift": ("bound-chain", "functoriality", "lem-rel", "schelp", "underline-decomp"),
-    "fractional": ("frac-hedetniemi",),
-}
-
 
 def run_suite(name: str, cfg: SuiteConfig | None = None, *, jobs: int = 1) -> list[ClaimReport]:
-    """Run a named suite; "all" runs every claim plus the out-of-scope registrations.
+    """Run the claims whose rows name this suite; "all" runs every row.
 
-    Claims run one after another; the report list is sorted by claim id.
+    Claims run one after another in claim-id order, the order of the reports.
     ``jobs`` accepts only 1. It remains so that callers still passing
     ``jobs=1`` (benchmarks/workloads.py) keep working; any other value raises
     ValueError.
     """
     if jobs != 1:
         raise ValueError(f"jobs must be 1, got {jobs}")
+    known = sorted({suite for suite, _ in _CLAIMS.values() if suite}) + ["all"]
+    if name not in known:
+        raise ValueError(f"unknown suite {name!r} (known: {', '.join(known)})")
     cfg = cfg or SuiteConfig()
-    if name == "all":
-        claim_ids = sorted(_CLAIMS)
-    else:
-        try:
-            claim_ids = sorted(SUITES[name])
-        except KeyError:
-            known = ", ".join(sorted(SUITES) + ["all"])
-            raise ValueError(f"unknown suite {name!r} (known: {known})") from None
     reports = []
-    for claim_id in claim_ids:
+    for claim_id, (suite, runner) in sorted(_CLAIMS.items()):
+        if name not in (suite, "all"):
+            continue
+        if runner is None:
+            reports.append(
+                ClaimReport(claim_id, {"note": _OOS_NOTE}, None, OUT_OF_SCOPE, None, 0.0)
+            )
+            continue
         start = time.perf_counter()
-        params, ok, witness = _CLAIMS[claim_id](cfg)
+        params, ok, witness = runner(cfg)
         elapsed = time.perf_counter() - start
         reports.append(
             ClaimReport(claim_id, params, ok, "pass" if ok else "fail", witness, elapsed)
         )
-    if name == "all":
-        reports += [
-            ClaimReport(cid, {"note": _OOS_NOTE}, None, OUT_OF_SCOPE, None, 0.0)
-            for cid in ("thm-main", "thm-shitov")
-        ]
-    reports.sort(key=lambda r: r.claim_id)
     return reports

@@ -410,7 +410,8 @@ def is_homomorphism(g: Graph, h: Graph, hom: HomMap) -> bool:
 def maximal_independent_sets(g: Graph) -> list[tuple[int, ...]]:
     """All maximal independent sets, each sorted, in lexicographic order.
 
-    Bron-Kerbosch with pivoting on the complement adjacency, on an explicit stack.
+    The empty graph has one, the empty set, so it gives [()]. Bron-Kerbosch
+    with pivoting on the complement adjacency, on an explicit stack.
     """
     _require_loopless(g, "independent set enumeration")
     from ._independent_sets import maximal_sets

@@ -502,6 +502,15 @@ def test_covers_rejects_a_set_holding_a_looped_vertex():
     assert not hand.covers(looped_4)
 
 
+def test_covers_rejects_a_set_holding_an_edge():
+    # the weights cover every vertex of C5 both times, but {0, 1} is an edge
+    weights = (Fraction(1),) * 3
+    proper = (frozenset({0, 2}), frozenset({1, 3}), frozenset({4}))
+    assert FractionalColoring(proper, weights).covers(cycle(5))
+    dependent = (frozenset({0, 1}), frozenset({2, 4}), frozenset({3}))
+    assert not FractionalColoring(dependent, weights).covers(cycle(5))
+
+
 # ---------------------------------------------------------------------------
 # symmetry reduction: one LP row per orbit of the generated group
 

@@ -7,14 +7,14 @@ from collections import Counter
 
 import pytest
 
-from prodcolor import arcshift, graphs
+from prodcolor import arcshift, exponential, fractional, graphs, solvers
 from prodcolor.arcshift import lemma_rel_bounds_check
 from prodcolor.errors import CapExceeded
 from prodcolor.graphs import Digraph, complete_graph, cycle
 from prodcolor.harness import (
     ARC_PROBABILITY,
+    FRAC_CATALOG,
     LEMMA_REL_RANDOM_MAX_N,
-    SUITES,
     SuiteConfig,
     _CLAIMS,
     _claim_lem_rel,
@@ -36,20 +36,29 @@ def test_unknown_suite():
 
 
 def test_suite_registry_covers_all_claims():
-    assigned = sorted(cid for ids in SUITES.values() for cid in ids)
-    assert assigned == sorted(_CLAIMS)
+    suites = {suite for suite, _ in _CLAIMS.values() if suite is not None}
+    assert suites == {"shitov", "exponential", "products", "arc-shift", "fractional"}
+    for suite in suites:
+        ids = [r.claim_id for r in run_suite(suite)]
+        assert ids == sorted(cid for cid, (s, _) in _CLAIMS.items() if s == suite)
+    # a row with a suite has a runner, and a row without one has none
+    assert all((suite is None) == (runner is None) for suite, runner in _CLAIMS.values())
 
 
 def test_run_all_includes_out_of_scope_entries():
     reports = run_suite("all")
     ids = [r.claim_id for r in reports]
-    assert ids == sorted(ids)
-    assert set(ids) == set(_CLAIMS) | {"thm-main", "thm-shitov"}
-    by_id = {r.claim_id: r for r in reports}
-    assert by_id["thm-main"].status == "out-of-scope: scale"
-    assert by_id["thm-shitov"].passed is None
-    for cid in _CLAIMS:
-        assert by_id[cid].status == "pass", (cid, by_id[cid].witness)
+    assert ids == sorted(_CLAIMS)
+    out_of_scope = {cid for cid, (suite, _) in _CLAIMS.items() if suite is None}
+    assert out_of_scope == {"thm-main", "thm-shitov"}
+    for r in reports:
+        if r.claim_id in out_of_scope:
+            assert (r.passed, r.status, r.witness, r.elapsed) == (
+                None, "out-of-scope: scale", None, 0.0
+            )
+            assert set(r.params) == {"note"}
+        else:
+            assert r.status == "pass", (r.claim_id, r.witness)
 
 
 def test_shitov_suite_has_labeled_negative_controls():
@@ -188,31 +197,31 @@ def test_lem_rel_fails_on_a_broken_up_transform(monkeypatch):
     assert any(f in representatives for f in witness["failures"])
 
 
-# each seeded-instance claim made to fail on some of its draws: the suite that
-# runs it, the module and function patched, the stand-in, the keys of a
-# failure entry, how many fail, and the sha256 of the masked report, which
-# pins the failures, the instance rows and the pass flag
+# each seeded-instance claim made to fail on some of its draws: the module and
+# function patched, the stand-in, the keys of a failure entry, how many fail,
+# and the sha256 of the masked report, which pins the failures, the instance
+# rows and the pass flag
 _real_bound_chain = arcshift.bound_chain_instance
 _real_product = graphs.tensor_product
 _PAIR_KEYS = {"pair", "n1", "n2"}
 _BROKEN = {
     "hedetniemi-min4": (
-        "products", graphs, "tensor_product",
+        graphs, "tensor_product",
         lambda g, h: _real_product(g, h) if g.n != h.n else complete_graph(5),
         {"g", "h", "expected", "actual"}, 9,
         "7ab8241a41ee50abcf79c6d14ca6c0a662a925c7b228313e57912afc47dbe46c",
     ),
     "functoriality": (
-        "arc-shift", arcshift, "functoriality_check", lambda d1, d2: d1.n != d2.n,
+        arcshift, "functoriality_check", lambda d1, d2: d1.n != d2.n,
         _PAIR_KEYS, 20, "72bffcd264193eefc756211ee0bd28b67619673939d8dbb784ad9974a553b624",
     ),
     "underline-decomp": (
-        "arc-shift", arcshift, "underline_decomposition_check",
+        arcshift, "underline_decomposition_check",
         lambda d1, d2: len(d1.arcs) <= len(d2.arcs), _PAIR_KEYS, 34,
         "6cd1b61ae1f3074304af32ec0c287832c8af707783f2747a9e78cb5ff8cbc5b8",
     ),
     "bound-chain": (
-        "arc-shift", arcshift, "bound_chain_instance",
+        arcshift, "bound_chain_instance",
         lambda d1, d2: _real_bound_chain(d1, d2)._replace(passed=d1.n != d2.n),
         {"pair", "chi_product", "chi_product_reversed", "chi_underline_product"}, 9,
         "e31752abf7f1c6d68ad136df53bcf4ecc1b1dc800a868af68e1daefff5763bf4",
@@ -222,9 +231,9 @@ _BROKEN = {
 
 @pytest.mark.parametrize("claim_id", sorted(_BROKEN))
 def test_a_failing_seeded_instance_records_its_witness(monkeypatch, claim_id):
-    suite, module, name, stand_in, keys, failing, sha = _BROKEN[claim_id]
+    module, name, stand_in, keys, failing, sha = _BROKEN[claim_id]
     monkeypatch.setattr(module, name, stand_in)
-    (report,) = [r for r in run_suite(suite) if r.claim_id == claim_id]
+    (report,) = [r for r in run_suite(_CLAIMS[claim_id][0]) if r.claim_id == claim_id]
     witness = report.witness
     assert (report.passed, report.status) == (False, "fail")
     assert witness["pairs_checked"] == len(witness["instances"]) == report.params["pairs"]
@@ -236,3 +245,55 @@ def test_a_failing_seeded_instance_records_its_witness(monkeypatch, claim_id):
         assert first["actual"] == 5
     text = serialize_reports([report], mask_timing=True)
     assert hashlib.sha256(text.encode()).hexdigest() == sha
+
+
+# each fixed claim made to fail: the module and function patched, and the
+# stand-in, which breaks what the claim checks
+_real_chi = solvers.chromatic_number
+_real_chi_f = fractional.fractional_chromatic
+_real_mu_clique = exponential.verify_mu_clique
+_real_schelp = arcshift.schelp_coloring
+
+
+def _chi_f_wrong_on_products(g, **options):
+    value, witness = _real_chi_f(g, **options)
+    if any(g == graphs.named(name) for name in FRAC_CATALOG):
+        return value, witness
+    return value + 1, witness
+
+
+_WRONG = {
+    # the negative controls no longer fail
+    "clm-clique": (
+        exponential, "verify_mu_clique",
+        lambda g, v, q: _real_mu_clique(g, v, q)._replace(violations=()),
+    ),
+    "clm-ad": (exponential, "exp_adjacent", lambda f, g: False),
+    # the corrupted coloring passes, so the claim's negative control fails
+    "ob-image": (exponential, "observation_image_check", lambda ctx, coloring: True),
+    # chi(K_3^G) reads 4, and the base still reads at least 4
+    "es-k3": (solvers, "chromatic_number", lambda g: _real_chi(g) + 1),
+    "univ-prop": (solvers, "is_homomorphism", lambda g, h, hom: False),
+    "kneser-lovasz": (graphs, "kneser", lambda m, k: complete_graph(m)),
+    # no homomorphism anywhere, so K2 -> K3 is missed and no case is vacuous
+    "multiplicativity": (solvers, "find_homomorphism", lambda g, h: None),
+    "schelp": (
+        arcshift, "schelp_coloring",
+        lambda: Coloring((0,) * len(_real_schelp().colors), 3),
+    ),
+    "frac-hedetniemi": (fractional, "fractional_chromatic", _chi_f_wrong_on_products),
+}
+
+
+@pytest.mark.parametrize("claim_id", sorted(_WRONG))
+def test_a_broken_check_fails_its_claim(monkeypatch, claim_id):
+    module, name, stand_in = _WRONG[claim_id]
+    monkeypatch.setattr(module, name, stand_in)
+    (report,) = [r for r in run_suite(_CLAIMS[claim_id][0]) if r.claim_id == claim_id]
+    assert (report.passed, report.status) == (False, "fail")
+    if claim_id == "frac-hedetniemi":
+        witness = report.witness
+        assert witness["exact_values_ok"]
+        assert len(witness["failures"]) == len(witness["checked"]) > 0
+        assert all(set(f) == {"g", "h", "expected", "actual"} for f in witness["failures"])
+        assert all(f["actual"] == f["expected"] + 1 for f in witness["failures"])

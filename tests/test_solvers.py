@@ -139,6 +139,9 @@ def test_k_colorable_deterministic():
 
 @settings(max_examples=25, deadline=None)
 @given(small_graphs(6), st.integers(0, 6))
+@example(Graph(0), 0)
+@example(Graph(0), 1)
+@example(Graph(0), 2)
 def test_k_colorable_matches_brute(g, k):
     got = k_colorable(g, k)
     assert (got is not None) == brute_k_colorable(g, k)
@@ -169,6 +172,7 @@ def test_chromatic_conventions():
 
 @settings(max_examples=25, deadline=None)
 @given(small_graphs(7))
+@example(Graph(0))
 def test_chromatic_matches_brute(g):
     assert chromatic_number(g) == brute_chromatic(g)
 
@@ -202,6 +206,7 @@ def _peelable_graphs(draw):
 # a 4-cycle, a triangle with a pendant vertex and an isolated vertex: both
 # cycles survive in the 2-core, and the 3-chromatic one is not the first
 @example(Graph.from_edges(9, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (4, 6), (6, 7)]))
+@example(Graph(0))
 def test_chromatic_matches_brute_across_cores_and_components(g):
     assert chromatic_number(g) == brute_chromatic(g)
 
@@ -328,6 +333,7 @@ def test_independence_known():
 
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(small_graphs(7), _peelable_graphs()))
+@example(Graph(0))
 def test_independence_matches_brute(g):
     assert independence_number(g) == brute_independence(g)
 
@@ -358,6 +364,7 @@ def _weighted_graphs(draw):
 @example((cycle(5), [0, 0, 0, 0, 0]))
 @example((Graph(4), [3, 0, 20, 1]))
 @example((complete_graph(4), [5, 5, 0, 5]))
+@example((Graph(0), []))
 def test_max_weight_independent_set_matches_brute(gw):
     g, weights = gw
     weight, chosen = max_weight_independent_set(g, weights)
@@ -396,6 +403,7 @@ def test_girth_known():
 
 @settings(max_examples=25, deadline=None)
 @given(small_graphs(7))
+@example(Graph(0))
 def test_girth_matches_brute(g):
     assert girth(g) == brute_girth(g)
 
@@ -435,6 +443,12 @@ def test_hom_loops_as_targets():
 # the looped target vertex 1 and the unlooped 0 have the same neighbours but
 # are not twins: a twin rule that ignored loops would try only 0 and miss 1 -> 1
 @example(complete_graph(2), Graph.from_edges(2, [], [1]))
+# the empty graph, K1 and K2 in both directions
+@example(Graph(0), Graph(0))
+@example(Graph(0), Graph(1))
+@example(Graph(1), Graph(0))
+@example(Graph(0), complete_graph(2))
+@example(complete_graph(2), Graph(0))
 def test_hom_matches_brute(g, h):
     hom = find_homomorphism(g, h)
     assert (hom is not None) == brute_homomorphism_exists(g, h)
@@ -533,6 +547,7 @@ def _mapping(g, h):
 
 @settings(max_examples=200, deadline=None)
 @given(small_graphs(12, loops=True), small_graphs(6, loops=True), st.integers(0, 6))
+@example(Graph(0), Graph(0), 0)
 def test_searches_return_the_reference_witness(g, h, k):
     # value-major domains reach the same fixpoint at every branch point as
     # per-vertex ones, so the same vertex and values are tried: equal witnesses
@@ -621,6 +636,8 @@ def test_mis_petersen_count():
 
 @settings(max_examples=25, deadline=None)
 @given(small_graphs(7))
+# the one maximal independent set of the empty graph is the empty set
+@example(Graph(0))
 def test_mis_matches_brute(g):
     assert maximal_independent_sets(g) == brute_maximal_independent_sets(g)
 
