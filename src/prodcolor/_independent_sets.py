@@ -19,7 +19,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Callable
 
-from .graphs import Graph, _bits
+from ._graph import Graph, _bits
 
 
 def heaviest_independent_set(

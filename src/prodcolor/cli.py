@@ -26,10 +26,11 @@ import argparse
 import sys
 from pathlib import Path
 
-# graphs and serialize carry every command's text input and output; objects,
-# and each layer a handler computes with, are imported where they are used, so
-# a stage loads only what it runs
-from . import graphs, serialize
+# the value types and serialize carry every command's text input and output;
+# graphs' constructions, objects and each layer a handler computes with are
+# imported where they are used, so a stage loads only what it runs
+from . import serialize
+from ._graph import Digraph, Graph
 from .errors import (
     DEFAULT_MAX_EXP_EDGES,
     DEFAULT_MAX_EXP_VERTICES,
@@ -61,7 +62,14 @@ def _parse_obj(text: str):
     return json.loads(text)
 
 
-def _load_graph(path: str) -> graphs.Graph:
+def _graphs():
+    """The graphs module, imported only by the builders and invariant dist."""
+    from . import graphs
+
+    return graphs
+
+
+def _load_graph(path: str) -> Graph:
     text = _read_text(path)
     if text.lstrip().startswith("{"):
         from . import objects
@@ -70,7 +78,7 @@ def _load_graph(path: str) -> graphs.Graph:
     return serialize.parse_graph(text)
 
 
-def _load_digraph(path: str) -> graphs.Digraph:
+def _load_digraph(path: str) -> Digraph:
     text = _read_text(path)
     if text.lstrip().startswith("{"):
         from . import objects
@@ -90,7 +98,7 @@ def _emit_graph(g, args) -> None:
     if args.format == "obj":
         _emit_obj(g)
         return
-    directed = isinstance(g, graphs.Digraph)
+    directed = isinstance(g, Digraph)
     if args.format == "dot":
         write = serialize.digraph_to_dot if directed else serialize.graph_to_dot
     else:
@@ -158,22 +166,22 @@ _DRAWN = ("text obj dot", "one_based")  # a kind that writes a graph or digraph
 # has no name, and verify's is the optional word 'suite'.
 _KINDS = {
     "gen": {
-        "named": (1, 1, "a catalog name", *_DRAWN, lambda a: graphs.named(a.params[0])),
-        "complete": (1, 1, "n", *_DRAWN, lambda a: graphs.complete_graph(_int(a, 0, "n"))),
-        "cycle": (1, 1, "n", *_DRAWN, lambda a: graphs.cycle(_int(a, 0, "n"))),
+        "named": (1, 1, "a catalog name", *_DRAWN, lambda a: _graphs().named(a.params[0])),
+        "complete": (1, 1, "n", *_DRAWN, lambda a: _graphs().complete_graph(_int(a, 0, "n"))),
+        "cycle": (1, 1, "n", *_DRAWN, lambda a: _graphs().cycle(_int(a, 0, "n"))),
         "kneser": (2, 2, "m and k", *_DRAWN,
-                   lambda a: graphs.kneser(_int(a, 0, "m"), _int(a, 1, "k"))),
+                   lambda a: _graphs().kneser(_int(a, 0, "m"), _int(a, 1, "k"))),
         "circ": (2, 2, "p and q", *_DRAWN,
-                 lambda a: graphs.circular_clique(_int(a, 0, "p"), _int(a, 1, "q"))),
+                 lambda a: _graphs().circular_clique(_int(a, 0, "p"), _int(a, 1, "q"))),
         "blowup": (1, 2, "q and an optional input file", *_DRAWN,  # q before reading stdin
-                   lambda a: graphs.blowup(q=_int(a, 0, "q"), g=_load_graph(_file(a.params, 1)))),
+                   lambda a: _graphs().blowup(q=_int(a, 0, "q"), g=_load_graph(_file(a.params, 1)))),
         "product": (2, 2, "two input files", *_DRAWN,
-                    lambda a: graphs.tensor_product(*map(_load_graph, a.params))),
+                    lambda a: _graphs().tensor_product(*map(_load_graph, a.params))),
         "loops": (0, 1, _FILE, *_DRAWN,
-                  lambda a: graphs.add_loops(_load_graph(_file(a.params)))),
+                  lambda a: _graphs().add_loops(_load_graph(_file(a.params)))),
     },
     "dgen": {
-        "complete": (1, 1, "n", *_DRAWN, lambda a: graphs.complete_digraph(_int(a, 0, "n"))),
+        "complete": (1, 1, "n", *_DRAWN, lambda a: _graphs().complete_digraph(_int(a, 0, "n"))),
         "parse": (0, 1, _FILE, *_DRAWN, lambda a: _load_digraph(_file(a.params))),
     },
     "invariant": {
@@ -243,13 +251,13 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_invariant(args) -> int:
-    from . import solvers
-
     p = _params(args)
     if args.kind == "dist":
         vertex = _int(args, 0, "source vertex")
         p.pop(0)
     g = _load_graph(_file(p))
+    if args.kind in ("chi", "alpha", "girth"):  # chif and dist need no solver
+        from . import solvers
     if args.kind == "chi":
         if args.format == "obj":
             coloring = solvers.optimal_coloring(g)
@@ -273,7 +281,7 @@ def _cmd_invariant(args) -> int:
         off = 1 if args.one_based else 0
         if not 0 <= vertex - off < g.n:  # named as given, not as shifted
             raise ValueError(f"vertex {vertex} out of range for n={g.n}" + " (1-based)" * off)
-        dist = graphs.distances(g, vertex - off)
+        dist = _graphs().distances(g, vertex - off)
         print(" ".join("inf" if d == float("inf") else str(d) for d in dist))
     return 0
 

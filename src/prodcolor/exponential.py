@@ -18,7 +18,9 @@ neighbourhoods is enumerated directly, so the work follows the half tables,
 the pairs of kept halves and the edges, not the map pairs. Hard caps on the
 map and edge counts make the astronomically large instances fail loudly
 instead of running forever. The solvers are imported only by the two
-functions that search or recolour, so materializing loads none of them.
+functions that search or recolour, and the constructions of ``graphs`` only
+by the functions that build a product, a blow-up or a distance table, so
+materializing loads none of them.
 
 The two special map families used to analyze K_c^{G[K_q]} with palette
 c = 4q+2, the radial maps mu_t (value i, q+i, or t by distance from a
@@ -38,9 +40,9 @@ from math import prod
 from operator import and_, lshift, mul, or_
 from typing import TYPE_CHECKING, Iterator
 
+from ._graph import Graph
 from ._record import Record
 from .errors import DEFAULT_MAX_EXP_EDGES, DEFAULT_MAX_EXP_VERTICES, CapExceeded
-from .graphs import Graph, blowup, distances, tensor_product
 
 if TYPE_CHECKING:
     from .solvers import Coloring
@@ -339,6 +341,7 @@ def universal_property_check(g: Graph, h: Graph, c: int) -> bool:
     it: f(a) != f'(b) for each edge or loop ff' of the exponential graph
     and each directed check (a, b) of g, which are the product's edges.
     """
+    from .graphs import tensor_product
     from .solvers import HomMap, is_homomorphism, k_colorable
 
     product = tensor_product(g, h)
@@ -373,15 +376,18 @@ def secondary_block(q: int) -> range:
     return range(2 * q, 4 * q + 2)
 
 
-def _mu_distances(g: Graph, v: int, q: int) -> list[int | float]:
-    """Check the arguments shared by mu_{v,t} and theta, and return the distances from v."""
+def _mu_base(g: Graph, v: int, q: int) -> tuple[list[int | float], ExpContext]:
+    """Check the arguments shared by mu_{v,t} and theta, and return the
+    distances from v and ExpContext(blowup(g, q), 4q+2), which both maps are on."""
+    from .graphs import blowup, distances
+
     if g.loops:
         raise ValueError("Shitov's maps mu and theta are defined over loopless base graphs")
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     if not (0 <= v < g.n):
         raise ValueError(f"center vertex {v} out of range")
-    return distances(g, v)
+    return distances(g, v), ExpContext(blowup(g, q), 4 * q + 2)
 
 
 def _mu_values(dist: list[int | float], q: int, t: int) -> tuple[int, ...]:
@@ -403,12 +409,12 @@ def shitov_mu(g: Graph, v: int, q: int, t: int) -> ExpMap:
     Value at fiber vertex (x, i): i if dist(x, v) is 0 or 2; q+i if
     dist(x, v) = 1; t if dist(x, v) >= 3 (unreachable vertices included).
     """
-    dist = _mu_distances(g, v, q)
+    dist, ctx = _mu_base(g, v, q)
     if t not in secondary_block(q):
         raise ValueError(
             f"t={t} outside the secondary block {2 * q}..{4 * q + 1} for q={q}"
         )
-    return ExpMap(ExpContext(blowup(g, q), 4 * q + 2), _mu_values(dist, q, t))
+    return ExpMap(ctx, _mu_values(dist, q, t))
 
 
 def shitov_theta(
@@ -420,7 +426,7 @@ def shitov_theta(
     fiber, so is_simple(theta, q) holds. b and t must be distinct colors
     from the secondary block; the defaults are b = 2q+1 and t = 2q.
     """
-    dist = _mu_distances(g, v, q)
+    dist, ctx = _mu_base(g, v, q)
     if t is None:
         t = 2 * q
     if b is None:
@@ -433,7 +439,7 @@ def shitov_theta(
                 f"{name}={color} outside the secondary block {2 * q}..{4 * q + 1}"
             )
     values = tuple(t if d <= 1 else b for d in dist for _ in range(q))
-    return ExpMap(ExpContext(blowup(g, q), 4 * q + 2), values)
+    return ExpMap(ctx, values)
 
 
 class MuCliqueReport(Record):
@@ -463,9 +469,8 @@ def verify_mu_clique(g: Graph, v: int, q: int, *, jobs: int = 1) -> MuCliqueRepo
     """
     if jobs != 1:
         raise ValueError(f"jobs must be 1, got {jobs}")
-    dist = _mu_distances(g, v, q)
     # all mu_t share one exponential graph over the blow-up, which has no loops
-    ctx = ExpContext(blowup(g, q), 4 * q + 2)
+    dist, ctx = _mu_base(g, v, q)
     adj = ctx.base.neighbor_masks
     mus, holding, beside = {}, {}, {}
     for t in secondary_block(q):

@@ -61,10 +61,10 @@ from __future__ import annotations
 from collections.abc import Callable
 from fractions import Fraction
 
+from ._graph import Graph
 from ._independent_sets import heaviest_independent_set
 from ._record import Record
 from .errors import DEFAULT_MAX_LP_VERTICES, CapExceeded
-from .graphs import Graph
 from .simplex import add_covering_columns, open_covering_lp
 from .symmetry import _is_automorphism, _leveled_generators, _orbits
 

@@ -6,7 +6,8 @@ sorted list, a tuple a list, and a dict key a string. Anything else (int,
 bool, str, float, None) passes through. ``dumps`` writes that data as JSON
 text with sorted keys. The ``*_from_obj`` readers take such data back
 through the validating type constructors, so round trips are stable, and
-refuse any key they do not read. The form is always 0-based.
+refuse any key they do not read and any repeated edge, loop or arc. The form
+is always 0-based.
 
 Only the stages that read or write an object import this module; a stage
 that reads and writes only text does not compile it.
@@ -18,9 +19,9 @@ import json
 import sys
 from typing import Any
 
+from ._graph import Digraph, Graph
 from ._record import Record
 from .errors import ParseError
-from .graphs import Digraph, Graph
 
 
 def to_obj(value: Any) -> Any:
@@ -85,18 +86,30 @@ def _rows(obj: dict, key: str, length: int | None = None, default: Any = ...) ->
     return [_ints(row, f"{key}[{i}]", length) for i, row in enumerate(value)]
 
 
+def _distinct(items: Any, where: str, key: Any = None) -> Any:
+    """items, refused if two of them are equal, or have equal keys when key is given."""
+    first: dict = {}
+    for i, item in enumerate(items):
+        j = first.setdefault(item if key is None else key(item), i)
+        if j != i:
+            raise ParseError(None, f"{where}[{i}] repeats {where}[{j}]")
+    return items
+
+
 def graph_from_obj(obj: Any) -> Graph:
     obj = _fields(obj, "n", "edges", "loops")
     return Graph.from_edges(
         _int(_key(obj, "n"), "n"),
-        _rows(obj, "edges", 2, []),
-        _ints(_key(obj, "loops", []), "loops"),
+        _distinct(_rows(obj, "edges", 2, []), "edges", frozenset),  # an edge is unordered
+        _distinct(_ints(_key(obj, "loops", []), "loops"), "loops"),
     )
 
 
 def digraph_from_obj(obj: Any) -> Digraph:
     obj = _fields(obj, "n", "arcs")
-    return Digraph.from_arcs(_int(_key(obj, "n"), "n"), _rows(obj, "arcs", 2, []))
+    return Digraph.from_arcs(
+        _int(_key(obj, "n"), "n"), _distinct(_rows(obj, "arcs", 2, []), "arcs")
+    )
 
 
 def coloring_from_obj(obj: Any):

@@ -2,7 +2,9 @@
 
 The edge-list text has a header line ``<n> <count>``, optionally followed by
 ``loops: v1 v2 ...`` on the same line, then one ``u v`` line per edge
-(``u -> v`` for digraph arcs). Blank lines and ``#`` comments are skipped.
+(``u -> v`` for digraph arcs). Blank lines and comment lines, whose first
+non-blank character is ``#``, are skipped; a ``#`` after data is an error.
+A repeated edge, arc or loop vertex is refused, naming its line.
 Output lists edges and arcs in sorted order. The structured-object form
 lives in ``objects``.
 
@@ -12,8 +14,8 @@ one for side-by-side reading with 1-based notation; it is display-only.
 
 from __future__ import annotations
 
+from ._graph import Digraph, Graph
 from .errors import ParseError
-from .graphs import Digraph, Graph
 
 
 def _data_lines(text: str) -> list[tuple[int, str]]:
@@ -78,9 +80,13 @@ def parse_graph(text: str) -> Graph:
         first = edges.setdefault((min(u, v), max(u, v)), line_no)
         if first != line_no:
             raise ParseError(line_no, f"edge {u} {v} repeats the edge of line {first}")
+    seen: set[int] = set()
     for v in loops:
         if not (0 <= v < n):
             raise ParseError(lines[0][0], f"loop vertex {v} out of range [0, {n})")
+        if v in seen:
+            raise ParseError(lines[0][0], f"loop vertex {v} repeats in the loop list")
+        seen.add(v)
     return Graph.from_edges(n, edges, loops)
 
 

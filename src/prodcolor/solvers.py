@@ -22,8 +22,8 @@ import math
 from collections.abc import Sequence
 from functools import lru_cache
 
+from ._graph import Graph
 from ._record import Record
-from .graphs import Graph
 
 
 class Coloring(Record):

@@ -32,7 +32,7 @@ LP of ``fractional`` is exact for any group of automorphisms.
 
 from __future__ import annotations
 
-from .graphs import Graph, _bits
+from ._graph import Graph, _bits
 
 _NODE_LIMIT = 256  # search-tree nodes per candidate vertex
 

@@ -353,6 +353,26 @@ def test_malformed_json_input_exit_1(capsys, monkeypatch, tmp_path, argv, stdin,
     assert err == f"input error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, stdin, message",
+    [
+        # the text reader names the header's line, as it names a repeated edge's
+        (["gen", "loops"], "3 1 loops: 0 0\n0 1\n",
+         "line 1: loop vertex 0 repeats in the loop list"),
+        # an edge is unordered, so its reverse repeats it
+        (["gen", "loops"], '{"n": 2, "edges": [[0, 1], [1, 0]]}', "edges[1] repeats edges[0]"),
+        (["gen", "loops"], '{"n": 3, "loops": [2, 0, 2]}', "loops[2] repeats loops[0]"),
+        (["dgen", "parse"], '{"n": 2, "arcs": [[0, 1], [1, 0], [0, 1]]}',
+         "arcs[2] repeats arcs[0]"),
+    ],
+    ids=["text-loop", "obj-edge", "obj-loop", "obj-arc"],
+)
+def test_a_repeat_in_either_input_form_exits_1(capsys, monkeypatch, argv, stdin, message):
+    code, out, err = run(capsys, *argv, stdin=stdin, monkeypatch=monkeypatch)
+    assert (code, out) == (1, "")
+    assert err == f"input error: {message}\n"
+
+
 _PETERSEN, _K3_ARCS = serialize_graph(named("petersen")), serialize_digraph(complete_digraph(3))
 
 

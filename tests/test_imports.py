@@ -26,8 +26,12 @@ stdlib = [m in sys.modules for m in ("fractions", "json", "dataclasses", "inspec
 print(code, *stdlib, *loaded, file=sys.stderr)
 """
 
-GEN = {"_record", "cli", "errors", "graphs", "serialize"}
-CHI = GEN | {"solvers"}
+# every stage reads or writes a graph through the value types of _graph; the
+# catalog and constructions of graphs load only where a stage builds a graph
+# (gen) or a layer it runs imports them (arcshift)
+READ = {"_graph", "_record", "cli", "errors", "serialize"}
+GEN = READ | {"graphs"}
+CHI = READ | {"solvers"}
 # the object form, which only a stage that reads or writes an object imports,
 # and the private module that solvers import on first use
 OBJ = "objects"
@@ -63,9 +67,11 @@ def test_import_loads_no_layer():
         (["invariant", "alpha"], C5, CHI | {MIS}, False, False),  # alpha never looks for symmetry
         (["invariant", "girth"], C5, CHI, False, False),
         (["hom", "C5", "C5"], "", CHI, False, False),
-        (["invariant", "chif"], C5, CHI | {MIS, "fractional", "simplex", "symmetry"}, True, False),
-        (["exp", "materialize", "-c", "2"], C5, GEN | {"exponential"}, False, False),
-        (["shift", "build"], DIGON, CHI | {"arcshift"}, False, False),
+        # chi_f calls nothing in solvers, only the private independent-set search
+        (["invariant", "chif"], C5, READ | {MIS, "fractional", "simplex", "symmetry"}, True, False),
+        (["exp", "materialize", "-c", "2"], C5, READ | {"exponential"}, False, False),
+        # arcshift imports the operators of graphs and the solvers its checks call
+        (["shift", "build"], DIGON, GEN | {"arcshift", "solvers"}, False, False),
         # a text report encodes no object and writes no JSON
         (["verify", "suite", "products"], "", ALL - {OBJ}, True, False),
     ],
@@ -86,6 +92,26 @@ def test_cli_stage_loads_only_its_layers(tmp_path, argv, stdin, expected, fracti
     assert loaded_json == str(json)
     # records are built by prodcolor._record, so no stage pays for dataclasses' inspect
     assert (dataclasses, inspect) == ("False", "False")
+
+
+# the public names of graphs before Graph and Digraph moved to _graph
+GRAPHS_NAMES = (
+    "CATALOG", "Digraph", "Graph", "add_loops", "blowup", "circular_clique", "complete_digraph",
+    "complete_graph", "cycle", "digraph_product", "distances", "kneser", "kneser_subsets",
+    "named", "pair_index", "reverse", "tensor_product", "underline",
+)
+
+
+def test_graphs_keeps_every_public_name_and_the_types_are_defined_once():
+    from prodcolor import _graph, graphs
+
+    assert set(GRAPHS_NAMES) <= set(dir(graphs))
+    for name in ("Graph", "Digraph"):
+        assert getattr(graphs, name) is getattr(_graph, name) is getattr(prodcolor, name)
+        assert getattr(_graph, name).__module__ == "prodcolor._graph"
+    from prodcolor.graphs import Graph, kneser  # the import users have written all along
+
+    assert isinstance(kneser(5, 2), Graph)
 
 
 def test_every_public_name_is_its_home_modules_attribute():
