@@ -86,11 +86,11 @@ def _rows(obj: dict, key: str, length: int | None = None, default: Any = ...) ->
     return [_ints(row, f"{key}[{i}]", length) for i, row in enumerate(value)]
 
 
-def _distinct(items: Any, where: str, key: Any = None) -> Any:
-    """items, refused if two of them are equal, or have equal keys when key is given."""
+def _distinct(items: Any, where: str, key: Any) -> Any:
+    """items, refused if two of them have equal keys."""
     first: dict = {}
     for i, item in enumerate(items):
-        j = first.setdefault(item if key is None else key(item), i)
+        j = first.setdefault(key(item), i)
         if j != i:
             raise ParseError(None, f"{where}[{i}] repeats {where}[{j}]")
     return items
@@ -101,14 +101,14 @@ def graph_from_obj(obj: Any) -> Graph:
     return Graph.from_edges(
         _int(_key(obj, "n"), "n"),
         _distinct(_rows(obj, "edges", 2, []), "edges", frozenset),  # an edge is unordered
-        _distinct(_ints(_key(obj, "loops", []), "loops"), "loops"),
+        _distinct(_ints(_key(obj, "loops", []), "loops"), "loops", int),
     )
 
 
 def digraph_from_obj(obj: Any) -> Digraph:
     obj = _fields(obj, "n", "arcs")
     return Digraph.from_arcs(
-        _int(_key(obj, "n"), "n"), _distinct(_rows(obj, "arcs", 2, []), "arcs")
+        _int(_key(obj, "n"), "n"), _distinct(_rows(obj, "arcs", 2, []), "arcs", tuple)
     )
 
 
