@@ -265,11 +265,11 @@ def functoriality_check(d1: Digraph, d2: Digraph) -> bool:
     pos1 = {arc: i for i, arc in enumerate(arcs1)}
     pos2 = {arc: i for i, arc in enumerate(arcs2)}
 
-    def to_rhs_vertex(i: int) -> int:
-        (x, y), (xp, yp) = divmod(arcs_prod[i][0], d2.n), divmod(arcs_prod[i][1], d2.n)
-        return pair_index(pos1[x, xp], pos2[y, yp], len(arcs2))
-
-    mapped = frozenset((to_rhs_vertex(i), to_rhs_vertex(j)) for i, j in shift_prod.arcs)
+    image = []  # the vertex of shift(D1) x shift(D2) at each arc of D1 x D2
+    for a, b in arcs_prod:
+        (x, y), (xp, yp) = divmod(a, d2.n), divmod(b, d2.n)
+        image.append(pair_index(pos1[x, xp], pos2[y, yp], len(arcs2)))
+    mapped = frozenset((image[i], image[j]) for i, j in shift_prod.arcs)
     if mapped != rhs.arcs:
         return False
 

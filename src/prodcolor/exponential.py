@@ -8,16 +8,18 @@ decides whether the map carries a loop, which happens exactly when the map
 is a proper coloring of a loopless base.
 
 Map index t assigns vertex v the base-c digit (t // c**v) % c,
-least-significant digit first. Materialization splits the base vertices
-into two halves at h = n // 2 and tabulates, per assignment of one half's
-digits, the colours those digits take on each neighbourhood; a half that
-already fills a neighbourhood is dropped, and each remaining pair of
-halves gives a map's free colours by one OR per half. Only the maps with a
-neighbour are kept, the others being isolated vertices, and each of their
-neighbourhoods is enumerated directly, so the work follows the half tables,
-the pairs of kept halves and the edges, not the map pairs. Hard caps on the
-map and edge counts make the astronomically large instances fail loudly
-instead of running forever. The solvers are imported only by the two
+least-significant digit first. Materialization splits the base vertices into
+two halves at h = n // 2 and tabulates, per assignment of one half's digits,
+the colours those digits take on each neighbourhood; a half that already
+fills a neighbourhood is dropped, and each remaining pair of halves gives a
+map's free colours by one OR per half. Only the maps with a neighbour are
+kept, the others being isolated vertices. Their edges are counted from the
+free masks; then one table per half maps each distinct free mask to its
+sorted index sums, built from the top field down, and each map reads its two
+entries for its neighbours above itself. So the work follows the half
+tables, the pairs of kept halves and the edges, not the map pairs. Hard caps
+on the map and edge counts make the astronomically large instances fail
+loudly instead of running forever. The solvers are imported only by the two
 functions that search or recolour, and the constructions of ``graphs`` only
 by the functions that build a product, a blow-up or a distance table, so
 materializing loads none of them.
@@ -33,12 +35,11 @@ block" is {2q..4q+1}.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from functools import cached_property, reduce
 from itertools import chain, combinations, compress, repeat
 from math import prod
 from operator import and_, lshift, mul, or_
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from ._graph import Graph
 from ._record import Record
@@ -177,10 +178,13 @@ def _half_tables(ctx: ExpContext, start: int, stop: int) -> tuple[list[int], ...
     return tuple(list(compress(col, keep)) for col in columns)
 
 
-def _free_count(key: int, n: int, c: int) -> int:
-    """The product of the popcounts of the n c-bit fields of key."""
-    full = (1 << c) - 1
-    return prod((key >> c * i & full).bit_count() for i in range(n))
+def _free_counts(masks: set[int], n: int, c: int) -> dict[int, int]:
+    """Per packed mask in masks, the product of the popcounts of its n c-bit
+    fields, taken from the top field down once per distinct prefix."""
+    full, counts = (1 << c) - 1, {0: 1}
+    for i in reversed(range(n)):
+        counts = {p: counts[p >> c] * (p & full).bit_count() for p in {m >> c * i for m in masks}}
+    return counts
 
 
 def _neighbour_columns(ctx: ExpContext) -> tuple[list[int], ...]:
@@ -202,8 +206,8 @@ def _neighbour_columns(ctx: ExpContext) -> tuple[list[int], ...]:
     no map holding it has a neighbour.
 
     Besides the maps and the packed masks, this returns each map's neighbour
-    count with itself included (the product of the free-set sizes, taken
-    once per distinct packed mask) and the maps that are their own
+    count with itself included (the product of the free-set sizes, see
+    _free_counts) and the maps that are their own
     neighbours (each digit free at its own vertex). The work is
     O(checks * c**(n-h)) for the tables and O(1) per pair of kept halves.
     """
@@ -227,50 +231,26 @@ def _neighbour_columns(ctx: ExpContext) -> tuple[list[int], ...]:
             high.append(y)
             if x & a_own == a_own and y & b_own == b_own:
                 loops.append(t)
-    low_count = {m: _free_count(m, h, c) for m in set(low)}
-    high_count = {m: _free_count(m, nb - h, c) for m in set(high)}
+    low_count, high_count = _free_counts(set(low), h, c), _free_counts(set(high), nb - h, c)
     sizes = list(map(mul, map(low_count.__getitem__, low), map(high_count.__getitem__, high)))
     return maps, low, high, sizes, loops
 
 
-def _digit_sums(key: int, n: int, c: int) -> tuple[int, ...]:
-    """Sorted sums of d_i * c**i over i < n and the set bits d_i of field i of key."""
-    sums, full = [0], (1 << c) - 1
-    # most significant position first: each lower digit refines within a block
-    for i in reversed(range(n)):
-        m, w = key >> c * i & full, c**i
-        sums = [s + d * w for s in sums for d in range(c) if m >> d & 1]
-    return tuple(sums)
+def _index_sums(masks: set[int], n: int, c: int, weight: int) -> dict[int, list[int]]:
+    """Per packed mask in masks, the sorted sums of d_i * c**i * weight over
+    i < n and the set bits d_i of field i, at bit c*i, of the mask.
 
-
-def _edges_above(
-    ctx: ExpContext, maps: list[int], low: list[int], high: list[int]
-) -> Iterator[Iterator[tuple[int, int]]]:
-    """Per map t with a neighbour, the edges (t, u) to its neighbours u > t.
-
-    Index u splits as divmod(u, c**h) = (hi, lo), with h = n // 2: lo sums
-    the digits at the low base vertices and hi those at the high ones, each
-    from digit weight 1 up. Each half's sums are built once per packed mask,
-    in ascending order, so t's neighbours come out in ascending order and
-    the ones beyond t are a suffix; its last entry bounds the whole run.
+    The fields are read from the top one down, and each level expands every
+    distinct prefix of the masks once, so masks with equal top fields share
+    that work. Each lower digit refines within the block of the digits above
+    it, so every list comes out sorted.
     """
-    c, nb, n_maps = ctx.c, ctx.base.n, ctx.num_maps
-    h = nb // 2
-    step = c**h
-    # both tables are complete before the first edge exists, so no table
-    # entry is allocated between two resizes of the growing edge set; the
-    # sums stay below c**(n - h), mostly cached small ints
-    low_sums = {m: _digit_sums(m, h, c) for m in set(low)}
-    high_sums = {m: _digit_sums(m, nb - h, c) for m in set(high)}
-    for t, lo_key, hi_key in zip(maps, low, high):
-        lows, highs = low_sums[lo_key], high_sums[hi_key]
-        # from t's own high block on
-        blocks = map(step.__mul__, highs[bisect_left(highs, t // step) :])
-        us = [b + lo for b in blocks for lo in lows]
-        above = us[bisect_right(us, t) :]
-        if above and above[-1] >= n_maps:
-            raise RuntimeError(f"map {t} has a neighbour {above[-1]} beyond the {n_maps} maps")
-        yield zip(repeat(t), above)
+    sums = {0: [0]}
+    for i in reversed(range(n)):
+        w = c**i * weight
+        tops = {m >> c * i for m in masks}
+        sums = {p: [s + d * w for s in sums[p >> c] for d in range(c) if p >> d & 1] for p in tops}
+    return sums
 
 
 def materialize_exponential(
@@ -286,28 +266,24 @@ def materialize_exponential(
 
     The construction is output-sensitive: the neighbours of a map f are the
     maps g with g(b) outside f(N(b)) at every base vertex b, so each
-    neighbourhood is the product of the free digits at each b, read off as
-    indices sum(g(b) * c**b). The free masks come from half tables over the
-    digits at base vertices below and from h = n // 2, each half pruned of
-    the digit assignments that fill some N(b) on their own, and only the
-    maps with a neighbour are kept (see _neighbour_columns); the rest are
-    isolated. The edge count, half of the sum over maps of the free-set
-    sizes' product less the loops, is exact and is checked against
-    max_edges before any edge is built. Before that, after the vertex cap,
-    a lower bound on the edges is checked, from the at least c - |N(b)|
-    colours every map leaves free at each b, so a palette far over the cap
-    is refused before the half tables, whose masks take c bits. Time and
-    memory are O(checks * c**(n-h)) for the tables, O(1) per pair of kept
-    halves, and O(1) per edge.
+    neighbourhood is the product of the free digits at each b. Only the maps
+    with a neighbour are kept, with their free masks packed per half of the
+    base vertices, split at h = n // 2 (see _neighbour_columns); the rest
+    are isolated. After the vertex cap, a lower bound on the edges, from the
+    at least c - |N(b)| colours every map leaves free at each b, refuses a
+    palette far over the cap before any table whose masks take c bits. The
+    exact edge count, half of the sum over maps of the free-set sizes'
+    product less the loops, is then checked against max_edges before any
+    index sum or edge is built.
 
-    The product is taken in two halves split at base vertex h = n // 2 (see
-    _edges_above). Its sum tables hold one sorted tuple of sums per
-    distinct packed mask among the maps with a neighbour: at most one low
-    entry of at most c**h sums and one high entry of at most c**(n-h) sums
-    per such map. No entry is longer than the neighbourhood of a map that
-    needs it, so the tables add O(maps with a neighbour + edges). The edges
-    go straight into the edge set, with no intermediate list, and the graph
-    takes the trusted build path.
+    A neighbour's index is a block base, its high digits' sum, plus a low
+    sum below c**h. One table per half maps each distinct free mask to its
+    sorted sums, the high ones as block bases (see _index_sums); no entry is
+    longer than the neighbourhood of a map that needs it. Each map reads its
+    two entries, skips the blocks below its own and streams its neighbours
+    above itself into the edge set, with no intermediate list, and the graph
+    takes the trusted build path. Time and memory are O(checks * c**(n-h))
+    for the half tables, O(1) per pair of kept halves, and O(1) per edge.
     """
     n_maps = ctx.num_maps
     if n_maps > max_vertices:
@@ -326,7 +302,26 @@ def materialize_exponential(
         raise CapExceeded(
             f"{n_edges} edges exceed the max_edges cap of {max_edges}"
         )
-    edges = frozenset(chain.from_iterable(_edges_above(ctx, maps, low, high)))
+    h = base.n // 2
+    step = c**h
+    # both tables are complete before the edge set starts to grow
+    lo_sums, hi_sums = _index_sums(set(low), h, c, 1), _index_sums(set(high), base.n - h, c, step)
+    # a low sum stays inside its block, and a block inside the maps
+    if any(s[-1] >= step for s in lo_sums.values()) or any(
+        s[-1] + step > n_maps for s in hi_sums.values()
+    ):
+        raise RuntimeError(f"an index table reaches beyond the {n_maps} maps")
+    # from t's own block b on, only the neighbours above t
+    edges = frozenset(
+        (t, b + lo)
+        for t, lows, blocks in zip(maps, map(lo_sums.get, low), map(hi_sums.get, high))
+        for b in blocks
+        if b > t - step
+        for lo in lows
+        if b + lo > t
+    )
+    if len(edges) != n_edges:
+        raise RuntimeError(f"{len(edges)} edges built, {n_edges} counted")
     return Graph._built(n_maps, edges, frozenset(loops))
 
 

@@ -260,24 +260,25 @@ def _check_maps_with_a_neighbour(ctx: ExpContext) -> None:
 def test_materialize_every_base_up_to_three_vertices(n):
     # the neighbourhoods are built in two halves split at n // 2, so n = 0 and
     # n = 1 have an empty low half (and n = 0 an empty high half too); every
-    # graph on n vertices, with every loop set, for c = 1, 2, 3
-    _check_every_base(n)
+    # graph on n vertices, with every loop set, for c = 1, 2, 3 and 4, whose
+    # 4-bit fields are the widest the index tables read here
+    _check_every_base(n, (1, 2, 3, 4))
 
 
-def _check_every_base(n: int) -> None:
+def _check_every_base(n: int, palettes: tuple[int, ...]) -> None:
     pairs = list(combinations(range(n), 2))
     for edge_bits in range(2 ** len(pairs)):
         edges = [e for i, e in enumerate(pairs) if edge_bits >> i & 1]
         for loop_bits in range(2**n):
             base = Graph.from_edges(n, edges, [x for x in range(n) if loop_bits >> x & 1])
-            for c in (1, 2, 3):
+            for c in palettes:
                 _check_maps_with_a_neighbour(ExpContext(base, c))
 
 
 def test_maps_with_a_neighbour_every_base_on_four_vertices():
     # as above on four vertices: a map whose values fill some N(b) is dropped
     # and stays an isolated vertex at its index
-    _check_every_base(4)
+    _check_every_base(4, (1, 2, 3))
 
 
 @settings(max_examples=25, deadline=None)
@@ -341,6 +342,43 @@ def test_materialize_caps(monkeypatch):
     ):
         materialize_exponential(ExpContext(complete_graph(1), 20_000))
     assert calls == []
+
+
+def test_exact_edge_cap_refuses_before_the_index_tables(monkeypatch):
+    # the exact count needs only the free-set sizes, so an over-cap graph is
+    # refused before any table of index sums, which grows with its edges
+    calls = []
+    monkeypatch.setattr(exponential, "_index_sums", lambda *args: calls.append(args))
+    with pytest.raises(CapExceeded, match="^33153 edges exceed the max_edges cap of 33152$"):
+        materialize_exponential(ExpContext(cycle(8), 3), max_edges=33_152)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        # each map misses the neighbours in its mask's top block, so the
+        # edges built fall short of the edges counted
+        (lambda sums, weight: sums[:-1] or sums, r"^\d+ edges built, 498 counted$"),
+        # every block moves up one, and the top one past the last map
+        (
+            lambda sums, weight: [s + weight for s in sums],
+            "^an index table reaches beyond the 243 maps$",
+        ),
+    ],
+    ids=["top-block-dropped", "blocks-shifted"],
+)
+def test_a_corrupted_index_table_is_refused(monkeypatch, corrupt, message):
+    real = exponential._index_sums
+
+    def corrupted(masks, n, c, weight):
+        sums = real(masks, n, c, weight)
+        # only the high table, whose sums are block bases, is corrupted
+        return {m: corrupt(s, weight) for m, s in sums.items()} if weight > 1 else sums
+
+    monkeypatch.setattr(exponential, "_index_sums", corrupted)
+    with pytest.raises(RuntimeError, match=message):
+        materialize_exponential(ExpContext(cycle(5), 3))
 
 
 def test_materialize_petersen_within_default_caps():
