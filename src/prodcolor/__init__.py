@@ -28,8 +28,9 @@ _HOME = {
         "symmetry": ("automorphism_generators",),
         "exponential": (
             "ExpContext", "ExpMap", "NormalizationError", "constant_map", "exp_adjacent",
-            "index_to_map", "is_simple", "materialize_exponential", "observation_image_check",
-            "shitov_mu", "shitov_theta", "universal_property_check", "verify_mu_clique",
+            "index_to_map", "is_simple", "materialize_exponential", "maximal_boxes",
+            "observation_image_check", "retract", "shitov_mu", "shitov_theta",
+            "universal_property_check", "verify_mu_clique",
         ),
         "arcshift": (
             "SetColoring", "arc_shift", "bound_chain_instance", "coloring_down", "coloring_up",

@@ -11,8 +11,9 @@ Map index t assigns vertex v the base-c digit (t // c**v) % c,
 least-significant digit first. Materialization splits the base vertices into
 two halves at h = n // 2 and tabulates, per assignment of one half's digits,
 the colours those digits take on each neighbourhood; a half that already
-fills a neighbourhood is dropped, and each remaining pair of halves gives a
-map's free colours by one OR per half. Only the maps with a neighbour are
+fills a neighbourhood is dropped, and each remaining pair of halves gives
+the colours a map takes on every neighbourhood by one OR, its free colours
+being their complement. Only the maps with a neighbour are
 kept, the others being isolated vertices. Their edges are counted from the
 free masks; then one table per half maps each distinct free mask to its
 sorted index sums, built from the top field down, and each map reads its two
@@ -23,6 +24,15 @@ loudly instead of running forever. The solvers are imported only by the two
 functions that search or recolour, and the constructions of ``graphs`` only
 by the functions that build a product, a blow-up or a distance table, so
 materializing loads none of them.
+
+Most questions about K_c^G need not visit its c**n maps. The neighbours of
+a map f form a box, the product over the base vertices b of the colours
+outside f(N(b)), and where one map's box holds another's, sending the
+second map to the first is a homomorphism (folding). maximal_boxes finds
+the maximal boxes from the half tables alone, by pairing the minimal
+halves, and retract returns R, the subgraph induced on one map per maximal
+box, with a lift of every map onto R: chi, and whether a graph maps into
+K_c^G, are the same on R as on K_c^G, and a colouring of R lifts.
 
 The two special map families used to analyze K_c^{G[K_q]} with palette
 c = 4q+2, the radial maps mu_t (value i, q+i, or t by distance from a
@@ -39,7 +49,7 @@ from functools import cached_property, reduce
 from itertools import chain, combinations, compress, repeat
 from math import prod
 from operator import and_, lshift, mul, or_
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from ._graph import Graph
 from ._record import Record
@@ -145,18 +155,17 @@ def constant_map(ctx: ExpContext, i: int) -> ExpMap:
 
 
 def _half_tables(ctx: ExpContext, start: int, stop: int) -> tuple[list[int], ...]:
-    """One half of the maps' digits, the base vertices start..stop-1, as four
+    """One half of the maps' digits, the base vertices start..stop-1, as three
     columns over its digit assignments s that fill no N(b), in index order.
 
-    N(b) is as in _neighbour_columns. With h = n // 2, the columns are s
-    itself; the colours the digits of s take on N(b) at each low base
-    vertex b < h, packed into one int with b at bit c*b; the same at each
-    high base vertex h + i, packed with it at bit c*i; and the one-hot
-    digits of s, packed as their own half is. Digit i of s, the value at
-    base vertex start + i, cycles with period c**(i+1).
+    N(b) is as in _neighbour_columns. The columns are s itself; the colours
+    the digits of s take on N(b) at every base vertex b, packed into one int
+    with b at bit c*b; and the one-hot digits of s, packed likewise, base
+    vertex start + i at bit c*(start + i). Digit i of s, the value at base
+    vertex start + i, cycles with period c**(i+1).
     """
     nb, c = ctx.base.n, ctx.c
-    k, h, full = stop - start, nb // 2, (1 << c) - 1
+    k, full = stop - start, (1 << c) - 1
     # per base vertex b, the digits of s at the vertices of N(b) in the half
     inside: list[list[int]] = [[] for _ in range(nb)]
     for a, b in ctx.directed_checks:
@@ -174,8 +183,20 @@ def _half_tables(ctx: ExpContext, start: int, stop: int) -> tuple[list[int], ...
     pack = lambda cols: reduce(
         lambda acc, col: list(map(or_, map(lshift, acc, repeat(c)), col)), reversed(cols), zero
     )
-    columns = (range(len(zero)), pack(taken[:h]), pack(taken[h:]), pack(onehot))
+    columns = (range(len(zero)), pack(taken), pack([zero] * start + onehot))
     return tuple(list(compress(col, keep)) for col in columns)
+
+
+def _nonempty_fields(masks: list[int], n: int, c: int) -> list[bool]:
+    """Per packed mask, whether every one of its n c-bit fields has a set bit.
+
+    A mask x has an empty field iff (x - ones) & ~x & tops is not 0, ones and
+    tops holding the lowest and the highest bit of every field: the
+    subtraction borrows through a field only out of an empty one.
+    """
+    ones = ((1 << c * n) - 1) // ((1 << c) - 1)
+    tops = ones << c - 1
+    return [not (x - ones) & ~x & tops for x in masks]
 
 
 def _free_counts(masks: set[int], n: int, c: int) -> dict[int, int]:
@@ -198,12 +219,13 @@ def _neighbour_columns(ctx: ExpContext) -> tuple[list[int], ...]:
     t_hi * c**h + t_lo: t_lo holds the digits at the low base vertices
     0..h-1 and t_hi those at the high ones h..n-1. The colours f takes on
     N(b) are those its low digits take there joined with those its high
-    digits take, so per half one table indexed by t_lo and one by t_hi (see
-    _half_tables) give f's free masks by one OR each: at the low base
-    vertices packed into one int, vertex i at bit c*i, and at the high ones
-    into another, vertex h+i at bit c*i. A t_lo or t_hi whose own digits
-    already fill some N(b) is dropped before the halves are combined, since
-    no map holding it has a neighbour.
+    digits take, so one table indexed by t_lo and one by t_hi (see
+    _half_tables) give them by one OR, packed over every base vertex b at
+    bit c*b. f's free masks are the complement, split per half: at the low
+    base vertices packed into one int, vertex i at bit c*i, and at the high
+    ones into another, vertex h+i at bit c*i. A t_lo or t_hi whose own
+    digits already fill some N(b) is dropped before the halves are combined,
+    since no map holding it has a neighbour.
 
     Besides the maps and the packed masks, this returns each map's neighbour
     count with itself included (the product of the free-set sizes, see
@@ -213,23 +235,20 @@ def _neighbour_columns(ctx: ExpContext) -> tuple[list[int], ...]:
     """
     nb, c = ctx.base.n, ctx.c
     h = nb // 2
-    low_half = list(zip(*_half_tables(ctx, 0, h)))
-    full_low, full_high, step = (1 << c * h) - 1, (1 << c * (nb - h)) - 1, c**h
-    # a packed mask x has an empty field iff (x - ones) & ~x & tops is not 0:
-    # the subtraction borrows through a field only out of an empty one
-    ones_low, ones_high = sum(1 << c * i for i in range(h)), sum(1 << c * i for i in range(nb - h))
-    tops_low, tops_high = ones_low << c - 1, ones_high << c - 1
+    t_los, a_useds, a_owns = _half_tables(ctx, 0, h)
+    shift, step = c * h, c**h
+    full, full_low = (1 << c * nb) - 1, (1 << shift) - 1
     maps, low, high, loops = [], [], [], []
-    for t_hi, b_low, b_high, b_own in zip(*_half_tables(ctx, h, nb)):
-        for t_lo, a_low, a_high, a_own in low_half:
-            x, y = full_low ^ (a_low | b_low), full_high ^ (a_high | b_high)
-            if (x - ones_low) & ~x & tops_low or (y - ones_high) & ~y & tops_high:
-                continue
-            t = t_hi * step + t_lo
+    for t_hi, b_used, b_own in zip(*_half_tables(ctx, h, nb)):
+        block = t_hi * step
+        frees = [full ^ (a | b_used) for a in a_useds]
+        kept = _nonempty_fields(frees, nb, c)
+        for t_lo, free, a_own in compress(zip(t_los, frees, a_owns), kept):
+            t = block + t_lo
             maps.append(t)
-            low.append(x)
-            high.append(y)
-            if x & a_own == a_own and y & b_own == b_own:
+            low.append(free & full_low)
+            high.append(free >> shift)
+            if free & (own := a_own | b_own) == own:
                 loops.append(t)
     low_count, high_count = _free_counts(set(low), h, c), _free_counts(set(high), nb - h, c)
     sizes = list(map(mul, map(low_count.__getitem__, low), map(high_count.__getitem__, high)))
@@ -323,6 +342,105 @@ def materialize_exponential(
     if len(edges) != n_edges:
         raise RuntimeError(f"{len(edges)} edges built, {n_edges} counted")
     return Graph._built(n_maps, edges, frozenset(loops))
+
+
+def _minimal(masks: Iterable[int]) -> list[int]:
+    """The distinct masks with no other mask among masks as a bit subset,
+    by popcount and then by value."""
+    kept: list[int] = []
+    for m in sorted(sorted(set(masks)), key=int.bit_count):
+        # a kept mask has no more bits than m, so it can only lie within m
+        if all(map((~m).__and__, kept)):
+            kept.append(m)
+    return kept
+
+
+def _used_vectors(ctx: ExpContext) -> tuple[list[tuple[int, int]], dict[int, int], dict[int, int]]:
+    """The minimal used vectors of maximal_boxes, each after its least map
+    index, and per half the used vector of each digit assignment that fills
+    no N(b), keyed by the assignment (see _half_tables)."""
+    nb, c = ctx.base.n, ctx.c
+    h = nb // 2
+    if (rows := c ** (nb - h)) > DEFAULT_MAX_EXP_VERTICES:
+        raise CapExceeded(
+            f"a half table of {rows} digit assignments exceeds the max_vertices cap"
+            f" of {DEFAULT_MAX_EXP_VERTICES}"
+        )
+    lows, highs = (dict(zip(*_half_tables(ctx, *half)[:2])) for half in ((0, h), (h, nb)))
+    # the least assignment per used vector of each half; the tables are in index order
+    first_low, first_high = ({u: s for s, u in reversed(d.items())} for d in (lows, highs))
+    # x' within x gives x'|y within x|y, so the minimal ORs pair minimal halves
+    min_high = _minimal(first_high)
+    ors = [*{x | y for x in _minimal(first_low) for y in min_high}]
+    full = (1 << c * nb) - 1
+    boxes = []
+    for v in _minimal(compress(ors, _nonempty_fields([full ^ v for v in ors], nb, c))):
+        # every half within v ORs to exactly v, as v is minimal
+        t_lo = min(s for u, s in first_low.items() if not u & ~v)
+        t_hi = min(s for u, s in first_high.items() if not u & ~v)
+        boxes.append((t_hi * c**h + t_lo, v))
+    return sorted(boxes), lows, highs
+
+
+def maximal_boxes(ctx: ExpContext) -> tuple[tuple[int, int], ...]:
+    """The ⊆-maximal neighbourhood boxes of K_c^G, as (t, used) pairs in
+    increasing order of t.
+
+    The neighbours of a map f are the maps g with g(b) outside f(N(b)) at
+    every base vertex b, so N(f) is the box of those choices. f's used
+    vector holds the colours f(N(b)), packed over every b at bit c*b: the
+    complement of the box. Each pair holds one ⊆-minimal used vector among
+    the maps with a neighbour (no f(N(b)) the whole palette), after t, the
+    least map index that attains it. The empty tuple means that no map has
+    a neighbour.
+
+    A used vector is the OR of the two half vectors of _half_tables, and
+    x' ⊆ x gives x'|y ⊆ x|y, so the minimal vectors come from pairs of
+    minimal half vectors: the work follows the half tables, about c**(n/2)
+    rows each, and not the c**n maps. A half table of more rows than the
+    default max_vertices cap raises CapExceeded before it is built.
+    """
+    return tuple(_used_vectors(ctx)[0])
+
+
+def retract(ctx: ExpContext) -> tuple[Graph, tuple[int, ...], Callable[[int], int]]:
+    """K_c^G folded onto R, the induced subgraph on one map per maximal box.
+
+    Returns R, its vertices' map indices (the t of maximal_boxes, in that
+    order), and a lift that sends any map index to the vertex of R whose box
+    contains its own. If N(f) ⊆ N(g), sending f to g is a homomorphism, so
+    the lift is a retraction of K_c^G onto R (folding; Hell–Nešetřil,
+    Graphs and Homomorphisms, 2004). Every hom-monotone question, such as chi
+    or H -> K_c^G, has the same answer on R, and a colouring of R lifts to
+    one of K_c^G. In R, g is adjacent to f iff g's one-hot digits miss
+    used(f), with a loop where a representative is adjacent to itself. When
+    no map has a neighbour, K_c^G is edgeless and R is map 0 alone. The
+    cap is that of maximal_boxes.
+    """
+    nb, c, n_maps = ctx.base.n, ctx.c, ctx.num_maps
+    boxes, lows, highs = _used_vectors(ctx)
+    reps = tuple(t for t, _ in boxes) or (0,)
+    used = [v for _, v in boxes]
+    own = [sum(1 << c * b + t // c**b % c for b in range(nb)) for t in reps]
+    edges = frozenset(
+        (i, j) for i, j in combinations(range(len(used)), 2) if not own[j] & used[i]
+    )
+    loops = frozenset(i for i, v in enumerate(used) if not own[i] & v)
+    step, found = c ** (nb // 2), {}
+
+    def lift(t: int) -> int:
+        if not (0 <= t < n_maps):
+            raise ValueError(f"map index {t} out of range [0, {n_maps})")
+        low, high = lows.get(t % step), highs.get(t // step)
+        if low is None or high is None:
+            return 0  # a half fills some N(b), so t has no neighbour
+        x = low | high
+        if x not in found:
+            # a map with no neighbour has an empty box, inside any other
+            found[x] = next((i for i, v in enumerate(used) if not v & ~x), 0)
+        return found[x]
+
+    return Graph._built(len(reps), edges, loops), reps, lift
 
 
 def universal_property_check(g: Graph, h: Graph, c: int) -> bool:

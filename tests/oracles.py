@@ -107,6 +107,27 @@ def brute_exp_adjacent(base: Graph, f: tuple[int, ...], g: tuple[int, ...]) -> b
     return True
 
 
+def brute_maximal_boxes(base: Graph, c: int) -> list[tuple[int, int]]:
+    """Over every map f of K_c^base with a neighbour, the ⊆-minimal used
+    vectors, each after the least map index that has it, in index order.
+
+    f's used vector packs f(N(b)) at bit c*b, N(b) holding b's neighbours
+    and b itself when b carries a loop; f has a neighbour iff no f(N(b)) is
+    the whole palette. Map index t gives vertex v the digit (t // c**v) % c.
+    """
+    n, full = base.n, (1 << c) - 1
+    near = [[a for a in range(n) if base.adjacent_or_loop(a, b)] for b in range(n)]
+    first: dict[int, int] = {}
+    for t, digits in enumerate(product(range(c), repeat=n)):
+        f = digits[::-1]
+        fields = [sum({1 << f[a] for a in near[b]}) for b in range(n)]
+        if full not in fields:
+            first.setdefault(sum(x << c * b for b, x in enumerate(fields)), t)
+    return sorted(
+        (t, u) for u, t in first.items() if not any(w != u and w & u == w for w in first)
+    )
+
+
 def simple_maps_adjacent(g: Graph, q: int, phi: ExpMap, psi: ExpMap) -> bool:
     """The simple-map adjacency characterization over the original base.
 

@@ -21,8 +21,10 @@ from prodcolor.exponential import (
     index_to_map,
     is_simple,
     materialize_exponential,
+    maximal_boxes,
     normalize_on_constants,
     observation_image_check,
+    retract,
     secondary_block,
     shitov_mu,
     shitov_theta,
@@ -42,13 +44,14 @@ from prodcolor.serialize import serialize_graph
 from prodcolor.solvers import (
     Coloring,
     chromatic_number,
+    find_homomorphism,
     is_homomorphism,
     is_proper_coloring,
     k_colorable,
     optimal_coloring,
 )
 
-from oracles import brute_exp_adjacent, simple_maps_adjacent
+from oracles import brute_exp_adjacent, brute_maximal_boxes, simple_maps_adjacent
 
 
 def _path3() -> Graph:
@@ -843,3 +846,140 @@ def test_normalize_on_constants_refuses_constants_sharing_a_color():
     colors[constant_map(ctx, 1).index()] = colors[constant_map(ctx, 0).index()]
     with pytest.raises(NormalizationError, match="constant maps 0 and 1 share color"):
         normalize_on_constants(ctx, Coloring(tuple(colors), 3))
+
+
+# ---------------------------------------------------------------------------
+# the retract onto one map per maximal box
+
+
+def _random_base(data, n_max: int) -> Graph:
+    n = data.draw(st.integers(0, n_max))
+    pairs = list(combinations(range(n), 2))
+    emask = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    loops = data.draw(st.lists(st.integers(0, n - 1), max_size=n)) if n else []
+    return Graph.from_edges(n, [e for e, k in zip(pairs, emask) if k], loops)
+
+
+def _cycle_join_k2(m: int) -> Graph:
+    """C_m joined to K2: every cycle vertex meets both vertices m and m + 1."""
+    cyc = [(i, (i + 1) % m) for i in range(m)]
+    spokes = [(i, j) for i in range(m) for j in (m, m + 1)]
+    return Graph.from_edges(m + 2, cyc + [(m, m + 1)] + spokes)
+
+
+def _check_retraction(expo: Graph, r: Graph, reps: tuple[int, ...], lift) -> None:
+    """R is the subgraph of expo induced on reps, and lift is a
+    homomorphism of expo onto R that fixes every representative."""
+    assert [lift(t) for t in reps] == list(range(r.n))
+    for i, j in combinations(range(r.n), 2):
+        assert r.has_edge(i, j) == expo.has_edge(reps[i], reps[j])
+    assert r.loops == {i for i, t in enumerate(reps) if t in expo.loops}
+    assert all(r.adjacent_or_loop(lift(s), lift(t)) for s, t in expo.edges)
+    assert all(lift(t) in r.loops for t in expo.loops)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_maximal_boxes_and_the_retract_match_the_brute_force(data):
+    # loops, isolated vertices, c = 1 and the empty base included
+    base = _random_base(data, 5)
+    ctx = ExpContext(base, data.draw(st.integers(1, 3)))
+    boxes = maximal_boxes(ctx)
+    assert list(boxes) == brute_maximal_boxes(base, ctx.c)
+    expo = materialize_exponential(ctx)
+    r, reps, lift = retract(ctx)
+    # with no map that has a neighbour, R is map 0 alone
+    assert reps == tuple(t for t, _ in boxes) or (not boxes and reps == (0,) and not expo.edges)
+    _check_retraction(expo, r, reps, lift)
+    if not expo.loops:
+        assert chromatic_number(r) == chromatic_number(expo)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_a_graph_maps_to_the_retract_iff_it_maps_to_the_exponential_graph(data):
+    ctx = ExpContext(_random_base(data, 4), data.draw(st.integers(1, 3)))
+    h = _random_base(data, 6)
+    r, _, _ = retract(ctx)
+    expo = materialize_exponential(ctx)
+    assert (find_homomorphism(h, r) is None) == (find_homomorphism(h, expo) is None)
+
+
+def test_retract_of_edgeless_and_empty_bases_by_hand():
+    # K_1^{K2}: the one map fills N(b) at both vertices, so it has no neighbour
+    ctx = ExpContext(complete_graph(2), 1)
+    r, reps, lift = retract(ctx)
+    assert (r, reps, lift(0), maximal_boxes(ctx)) == (Graph(1), (0,), 0, ())
+    # no base vertex: the one empty map, with its loop
+    r, reps, _ = retract(ExpContext(Graph(0), 2))
+    assert (r.n, r.loops, reps) == (1, {0}, (0,))
+    # the constant maps of K_3^{K4} are the three maximal boxes
+    r, reps, lift = retract(ExpContext(complete_graph(4), 3))
+    assert reps == (0, 40, 80) and r == complete_graph(3)
+    with pytest.raises(ValueError, match=r"map index 81 out of range \[0, 81\)"):
+        lift(81)
+
+
+def test_retract_refuses_a_half_table_over_the_cap(monkeypatch):
+    calls = []
+    monkeypatch.setattr(exponential, "_half_tables", lambda *args: calls.append(args))
+    # 20 isolated vertices split into halves of 4^10 digit assignments each
+    message = "^a half table of 1048576 digit assignments exceeds the max_vertices cap of 200000$"
+    for build in (maximal_boxes, retract):
+        with pytest.raises(CapExceeded, match=message):
+            build(ExpContext(Graph(20), 4))
+    assert calls == []
+
+
+def test_a_colouring_of_the_retract_lifts_to_k4_over_c5_join_k2():
+    # R has 4 vertices; its colouring, lifted, is checked on all 103,014
+    # edges of the materialized graph, and one map recoloured to a
+    # neighbour's colour fails that check
+    ctx = ExpContext(_cycle_join_k2(5), 4)
+    r, reps, lift = retract(ctx)
+    coloring = k_colorable(r, 4)
+    assert r.n == 4 and coloring is not None
+    expo = materialize_exponential(ctx)
+    assert len(expo.edges) == 103_014
+    lifted = [coloring.colors[lift(t)] for t in range(expo.n)]
+    assert is_proper_coloring(expo, Coloring(tuple(lifted), 4))
+    s, t = min(expo.edges)
+    lifted[s] = lifted[t]
+    assert not is_proper_coloring(expo, Coloring(tuple(lifted), 4))
+
+
+def test_k4_over_c7_join_k2_is_coloured_through_its_retract():
+    # 262,144 maps, over the materialization cap; R has 4 vertices, and every
+    # map with a neighbour lifts to a representative whose box contains its own
+    ctx = ExpContext(_cycle_join_k2(7), 4)
+    with pytest.raises(CapExceeded, match="262144 maps exceed"):
+        materialize_exponential(ctx)
+    r, reps, lift = retract(ctx)
+    assert r.n == 4 and k_colorable(r, 4) is not None and not r.loops
+    # each map's used vector, f(N(b)) at bit 4b, as the OR of its two halves'
+    near = [[a for a in range(9) if ctx.base.has_edge(a, b)] for b in range(9)]
+
+    def half_used(lo: int, hi: int) -> list[int]:
+        used = []
+        for digits in product(range(4), repeat=hi - lo):
+            f = dict(zip(range(lo, hi), digits[::-1]))
+            used.append(sum({1 << 4 * b + f[a] for b in range(9) for a in set(near[b]) & set(f)}))
+        return used
+
+    low, high = half_used(0, 4), half_used(4, 9)
+    fields = [15 << 4 * b for b in range(9)]
+    rep_used = [low[t % 256] | high[t // 256] for t in reps]
+    isolated = 0
+    for t in range(ctx.num_maps):
+        used = low[t % 256] | high[t // 256]
+        if any(used & m == m for m in fields):
+            isolated += 1  # an empty box lies inside any other
+        else:
+            assert rep_used[lift(t)] & ~used == 0
+    assert 0 < isolated < ctx.num_maps
+
+
+def test_k3_over_grotzsch_has_chi_3_through_its_retract():
+    ctx = ExpContext(named("grotzsch"), 3)
+    r, _, _ = retract(ctx)
+    assert chromatic_number(r) == 3 == chromatic_number(materialize_exponential(ctx))

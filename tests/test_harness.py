@@ -247,6 +247,20 @@ def test_a_failing_seeded_instance_records_its_witness(monkeypatch, claim_id):
     assert hashlib.sha256(text.encode()).hexdigest() == sha
 
 
+def test_es_k3_is_decided_without_materializing(monkeypatch):
+    # chi is taken on the retract onto the maximal boxes; the report still
+    # counts every map of K_3^G, so its bytes do not move
+    (expected,) = [r for r in run_suite("exponential") if r.claim_id == "es-k3"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("es-k3 materialized K_3^G")
+
+    monkeypatch.setattr(exponential, "materialize_exponential", refuse)
+    params, ok, witness = _CLAIMS["es-k3"][1](SuiteConfig())
+    assert (params, ok, witness) == (expected.params, expected.passed, expected.witness)
+    assert [(i["vertices"], i["chi"]) for i in witness] == [(81, 3), (243, 3), (729, 3)]
+
+
 # each fixed claim made to fail: the module and function patched, and the
 # stand-in, which breaks what the claim checks
 _real_chi = solvers.chromatic_number
