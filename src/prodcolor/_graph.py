@@ -117,3 +117,18 @@ def _bits(m: int) -> Iterator[int]:
         low = m & -m
         m ^= low
         yield low.bit_length() - 1
+
+
+def _bit_counts(masks: Iterable[int]) -> list[int]:
+    """Per vertex, how many of the masks hold it, bit-sliced: bit i of v's
+    count is bit v of entry i, and the last entry is nonzero. One
+    ripple-carry addition per mask."""
+    planes: list[int] = []
+    for carry in masks:
+        for i, plane in enumerate(planes):
+            planes[i], carry = plane ^ carry, plane & carry
+            if not carry:
+                break
+        if carry:
+            planes.append(carry)
+    return planes

@@ -4,8 +4,9 @@ One weighted branch and bound, heaviest_independent_set, serves
 independence_number (unit weights), max_weight_independent_set and the
 pricing of the fractional chromatic LP (the dual prices as weights). It
 indexes each component's vertices by decreasing weight and equal weights by
-increasing degree, and branches on one vertex at a time; pricing may hand it
-the root's children, found by orbital branching in ``fractional``.
+increasing degree, starts from a greedy set picked on vertex masks bucketed
+by remaining degree, and branches on one vertex at a time; pricing may hand
+it the root's children, found by orbital branching in ``fractional``.
 maximal_sets enumerates the maximal independent sets. Both run on an
 explicit stack.
 
@@ -16,7 +17,6 @@ not compile it.
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Callable
 
 from ._graph import Graph, _bits
@@ -98,39 +98,42 @@ def _greedy_independent_set(masks: list[int], weights: list[int]) -> tuple[int, 
     """(weight, bitmask) of a maximal independent set taken greedily.
 
     The vertex taken next has the fewest remaining neighbours, ties going to
-    the lowest index; it leaves with its neighbours. Vertices sit in heaps
-    bucketed by remaining degree, and each degree drop pushes one entry, so
-    the greedy is near-linear in the number of edges.
+    the lowest index; it leaves with its neighbours. buckets[d] masks the
+    vertices left with d remaining neighbours: a pick takes the lowest bit of
+    the lowest nonempty bucket, and a degree drop moves a bit down, so the
+    greedy is near-linear in the number of edges.
     """
-    adjacency = [list(_bits(m)) for m in masks]
-    degree = [len(nbrs) for nbrs in adjacency]
-    buckets: list[list[int]] = [[] for _ in range(max(degree, default=0) + 1)]
-    for v, d in enumerate(degree):
-        buckets[d].append(v)  # ascending, hence already a heap
-    alive = [True] * len(masks)
-    left = len(masks)
+    left = (1 << len(masks)) - 1
+    buckets = [0] * (max(map(int.bit_count, masks), default=0) + 1)
+    for v, m in enumerate(masks):
+        buckets[m.bit_count()] |= 1 << v
     low = weight = taken = 0
     while left:
-        bucket = buckets[low]
-        while bucket and not (alive[bucket[0]] and degree[bucket[0]] == low):
-            heapq.heappop(bucket)  # a vertex gone, or one that moved to a lower bucket
-        if not bucket:
+        while not buckets[low]:
             low += 1
-            continue
-        v = heapq.heappop(bucket)
+        bit = buckets[low] & -buckets[low]
+        v = bit.bit_length() - 1
         weight += weights[v]
-        taken |= 1 << v
-        alive[v] = False
-        left -= 1
-        for u in adjacency[v]:
-            if alive[u]:
-                alive[u] = False
-                left -= 1
-                for x in adjacency[u]:
-                    if alive[x]:
-                        d = degree[x] = degree[x] - 1
-                        heapq.heappush(buckets[d], x)
-                        low = min(low, d)
+        taken |= bit
+        gone = bit | masks[v] & left
+        m, reach = gone, 0  # reach: the neighbours of the vertices gone
+        while m:
+            ubit = m & -m
+            m ^= ubit
+            nbrs = masks[ubit.bit_length() - 1]
+            reach |= nbrs
+            buckets[(nbrs & left).bit_count()] ^= ubit
+        was, left = left, left ^ gone
+        m = reach & left
+        while m:  # each vertex left that lost a neighbour moves down
+            xbit = m & -m
+            m ^= xbit
+            nbrs = masks[xbit.bit_length() - 1]
+            d = (nbrs & left).bit_count()
+            buckets[(nbrs & was).bit_count()] ^= xbit
+            buckets[d] |= xbit
+            if d < low:
+                low = d
     return weight, taken
 
 

@@ -139,10 +139,8 @@ class LemmaRelReport(Record):
 
 
 def _min_k_power(chi: int) -> int:
-    k = 0
-    while 2**k < chi:
-        k += 1
-    return k
+    """min{k : 2^k >= chi}."""
+    return max(chi - 1, 0).bit_length()
 
 
 def _min_k_central(chi: int) -> int:

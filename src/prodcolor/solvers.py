@@ -22,7 +22,7 @@ import math
 from collections.abc import Sequence
 from functools import lru_cache
 
-from ._graph import Graph
+from ._graph import Graph, _bit_counts
 from ._record import Record
 
 
@@ -101,13 +101,14 @@ def _hom_search(nbrs: tuple[int, ...], values: list[int], holders: list[int]) ->
     nbrs are the source's neighbour masks; values[c] holds c's neighbours in
     the target, plus c itself when c has a loop; holders[c] masks the vertices
     that may still take c (updated in place), and a placed vertex keeps only
-    its value. Depth-first in DSATUR order (fewest values, then higher degree,
-    then lower index), values lowest first, with forward checking: the
-    unplaced vertices left with one value are placed as a batch, whose
-    vertices on c leave holders[d] for each d outside values[c]. Swapping twin
-    values is an automorphism of the target, so a branch tries the used values
-    and only the lowest unused value of each twin class: complete only if each
-    initial domain that is not a single value is a union of whole twin classes.
+    its value. Depth-first in DSATUR order (fewest values, counted over the
+    holders by _bit_counts, then higher degree, then lower index), values
+    lowest first, with forward checking: the unplaced vertices left with one
+    value are placed as a batch, whose vertices on c leave holders[d] for each
+    d outside values[c]. Swapping twin values is an automorphism of the
+    target, so a branch tries the used values and only the lowest unused value
+    of each twin class: complete only if each initial domain that is not a
+    single value is a union of whole twin classes.
     """
     twin_classes, untwinned = _twins(tuple(values))
     full = left = (1 << len(nbrs)) - 1  # left: the unplaced vertices
@@ -145,16 +146,8 @@ def _hom_search(nbrs: tuple[int, ...], values: list[int], holders: list[int]) ->
                 continue
             if not left:
                 return image
-            planes: list[int] = []  # planes[i]: the vertices whose number of values has bit i set
-            for carry in holders:
-                for i, plane in enumerate(planes):
-                    planes[i], carry = plane ^ carry, plane & carry
-                    if not carry:
-                        break
-                if carry:
-                    planes.append(carry)
             fewest = left
-            for plane in reversed(planes):
+            for plane in reversed(_bit_counts(holders)):  # narrow to the fewest values
                 if fewest & ~plane:
                     fewest &= ~plane
             if not by_degree:

@@ -32,7 +32,7 @@ LP of ``fractional`` is exact for any group of automorphisms.
 
 from __future__ import annotations
 
-from ._graph import Graph, _bits
+from ._graph import Graph, _bit_counts, _bits
 
 _NODE_LIMIT = 256  # search-tree nodes per candidate vertex
 
@@ -150,18 +150,8 @@ def _refine(masks: tuple[int, ...], n: int, cells: list[int], queue: list[int]) 
         if splitter not in pending:
             continue
         pending.remove(splitter)
-        # bit-sliced neighbour counts: bit b of v's count into the splitter is bit v of slices[b]
-        slices: list[int] = []
-        for u in _bits(splitter):
-            carry, b = masks[u], 0
-            while carry:
-                if b == len(slices):
-                    slices.append(carry)
-                    break
-                s = slices[b]
-                slices[b] = s ^ carry
-                carry &= s
-                b += 1
+        # each vertex's number of neighbours in the splitter, bit-sliced
+        slices = _bit_counts(masks[u] for u in _bits(splitter))
         hit = 0
         for s in slices:
             hit |= s

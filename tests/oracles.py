@@ -64,6 +64,21 @@ def brute_max_weight_independent_set(g: Graph, weights: list[int]) -> int:
     return best
 
 
+def brute_greedy_independent_set(g: Graph, weights: list[int]) -> tuple[int, tuple[int, ...]]:
+    """The greedy start of the independent-set search, by rescanning: take the
+    vertex with the fewest neighbours among the vertices left, the lowest on
+    ties, drop it and its neighbours, and repeat until no vertex is left.
+    Returns the set's weight and its vertices in increasing order."""
+    assert not g.loops
+    left = set(range(g.n))
+    chosen = []
+    while left:
+        v = min(left, key=lambda u: (sum(g.has_edge(u, w) for w in left), u))
+        chosen.append(v)
+        left -= {v, *g.neighbors(v)}
+    return sum(weights[v] for v in chosen), tuple(sorted(chosen))
+
+
 def brute_has_cycle_of_length(g: Graph, length: int) -> bool:
     """Any simple cycle of exactly this length, by checking vertex tuples."""
     assert length >= 3

@@ -191,6 +191,11 @@ def test_round_trip_down_of_up():
 # the bound sandwich
 
 
+@pytest.mark.parametrize("chi", range(131))
+def test_min_k_power_is_its_definition(chi):
+    assert arcshift._min_k_power(chi) == min(k for k in range(chi + 1) if 2**k >= chi)
+
+
 def test_lemma_rel_k4():
     report = lemma_rel_bounds_check(complete_digraph(4))
     assert report.chi_d == 4

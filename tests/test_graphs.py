@@ -5,9 +5,10 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from prodcolor._graph import _bit_counts
 from prodcolor.arcshift import arc_shift
 from prodcolor.graphs import (
     Digraph,
@@ -91,6 +92,21 @@ def test_trusted_constructors_equal_the_checked_graphs(data):
     for built in (complete_digraph(n), digraph_product(d, d), reverse(d), arc_shift(d)[0]):
         checked = Digraph.from_arcs(built.n, built.arcs)
         assert built == checked and hash(built) == hash(checked)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 2**130), max_size=40))
+@example([])
+@example([0, 0, 0])
+@example([2**100 + 1] * 40)  # six-bit counts, above bit 64
+def test_bit_counts_are_the_per_vertex_counts(masks):
+    planes = _bit_counts(masks)
+    width = max(masks, default=0).bit_length()
+    counts = [sum(m >> v & 1 for m in masks) for v in range(width)]
+    assert [sum((p >> v & 1) << i for i, p in enumerate(planes)) for v in range(width)] == counts
+    # no plane above the largest count, and none set outside the masks' bits
+    assert len(planes) == max(counts, default=0).bit_length()
+    assert all(p >> width == 0 for p in planes)
 
 
 def test_digraph_rejects_self_arcs():

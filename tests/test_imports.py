@@ -16,13 +16,13 @@ SRC = os.path.dirname(os.path.dirname(prodcolor.__file__))
 
 # runs one CLI command, then reports on stderr's last line its exit code, whether
 # it loaded the standard library's fractions (which pulls in decimal and numbers),
-# json, dataclasses and inspect, and the prodcolor.* modules it loaded
+# json, dataclasses, inspect and heapq, and the prodcolor.* modules it loaded
 _CHILD = """
 import sys
 from prodcolor.cli import main
 code = main(sys.argv[1:])
 loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("prodcolor."))
-stdlib = [m in sys.modules for m in ("fractions", "json", "dataclasses", "inspect")]
+stdlib = [m in sys.modules for m in ("fractions", "json", "dataclasses", "inspect", "heapq")]
 print(code, *stdlib, *loaded, file=sys.stderr)
 """
 
@@ -84,7 +84,7 @@ def test_cli_stage_loads_only_its_layers(tmp_path, argv, stdin, expected, fracti
     c5.write_text(C5)
     argv = [str(c5) if a == "C5" else a for a in argv]
     proc = _child(["-c", _CHILD, *argv], stdin)
-    code, loaded_fractions, loaded_json, dataclasses, inspect, *loaded = (
+    code, loaded_fractions, loaded_json, dataclasses, inspect, heapq, *loaded = (
         proc.stderr.splitlines()[-1].split())
     assert code == "0", proc.stderr
     assert set(loaded) == expected
@@ -92,6 +92,8 @@ def test_cli_stage_loads_only_its_layers(tmp_path, argv, stdin, expected, fracti
     assert loaded_json == str(json)
     # records are built by prodcolor._record, so no stage pays for dataclasses' inspect
     assert (dataclasses, inspect) == ("False", "False")
+    # the searches pick on vertex masks, not on heaps
+    assert heapq == "False"
 
 
 # the public names of graphs before Graph and Digraph moved to _graph

@@ -40,6 +40,7 @@ from prodcolor.solvers import (
 from oracles import (
     brute_chromatic,
     brute_girth,
+    brute_greedy_independent_set,
     brute_homomorphism_exists,
     brute_independence,
     brute_k_colorable,
@@ -373,6 +374,28 @@ def test_max_weight_independent_set_matches_brute(gw):
     assert all(not g.has_edge(u, v) for u, v in combinations(chosen, 2))
     assert sum(weights[v] for v in chosen) == weight
     assert all(weights[v] > 0 for v in chosen)  # weight-0 vertices are left out
+
+
+@st.composite
+def _positively_weighted_graphs(draw):
+    """Up to 12 vertices with integer weights 1..20."""
+    g = draw(small_graphs(12))
+    return g, draw(st.lists(st.integers(1, 20), min_size=g.n, max_size=g.n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_positively_weighted_graphs())
+@example((Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]), [1, 1, 1, 1]))  # ties go to vertex 0
+@example((complete_graph(5), [3, 1, 4, 1, 5]))
+@example((Graph(0), []))
+def test_greedy_independent_set_matches_brute(gw):
+    # the search's start: fewest remaining neighbours, lowest index on ties
+    from prodcolor._independent_sets import _greedy_independent_set
+
+    g, weights = gw
+    weight, chosen = brute_greedy_independent_set(g, weights)
+    assert _greedy_independent_set(list(g.neighbor_masks), weights) == (
+        weight, sum(1 << v for v in chosen))
 
 
 def test_max_weight_independent_set_unit_weights_and_errors():
