@@ -1,10 +1,10 @@
-"""The graph and digraph value types, apart from the catalog and constructions.
+"""The value types: graphs, digraphs, colorings and homomorphism maps.
 
 Vertices are 0..n-1, and loops are stored apart from the edge set, which holds
-only unordered pairs of distinct vertices. ``graphs`` re-exports both types,
-so ``from prodcolor.graphs import Graph`` still works; the layers that only
-take or return graphs import them from here, so a stage that only reads a
-graph does not compile the catalog.
+only unordered pairs of distinct vertices. ``graphs`` re-exports the graph
+types and ``solvers`` the two witness records, so the old imports still work;
+a layer that only takes or returns values imports them from here, so a stage
+that only reads a graph or a coloring compiles no catalog and no search.
 """
 
 from __future__ import annotations
@@ -109,6 +109,29 @@ class Digraph(Record):
     @cached_property
     def sorted_arcs(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.arcs))
+
+
+class Coloring(Record):
+    """Total assignment of colors 0..k-1 to vertices 0..len(colors)-1."""
+
+    colors: tuple[int, ...]
+    k: int
+
+    def __post_init__(self) -> None:
+        if self.k < 0:
+            raise ValueError(f"palette size must be nonnegative, got {self.k}")
+        for v, c in enumerate(self.colors):
+            if not (0 <= c < self.k):
+                raise ValueError(f"vertex {v} has color {c} outside palette of size {self.k}")
+
+    def colors_used(self) -> int:
+        return len(set(self.colors))
+
+
+class HomMap(Record):
+    """A vertex map witnessing a homomorphism (edges map to edges-or-loops)."""
+
+    mapping: tuple[int, ...]
 
 
 def _bits(m: int) -> Iterator[int]:

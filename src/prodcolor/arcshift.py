@@ -19,6 +19,7 @@ from functools import lru_cache
 from itertools import accumulate, combinations
 from math import comb
 
+from ._graph import Coloring
 from ._record import Record
 from .graphs import (
     Digraph,
@@ -30,7 +31,6 @@ from .graphs import (
     tensor_product,
     underline,
 )
-from .solvers import Coloring, chromatic_number, optimal_coloring
 
 
 class SetColoring(Record):
@@ -167,6 +167,8 @@ def _lemma_rel(
     colorings = {} if colorings is None else colorings
     for g in (under_d, under_shift):
         if g not in colorings:
+            from .solvers import optimal_coloring
+
             colorings[g] = optimal_coloring(g)
     base_d, base_shift = colorings[under_d], colorings[under_shift]
     chi_d, chi_shift = base_d.k, base_shift.k
@@ -236,12 +238,7 @@ def schelp_coloring() -> Coloring:
     Triple (i, j, k) gets color j when j != 3, otherwise the smallest color
     in {0, 1, 2} - {i, k}.
     """
-    colors = []
-    for i, j, k in schelp_triples():
-        if j != 3:
-            colors.append(j)
-        else:
-            colors.append(min({0, 1, 2} - {i, k}))
+    colors = (j if j != 3 else min({0, 1, 2} - {i, k}) for i, j, k in schelp_triples())
     return Coloring(tuple(colors), 3)
 
 
@@ -292,6 +289,8 @@ class BoundChainReport(Record):
 
 def bound_chain_instance(d1: Digraph, d2: Digraph) -> BoundChainReport:
     """Check chi(u(D1) x u(D2)) <= chi(D1 x D2) * chi(D1 x D2^-1) exactly."""
+    from .solvers import chromatic_number
+
     a = chromatic_number(underline(digraph_product(d1, d2)))
     b = chromatic_number(underline(digraph_product(d1, reverse(d2))))
     c = chromatic_number(tensor_product(underline(d1), underline(d2)))

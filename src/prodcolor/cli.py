@@ -349,10 +349,12 @@ def _cmd_exp(args) -> int:
 
 
 def _cmd_shift(args) -> int:
-    from . import arcshift, solvers
+    from . import arcshift
 
     p = _params(args)
     if args.kind == "schelp":
+        from . import solvers
+
         coloring = arcshift.schelp_coloring()
         triples = arcshift.schelp_triples()
         off = 1 if args.one_based else 0

@@ -20,10 +20,10 @@ sorted index sums, built from the top field down, and each map reads its two
 entries for its neighbours above itself. So the work follows the half
 tables, the pairs of kept halves and the edges, not the map pairs. Hard caps
 on the map and edge counts make the astronomically large instances fail
-loudly instead of running forever. The solvers are imported only by the two
-functions that search or recolour, and the constructions of ``graphs`` only
-by the functions that build a product, a blow-up or a distance table, so
-materializing loads none of them.
+loudly instead of running forever. The solvers are imported only by
+universal_property_check, the one function that searches, and the
+constructions of ``graphs`` only by the functions that build a product, a
+blow-up or a distance table, so materializing loads none of them.
 
 Most questions about K_c^G need not visit its c**n maps. The neighbours of
 a map f form a box, the product over the base vertices b of the colours
@@ -49,14 +49,11 @@ from functools import cached_property, reduce
 from itertools import chain, combinations, compress, repeat
 from math import prod
 from operator import and_, lshift, mul, or_
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import Callable, Iterable
 
-from ._graph import Graph
+from ._graph import Coloring, Graph, HomMap
 from ._record import Record
 from .errors import DEFAULT_MAX_EXP_EDGES, DEFAULT_MAX_EXP_VERTICES, CapExceeded
-
-if TYPE_CHECKING:
-    from .solvers import Coloring
 
 
 class NormalizationError(ValueError):
@@ -455,7 +452,7 @@ def universal_property_check(g: Graph, h: Graph, c: int) -> bool:
     and each directed check (a, b) of g, which are the product's edges.
     """
     from .graphs import tensor_product
-    from .solvers import HomMap, is_homomorphism, k_colorable
+    from .solvers import is_homomorphism, k_colorable
 
     product = tensor_product(g, h)
     coloring = k_colorable(product, c)
@@ -650,8 +647,6 @@ def normalize_on_constants(ctx: ExpContext, coloring: Coloring) -> Coloring:
     c-clique, so their colors are pairwise distinct. Two constant maps that
     share a color raise NormalizationError.
     """
-    from .solvers import Coloring
-
     if coloring.k != ctx.c:
         raise ValueError(f"need palette {ctx.c}, coloring has {coloring.k}")
     perm = [-1] * ctx.c

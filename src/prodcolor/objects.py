@@ -6,8 +6,8 @@ sorted list, a tuple a list, and a dict key a string. Anything else (int,
 bool, str, float, None) passes through. ``dumps`` writes that data as JSON
 text with sorted keys. The ``*_from_obj`` readers take such data back
 through the validating type constructors, so round trips are stable, and
-refuse any key they do not read and any repeated edge, loop or arc. The form
-is always 0-based.
+refuse any key they do not read, any repeated edge, loop or arc, and any set
+that lists a member twice. The form is always 0-based.
 
 Only the stages that read or write an object import this module; a stage
 that reads and writes only text does not compile it.
@@ -19,7 +19,7 @@ import json
 import sys
 from typing import Any
 
-from ._graph import Digraph, Graph
+from ._graph import Coloring, Digraph, Graph
 from ._record import Record
 from .errors import ParseError
 
@@ -96,6 +96,12 @@ def _distinct(items: Any, where: str, key: Any) -> Any:
     return items
 
 
+def _sets(obj: dict) -> tuple[frozenset[int], ...]:
+    """``obj["sets"]`` read as a list of integer sets, none listing a member twice."""
+    rows = _rows(obj, "sets")
+    return tuple(frozenset(_distinct(s, f"sets[{i}]", int)) for i, s in enumerate(rows))
+
+
 def graph_from_obj(obj: Any) -> Graph:
     obj = _fields(obj, "n", "edges", "loops")
     return Graph.from_edges(
@@ -112,9 +118,7 @@ def digraph_from_obj(obj: Any) -> Digraph:
     )
 
 
-def coloring_from_obj(obj: Any):
-    from .solvers import Coloring
-
+def coloring_from_obj(obj: Any) -> Coloring:
     obj = _fields(obj, "colors", "k")
     return Coloring(_ints(_key(obj, "colors"), "colors"), _int(_key(obj, "k"), "k"))
 
@@ -123,7 +127,7 @@ def set_coloring_from_obj(obj: Any):
     from .arcshift import SetColoring
 
     obj = _fields(obj, "sets", "k")
-    return SetColoring(tuple(frozenset(s) for s in _rows(obj, "sets")), _int(_key(obj, "k"), "k"))
+    return SetColoring(_sets(obj), _int(_key(obj, "k"), "k"))
 
 
 def fractional_coloring_from_obj(obj: Any):
@@ -132,7 +136,7 @@ def fractional_coloring_from_obj(obj: Any):
     from .fractional import FractionalColoring
 
     obj = _fields(obj, "sets", "weights", "generators")
-    sets = tuple(frozenset(s) for s in _rows(obj, "sets"))
+    sets = _sets(obj)
     weights = _rows(obj, "weights", 2)
     for i, (_, den) in enumerate(weights):
         if den == 0:

@@ -22,31 +22,7 @@ import math
 from collections.abc import Sequence
 from functools import lru_cache
 
-from ._graph import Graph, _bit_counts
-from ._record import Record
-
-
-class Coloring(Record):
-    """Total assignment of colors 0..k-1 to vertices 0..len(colors)-1."""
-
-    colors: tuple[int, ...]
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.k < 0:
-            raise ValueError(f"palette size must be nonnegative, got {self.k}")
-        for v, c in enumerate(self.colors):
-            if not (0 <= c < self.k):
-                raise ValueError(f"vertex {v} has color {c} outside palette of size {self.k}")
-
-    def colors_used(self) -> int:
-        return len(set(self.colors))
-
-
-class HomMap(Record):
-    """A vertex map witnessing a homomorphism (edges map to edges-or-loops)."""
-
-    mapping: tuple[int, ...]
+from ._graph import Coloring, Graph, HomMap, _bit_counts  # re-exported: the records' public home
 
 
 def _require_loopless(g: Graph, what: str) -> None:

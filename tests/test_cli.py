@@ -376,6 +376,16 @@ def test_a_repeat_in_either_input_form_exits_1(capsys, monkeypatch, argv, stdin,
 _PETERSEN, _K3_ARCS = serialize_graph(named("petersen")), serialize_digraph(complete_digraph(3))
 
 
+def test_a_set_coloring_listing_a_member_twice_exits_1(capsys, monkeypatch, tmp_path):
+    # read as sets, [1, 2, 1] would be {1, 2} and shift up would write a coloring
+    sets = tmp_path / "sets.json"
+    sets.write_text('{"k": 4, "sets": [[0], [1, 2, 1], [1, 3]]}')
+    code, out, err = run(capsys, "shift", "up", "--set-coloring", str(sets), stdin=_K3_ARCS,
+                         monkeypatch=monkeypatch)
+    assert (code, out) == (1, "")
+    assert err == "input error: sets[1][2] repeats sets[1][0]\n"
+
+
 @pytest.mark.parametrize(
     "argv, stdin, key, read",
     [

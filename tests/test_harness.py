@@ -172,9 +172,9 @@ def test_lem_rel_colors_each_distinct_graph_once(monkeypatch):
     # the classes and random digraphs share few underline graphs: 676
     # colorings when each digraph colored its own two, 275 distinct graphs
     met, colored = [], []
-    underline, optimal = arcshift.underline, arcshift.optimal_coloring
+    underline, optimal = arcshift.underline, solvers.optimal_coloring
     monkeypatch.setattr(arcshift, "underline", lambda d: met.append(underline(d)) or met[-1])
-    monkeypatch.setattr(arcshift, "optimal_coloring", lambda g: colored.append(g) or optimal(g))
+    monkeypatch.setattr(solvers, "optimal_coloring", lambda g: colored.append(g) or optimal(g))
     _, ok, _ = _claim_lem_rel(SuiteConfig(seed=7))
     assert ok
     assert len(colored) == len(set(colored)) == len(set(met)) == 275

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -41,6 +42,7 @@ ALL = {p.stem for p in Path(prodcolor.__file__).parent.glob("*.py")} - {"__init_
 C5 = "5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n"
 C5_OBJ = '{"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]]}'
 DIGON = "2 2\n0 -> 1\n1 -> 0\n"
+DIGON_SHIFT_COLORING = '{"colors": [0, 1], "k": 2}'
 
 
 def _child(args: list[str], stdin: str = "") -> subprocess.CompletedProcess:
@@ -70,19 +72,24 @@ def test_import_loads_no_layer():
         # chi_f calls nothing in solvers, only the private independent-set search
         (["invariant", "chif"], C5, READ | {MIS, "fractional", "simplex", "symmetry"}, True, False),
         (["exp", "materialize", "-c", "2"], C5, READ | {"exponential"}, False, False),
-        # arcshift imports the operators of graphs and the solvers its checks call
-        (["shift", "build"], DIGON, GEN | {"arcshift", "solvers"}, False, False),
+        # arcshift imports the operators of graphs; the solvers load only where
+        # a stage searches or, as schelp does, checks a coloring
+        (["shift", "build"], DIGON, GEN | {"arcshift"}, False, False),
+        (["shift", "down", "--coloring", "COLORING"], DIGON, GEN | {"arcshift", OBJ}, False, True),
+        (["shift", "schelp"], "", GEN | {"arcshift", "solvers"}, False, False),
         # a text report encodes no object and writes no JSON
         (["verify", "suite", "products"], "", ALL - {OBJ}, True, False),
     ],
-    ids=["gen", "chi", "chi-obj", "chi-obj-in", "alpha", "girth", "hom", "chif", "exp", "shift", "verify"],
+    ids=["gen", "chi", "chi-obj", "chi-obj-in", "alpha", "girth", "hom", "chif", "exp", "shift",
+         "shift-down", "shift-schelp", "verify"],
 )
 def test_cli_stage_loads_only_its_layers(tmp_path, argv, stdin, expected, fractions, json):
     # text stages parse and print no JSON, so they load no json and no object
     # forms; only alpha, chif and verify search for an independent set
-    c5 = tmp_path / "c5.txt"
+    c5, coloring = tmp_path / "c5.txt", tmp_path / "coloring.json"
     c5.write_text(C5)
-    argv = [str(c5) if a == "C5" else a for a in argv]
+    coloring.write_text(DIGON_SHIFT_COLORING)
+    argv = [{"C5": str(c5), "COLORING": str(coloring)}.get(a, a) for a in argv]
     proc = _child(["-c", _CHILD, *argv], stdin)
     code, loaded_fractions, loaded_json, dataclasses, inspect, heapq, *loaded = (
         proc.stderr.splitlines()[-1].split())
@@ -94,6 +101,43 @@ def test_cli_stage_loads_only_its_layers(tmp_path, argv, stdin, expected, fracti
     assert (dataclasses, inspect) == ("False", "False")
     # the searches pick on vertex masks, not on heaps
     assert heapq == "False"
+
+
+# each stage README's compiled-lines table names, as the child probe runs it
+TABLE_STAGES = {
+    "gen named petersen": (["gen", "named", "petersen"], ""),
+    "invariant chi": (["invariant", "chi"], C5),
+    "invariant girth": (["invariant", "girth"], C5),
+    "hom": (["hom", "C5", "C5"], ""),
+    "invariant alpha": (["invariant", "alpha"], C5),
+    "invariant chif": (["invariant", "chif"], C5),
+    "exp materialize": (["exp", "materialize", "-c", "2"], C5),
+    "shift build": (["shift", "build"], DIGON),
+}
+
+
+def test_readme_compiled_lines_table_counts_the_modules_each_stage_loads(tmp_path):
+    # a row's "after" figure is the lines of the prodcolor modules its stages
+    # load, __init__ included
+    c5 = tmp_path / "c5.txt"
+    c5.write_text(C5)
+    package = Path(prodcolor.__file__).parent
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = [(re.findall(r"`([^`]+)`", cell), after)
+            for cell, after in re.findall(r"^\| (`.+`) \| [\d,]+ \| ([\d,]+) \|$", readme, re.M)]
+    assert sorted(stage for stages, _ in rows for stage in stages) == sorted(TABLE_STAGES)
+    for stages, after in rows:
+        for stage in stages:
+            argv, stdin = TABLE_STAGES[stage]
+            proc = _child(["-c", _CHILD, *(str(c5) if a == "C5" else a for a in argv)], stdin)
+            report = proc.stderr.splitlines()[-1].split()  # code, 5 stdlib flags, modules
+            assert report[0] == "0", proc.stderr
+            loaded = report[6:]
+            lines = sum(
+                len((package / f"{m}.py").read_text(encoding="utf-8").splitlines())
+                for m in ("__init__", *loaded)
+            )
+            assert f"{lines:,}" == after, stage
 
 
 # the public names of graphs before Graph and Digraph moved to _graph
@@ -114,6 +158,17 @@ def test_graphs_keeps_every_public_name_and_the_types_are_defined_once():
     from prodcolor.graphs import Graph, kneser  # the import users have written all along
 
     assert isinstance(kneser(5, 2), Graph)
+
+
+def test_solvers_keeps_the_witness_records_and_they_are_defined_once():
+    from prodcolor import _graph, solvers
+
+    for name in ("Coloring", "HomMap"):
+        assert getattr(solvers, name) is getattr(_graph, name) is getattr(prodcolor, name)
+        assert getattr(_graph, name).__module__ == "prodcolor._graph"
+    from prodcolor.solvers import Coloring, HomMap  # the import users have written all along
+
+    assert Coloring((0, 1, 0), 2).colors_used() == 2 and HomMap((1, 0)).mapping == (1, 0)
 
 
 def test_every_public_name_is_its_home_modules_attribute():

@@ -160,6 +160,18 @@ def test_fractional_coloring_objects():
         fractional_coloring_from_obj({**obj, "weights": [[1, 2], [3, 0]]})
 
 
+def test_set_coloring_object_refuses_a_repeated_member():
+    # read as a set, [1, 1] would silently become {1}
+    with pytest.raises(ParseError, match=r"^sets\[0\]\[1\] repeats sets\[0\]\[0\]$"):
+        set_coloring_from_obj({"sets": [[1, 1], [0]], "k": 2})
+
+
+def test_fractional_coloring_object_refuses_a_repeated_member():
+    obj = {"sets": [[1], [0, 2, 0]], "weights": [[1, 1], [1, 1]]}
+    with pytest.raises(ParseError, match=r"^sets\[1\]\[2\] repeats sets\[1\]\[0\]$"):
+        fractional_coloring_from_obj(obj)
+
+
 def test_fractional_coloring_generators_round_trip_and_are_checked():
     fc = FractionalColoring(
         (frozenset({0, 2}),), (Fraction(5, 2),), ((1, 2, 3, 4, 0), (0, 4, 3, 2, 1))
